@@ -38,13 +38,10 @@ from .model import (
 )
 from .profiles import (
     ExpQuadratic,
-    ExpShape,
     PowerRoot,
     Profile,
     TabulatedProfile,
-    isothermal_profile,
     polytropic_profile,
-    power_root_profile,
     powerlaw_profile,
 )
 from .residuals import (
@@ -63,7 +60,6 @@ from .scaling import (
     integrate_isothermal,
     integrate_polytropic,
     integrate_pressureless,
-    powerlaw_scaling,
     vanishing_time,
 )
 from .solutions import Solution, build_solution
@@ -94,13 +90,10 @@ __all__ = [
     "theta_required",
     "validate",
     "ExpQuadratic",
-    "ExpShape",
     "PowerRoot",
     "Profile",
     "TabulatedProfile",
-    "isothermal_profile",
     "polytropic_profile",
-    "power_root_profile",
     "powerlaw_profile",
     "ResidualReport",
     "ResolutionNorms",
@@ -115,7 +108,6 @@ __all__ = [
     "integrate_isothermal",
     "integrate_polytropic",
     "integrate_pressureless",
-    "powerlaw_scaling",
     "vanishing_time",
     "Solution",
     "build_solution",

@@ -11,26 +11,21 @@ printed with 17 significant digits so binary64 values round-trip.
 """
 
 import argparse
+import copy
 import json
-import os
+import math
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import __version__
 from .errors import NssolError
 from .fields import eval_grid
-from .model import (
-    FAMILY_TAGS,
-    ModelParams,
-    WithPressurePowerLaw,
-    derived_s,
-    theta_required,
-    validate,
-)
+from .model import FAMILY_TAGS, ModelParams, WithPressurePowerLaw, validate
 from .profiles import DEFAULT_Z_MAX, TabulatedProfile
-from .residuals import Window, verify_window
-from .scaling import NumericScaling, PowerLawScaling, vanishing_time
+from .residuals import DEFAULT_LATTICE, Window, verify_family
+from .scaling import NumericScaling, vanishing_time
 from .solutions import build_solution
 
 
@@ -38,38 +33,68 @@ class ConfigError(Exception):
     """Configuration document violates the schema."""
 
 
-_FAMILY_KEYS = {
-    "with_pressure_isothermal": ("A", "B", "C", "a0", "a1"),
-    "with_pressure_polytropic": ("alpha", "a0", "a1"),
-    "with_pressure_power_law": ("m", "n", "sigma", "alpha"),
-    "pressureless_theta1": ("lam", "alpha", "a0", "a1"),
-    "pressureless_theta_not1": ("lam", "alpha", "a0", "a1"),
+def _number(where, value):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(where, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _string(where, value):
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _window(where, value):
+    return _section(where, value, dict.fromkeys(
+        ("t_min", "t_max", "r_min", "r_max"), _number), {})
+
+
+def _resolutions(where, value):
+    if (not isinstance(value, list) or not value
+            or not all(isinstance(p, list) and len(p) == 2 for p in value)):
+        raise ConfigError(f"{where} must be a non-empty list of [h_t, h_r] pairs")
+    pairs = [[_number(where, h) for h in pair] for pair in value]
+    if not all(h > 0.0 for pair in pairs for h in pair):
+        raise ConfigError(f"{where} entries must be > 0, got {value!r}")
+    return pairs
+
+
+#: section -> (required keys, optional keys), each key mapped to the
+#: parser of its value; the family section's keys are the fields of the
+#: family class that family.kind names
+_SCHEMA = {
+    "model": ({"N": _integer, "gamma": _number, "theta": _number},
+              {"K": _number, "kappa": _number, "delta": _integer}),
+    "grid": ({"t_min": _number, "t_max": _number, "n_t": _integer,
+              "r_min": _number, "r_max": _number, "n_r": _integer}, {}),
+    "verify": ({"window": _window, "resolutions": _resolutions},
+               {"lattice": _integer}),
+    "output": ({}, {"format": _string, "path": _string}),
+    "numerics": ({}, {"z_max": _number}),
 }
 
 
-def _require_keys(section, data, required, optional=()):
+def _section(name, data, required, optional):
+    """Parsed copy of one section: its keys checked against the schema,
+    each value by its parser."""
     if not isinstance(data, dict):
-        raise ConfigError(f"section {section!r} must be an object")
+        raise ConfigError(f"section {name!r} must be an object")
     unknown = sorted(set(data) - set(required) - set(optional))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section!r}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s) in {name!r}: {', '.join(unknown)}")
     missing = sorted(set(required) - set(data))
     if missing:
-        raise ConfigError(f"missing key(s) in {section!r}: {', '.join(missing)}")
-
-
-def _number(section, data, key):
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {v!r}")
-    return float(v)
-
-
-def _integer(section, data, key):
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {v!r}")
-    return v
+        raise ConfigError(f"missing key(s) in {name!r}: {', '.join(missing)}")
+    parsers = {**required, **optional}
+    return {k: parsers[k](f"{name}.{k}", v) for k, v in data.items()}
 
 
 class RunConfig:
@@ -78,53 +103,31 @@ class RunConfig:
     def __init__(self, raw):
         if not isinstance(raw, dict):
             raise ConfigError("configuration root must be a JSON object")
-        unknown = sorted(set(raw) - {"model", "family", "grid", "verify",
-                                     "output", "numerics"})
+        unknown = sorted(set(raw) - set(_SCHEMA) - {"family"})
         if unknown:
             raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
         for key in ("model", "family"):
             if key not in raw:
                 raise ConfigError(f"missing required section {key!r}")
-        self._raw = raw
 
-        fam = raw["family"]
-        _require_keys("family", fam, ("kind",),
-                      tuple(k for keys in _FAMILY_KEYS.values() for k in keys))
-        kind = fam["kind"]
-        if kind not in _FAMILY_KEYS:
+        kind = raw["family"].get("kind") if isinstance(raw["family"], dict) else None
+        if not isinstance(kind, str) or kind not in FAMILY_TAGS:
             raise ConfigError(
-                f"family.kind must be one of {sorted(_FAMILY_KEYS)}, got {kind!r}")
-        _require_keys("family", fam, ("kind",) + _FAMILY_KEYS[kind])
-        constants = {k: _number("family", fam, k) for k in _FAMILY_KEYS[kind]}
-        self.family = FAMILY_TAGS[kind](**constants)
+                f"family.kind must be one of {sorted(FAMILY_TAGS)}, got {kind!r}")
+        family_cls = FAMILY_TAGS[kind]
+        constants = {f.name: _number for f in fields(family_cls)}
+        doc = {"family": _section("family", raw["family"],
+                                  {"kind": _string, **constants}, {})}
+        for name, (required, optional) in _SCHEMA.items():
+            if name in raw:
+                doc[name] = _section(name, raw[name], required, optional)
+        self._doc = doc
 
-        model = raw["model"]
-        _require_keys("model", model, ("N", "gamma", "theta"),
-                      ("K", "kappa", "delta"))
-        delta = (_integer("model", model, "delta") if "delta" in model
-                 else self.family.delta)
-        self.params = ModelParams(
-            N=_integer("model", model, "N"),
-            gamma=_number("model", model, "gamma"),
-            theta=_number("model", model, "theta"),
-            K=_number("model", model, "K") if "K" in model else 1.0,
-            kappa=_number("model", model, "kappa") if "kappa" in model else 1.0,
-            delta=delta,
-        )
+        self.family = family_cls(**{k: doc["family"][k] for k in constants})
+        self.params = ModelParams(**{"delta": self.family.delta, **doc["model"]})
 
-        self.grid = None
-        if "grid" in raw:
-            grid = raw["grid"]
-            _require_keys("grid", grid,
-                          ("t_min", "t_max", "n_t", "r_min", "r_max", "n_r"))
-            self.grid = {
-                "t_min": _number("grid", grid, "t_min"),
-                "t_max": _number("grid", grid, "t_max"),
-                "n_t": _integer("grid", grid, "n_t"),
-                "r_min": _number("grid", grid, "r_min"),
-                "r_max": _number("grid", grid, "r_max"),
-                "n_r": _integer("grid", grid, "n_r"),
-            }
+        self.grid = doc.get("grid")
+        if self.grid is not None:
             if self.grid["r_min"] <= 0.0:
                 raise ConfigError("grid.r_min must be > 0")
             if not self.grid["t_min"] < self.grid["t_max"]:
@@ -135,68 +138,38 @@ class RunConfig:
                 raise ConfigError("grid needs n_t >= 1 and n_r >= 1")
 
         self.verify = None
-        if "verify" in raw:
-            ver = raw["verify"]
-            _require_keys("verify", ver, ("window", "resolutions"), ("lattice",))
-            win = ver["window"]
-            _require_keys("verify.window", win,
-                          ("t_min", "t_max", "r_min", "r_max"))
+        if "verify" in doc:
+            ver = doc["verify"]
             try:
-                window = Window(
-                    t_min=_number("verify.window", win, "t_min"),
-                    t_max=_number("verify.window", win, "t_max"),
-                    r_min=_number("verify.window", win, "r_min"),
-                    r_max=_number("verify.window", win, "r_max"),
-                )
+                window = Window(**ver["window"])
             except ValueError as exc:
                 raise ConfigError(f"verify.window: {exc}") from exc
-            res = ver["resolutions"]
-            if (not isinstance(res, list) or not res
-                    or not all(isinstance(p, list) and len(p) == 2 for p in res)):
-                raise ConfigError(
-                    "verify.resolutions must be a non-empty list of [h_t, h_r] pairs")
-            resolutions = []
-            for pair in res:
-                ht, hr = pair
-                for v in (ht, hr):
-                    if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-                        raise ConfigError(f"bad resolution entry {pair!r}")
-                resolutions.append((float(ht), float(hr)))
-            lattice = ver.get("lattice", 33)
-            if isinstance(lattice, bool) or not isinstance(lattice, int) or lattice < 2:
+            lattice = ver.get("lattice", DEFAULT_LATTICE)
+            if lattice < 2:
                 raise ConfigError(f"verify.lattice must be an integer >= 2, got {lattice!r}")
-            self.verify = {"window": window, "resolutions": resolutions,
+            self.verify = {"window": window,
+                           "resolutions": [tuple(p) for p in ver["resolutions"]],
                            "lattice": lattice}
 
-        self.output_format = "csv"
-        self.output_path = None
-        if "output" in raw:
-            out = raw["output"]
-            _require_keys("output", out, (), ("format", "path"))
-            if "format" in out:
-                if out["format"] not in ("csv", "json"):
-                    raise ConfigError(
-                        f"output.format must be 'csv' or 'json', got {out['format']!r}")
-                self.output_format = out["format"]
-            if "path" in out:
-                if not isinstance(out["path"], str):
-                    raise ConfigError("output.path must be a string")
-                self.output_path = out["path"]
+        out = doc.get("output", {})
+        self.output_format = out.get("format", "csv")
+        if self.output_format not in ("csv", "json"):
+            raise ConfigError(
+                f"output.format must be 'csv' or 'json', got {self.output_format!r}")
+        self.output_path = out.get("path")
 
-        self.z_max = DEFAULT_Z_MAX
-        if "numerics" in raw:
-            num = raw["numerics"]
-            _require_keys("numerics", num, (), ("z_max",))
-            if "z_max" in num:
-                self.z_max = _number("numerics", num, "z_max")
-                if self.z_max <= 0.0:
-                    raise ConfigError("numerics.z_max must be > 0")
+        self.z_max = doc.get("numerics", {}).get("z_max", DEFAULT_Z_MAX)
+        if self.z_max <= 0.0:
+            raise ConfigError("numerics.z_max must be > 0")
 
     @classmethod
     def from_file(cls, path):
+        def reject(literal):
+            raise ConfigError(f"config {path!r} holds the non-finite number {literal}")
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_constant=reject)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -205,51 +178,7 @@ class RunConfig:
 
     def to_dict(self):
         """Reconstruct the configuration document (round-trip lossless)."""
-        out = {}
-        raw = self._raw
-        out["model"] = {k: getattr(self.params, k) for k in
-                        ("N", "gamma", "theta", "K", "kappa", "delta")
-                        if k in raw["model"]}
-        fam = {"kind": self.family.tag}
-        for k in _FAMILY_KEYS[self.family.tag]:
-            fam[k] = getattr(self.family, k)
-        out["family"] = fam
-        if self.grid is not None:
-            out["grid"] = dict(self.grid)
-        if self.verify is not None:
-            w = self.verify["window"]
-            out["verify"] = {
-                "window": {"t_min": w.t_min, "t_max": w.t_max,
-                           "r_min": w.r_min, "r_max": w.r_max},
-                "resolutions": [[ht, hr] for ht, hr in self.verify["resolutions"]],
-            }
-            if "lattice" in raw["verify"]:
-                out["verify"]["lattice"] = self.verify["lattice"]
-        if "output" in raw:
-            out["output"] = {}
-            if "format" in raw["output"]:
-                out["output"]["format"] = self.output_format
-            if "path" in raw["output"]:
-                out["output"]["path"] = self.output_path
-        if "numerics" in raw:
-            out["numerics"] = {"z_max": self.z_max} if "z_max" in raw["numerics"] else {}
-        return out
-
-
-def _threads_from_env():
-    """Validated NSSOL_THREADS (0 = auto).  The evaluators are pure and
-    order-independent, so any cap is honored; the current implementation
-    evaluates sequentially."""
-    raw = os.environ.get("NSSOL_THREADS")
-    if raw is None:
-        return 0
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"NSSOL_THREADS must be an integer >= 0, got {raw!r}")
-    if n < 0:
-        raise ConfigError(f"NSSOL_THREADS must be >= 0, got {n}")
-    return n
+        return copy.deepcopy(self._doc)
 
 
 def _fmt(x):
@@ -276,6 +205,14 @@ def _json_doc(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _table(header, rows, fmt, **extra):
+    """rows as CSV, or as a JSON object of columns followed by extra."""
+    if fmt == "json":
+        columns = {name: [row[k] for row in rows] for k, name in enumerate(header)}
+        return _json_doc({**columns, **extra})
+    return _csv(header, rows)
+
+
 def _emit_summary(summary, quiet, wrote_file):
     if not quiet and wrote_file:
         print(json.dumps(summary))
@@ -298,15 +235,11 @@ def cmd_describe(config, out_path, fmt, quiet):
         "family": config.family.tag,
         "ok": outcome.ok,
         "violations": list(outcome.violations),
-        "model": {k: getattr(config.params, k) for k in
-                  ("N", "gamma", "theta", "K", "kappa", "delta")},
+        "model": asdict(config.params),
     }
     if outcome.derived is not None:
         summary["s"] = outcome.derived.s
         summary["theta_required"] = outcome.derived.theta_required
-    elif outcome.ok:
-        summary["s"] = derived_s(config.params)
-        summary["theta_required"] = theta_required(config.params)
     if outcome.ok and isinstance(config.family, WithPressurePowerLaw):
         if config.family.m < 0.0:
             t_star = -config.family.n / config.family.m
@@ -335,17 +268,8 @@ def cmd_profile(config, out_path, fmt, quiet):
     if isinstance(profile, TabulatedProfile):
         z_hi = min(z_hi, profile.z_max)
     zs = np.linspace(0.0, z_hi, grid["n_r"])
-    rows = []
-    for z in zs:
-        y, dy = profile.evaluate(z)
-        rows.append((z, y, dy))
-    if fmt == "json":
-        text = _json_doc({"z": [r[0] for r in rows],
-                          "y": [r[1] for r in rows],
-                          "dy": [r[2] for r in rows]})
-    else:
-        text = _csv(("z", "y", "dy"), rows)
-    wrote = _write_payload(text, out_path)
+    rows = [(z, *profile.evaluate(z)) for z in zs]
+    wrote = _write_payload(_table(("z", "y", "dy"), rows, fmt), out_path)
     _emit_summary({"ok": True, "points": len(rows), "path": out_path},
                   quiet, wrote)
 
@@ -354,26 +278,17 @@ def cmd_scale(config, out_path, fmt, quiet):
     grid = _require_grid(config)
     solution = _build(config, t_end=grid["t_max"])
     scaling = solution.scaling
-    status = {"status": "completed", "vanishing_time": None}
+    status = {"status": getattr(scaling, "status", "completed"),
+              "vanishing_time": scaling.vanishing_time}
     t_hi = grid["t_max"]
     if isinstance(scaling, NumericScaling):
-        status["status"] = scaling.status
-        status["vanishing_time"] = scaling.vanishing_time
         t_hi = min(t_hi, scaling.t_end)
-    elif isinstance(scaling, PowerLawScaling):
-        status["vanishing_time"] = scaling.vanishing_time
-        if scaling.vanishing_time is not None:
-            t_hi = min(t_hi, scaling.vanishing_time * (1.0 - 1e-9))
+    elif scaling.vanishing_time is not None:
+        t_hi = min(t_hi, scaling.vanishing_time * (1.0 - 1e-9))
     ts = np.linspace(grid["t_min"], t_hi, grid["n_t"])
     rows = [(t, *scaling.pair(t)) for t in ts]
-    if fmt == "json":
-        text = _json_doc({"t": [r[0] for r in rows],
-                          "a": [r[1] for r in rows],
-                          "adot": [r[2] for r in rows],
-                          "status": status})
-    else:
-        text = _csv(("t", "a", "adot"), rows)
-    wrote = _write_payload(text, out_path)
+    wrote = _write_payload(_table(("t", "a", "adot"), rows, fmt, status=status),
+                           out_path)
     _emit_summary({"ok": True, **status, "path": out_path}, quiet, wrote)
 
 
@@ -387,12 +302,7 @@ def cmd_field(config, out_path, fmt, quiet):
     for i, t in enumerate(fg.t_values):
         for j, r in enumerate(fg.r_values):
             rows.append((t, r, fg.rho[i, j], fg.u[i, j]))
-    if fmt == "json":
-        text = _json_doc({"t": [r[0] for r in rows], "r": [r[1] for r in rows],
-                          "rho": [r[2] for r in rows], "u": [r[3] for r in rows]})
-    else:
-        text = _csv(("t", "r", "rho", "u"), rows)
-    wrote = _write_payload(text, out_path)
+    wrote = _write_payload(_table(("t", "r", "rho", "u"), rows, fmt), out_path)
     _emit_summary({"ok": True, "points": len(rows), "path": out_path},
                   quiet, wrote)
 
@@ -400,12 +310,9 @@ def cmd_field(config, out_path, fmt, quiet):
 def cmd_verify(config, out_path, fmt, quiet):
     if config.verify is None:
         raise ConfigError("this command needs a 'verify' section in the config")
-    window = config.verify["window"]
-    resolutions = config.verify["resolutions"]
-    max_h_t = max(ht for ht, _ in resolutions)
-    solution = _build(config, t_end=window.t_max + 2.0 * max_h_t)
-    report = verify_window(solution.field(), config.params, window,
-                           resolutions, lattice=config.verify["lattice"])
+    report = verify_family(config.params, config.family,
+                           config.verify["window"], config.verify["resolutions"],
+                           lattice=config.verify["lattice"], z_max=config.z_max)
     text = _json_doc(report.to_dict())
     wrote = _write_payload(text, out_path)
     _emit_summary({"ok": True, "mass_linf": report.mass_linf,
@@ -445,9 +352,7 @@ def main(argv=None):
         prog="nssol",
         description=("Construct exact self-similar solutions of the radial "
                      "compressible Navier-Stokes system with density-dependent "
-                     "viscosity and verify them by finite-difference residuals. "
-                     "The NSSOL_THREADS environment variable caps internal "
-                     "parallelism (0 = auto)."))
+                     "viscosity and verify them by finite-difference residuals."))
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
@@ -467,7 +372,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        _threads_from_env()
         config = RunConfig.from_file(args.config)
         out_path = args.out if args.out is not None else config.output_path
         fmt = args.format if args.format is not None else config.output_format

@@ -4,13 +4,16 @@ The fluid model is the radially symmetric compressible Navier-Stokes
 system with gamma-law pressure P = K*rho**gamma (switchable via delta)
 and density-dependent viscosity mu(rho) = kappa*rho**theta.  Each
 solution family couples a density shape y(z), z = r/a(t), to a scaling
-function a(t); the admissible (gamma, theta) combinations are family
-specific and enforced by :func:`validate`.
+function a(t).  A family class holds all of its rules: its constants,
+the admissible (gamma, theta) combinations, checked by :func:`validate`,
+and the construction of its shape and scaling (see FAMILIES).
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Union
 
+from . import profiles, scaling
 from .errors import DomainError
 
 #: relative tolerance for the two closed forms of the similarity exponent
@@ -62,6 +65,19 @@ class WithPressureIsothermal:
 
     tag = "with_pressure_isothermal"
     delta = 1
+    positive = ("a0",)
+
+    def violations(self, params):
+        if not (params.theta == 1.0 and params.gamma == 1.0):
+            yield ("theta=gamma=1 required for the isothermal family, got "
+                   f"gamma={params.gamma}, theta={params.theta}")
+        if self.A < 0.0:
+            yield f"A must be >= 0, got {self.A}"
+
+    def build(self, params, t_end, z_max):
+        return (profiles.ExpQuadratic(self.A, self.B, self.C),
+                scaling.integrate_isothermal(self.B, params.K, params.kappa,
+                                             params.N, self.a0, self.a1, t_end))
 
 
 @dataclass(frozen=True)
@@ -74,6 +90,17 @@ class WithPressurePolytropic:
 
     tag = "with_pressure_polytropic"
     delta = 1
+    positive = ("alpha", "a0")
+
+    def violations(self, params):
+        if not (params.theta == params.gamma and params.gamma > 1.0):
+            yield ("theta=gamma>1 required for the polytropic family, got "
+                   f"gamma={params.gamma}, theta={params.theta}")
+
+    def build(self, params, t_end, z_max):
+        return (profiles.polytropic_profile(params.theta, self.alpha),
+                scaling.integrate_polytropic(params.gamma, params.K, params.kappa,
+                                             params.N, self.a0, self.a1, t_end))
 
 
 @dataclass(frozen=True)
@@ -83,7 +110,8 @@ class WithPressurePowerLaw:
     a(t) = sigma*(m*t + n)**s with the similarity exponent s derived
     from (N, gamma); the density shape solves an implicit ODE with
     y(0) = alpha.  m may be negative (collapsing scaling, finite-time
-    blowup at t* = -n/m); n > 0, sigma > 0, alpha > 0.
+    blowup at t* = -n/m); n > 0, sigma > 0, alpha > 0.  The scaling is
+    a closed form, so build ignores t_end.
     """
 
     m: float
@@ -93,6 +121,30 @@ class WithPressurePowerLaw:
 
     tag = "with_pressure_power_law"
     delta = 1
+    positive = ("n", "sigma", "alpha")
+
+    def violations(self, params):
+        if isinstance(params.N, int) and params.N >= 1 and params.gamma >= 1.0:
+            theta_req = theta_required(params)
+            if abs(params.theta - theta_req) > 1e-12 * max(1.0, abs(theta_req)):
+                yield (f"theta must equal gamma/2 + 1/2 - 1/N = {theta_req} for "
+                       f"the power-law family, got theta={params.theta}")
+            floor = 1.0 - 1.0 / params.N
+            if params.theta < floor - 1e-12:
+                yield f"theta must be >= 1 - 1/N = {floor}, got {params.theta}"
+            try:
+                s = derived_s(params)
+            except DomainError as exc:
+                yield str(exc)
+            else:
+                if not (0.0 < s <= 1.0):
+                    yield f"similarity exponent s={s} outside (0, 1]"
+
+    def build(self, params, t_end, z_max):
+        s = derived_s(params)
+        return (profiles.powerlaw_profile(params, self.m, self.sigma,
+                                          self.alpha, s, z_max=z_max),
+                scaling.PowerLawScaling(self.sigma, self.m, self.n, s))
 
 
 @dataclass(frozen=True)
@@ -110,6 +162,20 @@ class PressurelessTheta1:
 
     tag = "pressureless_theta1"
     delta = 0
+    positive = ("a0",)
+
+    def violations(self, params):
+        if params.theta != 1.0:
+            yield ("theta=1 required for this pressureless family, got "
+                   f"theta={params.theta}")
+
+    def build(self, params, t_end, z_max):
+        # density exp(lam/(2*N*kappa)*z**2 + alpha)/a**N folds into the
+        # exponential-quadratic shape with A=1
+        return (profiles.ExpQuadratic(
+                    1.0, self.lam / (2.0 * params.N * params.kappa), self.alpha),
+                scaling.integrate_pressureless(1.0, self.lam, params.N,
+                                               self.a0, self.a1, t_end))
 
 
 @dataclass(frozen=True)
@@ -123,31 +189,42 @@ class PressurelessThetaNot1:
 
     tag = "pressureless_theta_not1"
     delta = 0
+    positive = ("alpha", "a0")
+
+    def violations(self, params):
+        if params.theta == 1.0:
+            yield "theta != 1 required for this pressureless family"
+
+    def build(self, params, t_end, z_max):
+        xi = -self.lam / (params.N * params.kappa * params.theta)
+        return (profiles.PowerRoot(params.theta - 2.0, xi, self.alpha),
+                scaling.integrate_pressureless(params.theta, self.lam, params.N,
+                                               self.a0, self.a1, t_end))
 
 
-Family = Union[
+#: every solution family; a new family is one class and one entry here.
+#: A family class is a frozen dataclass of its constants with a ``tag``
+#: (its config name), its pressure switch ``delta``, the constants that
+#: must be ``positive``, a generator ``violations(params)`` of messages
+#: for its other constraints, and ``build(params, t_end, z_max)`` giving
+#: (profile, scaling) of a valid instance: t_end bounds an integrated
+#: scaling, z_max a tabulated shape.
+FAMILIES = (
     WithPressureIsothermal,
     WithPressurePolytropic,
     WithPressurePowerLaw,
     PressurelessTheta1,
     PressurelessThetaNot1,
-]
+)
 
-FAMILY_TAGS = {
-    cls.tag: cls
-    for cls in (
-        WithPressureIsothermal,
-        WithPressurePolytropic,
-        WithPressurePowerLaw,
-        PressurelessTheta1,
-        PressurelessThetaNot1,
-    )
-}
+Family = Union[FAMILIES]
+
+FAMILY_TAGS = {cls.tag: cls for cls in FAMILIES}
 
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Quantities derived from (N, gamma) for the power-law family.
+    """Quantities derived from (N, gamma), used by the power-law family.
 
     s is the similarity exponent 2/(gamma*N - N + 2), which must equal
     1/((gamma - theta)*N) when theta sits at its required value
@@ -171,9 +248,10 @@ def derived_s(params: ModelParams) -> float:
     """Similarity exponent s = 2/(gamma*N - N + 2).
 
     When theta equals gamma/2 + 1/2 - 1/N this coincides with the
-    second closed form 1/((gamma - theta)*N); the agreement is asserted
+    second closed form 1/((gamma - theta)*N); the agreement is checked
     to 1e-12 relative.  Raises DomainError if gamma*N - N + 2 <= 0
-    (cannot happen for gamma >= 1, N >= 1, guarded anyway).
+    (cannot happen for gamma >= 1, N >= 1, guarded anyway) or if the
+    two closed forms disagree.
     """
     denom = params.gamma * params.N - params.N + 2.0
     if denom <= 0.0:
@@ -182,13 +260,13 @@ def derived_s(params: ModelParams) -> float:
             f"gamma={params.gamma})"
         )
     s = 2.0 / denom
-    theta_req = params.gamma / 2.0 + 0.5 - 1.0 / params.N
+    theta_req = theta_required(params)
     if abs(params.theta - theta_req) <= 1e-12 * max(1.0, abs(theta_req)):
         if params.gamma > params.theta:
             s_alt = 1.0 / ((params.gamma - params.theta) * params.N)
-            assert abs(s - s_alt) <= S_IDENTITY_RTOL * abs(s), (
-                f"similarity exponent closed forms disagree: {s} vs {s_alt}"
-            )
+            if abs(s - s_alt) > S_IDENTITY_RTOL * abs(s):
+                raise DomainError(
+                    f"similarity exponent closed forms disagree: {s} vs {s_alt}")
     return s
 
 
@@ -197,7 +275,16 @@ def theta_required(params: ModelParams) -> float:
     return params.gamma / 2.0 + 0.5 - 1.0 / params.N
 
 
-def _check_params(params: ModelParams, bad: list):
+def validate(params: ModelParams, family: Family) -> ValidationOutcome:
+    """Check all model invariants and family-selection constraints.
+
+    Total: never raises on bad input, and never stops at the first
+    failure; every violated constraint is reported with the offending
+    values, a NaN or infinite number among them.  A successful outcome
+    carries the derived constants (s, theta_required) of (N, gamma)
+    wherever s is defined, which it always is for the power-law family.
+    """
+    bad = []
     if not isinstance(params.N, int) or params.N < 1:
         bad.append(f"N must be an integer >= 1, got {params.N!r}")
     if params.gamma < 1.0:
@@ -210,88 +297,31 @@ def _check_params(params: ModelParams, bad: list):
         bad.append(f"kappa must be > 0, got {params.kappa}")
     if params.delta not in (0, 1):
         bad.append(f"delta must be 0 or 1, got {params.delta!r}")
+    if type(family) not in FAMILIES:
+        bad.append(f"unknown family type {type(family).__name__}")
+        return ValidationOutcome(ok=False, violations=tuple(bad))
 
-
-def validate(params: ModelParams, family: Family) -> ValidationOutcome:
-    """Check all model invariants and family-selection constraints.
-
-    Total: never raises on bad input, and never stops at the first
-    failure; every violated constraint is reported with the offending
-    values.  For the power-law family a successful outcome carries the
-    derived constants (s, theta_required).
-    """
-    bad = []
-    _check_params(params, bad)
+    # NaN slips through every comparison above and below
+    for obj in (params, family):
+        for field in fields(obj):
+            value = getattr(obj, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                bad.append(f"{field.name} must be finite, got {value!r}")
 
     if family.delta != params.delta:
         bad.append(
             f"family {family.tag!r} requires delta={family.delta}, "
             f"params have delta={params.delta}"
         )
-
-    derived_pair = None
-    if isinstance(family, WithPressureIsothermal):
-        if not (params.theta == 1.0 and params.gamma == 1.0):
-            bad.append(
-                "theta=gamma=1 required for the isothermal family, got "
-                f"gamma={params.gamma}, theta={params.theta}"
-            )
-        if family.A < 0.0:
-            bad.append(f"A must be >= 0, got {family.A}")
-        if family.a0 <= 0.0:
-            bad.append(f"a0 must be > 0, got {family.a0}")
-    elif isinstance(family, WithPressurePolytropic):
-        if not (params.theta == params.gamma and params.gamma > 1.0):
-            bad.append(
-                "theta=gamma>1 required for the polytropic family, got "
-                f"gamma={params.gamma}, theta={params.theta}"
-            )
-        if family.alpha <= 0.0:
-            bad.append(f"alpha must be > 0, got {family.alpha}")
-        if family.a0 <= 0.0:
-            bad.append(f"a0 must be > 0, got {family.a0}")
-    elif isinstance(family, WithPressurePowerLaw):
-        if isinstance(params.N, int) and params.N >= 1 and params.gamma >= 1.0:
-            theta_req = theta_required(params)
-            if abs(params.theta - theta_req) > 1e-12 * max(1.0, abs(theta_req)):
-                bad.append(
-                    f"theta must equal gamma/2 + 1/2 - 1/N = {theta_req} for "
-                    f"the power-law family, got theta={params.theta}"
-                )
-            floor = 1.0 - 1.0 / params.N
-            if params.theta < floor - 1e-12:
-                bad.append(
-                    f"theta must be >= 1 - 1/N = {floor}, got {params.theta}"
-                )
-            s = derived_s(params)
-            if not (0.0 < s <= 1.0):
-                bad.append(f"similarity exponent s={s} outside (0, 1]")
-            derived_pair = (s, theta_req)
-        if family.n <= 0.0:
-            bad.append(f"n must be > 0, got {family.n}")
-        if family.sigma <= 0.0:
-            bad.append(f"sigma must be > 0, got {family.sigma}")
-        if family.alpha <= 0.0:
-            bad.append(f"alpha must be > 0, got {family.alpha}")
-    elif isinstance(family, PressurelessTheta1):
-        if params.theta != 1.0:
-            bad.append(
-                f"theta=1 required for this pressureless family, got "
-                f"theta={params.theta}"
-            )
-        if family.a0 <= 0.0:
-            bad.append(f"a0 must be > 0, got {family.a0}")
-    elif isinstance(family, PressurelessThetaNot1):
-        if params.theta == 1.0:
-            bad.append("theta != 1 required for this pressureless family")
-        if family.alpha <= 0.0:
-            bad.append(f"alpha must be > 0, got {family.alpha}")
-        if family.a0 <= 0.0:
-            bad.append(f"a0 must be > 0, got {family.a0}")
-    else:
-        bad.append(f"unknown family type {type(family).__name__}")
+    bad += family.violations(params)
+    bad += [f"{name} must be > 0, got {getattr(family, name)}"
+            for name in family.positive if getattr(family, name) <= 0.0]
 
     derived = None
-    if not bad and derived_pair is not None:
-        derived = DerivedConstants(s=derived_pair[0], theta_required=derived_pair[1])
+    if not bad:
+        try:
+            derived = DerivedConstants(s=derived_s(params),
+                                       theta_required=theta_required(params))
+        except DomainError:
+            pass  # its closed forms disagree; only the power-law family needs s
     return ValidationOutcome(ok=not bad, violations=tuple(bad), derived=derived)

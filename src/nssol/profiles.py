@@ -9,10 +9,10 @@ integrating the implicit profile ODE of the power-law scaling family.
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._interp import hermite
 from .errors import DomainError, OutOfRangeError, StepFailureError
+from .scaling import ATOL, RTOL
 
 #: relative guard below which the profile ODE coefficient counts as singular
 EPS_COEFF = 1e-10
@@ -22,10 +22,6 @@ DEFAULT_Z_MAX = 10.0
 
 #: default tabulation spacing
 DEFAULT_DZ = 1e-3
-
-#: adaptive integration tolerances (shared with the scaling module)
-RTOL = 1e-10
-ATOL = 1e-12
 
 
 def _exp_checked(arg, z):
@@ -47,17 +43,6 @@ class Profile:
     def evaluate(self, z):
         """Return (y, dy/dz) at |z|.  Never negative, never non-finite."""
         raise NotImplementedError
-
-    def in_support(self, z):
-        """True where the shape is defined by its formula (not clipped)."""
-        return True
-
-    def support_radius(self):
-        """Boundary z* where the shape first clips to vacuum, or None.
-
-        Located by bisection to within 1e-10 when it exists.
-        """
-        return None
 
 
 class ExpQuadratic(Profile):
@@ -115,9 +100,14 @@ class PowerRoot(Profile):
         return y, dy
 
     def in_support(self, z):
+        """True where the radicand is positive (the shape is not clipped)."""
         return self._radicand(abs(z)) > 0.0
 
     def support_radius(self):
+        """Boundary z* where the shape first clips to vacuum, or None.
+
+        Located by bisection to within 1e-10 when it exists.
+        """
         if self._c2 >= 0.0:
             return None  # radicand never decreases below alpha**(n+1) > 0
         lo, hi = 0.0, 1.0
@@ -144,7 +134,7 @@ class TabulatedProfile(Profile):
     """
 
     def __init__(self, z_nodes, y_nodes, dy_nodes, truncated=False,
-                 truncation_reason=None, slope_fn=None, ode_constants=None):
+                 truncation_reason=None, slope_fn=None):
         z_nodes = np.asarray(z_nodes, dtype=float)
         y_nodes = np.asarray(y_nodes, dtype=float)
         dy_nodes = np.asarray(dy_nodes, dtype=float)
@@ -162,7 +152,6 @@ class TabulatedProfile(Profile):
         self.truncated = bool(truncated)
         self.truncation_reason = truncation_reason
         self._slope_fn = slope_fn
-        self.ode_constants = dict(ode_constants or {})
 
     @property
     def z_max(self):
@@ -187,49 +176,9 @@ class TabulatedProfile(Profile):
             return y, self._slope_fn(z, y)
         return y, dy_interp
 
-    def in_support(self, z):
-        return abs(z) <= self.z_max
-
     def __repr__(self):
         return (f"TabulatedProfile({len(self.z_nodes)} nodes, "
                 f"z_max={self.z_max}, truncated={self.truncated})")
-
-
-class ExpShape(Profile):
-    """exp() of another shape, zero off that shape's support.
-
-    Only used to compare the two possible readings of the pressureless
-    theta != 1 density (shape y versus shape e**y).
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def evaluate(self, z):
-        if not self.inner.in_support(z):
-            return 0.0, 0.0
-        y, dy = self.inner.evaluate(z)
-        e = _exp_checked(y, z)
-        return e, dy * e
-
-    def in_support(self, z):
-        return self.inner.in_support(z)
-
-    def support_radius(self):
-        return self.inner.support_radius()
-
-
-def power_root_profile(n_exp, xi, alpha):
-    """Closed-form solution of dy/dz * y**n_exp = xi*z, y(0) = alpha.
-
-    The excluded case n_exp = -1 is rejected; alpha must be positive.
-    """
-    return PowerRoot(n_exp, xi, alpha)
-
-
-def isothermal_profile(A, B, C):
-    """Exponential-quadratic shape A*exp(B*z**2 + C) (theta = gamma = 1)."""
-    return ExpQuadratic(A, B, C)
 
 
 def polytropic_profile(theta, alpha):
@@ -239,8 +188,6 @@ def polytropic_profile(theta, alpha):
     """
     if theta <= 1.0:
         raise ValueError(f"theta must be > 1, got {theta}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
     return PowerRoot(theta - 2.0, 1.0, alpha)
 
 
@@ -263,15 +210,14 @@ def powerlaw_profile(params, m, sigma, alpha, s, z_max=DEFAULT_Z_MAX,
     with ``truncated=True``; beyond the table evaluation raises
     OutOfRangeError.
     """
+    from scipy.integrate import solve_ivp
+
     if alpha <= 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     N, gamma, theta = params.N, params.gamma, params.theta
     p_coef = params.K * gamma / (s * sigma ** (gamma * N + 1))
     v_coef = m * N * params.kappa * theta / sigma ** (theta * N + 1)
     r_coef = (1.0 - s) * m * m / sigma ** (N - 1)
-    constants = {"pressure_coef": p_coef, "viscous_coef": v_coef,
-                 "forcing_coef": r_coef, "gamma": gamma, "theta": theta,
-                 "alpha": alpha}
 
     def coeff(y):
         return p_coef * y ** (gamma - 2.0) - v_coef * y ** (theta - 2.0)
@@ -281,8 +227,7 @@ def powerlaw_profile(params, m, sigma, alpha, s, z_max=DEFAULT_Z_MAX,
     if abs(c0) <= EPS_COEFF * c_scale:
         return TabulatedProfile(
             [0.0], [alpha], [0.0], truncated=True,
-            truncation_reason=f"singular coefficient c(alpha)={c0:.3e} at z=0",
-            ode_constants=constants)
+            truncation_reason=f"singular coefficient c(alpha)={c0:.3e} at z=0")
 
     def rhs(z, y):
         return [r_coef * z / coeff(y[0])]
@@ -334,5 +279,4 @@ def powerlaw_profile(params, m, sigma, alpha, s, z_max=DEFAULT_Z_MAX,
 
     dy_nodes = np.array([slope(z, y) for z, y in zip(z_nodes, y_nodes)])
     return TabulatedProfile(z_nodes, y_nodes, dy_nodes, truncated=truncated,
-                            truncation_reason=reason, slope_fn=slope,
-                            ode_constants=constants)
+                            truncation_reason=reason, slope_fn=slope)

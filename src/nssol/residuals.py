@@ -17,7 +17,7 @@ h**2 down to the floor set by the ODE integration tolerances (~1e-9).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     DomainError,
@@ -25,6 +25,7 @@ from .errors import (
     OutOfRangeError,
     StencilOutOfDomainError,
 )
+from .profiles import DEFAULT_Z_MAX
 from .solutions import build_solution
 
 #: lattice points per window axis used by verify_window
@@ -114,16 +115,9 @@ class ResidualReport:
 
     def to_dict(self):
         return {
-            "window": {"t_min": self.window.t_min, "t_max": self.window.t_max,
-                       "r_min": self.window.r_min, "r_max": self.window.r_max},
+            "window": asdict(self.window),
             "lattice": list(self.lattice),
-            "resolutions": [
-                {"h_t": r.h_t, "h_r": r.h_r,
-                 "mass_linf": r.mass_linf, "mass_l2": r.mass_l2,
-                 "mom_linf": r.mom_linf, "mom_l2": r.mom_l2,
-                 "skipped_momentum": r.skipped_momentum}
-                for r in self.resolutions
-            ],
+            "resolutions": [asdict(r) for r in self.resolutions],
             "h_t": self.h_t, "h_r": self.h_r,
             "mass_linf": self.mass_linf, "mass_l2": self.mass_l2,
             "mom_linf": self.mom_linf, "mom_l2": self.mom_l2,
@@ -157,7 +151,8 @@ def _mass_from_stencil(N, r, h_t, h_r, c, rp, rm, tp, tm):
 
 
 def _momentum_from_stencil(params, r, h_t, h_r, c, rp, rm, tp, tm):
-    """Momentum residual, or _SKIPPED if the stencil touches vacuum."""
+    """Momentum residual, or _SKIPPED if the stencil touches vacuum;
+    NonFiniteFieldError if the residual is not finite."""
     gamma, theta = params.gamma, params.theta
     K, kappa, N = params.K, params.kappa, params.N
     rho_samples = (c[0], rp[0], rm[0], tp[0], tm[0])
@@ -175,7 +170,8 @@ def _momentum_from_stencil(params, r, h_t, h_r, c, rp, rm, tp, tm):
              - kappa * rho_c ** theta
              * (u_rr + (N - 1) / r * u_r - (N - 1) / (r * r) * u_c))
     if not math.isfinite(value):
-        return _SKIPPED
+        raise NonFiniteFieldError(
+            f"momentum residual at r={r!r} is not finite: {value!r}")
     return value
 
 
@@ -196,14 +192,14 @@ def momentum_residual(field_fn, params, t, r, h_t, h_r):
     The gradients of rho**gamma and rho**theta come from differencing
     the powered field samples.  Raises NonFiniteFieldError when the
     stencil touches vacuum (the residual is classically undefined at a
-    support boundary) and StencilOutOfDomainError for domain exits.
+    support boundary) or the residual is not finite, and
+    StencilOutOfDomainError for domain exits.
     """
     stencil = _sample_stencil(field_fn, t, r, h_t, h_r)
     value = _momentum_from_stencil(params, r, h_t, h_r, *stencil)
     if value is _SKIPPED:
         raise NonFiniteFieldError(
-            f"momentum stencil at (t={t!r}, r={r!r}) touches vacuum or "
-            "produces non-finite powered samples")
+            f"momentum stencil at (t={t!r}, r={r!r}) touches vacuum")
     return value
 
 
@@ -225,6 +221,9 @@ def _norms_over_lattice(field_fn, params, window, h_t, h_r, lattice):
             r = window.r_min + (window.r_max - window.r_min) * j / (nr - 1)
             stencil = _sample_stencil(field_fn, t, r, h_t, h_r)
             mass = _mass_from_stencil(params.N, r, h_t, h_r, *stencil)
+            if not math.isfinite(mass):
+                raise NonFiniteFieldError(
+                    f"mass residual at (t={t!r}, r={r!r}) is not finite")
             mass_max = max(mass_max, abs(mass))
             mass_sq += mass * mass
             mom = _momentum_from_stencil(params, r, h_t, h_r, *stencil)
@@ -256,7 +255,9 @@ def verify_window(field_fn, params, window, resolutions,
     resolutions is a sequence of (h_t, h_r) pairs, coarse to fine; with
     two or more, the report carries convergence-order estimates from the
     last pair (2 is the expected order for an exact solution).  lattice
-    may be an int (same count per axis) or an (n_t, n_r) pair.
+    may be an int (same count per axis) or an (n_t, n_r) pair.  A mass
+    or momentum residual that is not finite raises NonFiniteFieldError;
+    only stencils that touch vacuum (rho <= 0) are skipped.
     """
     if isinstance(lattice, int):
         lattice = (lattice, lattice)
@@ -282,7 +283,7 @@ def verify_window(field_fn, params, window, resolutions,
 
 
 def verify_family(params, family, window, resolutions,
-                  lattice=DEFAULT_LATTICE, z_max=None, exp_shape=False):
+                  lattice=DEFAULT_LATTICE, z_max=DEFAULT_Z_MAX):
     """End-to-end check that a constructed family solves the system.
 
     Builds the family's shape and scaling, assembles the fields, and
@@ -292,10 +293,6 @@ def verify_family(params, family, window, resolutions,
     """
     max_h_t = max(h_t for h_t, _ in resolutions)
     t_end = window.t_max + 2.0 * max_h_t
-    kwargs = {}
-    if z_max is not None:
-        kwargs["z_max"] = z_max
-    solution = build_solution(params, family, t_end=t_end,
-                              exp_shape=exp_shape, **kwargs)
+    solution = build_solution(params, family, t_end=t_end, z_max=z_max)
     return verify_window(solution.field(), params, window, resolutions,
                          lattice=lattice)

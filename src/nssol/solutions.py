@@ -3,42 +3,19 @@
 from dataclasses import dataclass
 
 from .fields import SolutionField
-from .model import (
-    ModelParams,
-    Family,
-    PressurelessTheta1,
-    PressurelessThetaNot1,
-    WithPressureIsothermal,
-    WithPressurePolytropic,
-    WithPressurePowerLaw,
-    validate,
-)
-from .profiles import (
-    DEFAULT_Z_MAX,
-    ExpQuadratic,
-    ExpShape,
-    PowerRoot,
-    polytropic_profile,
-    powerlaw_profile,
-)
-from .scaling import (
-    integrate_isothermal,
-    integrate_polytropic,
-    integrate_pressureless,
-    powerlaw_scaling,
-)
+from .model import Family, ModelParams, validate
+from .profiles import DEFAULT_Z_MAX
 
 
 @dataclass(frozen=True)
 class Solution:
-    """A constructed solution: density shape, scaling, pressure switch."""
+    """A constructed solution: density shape and scaling of a family,
+    whose pressure switch is ``family.delta``."""
 
     params: ModelParams
     family: Family
     profile: object
     scaling: object
-    delta: int
-    derived: object = None
 
     def field(self):
         """Black-box point evaluator (t, r) -> (rho, u)."""
@@ -46,15 +23,12 @@ class Solution:
 
 
 def build_solution(params: ModelParams, family: Family, t_end: float,
-                   z_max: float = DEFAULT_Z_MAX,
-                   exp_shape: bool = False) -> Solution:
+                   z_max: float = DEFAULT_Z_MAX) -> Solution:
     """Construct the shape/scaling pair for a validated family.
 
     t_end bounds the scaling trajectory for the families that integrate
     an ODE in a(t); z_max bounds the tabulated shape of the power-law
-    family.  exp_shape switches the pressureless theta != 1 density to
-    the alternative reading exp(y(z))/a**N for comparison runs (the
-    default shape y(z)/a**N is the one that balances momentum).
+    family.
     """
     outcome = validate(params, family)
     if not outcome.ok:
@@ -62,36 +36,6 @@ def build_solution(params: ModelParams, family: Family, t_end: float,
             "invalid parameter/family combination:\n  "
             + "\n  ".join(outcome.violations)
         )
-
-    N, K, kappa = params.N, params.K, params.kappa
-    if isinstance(family, WithPressureIsothermal):
-        profile = ExpQuadratic(family.A, family.B, family.C)
-        scaling = integrate_isothermal(family.B, K, kappa, N,
-                                       family.a0, family.a1, t_end)
-    elif isinstance(family, WithPressurePolytropic):
-        profile = polytropic_profile(params.theta, family.alpha)
-        scaling = integrate_polytropic(params.gamma, K, kappa, N,
-                                       family.a0, family.a1, t_end)
-    elif isinstance(family, WithPressurePowerLaw):
-        s = outcome.derived.s
-        profile = powerlaw_profile(params, family.m, family.sigma,
-                                   family.alpha, s, z_max=z_max)
-        scaling = powerlaw_scaling(family.sigma, family.m, family.n, s)
-    elif isinstance(family, PressurelessTheta1):
-        # density exp(lam/(2*N*kappa)*z**2 + alpha)/a**N folds into the
-        # exponential-quadratic shape with A=1
-        profile = ExpQuadratic(1.0, family.lam / (2.0 * N * kappa), family.alpha)
-        scaling = integrate_pressureless(1.0, family.lam, N,
-                                         family.a0, family.a1, t_end)
-    elif isinstance(family, PressurelessThetaNot1):
-        xi = -family.lam / (N * kappa * params.theta)
-        base = PowerRoot(params.theta - 2.0, xi, family.alpha)
-        profile = ExpShape(base) if exp_shape else base
-        scaling = integrate_pressureless(params.theta, family.lam, N,
-                                         family.a0, family.a1, t_end)
-    else:
-        raise TypeError(f"unknown family type {type(family).__name__}")
-
+    profile, scaling = family.build(params, t_end, z_max)
     return Solution(params=params, family=family, profile=profile,
-                    scaling=scaling, delta=family.delta,
-                    derived=outcome.derived)
+                    scaling=scaling)

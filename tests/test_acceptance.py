@@ -27,7 +27,6 @@ from nssol import (
     ModelParams,
     NssolError,
     eval_point,
-    powerlaw_scaling,
     vanishing_time,
     verify_family,
     verify_window,
@@ -35,6 +34,7 @@ from nssol import (
 from nssol.profiles import PowerRoot
 from nssol.residuals import Window
 from nssol.scaling import (
+    PowerLawScaling,
     integrate_isothermal,
     integrate_polytropic,
     integrate_pressureless,
@@ -115,7 +115,7 @@ def test_criterion_3_collapsing_power_law_family():
     report = verify_family(params, family, window, RESOLUTIONS)
     _residual_clauses(report, failures)
 
-    scal = powerlaw_scaling(family.sigma, family.m, family.n, 0.5)
+    scal = PowerLawScaling(family.sigma, family.m, family.n, 0.5)
     t_star = vanishing_time(scal)
     if t_star is None or abs(t_star - 1.0) > 1e-10:
         failures.append(f"vanishing time {t_star} != 1.0 +- 1e-10")

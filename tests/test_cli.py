@@ -1,6 +1,9 @@
 """Command-line interface: config schema, subcommands, exit codes, formats."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -231,14 +234,44 @@ def test_missing_family_constant_rejected():
     assert "sigma" in str(err.value)
 
 
-def test_bad_threads_env_exits_2(tmp_path, monkeypatch, capsys):
-    path = _write(tmp_path, _blowup_config())
-    monkeypatch.setenv("NSSOL_THREADS", "many")
-    assert main(["describe", "--config", path]) == 2
-    monkeypatch.setenv("NSSOL_THREADS", "-1")
-    assert main(["describe", "--config", path]) == 2
-    monkeypatch.setenv("NSSOL_THREADS", "4")
-    assert main(["describe", "--config", path]) == 0
+def test_steep_collapse_blowup_exits_0(tmp_path, capsys):
+    cfg = {"model": {"N": 3, "gamma": 2.0, "theta": 2.0},
+           "family": {"kind": "with_pressure_polytropic", "alpha": 1.0,
+                      "a0": 1.0, "a1": 0.0}}
+    path = _write(tmp_path, cfg)
+    assert main(["blowup", "--config", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "vanished"
+    assert doc["vanishing_time"] == pytest.approx(0.330751636, abs=1e-8)
+
+
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys):
+    text = json.dumps(_blowup_config())
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text.replace('"alpha": 1.0', f'"alpha": {literal}'))
+        assert main(["describe", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+    cfg = _blowup_config()
+    cfg["model"]["gamma"] = float("nan")
+    with pytest.raises(ConfigError):
+        RunConfig(cfg)
+    cfg = _blowup_config()
+    cfg["verify"]["resolutions"] = [[1e-3, float("inf")]]
+    with pytest.raises(ConfigError):
+        RunConfig(cfg)
+
+
+def test_import_leaves_scipy_out():
+    # scipy is imported by the integrators on first use, not by the
+    # package import every CLI call pays for
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = "import sys, nssol, nssol.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):

@@ -6,27 +6,27 @@ import numpy as np
 import pytest
 
 from nssol import (
+    ExpQuadratic,
     ModelParams,
     OutOfRangeError,
+    PowerLawScaling,
     PressurelessThetaNot1,
     build_solution,
     eval_grid,
     eval_point,
     integrate_pressureless,
-    isothermal_profile,
     polytropic_profile,
     powerlaw_profile,
-    powerlaw_scaling,
     vanishing_time,
 )
 
 
 def _static_scaling():
-    return powerlaw_scaling(sigma=1.0, m=0.0, n=1.0, s=1.0)
+    return PowerLawScaling(sigma=1.0, m=0.0, n=1.0, s=1.0)
 
 
 def test_eval_point_flat_static():
-    prof = isothermal_profile(1.0, 0.0, 0.0)
+    prof = ExpQuadratic(1.0, 0.0, 0.0)
     rho, u = eval_point(prof, _static_scaling(), 3, 2.5, 1.7)
     assert rho == 1.0
     assert u == 0.0
@@ -41,7 +41,7 @@ def test_eval_point_polytropic_static():
 
 def test_eval_point_linear_scaling():
     # a(t) = 1 + 2t via the trivial pressureless ODE with lam = 0
-    prof = isothermal_profile(1.0, 0.0, 0.0)
+    prof = ExpQuadratic(1.0, 0.0, 0.0)
     scal = integrate_pressureless(theta=1.0, lam=0.0, N=2, a0=1.0, a1=2.0,
                                   t_end=1.5)
     rho, u = eval_point(prof, scal, 2, 1.0, 3.0)
@@ -50,7 +50,7 @@ def test_eval_point_linear_scaling():
 
 
 def test_eval_point_rejects_negative_radius():
-    prof = isothermal_profile(1.0, 0.0, 0.0)
+    prof = ExpQuadratic(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         eval_point(prof, _static_scaling(), 3, 0.0, -1.0)
 
@@ -66,7 +66,7 @@ def test_grid_matches_point_evaluation():
 
 
 def test_velocity_linearity_across_grid():
-    prof = isothermal_profile(1.0, -0.5, 0.2)
+    prof = ExpQuadratic(1.0, -0.5, 0.2)
     scal = integrate_pressureless(theta=1.0, lam=1.0, N=3, a0=1.0, a1=0.7,
                                   t_end=1.0)
     ts = np.linspace(0.1, 0.9, 7)
@@ -82,7 +82,7 @@ def test_self_similar_collapse():
     # rho(t, r)*a(t)**N depends only on z = r/a(t)
     params = ModelParams(N=3, gamma=5.0 / 3.0, theta=1.0, delta=1)
     prof = powerlaw_profile(params, m=-1.0, sigma=1.0, alpha=1.0, s=0.5)
-    scal = powerlaw_scaling(1.0, -1.0, 1.0, 0.5)
+    scal = PowerLawScaling(1.0, -1.0, 1.0, 0.5)
     N = 3
     t1, t2 = 0.1, 0.4
     a1, a2 = scal.a(t1), scal.a(t2)
@@ -119,7 +119,7 @@ def test_vacuum_region_is_exactly_zero():
 
 
 def test_grid_validation():
-    prof = isothermal_profile(1.0, 0.0, 0.0)
+    prof = ExpQuadratic(1.0, 0.0, 0.0)
     scal = _static_scaling()
     with pytest.raises(ValueError):
         eval_grid(prof, scal, 3, [0.1, 0.2], [0.0, 1.0])  # r_min must be > 0
@@ -135,14 +135,14 @@ def test_grid_failure_names_offending_point():
     params = ModelParams(N=3, gamma=5.0 / 3.0, theta=1.0, delta=1)
     prof = powerlaw_profile(params, m=-1.0, sigma=1.0, alpha=1.0, s=0.5,
                             z_max=1.0)
-    scal = powerlaw_scaling(1.0, -1.0, 1.0, 0.5)
+    scal = PowerLawScaling(1.0, -1.0, 1.0, 0.5)
     with pytest.raises(OutOfRangeError) as err:
         eval_grid(prof, scal, 3, [0.1], [0.5, 2.0])  # z = 2/a > z_max
     assert "r=2.0" in str(err.value)
 
 
 def test_grid_immutable_and_finite():
-    prof = isothermal_profile(2.0, -1.0, 0.0)
+    prof = ExpQuadratic(2.0, -1.0, 0.0)
     scal = integrate_pressureless(theta=1.0, lam=0.3, N=3, a0=1.0, a1=0.2,
                                   t_end=1.0)
     grid = eval_grid(prof, scal, 3, np.linspace(0.1, 0.9, 5),
@@ -159,7 +159,7 @@ def test_center_density_grows_unbounded_before_blowup():
     # increasing and exceeds 1e6 before t* = 1
     params = ModelParams(N=3, gamma=5.0 / 3.0, theta=1.0, delta=1)
     prof = powerlaw_profile(params, m=-1.0, sigma=1.0, alpha=1.0, s=0.5)
-    scal = powerlaw_scaling(1.0, -1.0, 1.0, 0.5)
+    scal = PowerLawScaling(1.0, -1.0, 1.0, 0.5)
     t_star = vanishing_time(scal)
     assert t_star == pytest.approx(1.0, abs=1e-15)
     ts = np.linspace(0.0, 0.999, 25)

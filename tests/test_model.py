@@ -1,7 +1,12 @@
 """Parameter and family validation."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nssol import (
     DomainError,
@@ -15,6 +20,7 @@ from nssol import (
     theta_required,
     validate,
 )
+from nssol.model import FAMILIES
 
 
 def test_powerlaw_ok_with_derived_constants():
@@ -141,3 +147,54 @@ def test_pressureless_theta_split():
 def test_theta_required_helper():
     assert theta_required(ModelParams(N=3, gamma=5.0 / 3.0, theta=1.0)) == pytest.approx(1.0)
     assert theta_required(ModelParams(N=2, gamma=1.0, theta=0.5)) == pytest.approx(0.5)
+
+
+def test_non_finite_inputs_reported():
+    nan, inf = float("nan"), float("inf")
+    params = ModelParams(N=3, gamma=1.0, theta=1.0)
+    for family in (WithPressureIsothermal(A=nan, B=-1.0, C=0.0, a0=1.0, a1=0.0),
+                   WithPressureIsothermal(A=1.0, B=-1.0, C=0.0, a0=1.0, a1=inf)):
+        out = validate(params, family)
+        assert not out.ok
+        assert any("must be finite" in v for v in out.violations)
+    out = validate(ModelParams(N=3, gamma=nan, theta=nan, delta=0),
+                   PressurelessThetaNot1(lam=1.0, alpha=1.0, a0=1.0, a1=0.0))
+    assert not out.ok
+    assert sum("must be finite" in v for v in out.violations) == 2
+
+
+def test_derived_s_reports_disagreeing_closed_forms():
+    # theta inside the 1e-12 band around its required value, yet far
+    # enough off that the two closed forms of s differ by more than 1e-12
+    gamma, N = 3.0, 6
+    theta = (gamma / 2.0 + 0.5 - 1.0 / N) * (1.0 + 9e-13)
+    params = ModelParams(N=N, gamma=gamma, theta=theta)
+    with pytest.raises(DomainError):
+        derived_s(params)
+    out = validate(params, WithPressurePowerLaw(m=1.0, n=1.0, sigma=1.0, alpha=1.0))
+    assert not out.ok
+    assert any("closed forms disagree" in v for v in out.violations)
+
+
+_special = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+_number = st.one_of(st.floats(-3.0, 3.0), _special,
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _inputs(draw):
+    params = ModelParams(N=draw(st.integers(-1, 7)), gamma=draw(_number),
+                         theta=draw(_number), K=draw(_number),
+                         kappa=draw(_number), delta=draw(st.integers(0, 1)))
+    cls = draw(st.sampled_from(FAMILIES))
+    family = cls(**{f.name: draw(_number) for f in fields(cls)})
+    return params, family
+
+
+@given(_inputs())
+def test_validate_is_total_and_refuses_non_finite(inputs):
+    params, family = inputs
+    out = validate(params, family)
+    numbers = [getattr(obj, f.name) for obj in inputs for f in fields(obj)]
+    if not all(math.isfinite(x) for x in numbers):
+        assert not out.ok

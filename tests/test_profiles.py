@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from nssol import (
-    ExpShape,
+    ExpQuadratic,
     ModelParams,
     OutOfRangeError,
     PowerRoot,
     TabulatedProfile,
-    isothermal_profile,
     polytropic_profile,
-    power_root_profile,
     powerlaw_profile,
 )
 from tests.oracles import rk4_first_order
@@ -22,7 +20,7 @@ from tests.oracles import rk4_first_order
 # --- power-root closed form ------------------------------------------------
 
 def test_power_root_basic_value():
-    prof = power_root_profile(0.0, 1.0, 1.0)  # y = z**2/2 + 1
+    prof = PowerRoot(0.0, 1.0, 1.0)  # y = z**2/2 + 1
     y, dy = prof.evaluate(2.0)
     assert y == pytest.approx(3.0, abs=1e-14)
     assert dy == pytest.approx(2.0, abs=1e-14)
@@ -30,7 +28,7 @@ def test_power_root_basic_value():
 
 
 def test_power_root_constant_when_xi_zero():
-    prof = power_root_profile(2.0, 0.0, 5.0)
+    prof = PowerRoot(2.0, 0.0, 5.0)
     for z in (0.0, 0.7, 3.0, 10.0):
         y, dy = prof.evaluate(z)
         assert y == pytest.approx(5.0, abs=1e-12)
@@ -39,7 +37,7 @@ def test_power_root_constant_when_xi_zero():
 
 def test_power_root_vacuum_clip():
     # n_exp=-3, xi=1, alpha=1: radicand = 1 - z**2, zero at z=1
-    prof = power_root_profile(-3.0, 1.0, 1.0)
+    prof = PowerRoot(-3.0, 1.0, 1.0)
     assert prof.evaluate(1.0) == (0.0, 0.0)
     assert prof.evaluate(2.0) == (0.0, 0.0)
     y, _ = prof.evaluate(0.5)
@@ -48,9 +46,9 @@ def test_power_root_vacuum_clip():
 
 def test_power_root_rejects_excluded_exponent():
     with pytest.raises(ValueError):
-        power_root_profile(-1.0, 1.0, 1.0)
+        PowerRoot(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        power_root_profile(0.0, 1.0, 0.0)  # alpha must be positive
+        PowerRoot(0.0, 1.0, 0.0)  # alpha must be positive
 
 
 def test_power_root_ode_identity_sweep():
@@ -95,19 +93,19 @@ def test_support_radius_bisection():
 # --- exponential-quadratic shape -------------------------------------------
 
 def test_isothermal_profile_values():
-    flat = isothermal_profile(1.0, 0.0, 0.0)
+    flat = ExpQuadratic(1.0, 0.0, 0.0)
     assert flat.evaluate(3.7) == (1.0, 0.0)
 
-    prof = isothermal_profile(2.0, -1.0, 0.0)
+    prof = ExpQuadratic(2.0, -1.0, 0.0)
     y, dy = prof.evaluate(1.0)
     assert y == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
     assert dy == pytest.approx(-2.0 * y, rel=1e-12)
 
-    vacuum = isothermal_profile(0.0, 5.0, 3.0)
+    vacuum = ExpQuadratic(0.0, 5.0, 3.0)
     assert vacuum.evaluate(0.3) == (0.0, 0.0)
 
     with pytest.raises(ValueError):
-        isothermal_profile(-1.0, 0.0, 0.0)
+        ExpQuadratic(-1.0, 0.0, 0.0)
 
 
 # --- polytropic shape -------------------------------------------------------
@@ -234,18 +232,8 @@ def test_negative_z_maps_to_absolute_value():
 def test_growing_shapes_overflow_cleanly():
     from nssol import DomainError
 
-    grower = isothermal_profile(1.0, 1.0, 0.0)
+    grower = ExpQuadratic(1.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         grower.evaluate(200.0)  # exp(4e4) exceeds float range
-    shrinker = isothermal_profile(1.0, -1.0, 0.0)
+    shrinker = ExpQuadratic(1.0, -1.0, 0.0)
     assert shrinker.evaluate(200.0)[0] == 0.0  # clean underflow to vacuum
-
-
-def test_exp_shape_wrapper():
-    inner = PowerRoot(-3.0, 1.0, 1.0)  # support |z| < 1
-    wrapped = ExpShape(inner)
-    y_in, dy_in = inner.evaluate(0.5)
-    y_w, dy_w = wrapped.evaluate(0.5)
-    assert y_w == pytest.approx(math.exp(y_in), rel=1e-14)
-    assert dy_w == pytest.approx(dy_in * math.exp(y_in), rel=1e-14)
-    assert wrapped.evaluate(2.0) == (0.0, 0.0)

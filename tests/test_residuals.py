@@ -7,7 +7,11 @@ import pytest
 from nssol import (
     ModelParams,
     NonFiniteFieldError,
+    PowerRoot,
+    Profile,
+    SolutionField,
     StencilOutOfDomainError,
+    build_solution,
     mass_residual,
     momentum_residual,
     verify_family,
@@ -23,6 +27,24 @@ from tests.cases import (
 )
 
 PARAMS_N3 = ModelParams(N=3, gamma=1.0, theta=1.0, delta=1)
+
+
+class ExpShape(Profile):
+    """exp() of another shape, zero off that shape's support.
+
+    Only used to compare the two possible readings of the pressureless
+    theta != 1 density (shape y versus shape e**y).
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, z):
+        if not self.inner.in_support(z):
+            return 0.0, 0.0
+        y, dy = self.inner.evaluate(z)
+        e = math.exp(y)
+        return e, dy * e
 
 
 def _ansatz_field(f, a, adot):
@@ -179,10 +201,43 @@ def test_wrong_density_shape_reading_fails_momentum():
     # density satisfies mass (any shape does) but not momentum
     params, family, window = pressureless_theta2()
     good = verify_family(params, family, window, [(1e-3, 1e-3)])
-    bad = verify_family(params, family, window, [(1e-3, 1e-3)], exp_shape=True)
+    sol = build_solution(params, family, t_end=window.t_max + 2e-3)
+    bad_field = SolutionField(ExpShape(sol.profile), sol.scaling, params.N)
+    bad = verify_window(bad_field, params, window, [(1e-3, 1e-3)])
     assert good.resolutions[0].mom_linf < 1e-5
     assert bad.resolutions[0].mass_linf < 1e-4
     assert bad.resolutions[0].mom_linf > 1e-2
+
+
+def test_exp_shape_wrapper():
+    inner = PowerRoot(-3.0, 1.0, 1.0)  # support |z| < 1
+    wrapped = ExpShape(inner)
+    y_in, dy_in = inner.evaluate(0.5)
+    y_w, dy_w = wrapped.evaluate(0.5)
+    assert y_w == pytest.approx(math.exp(y_in), rel=1e-14)
+    assert dy_w == pytest.approx(dy_in * math.exp(y_in), rel=1e-14)
+    assert wrapped.evaluate(2.0) == (0.0, 0.0)
+
+
+def test_nan_density_sample_is_never_certified():
+    # one NaN density at lattice point (16, 16) of an exact solution must
+    # raise, not vanish from the norms (max(0.0, nan) is 0.0) or be
+    # counted as a vacuum skip
+    params, family, window = isothermal_gaussian()
+    field = build_solution(params, family, t_end=window.t_max + 2e-3).field()
+    t_nan = window.t_min + (window.t_max - window.t_min) * 16 / 32
+    r_nan = window.r_min + (window.r_max - window.r_min) * 16 / 32
+
+    def nonfinite(t, r):
+        rho, u = field(t, r)
+        if abs(t - t_nan) < 1e-12 and abs(r - r_nan) < 1e-12:
+            return math.nan, u
+        return rho, u
+
+    with pytest.raises(NonFiniteFieldError):
+        verify_window(nonfinite, params, window, RESOLUTIONS, lattice=33)
+    with pytest.raises(NonFiniteFieldError):
+        momentum_residual(nonfinite, params, t_nan, r_nan, 1e-3, 1e-3)
 
 
 def test_report_structure_and_rounding():

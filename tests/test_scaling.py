@@ -6,10 +6,10 @@ import pytest
 from nssol import (
     DomainError,
     NumericScaling,
+    PowerLawScaling,
     integrate_isothermal,
     integrate_polytropic,
     integrate_pressureless,
-    powerlaw_scaling,
     vanishing_time,
 )
 from nssol.scaling import EPS_A_FRAC, STATUS_VANISHED
@@ -153,22 +153,35 @@ def test_vanished_trajectory_stays_positive_and_small():
     assert lin.a_values.min() < 10.0 * EPS_A_FRAC
 
 
+def test_steep_polytropic_collapse_matches_rk4_oracle():
+    # N = 3, gamma = theta = 2 collapses so steeply that the step size
+    # underflows with a still near 2e-3; the bound a/|a'| < 1e-10 alone
+    # must report the vanishing
+    fn = integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=3, a0=1.0,
+                              a1=0.0, t_end=1.2)
+    assert fn.status == STATUS_VANISHED
+    t_oracle = rk4_crossing_time(_poly_accel(2.0, 1.0, 1.0, 3), 1.0, 0.0,
+                                 EPS_A_FRAC * 1.0, 1e-6, 1.2)
+    assert t_oracle is not None
+    assert abs(vanishing_time(fn) - t_oracle) < 1e-8
+
+
 # --- power-law scaling ----------------------------------------------------------
 
 def test_powerlaw_static():
-    fn = powerlaw_scaling(sigma=1.0, m=0.0, n=1.0, s=1.0)
+    fn = PowerLawScaling(sigma=1.0, m=0.0, n=1.0, s=1.0)
     assert fn.a(5.0) == 1.0
     assert fn.adot(5.0) == 0.0
 
 
 def test_powerlaw_values():
-    fn = powerlaw_scaling(sigma=2.0, m=1.0, n=1.0, s=0.5)
+    fn = PowerLawScaling(sigma=2.0, m=1.0, n=1.0, s=0.5)
     assert fn.a(3.0) == pytest.approx(4.0, rel=1e-15)
     assert fn.adot(3.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_powerlaw_domain_error():
-    fn = powerlaw_scaling(sigma=1.0, m=-1.0, n=2.0, s=0.5)
+    fn = PowerLawScaling(sigma=1.0, m=-1.0, n=2.0, s=0.5)
     with pytest.raises(DomainError):
         fn.a(2.0)  # m*t + n = 0
     with pytest.raises(DomainError):
@@ -181,13 +194,13 @@ def test_powerlaw_parameter_validation():
                 dict(sigma=1.0, m=1.0, n=1.0, s=0.0),
                 dict(sigma=1.0, m=1.0, n=1.0, s=1.5)):
         with pytest.raises(ValueError):
-            powerlaw_scaling(**bad)
+            PowerLawScaling(**bad)
 
 
 def test_vanishing_time_dispatch():
-    assert vanishing_time(powerlaw_scaling(1.0, -1.0, 2.0, 0.5)) == pytest.approx(2.0)
-    assert vanishing_time(powerlaw_scaling(1.0, 1.0, 2.0, 0.5)) is None
-    assert vanishing_time(powerlaw_scaling(1.0, 0.0, 2.0, 0.5)) is None
+    assert vanishing_time(PowerLawScaling(1.0, -1.0, 2.0, 0.5)) == pytest.approx(2.0)
+    assert vanishing_time(PowerLawScaling(1.0, 1.0, 2.0, 0.5)) is None
+    assert vanishing_time(PowerLawScaling(1.0, 0.0, 2.0, 0.5)) is None
     completed = integrate_pressureless(theta=1.0, lam=0.0, N=1, a0=1.0, a1=0.0,
                                        t_end=0.5)
     assert vanishing_time(completed) is None

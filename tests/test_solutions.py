@@ -4,7 +4,6 @@ import pytest
 
 from nssol import (
     ExpQuadratic,
-    ExpShape,
     ModelParams,
     PowerRoot,
     PressurelessTheta1,
@@ -40,7 +39,7 @@ def test_each_family_assembles():
         sol = build_solution(params, family, t_end=0.3)
         assert isinstance(sol.profile, prof_type)
         assert isinstance(sol.scaling, scal_type)
-        assert sol.delta == family.delta
+        assert sol.family is family
         rho, u = sol.field()(0.1, 0.5)
         assert rho >= 0.0
 
@@ -71,13 +70,6 @@ def test_pressureless_shape_sign_convention():
     sol = build_solution(params, family, t_end=0.2)
     assert sol.profile.xi == pytest.approx(-1.0 / 6.0)
     assert sol.profile.n_exp == pytest.approx(0.0)
-
-
-def test_exp_shape_flag():
-    params = ModelParams(N=3, gamma=1.0, theta=2.0, delta=0)
-    family = PressurelessThetaNot1(lam=1.0, alpha=1.0, a0=1.0, a1=0.0)
-    sol = build_solution(params, family, t_end=0.2, exp_shape=True)
-    assert isinstance(sol.profile, ExpShape)
 
 
 def test_powerlaw_z_max_forwarded():
