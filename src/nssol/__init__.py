@@ -38,9 +38,9 @@ from .model import (
 )
 from .profiles import (
     ExpQuadratic,
+    ImplicitProfile,
     PowerRoot,
     Profile,
-    TabulatedProfile,
     polytropic_profile,
     powerlaw_profile,
 )
@@ -90,9 +90,9 @@ __all__ = [
     "theta_required",
     "validate",
     "ExpQuadratic",
+    "ImplicitProfile",
     "PowerRoot",
     "Profile",
-    "TabulatedProfile",
     "polytropic_profile",
     "powerlaw_profile",
     "ResidualReport",

@@ -23,7 +23,7 @@ from . import __version__
 from .errors import NssolError
 from .fields import eval_grid
 from .model import FAMILY_TAGS, ModelParams, WithPressurePowerLaw, validate
-from .profiles import DEFAULT_Z_MAX, TabulatedProfile
+from .profiles import DEFAULT_Z_MAX
 from .residuals import DEFAULT_LATTICE, Window, verify_family
 from .scaling import NumericScaling, vanishing_time
 from .solutions import build_solution
@@ -264,10 +264,7 @@ def cmd_profile(config, out_path, fmt, quiet):
     grid = _require_grid(config)
     solution = _build(config, t_end=max(grid["t_max"], 1e-3))
     profile = solution.profile
-    z_hi = grid["r_max"]
-    if isinstance(profile, TabulatedProfile):
-        z_hi = min(z_hi, profile.z_max)
-    zs = np.linspace(0.0, z_hi, grid["n_r"])
+    zs = np.linspace(0.0, min(grid["r_max"], profile.z_max), grid["n_r"])
     rows = [(z, *profile.evaluate(z)) for z in zs]
     wrote = _write_payload(_table(("z", "y", "dy"), rows, fmt), out_path)
     _emit_summary({"ok": True, "points": len(rows), "path": out_path},

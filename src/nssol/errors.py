@@ -10,7 +10,7 @@ class DomainError(NssolError):
 
 
 class OutOfRangeError(NssolError):
-    """A tabulated object was queried beyond its stored range."""
+    """A tabulated trajectory or a bounded shape was queried beyond its range."""
 
 
 class StepFailureError(NssolError):

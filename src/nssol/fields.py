@@ -49,8 +49,8 @@ def eval_point(profile, scaling, N, t, r):
     """Fields (rho, u) at one point.
 
     rho = shape(r/a(t))/a(t)**N and u = (a'(t)/a(t))*r.  Domain errors
-    from the scaling (t outside its trajectory) and range errors from a
-    tabulated shape (r/a beyond the table) propagate unchanged.
+    from the scaling (t outside its trajectory) and range errors from the
+    shape (r/a beyond its z_max) propagate unchanged.
     """
     if r < 0.0:
         raise ValueError(f"r must be >= 0, got {r}")

@@ -108,10 +108,10 @@ class WithPressurePowerLaw:
     """Power-law scaling family, requires theta = gamma/2 + 1/2 - 1/N.
 
     a(t) = sigma*(m*t + n)**s with the similarity exponent s derived
-    from (N, gamma); the density shape solves an implicit ODE with
-    y(0) = alpha.  m may be negative (collapsing scaling, finite-time
-    blowup at t* = -n/m); n > 0, sigma > 0, alpha > 0.  The scaling is
-    a closed form, so build ignores t_end.
+    from (N, gamma); the density shape solves a separable ODE in closed
+    form with y(0) = alpha.  m may be negative (collapsing scaling,
+    finite-time blowup at t* = -n/m); n > 0, sigma > 0, alpha > 0.  The
+    scaling is a closed form, so build ignores t_end.
     """
 
     m: float
@@ -208,7 +208,7 @@ class PressurelessThetaNot1:
 #: must be ``positive``, a generator ``violations(params)`` of messages
 #: for its other constraints, and ``build(params, t_end, z_max)`` giving
 #: (profile, scaling) of a valid instance: t_end bounds an integrated
-#: scaling, z_max a tabulated shape.
+#: scaling, z_max the z at which the power-law shape may be evaluated.
 FAMILIES = (
     WithPressureIsothermal,
     WithPressurePolytropic,

@@ -1,27 +1,31 @@
 """Self-similar density shapes y(z), z = r/a(t).
 
-Three concrete shapes cover all solution families: an exponential of a
-quadratic, a power root of a quadratic (clipped to vacuum where the
-radicand turns negative), and a numerically tabulated shape obtained by
-integrating the implicit profile ODE of the power-law scaling family.
+Three concrete shapes cover all solution families, each in closed form:
+an exponential of a quadratic, a power root of a quadratic (clipped to
+vacuum where the radicand turns negative), and the shape of the
+power-law scaling family, the root of the implicit closed form of its
+separable profile ODE.
 """
 
 import math
 
-import numpy as np
-
-from ._interp import hermite
-from .errors import DomainError, OutOfRangeError, StepFailureError
-from .scaling import ATOL, RTOL
+from .errors import DomainError, OutOfRangeError
 
 #: relative guard below which the profile ODE coefficient counts as singular
 EPS_COEFF = 1e-10
 
-#: default half-width of the tabulated z range
+#: default bound on z of the power-law shape
 DEFAULT_Z_MAX = 10.0
 
-#: default tabulation spacing
-DEFAULT_DZ = 1e-3
+#: log of the largest float64, and of the smallest positive (subnormal) one
+_LOG_MAX = 709.78
+_LOG_MIN = -745.13
+
+
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _exp_checked(arg, z):
@@ -40,6 +44,9 @@ def _exp_checked(arg, z):
 class Profile:
     """Base class: an even, non-negative density shape on z >= 0."""
 
+    #: evaluation beyond |z| = z_max raises OutOfRangeError
+    z_max = math.inf
+
     def evaluate(self, z):
         """Return (y, dy/dz) at |z|.  Never negative, never non-finite."""
         raise NotImplementedError
@@ -49,8 +56,9 @@ class ExpQuadratic(Profile):
     """Shape A*exp(B*z**2 + C); strictly positive iff A > 0."""
 
     def __init__(self, A, B, C):
-        if A < 0.0:
-            raise ValueError(f"A must be >= 0, got {A}")
+        if not 0.0 <= A < math.inf:
+            raise ValueError(f"A must be finite and >= 0, got {A}")
+        _require_finite(B=B, C=C)
         self.A = float(A)
         self.B = float(B)
         self.C = float(C)
@@ -73,10 +81,11 @@ class PowerRoot(Profile):
     """
 
     def __init__(self, n_exp, xi, alpha):
+        _require_finite(n_exp=n_exp, xi=xi)
         if n_exp == -1.0:
             raise ValueError("n_exp = -1 is excluded (logarithmic case)")
-        if alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {alpha}")
         self.n_exp = float(n_exp)
         self.xi = float(xi)
         self.alpha = float(alpha)
@@ -104,81 +113,102 @@ class PowerRoot(Profile):
         return self._radicand(abs(z)) > 0.0
 
     def support_radius(self):
-        """Boundary z* where the shape first clips to vacuum, or None.
-
-        Located by bisection to within 1e-10 when it exists.
-        """
+        """Boundary z* = sqrt(-c0/c2) where the radicand c2*z**2 + c0
+        reaches 0 and the shape clips to vacuum, or None."""
         if self._c2 >= 0.0:
             return None  # radicand never decreases below alpha**(n+1) > 0
-        lo, hi = 0.0, 1.0
-        while self._radicand(hi) > 0.0:
-            hi *= 2.0
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            if self._radicand(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return math.sqrt(-self._c0 / self._c2)
 
     def __repr__(self):
         return f"PowerRoot(n_exp={self.n_exp}, xi={self.xi}, alpha={self.alpha})"
 
 
-class TabulatedProfile(Profile):
-    """Shape stored as (z_i, y_i, dy_i) nodes with cubic interpolation.
+def _primitive(e, x):
+    """((y**e - 1)/e, y**e) at y = exp(x), or (x, 1) at e == 0 exactly;
+    NaN past the float range.  expm1 keeps every digit as e nears 0
+    (theta - 1 is 2.2e-16 for N = 3, gamma = 5/3)."""
+    if e == 0.0:
+        return x, 1.0
+    if e * x > _LOG_MAX:
+        return math.nan, math.nan
+    em1 = math.expm1(e * x)
+    return em1 / e, em1 + 1.0
 
-    Values interpolate at O(h^4) in the node spacing.  When the
-    generating ODE is known its slope relation dy = rhs(z)/c(y) is used
-    for derivatives; otherwise the interpolant is differentiated.
+
+class ImplicitProfile(Profile):
+    """Shape solving c(y) * dy/dz = r*z, y(0) = alpha, in closed form.
+
+    c(y) = p*y**(gamma-2) - v*y**(theta-2) with p > 0, gamma > theta and
+    r >= 0 has the primitive G(y) = p*P(gamma-1, y) - v*P(theta-1, y), where
+    P(e, y) = (y**e - 1)/e or log y at e = 0, so y(z) is the root of
+    G(y) = G(alpha) + r*z**2/2 on the branch through alpha.  c changes
+    sign at most once: y rises without bound where c(alpha) > 0 and
+    falls where c(alpha) < 0, to vacuum at z_vacuum when G(0+) is finite
+    (theta > 1), and is 0 beyond it.  A start with |c(alpha)| below
+    EPS_COEFF of the size of its terms is singular: only z = 0 evaluates.
     """
 
-    def __init__(self, z_nodes, y_nodes, dy_nodes, truncated=False,
-                 truncation_reason=None, slope_fn=None):
-        z_nodes = np.asarray(z_nodes, dtype=float)
-        y_nodes = np.asarray(y_nodes, dtype=float)
-        dy_nodes = np.asarray(dy_nodes, dtype=float)
-        if z_nodes[0] != 0.0:
-            raise ValueError("tabulated shapes must start at z = 0")
-        if y_nodes[0] <= 0.0:
-            raise ValueError("tabulated shapes must have y(0) > 0")
-        if len(z_nodes) > 1 and not np.all(np.diff(z_nodes) > 0.0):
-            raise ValueError("z nodes must be strictly increasing")
-        for arr in (z_nodes, y_nodes, dy_nodes):
-            arr.flags.writeable = False
-        self.z_nodes = z_nodes
-        self.y_nodes = y_nodes
-        self.dy_nodes = dy_nodes
-        self.truncated = bool(truncated)
-        self.truncation_reason = truncation_reason
-        self._slope_fn = slope_fn
-
-    @property
-    def z_max(self):
-        return float(self.z_nodes[-1])
+    def __init__(self, p, v, r, gamma, theta, alpha, z_max=math.inf):
+        _require_finite(p=p, v=v, r=r, gamma=gamma, theta=theta, alpha=alpha)
+        if not (p > 0 and gamma > theta and r >= 0 and alpha > 0 and z_max > 0):
+            raise ValueError("need p > 0, gamma > theta, r >= 0, alpha > 0 and z_max"
+                             f" > 0, got {p}, {gamma}, {theta}, {r}, {alpha}, {z_max}")
+        self.p, self.v, self.r, self.gamma, self.theta = p, v, r, gamma, theta
+        self.alpha, self.z_max = alpha, z_max
+        # G(y) - G(alpha) = cp*P(gamma-1, y/alpha) - cv*P(theta-1, y/alpha);
+        # its slope in log y at alpha is cp - cv = alpha*c(alpha)
+        self._cp, self._cv = p * alpha ** (gamma - 1.0), v * alpha ** (theta - 1.0)
+        slope = self._cp - self._cv
+        self._singular = abs(slope) <= EPS_COEFF * (abs(self._cp) + abs(self._cv))
+        self._dir = 1.0 if slope > 0.0 else -1.0
+        # w = |log(y/alpha)| up to which y stays within the float range
+        self._w_max = self._dir * ((_LOG_MAX if slope > 0.0 else _LOG_MIN)
+                                   - math.log(alpha))
+        self.z_vacuum = None
+        if slope < 0.0 and theta > 1.0 and r > 0.0:
+            g_vac = self._cv / (theta - 1.0) - self._cp / (gamma - 1.0)
+            self.z_vacuum = math.sqrt(2.0 * g_vac / r)
 
     def evaluate(self, z):
         z = abs(z)
-        if len(self.z_nodes) == 1:
-            if z > 1e-12:
-                raise OutOfRangeError(
-                    f"table truncated at z=0 ({self.truncation_reason}), "
-                    f"cannot evaluate at z={z!r}"
-                )
-            return float(self.y_nodes[0]), float(self.dy_nodes[0])
-        what = "z"
-        if self.truncated:
-            what = f"z (table truncated: {self.truncation_reason})"
-        y, dy_interp = hermite(self.z_nodes, self.y_nodes, self.dy_nodes, z, what)
-        if y <= 0.0:
+        if z > self.z_max:
+            raise OutOfRangeError(f"z {z!r} beyond the shape's z_max={self.z_max!r}")
+        if z > 0.0 and self._singular:
+            raise OutOfRangeError(f"singular c(alpha), no shape at z={z!r}")
+        h = 0.5 * self.r * z * z
+        if h == 0.0:
+            return self.alpha, 0.0
+        if self.z_vacuum is not None and z >= self.z_vacuum:
             return 0.0, 0.0
-        if self._slope_fn is not None:
-            return y, self._slope_fn(z, y)
-        return y, dy_interp
+        # Newton on log(D/h) in w = |log(y/alpha)|, D = G(y) - G(alpha), as
+        # log D is near linear where D grows like an exponential.  lo keeps
+        # D < h, hi D >= h or NaN; off that bracket, bisect, up to w_max.
+        d, cp, cv = self._dir, self._cp, self._cv
+        lo, hi, w, log_h = 0.0, self._w_max, h / (d * (cp - cv)), math.log(h)
+        for _ in range(100):  # bisection alone reaches rounding level in 60
+            if not lo < w < hi:
+                w = 0.5 * (lo + hi)
+            gp, yp = _primitive(self.gamma - 1.0, d * w)
+            gv, yv = _primitive(self.theta - 1.0, d * w)
+            D, dD = cp * gp - cv * gv, d * (cp * yp - cv * yv)
+            lo, hi = (w, hi) if D < h else (lo, w)
+            w_new = 0.5 * (lo + hi)
+            if D > 0.0 and dD > 0.0:
+                w_new = w - (math.log(D) - log_h) * D / dD
+            step, w = abs(w_new - w), w_new
+            if step <= 1e-15 * max(1.0, w):
+                break
+        if w >= self._w_max * (1.0 - 1e-12):
+            if d > 0.0:
+                raise DomainError(f"density shape overflows at z={z!r}")
+            return 0.0, 0.0
+        y = math.exp(math.log(self.alpha) + d * w)
+        return y, d * self.r * z * y / dD
 
     def __repr__(self):
-        return (f"TabulatedProfile({len(self.z_nodes)} nodes, "
-                f"z_max={self.z_max}, truncated={self.truncated})")
+        return (f"ImplicitProfile(p={self.p}, v={self.v}, r={self.r}, "
+                f"gamma={self.gamma}, theta={self.theta}, alpha={self.alpha}, "
+                f"z_max={self.z_max})")
 
 
 def polytropic_profile(theta, alpha):
@@ -186,97 +216,28 @@ def polytropic_profile(theta, alpha):
 
     y(0) = alpha and y(z) >= alpha everywhere (the radicand grows).
     """
-    if theta <= 1.0:
+    if not theta > 1.0:
         raise ValueError(f"theta must be > 1, got {theta}")
     return PowerRoot(theta - 2.0, 1.0, alpha)
 
 
-def powerlaw_profile(params, m, sigma, alpha, s, z_max=DEFAULT_Z_MAX,
-                     dz=DEFAULT_DZ):
-    """Tabulated shape for the power-law scaling family.
-
-    Integrates
+def powerlaw_profile(params, m, sigma, alpha, s, z_max=DEFAULT_Z_MAX):
+    """Shape of the power-law scaling family on |z| <= z_max: the
+    ImplicitProfile of
 
         [K*gamma/(s*sigma**(gamma*N+1)) * y**(gamma-2)
          - m*N*kappa*theta/sigma**(theta*N+1) * y**(theta-2)] * dy/dz
-            = (1-s)*m**2/sigma**(N-1) * z,    y(0) = alpha,
+            = (1-s)*m**2/sigma**(N-1) * z,    y(0) = alpha.
 
-    with an adaptive embedded Runge-Kutta pair (rtol 1e-10, atol 1e-12)
-    and stores dense output every dz.  dy(0) = 0 holds because the
-    right-hand side vanishes at z = 0.
-
-    If the bracketed coefficient c(y) falls below EPS_COEFF * |c(alpha)|
-    in magnitude the integration halts and a partial table is returned
-    with ``truncated=True``; beyond the table evaluation raises
-    OutOfRangeError.
+    The family has gamma - theta = 1/(s*N) > 0; gamma <= theta is refused.
     """
-    from scipy.integrate import solve_ivp
-
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"s must be in (0, 1], got {s}")
     N, gamma, theta = params.N, params.gamma, params.theta
-    p_coef = params.K * gamma / (s * sigma ** (gamma * N + 1))
-    v_coef = m * N * params.kappa * theta / sigma ** (theta * N + 1)
-    r_coef = (1.0 - s) * m * m / sigma ** (N - 1)
-
-    def coeff(y):
-        return p_coef * y ** (gamma - 2.0) - v_coef * y ** (theta - 2.0)
-
-    c0 = coeff(alpha)
-    c_scale = abs(p_coef) * alpha ** (gamma - 2.0) + abs(v_coef) * alpha ** (theta - 2.0)
-    if abs(c0) <= EPS_COEFF * c_scale:
-        return TabulatedProfile(
-            [0.0], [alpha], [0.0], truncated=True,
-            truncation_reason=f"singular coefficient c(alpha)={c0:.3e} at z=0")
-
-    def rhs(z, y):
-        return [r_coef * z / coeff(y[0])]
-
-    def singular_event(z, y):
-        return abs(coeff(y[0])) - EPS_COEFF * abs(c0)
-
-    singular_event.terminal = True
-    singular_event.direction = -1
-
-    def vacuum_event(z, y):
-        return y[0]
-
-    vacuum_event.terminal = True
-    vacuum_event.direction = -1
-
-    n_nodes = int(round(z_max / dz))
-    z_eval = np.linspace(0.0, z_max, n_nodes + 1)
-    sol = solve_ivp(rhs, [0.0, z_max], [alpha], method="RK45",
-                    rtol=RTOL, atol=ATOL, dense_output=False,
-                    t_eval=z_eval, events=[singular_event, vacuum_event])
-    if sol.status == -1:
-        raise StepFailureError(
-            f"profile integration failed: {sol.message}",
-            t=sol.t[-1] if len(sol.t) else 0.0,
-            state=sol.y[:, -1] if sol.y.size else None)
-
-    z_nodes = sol.t
-    y_nodes = sol.y[0]
-    truncated = False
-    reason = None
-    if sol.status == 1:  # a terminal event fired before z_max
-        truncated = True
-        if len(sol.t_events[0]):
-            z_stop = sol.t_events[0][0]
-            reason = f"singular coefficient at z={z_stop:.12g}"
-        else:
-            z_stop = sol.t_events[1][0]
-            reason = f"density shape reached zero at z={z_stop:.12g}"
-        if len(z_nodes) == 0 or z_nodes[-1] < z_stop:
-            z_nodes = np.append(z_nodes, z_stop)
-            y_nodes = np.append(y_nodes, sol.y_events[0][0][0]
-                                if len(sol.t_events[0]) else sol.y_events[1][0][0])
-
-    def slope(z, y):
-        if y <= 0.0:
-            return 0.0  # vacuum boundary node
-        return r_coef * z / coeff(y)
-
-    dy_nodes = np.array([slope(z, y) for z, y in zip(z_nodes, y_nodes)])
-    return TabulatedProfile(z_nodes, y_nodes, dy_nodes, truncated=truncated,
-                            truncation_reason=reason, slope_fn=slope)
+    return ImplicitProfile(
+        p=params.K * gamma / (s * sigma ** (gamma * N + 1)),
+        v=m * N * params.kappa * theta / sigma ** (theta * N + 1),
+        r=(1.0 - s) * m * m / sigma ** (N - 1),
+        gamma=gamma, theta=theta, alpha=alpha, z_max=z_max)

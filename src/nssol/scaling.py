@@ -56,12 +56,14 @@ class PowerLawScaling(ScalingFn):
     """
 
     def __init__(self, sigma, m, n, s):
-        if sigma <= 0.0:
-            raise ValueError(f"sigma must be > 0, got {sigma}")
-        if n <= 0.0:
-            raise ValueError(f"n must be > 0, got {n}")
+        if not 0.0 < sigma < np.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+        if not 0.0 < n < np.inf:
+            raise ValueError(f"n must be finite and > 0, got {n}")
         if not 0.0 < s <= 1.0:
             raise ValueError(f"s must be in (0, 1], got {s}")
+        if not np.isfinite(m):
+            raise ValueError(f"m must be finite, got {m}")
         self.sigma = float(sigma)
         self.m = float(m)
         self.n = float(n)
@@ -157,12 +159,12 @@ def _integrate(accel, a0, a1, t_end, dt_store, label):
     1e-10 by bisection on the dense output) or "diverged" when
     a >= CAP_A_FRAC*a0.
     """
+    if not (0.0 < a0 < np.inf and 0.0 < t_end < np.inf):
+        raise ValueError(f"a0 and t_end must be finite and > 0, got {a0}, {t_end}")
+    if not np.isfinite(accel(a0, a1)):  # NaN constants stall solve_ivp
+        raise ValueError(f"a'' is not finite at t=0 (a0={a0}, a1={a1})")
     from scipy.integrate import solve_ivp
 
-    if a0 <= 0.0:
-        raise ValueError(f"a0 must be > 0, got {a0}")
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
     eps_a = EPS_A_FRAC * a0
     cap_a = CAP_A_FRAC * a0
 
@@ -258,7 +260,7 @@ def integrate_polytropic(gamma, K, kappa, N, a0, a1, t_end, dt_store=DEFAULT_DT)
         a'' = -K*gamma*a**(N - theta*N - 1)
               + N*kappa*theta*a'*a**(N - theta*N - 2),   theta = gamma.
     """
-    if gamma <= 1.0:
+    if not gamma > 1.0:
         raise ValueError(f"gamma must be > 1, got {gamma}")
     theta = gamma
 

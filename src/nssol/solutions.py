@@ -27,8 +27,8 @@ def build_solution(params: ModelParams, family: Family, t_end: float,
     """Construct the shape/scaling pair for a validated family.
 
     t_end bounds the scaling trajectory for the families that integrate
-    an ODE in a(t); z_max bounds the tabulated shape of the power-law
-    family.
+    an ODE in a(t); z_max bounds the z at which the power-law family's
+    shape may be evaluated.
     """
     outcome = validate(params, family)
     if not outcome.ok:

@@ -245,6 +245,19 @@ def test_steep_collapse_blowup_exits_0(tmp_path, capsys):
     assert doc["vanishing_time"] == pytest.approx(0.330751636, abs=1e-8)
 
 
+def test_vacuum_reaching_power_law_field_exits_0(tmp_path, capsys):
+    # N = 3, gamma = 3, m = 3: the shape falls to vacuum at z ~ 2.211
+    cfg = _blowup_config()
+    cfg["model"].update(gamma=3.0, theta=5.0 / 3.0)
+    cfg["family"]["m"] = 3.0
+    cfg["grid"].update(r_max=4.0, n_r=40)
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "field.csv"
+    assert main(["field", "--config", path, "--out", str(out), "--quiet"]) == 0
+    rho = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+    assert min(rho) == 0.0 and max(rho) > 0.0
+
+
 def test_non_finite_config_numbers_exit_2(tmp_path, capsys):
     text = json.dumps(_blowup_config())
     for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
@@ -265,17 +278,23 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys):
 
 def test_import_leaves_scipy_out():
     # scipy is imported by the integrators on first use, not by the
-    # package import every CLI call pays for
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    code = "import sys, nssol, nssol.cli; print('scipy' in sys.modules)"
+    # package import every CLI call pays for, nor by the power-law
+    # family, whose shape and scaling are closed forms
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys, nssol, nssol.cli\n"
+            "from tests.cases import powerlaw_blowup\n"
+            "params, family, _ = powerlaw_blowup()\n"
+            "nssol.build_solution(params, family, t_end=0.5).field()(0.2, 0.7)\n"
+            "print('scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             [os.path.join(root, "src"), root])})
     assert out.stdout.strip() == "False"
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):
-    # z range exceeding the tabulated shape is a runtime numeric failure
+    # z beyond the power-law shape's z_max is a runtime numeric failure
     cfg = _blowup_config(numerics={"z_max": 0.5})
     cfg["grid"]["r_max"] = 2.0
     cfg["grid"]["t_max"] = 0.5

@@ -4,15 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nssol import (
     ExpQuadratic,
+    ImplicitProfile,
     ModelParams,
     OutOfRangeError,
+    PowerLawScaling,
     PowerRoot,
-    TabulatedProfile,
+    derived_s,
+    integrate_isothermal,
+    integrate_polytropic,
+    integrate_pressureless,
     polytropic_profile,
     powerlaw_profile,
+    theta_required,
 )
 from tests.oracles import rk4_first_order
 
@@ -132,7 +140,7 @@ def test_polytropic_monotone_growth():
         assert all(y >= alpha - 1e-12 for y in ys)
 
 
-# --- tabulated shape from the implicit profile ODE --------------------------
+# --- implicit shape of the power-law family ---------------------------------
 
 def _blowup_params():
     return ModelParams(N=3, gamma=5.0 / 3.0, theta=1.0, K=1.0, kappa=1.0,
@@ -183,9 +191,7 @@ def test_powerlaw_profile_singular_start_truncates():
     # c(alpha) = K*gamma/s - m*N*kappa*theta = 10/3 - 3m vanishes at m=10/9
     params = _blowup_params()
     prof = powerlaw_profile(params, m=10.0 / 9.0, sigma=1.0, alpha=1.0, s=0.5)
-    assert prof.truncated
-    assert "singular" in prof.truncation_reason
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(OutOfRangeError, match="singular"):
         prof.evaluate(0.5)
 
 
@@ -196,32 +202,104 @@ def test_powerlaw_profile_out_of_range():
         prof.evaluate(2.5)
 
 
-def test_tabulated_interpolation_order_at_least_four():
-    # value interpolation error must drop ~16x when the spacing halves
-    params = _blowup_params()
-    build = lambda dz: powerlaw_profile(params, m=-1.0, sigma=1.0, alpha=1.0,
-                                        s=0.5, z_max=4.0, dz=dz)
-    reference = build(1e-3)
-    probes = np.linspace(0.1, 3.9, 57) + 0.0005  # off-node points
-    errs = []
-    for dz in (0.4, 0.2, 0.1):
-        prof = build(dz)
-        err = max(abs(prof.evaluate(z)[0] - reference.evaluate(z)[0])
-                  for z in probes)
-        errs.append(err)
-    order1 = math.log2(errs[0] / errs[1])
-    order2 = math.log2(errs[1] / errs[2])
-    assert order1 > 3.5
-    assert order2 > 3.5
+def test_powerlaw_profile_falling_matches_log_oracle():
+    # m = 2 makes c(alpha) < 0: y falls to ~2.5e-8 at z = 10, where a
+    # table bound by atol was off by 8e-6 relative; fixed-step RK4 in
+    # u = log y, u' = r*z/(c(y)*y), stays smooth there
+    prof = powerlaw_profile(_blowup_params(), m=2.0, sigma=1.0, alpha=1.0,
+                            s=0.5)
+
+    def slope(z, u):
+        return 2.0 * z / ((10.0 / 3.0) * math.exp(2.0 * u / 3.0) - 6.0)
+
+    y_oracle = math.exp(rk4_first_order(slope, 0.0, 10.0, 1e-3))
+    assert prof.evaluate(10.0)[0] == pytest.approx(y_oracle, rel=1e-10)
 
 
-def test_tabulated_validation():
+def test_powerlaw_profile_refuses_gamma_not_above_theta():
     with pytest.raises(ValueError):
-        TabulatedProfile([0.5, 1.0], [1.0, 1.0], [0.0, 0.0])  # must start at 0
+        powerlaw_profile(ModelParams(N=3, gamma=1.0, theta=1.0), m=1.0,
+                         sigma=1.0, alpha=1.0, s=1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]), gamma=st.floats(1.0, 4.0),
+       m=st.floats(0.05, 3.0).flatmap(lambda m: st.sampled_from([-m, m])),
+       sigma=st.floats(0.5, 2.0), alpha=st.floats(0.5, 2.0),
+       frac=st.floats(0.02, 1.0))
+@example(N=3, gamma=3.0, m=3.0, sigma=1.0, alpha=1.0, frac=0.5)
+@example(N=3, gamma=2.0, m=2.0, sigma=1.0, alpha=1.0, frac=0.5)
+def test_powerlaw_shape_solves_its_ode(N, gamma, m, sigma, alpha, frac):
+    # black box: y from evaluate alone, against the ODE
+    # (p*y**(gamma-2) - v*y**(theta-2))*y' = r*z and its vacuum edge
+    theta = theta_required(ModelParams(N, gamma, 1.0))
+    params = ModelParams(N=N, gamma=gamma, theta=theta)
+    s = derived_s(params)
+    p = gamma / (s * sigma ** (gamma * N + 1))
+    v = m * N * theta / sigma ** (theta * N + 1)
+    r = (1.0 - s) * m * m / sigma ** (N - 1)
+
+    def c(y):
+        return p * y ** (gamma - 2.0) - v * y ** (theta - 2.0)
+
+    c_alpha = c(alpha)
+    if abs(c_alpha) < 0.05 * (p * alpha ** (gamma - 2.0)
+                              + abs(v) * alpha ** (theta - 2.0)):
+        return  # near-singular start: y' = r*z/c is ill-conditioned
+    prof = powerlaw_profile(params, m, sigma, alpha, s, z_max=math.inf)
+    z_vac = math.inf
+    if c_alpha < 0.0 and theta > 1.0 and r > 0.0:
+        g_vac = (v * alpha ** (theta - 1.0) / (theta - 1.0)
+                 - p * alpha ** (gamma - 1.0) / (gamma - 1.0))
+        z_vac = math.sqrt(2.0 * g_vac / r)
+        for z in (z_vac * (1.0 + 1e-9), 1.5 * z_vac, 10.0 * z_vac):
+            assert prof.evaluate(z) == (0.0, 0.0)
+
+    zs = np.linspace(0.0, min(3.0, 1.2 * z_vac), 60)
+    ys = [prof.evaluate(z)[0] for z in zs]
+    away = math.copysign(1.0, c_alpha)
+    assert ys[0] == alpha
+    assert all(away * (b - a) >= 0.0 for a, b in zip(ys, ys[1:]))
+
+    # differenced in log y, whose scale of variation stays that of
+    # z_vac - z where y itself steepens like a power 1/(theta - 1); the
+    # absolute floor is the float resolution of the log y difference
+    z_hi = min(3.0, 0.5 * z_vac)
+    z, dz = frac * z_hi, 1e-5 * z_hi
+    y = prof.evaluate(z)[0]
+    log_slope = (math.log(prof.evaluate(z + dz)[0])
+                 - math.log(prof.evaluate(z - dz)[0])) / (2.0 * dz)
+    assert log_slope * c(y) * y == pytest.approx(
+        r * z, rel=1e-6, abs=1e-13 * abs(c(y) * y) / dz)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PowerLawScaling(math.nan, -1.0, 1.0, 0.5),
+    lambda: PowerLawScaling(1.0, math.nan, 1.0, 0.5),
+    lambda: PowerLawScaling(1.0, -1.0, math.nan, 0.5),
+    lambda: PowerLawScaling(1.0, -1.0, 1.0, math.nan),
+    lambda: ExpQuadratic(math.nan, -1.0, 0.0),
+    lambda: ExpQuadratic(1.0, math.nan, 0.0),
+    lambda: ExpQuadratic(1.0, -1.0, math.inf),
+    lambda: PowerRoot(math.nan, 1.0, 1.0),
+    lambda: PowerRoot(0.0, math.nan, 1.0),
+    lambda: PowerRoot(0.0, 1.0, math.nan),
+    lambda: polytropic_profile(math.nan, 1.0),
+    lambda: ImplicitProfile(1.0, math.nan, 1.0, 2.0, 1.0, 1.0),
+    lambda: ImplicitProfile(1.0, 1.0, math.nan, 2.0, 1.0, 1.0),
+    lambda: ImplicitProfile(1.0, 1.0, 1.0, 2.0, 1.0, math.nan),
+    lambda: powerlaw_profile(_blowup_params(), math.nan, 1.0, 1.0, 0.5),
+    lambda: powerlaw_profile(_blowup_params(), -1.0, math.nan, 1.0, 0.5),
+    lambda: integrate_isothermal(-1.0, 1.0, 1.0, 3, math.nan, 0.0, 1.0),
+    lambda: integrate_isothermal(-1.0, 1.0, 1.0, 3, 1.0, 0.0, math.nan),
+    # a NaN constant of the scaling ODE used to stall solve_ivp for good
+    lambda: integrate_isothermal(math.nan, 1.0, 1.0, 3, 1.0, 0.0, 1.0),
+    lambda: integrate_polytropic(2.0, math.nan, 1.0, 1, 1.0, 0.5, 1.0),
+    lambda: integrate_pressureless(2.0, math.nan, 3, 1.0, 0.5, 1.0),
+])
+def test_constructors_refuse_non_finite_constants(build):
     with pytest.raises(ValueError):
-        TabulatedProfile([0.0, 1.0], [-1.0, 1.0], [0.0, 0.0])  # y(0) > 0
-    with pytest.raises(ValueError):
-        TabulatedProfile([0.0, 1.0, 0.5], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        build()
 
 
 def test_negative_z_maps_to_absolute_value():

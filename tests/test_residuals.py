@@ -11,9 +11,12 @@ from nssol import (
     Profile,
     SolutionField,
     StencilOutOfDomainError,
+    WithPressurePowerLaw,
     build_solution,
+    derived_s,
     mass_residual,
     momentum_residual,
+    theta_required,
     verify_family,
     verify_window,
 )
@@ -152,6 +155,27 @@ def test_exact_families_pass_tolerance():
         assert entry.mass_linf < 1e-5, (name, entry.mass_linf)
         assert entry.mom_linf < 1e-5, (name, entry.mom_linf)
         assert entry.skipped_momentum == 0, name
+
+
+@pytest.mark.parametrize("N, gamma, m", [(3, 3.0, 3.0), (3, 2.0, 2.0)])
+def test_vacuum_reaching_power_law_certifies(N, gamma, m):
+    # c(alpha) < 0 with gamma, theta > 1: the shape falls to an exact
+    # vacuum edge z_v = sqrt(2*(G(0+) - G(alpha))/r), past the window
+    params = ModelParams(N=N, gamma=gamma,
+                         theta=theta_required(ModelParams(N, gamma, 1.0)))
+    family = WithPressurePowerLaw(m=m, n=1.0, sigma=1.0, alpha=1.0)
+    s = derived_s(params)
+    p, v, r = gamma / s, m * N * params.theta, (1.0 - s) * m * m
+    z_v = math.sqrt(2.0 * (v / (params.theta - 1.0) - p / (gamma - 1.0)) / r)
+    profile = build_solution(params, family, t_end=0.3).profile
+    assert profile.evaluate(0.999 * z_v)[0] > 0.0
+    assert profile.evaluate(1.001 * z_v) == (0.0, 0.0)
+    report = verify_family(params, family, Window(0.05, 0.2, 0.1, 1.2),
+                           RESOLUTIONS)
+    coarse = report.resolutions[0]
+    assert coarse.mass_linf < 1e-5 and coarse.mom_linf < 1e-5
+    assert 1.7 < report.order_mass < 2.3
+    assert 1.7 < report.order_mom < 2.3
 
 
 def test_density_perturbation_detected():

@@ -4,11 +4,11 @@ import pytest
 
 from nssol import (
     ExpQuadratic,
+    ImplicitProfile,
     ModelParams,
     PowerRoot,
     PressurelessTheta1,
     PressurelessThetaNot1,
-    TabulatedProfile,
     WithPressureIsothermal,
     WithPressurePolytropic,
     WithPressurePowerLaw,
@@ -27,7 +27,7 @@ def test_each_family_assembles():
          PowerRoot, NumericScaling),
         (ModelParams(N=3, gamma=5.0 / 3.0, theta=1.0, delta=1),
          WithPressurePowerLaw(m=-1.0, n=1.0, sigma=1.0, alpha=1.0),
-         TabulatedProfile, PowerLawScaling),
+         ImplicitProfile, PowerLawScaling),
         (ModelParams(N=3, gamma=1.0, theta=1.0, delta=0),
          PressurelessTheta1(lam=1.0, alpha=0.0, a0=1.0, a1=0.5),
          ExpQuadratic, NumericScaling),
