@@ -1,44 +1,39 @@
-"""Cubic Hermite interpolation on a sorted node mesh."""
+"""Cubic Hermite interpolation on a sorted node mesh, and the convention
+of every evaluator: arrays in, arrays out, a float for a scalar."""
 
 import numpy as np
 
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, refuse
 
 
-def locate(nodes, x, what="value"):
-    """Index i such that nodes[i] <= x <= nodes[i+1], with edge tolerance."""
-    lo, hi = nodes[0], nodes[-1]
-    pad = 1e-12 * max(1.0, abs(hi))
-    if x < lo - pad or x > hi + pad:
-        raise OutOfRangeError(
-            f"{what} {float(x)!r} outside tabulated range "
-            f"[{float(lo)!r}, {float(hi)!r}]"
-        )
-    i = int(np.searchsorted(nodes, x, side="right")) - 1
-    return min(max(i, 0), len(nodes) - 2)
+def unbox(x):
+    """x as a float when it is 0-d, else unchanged."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def hermite(nodes, values, slopes, x, what="value"):
-    """Evaluate the piecewise cubic Hermite interpolant and its derivative.
+    """Piecewise cubic Hermite interpolant at the points x (any shape).
 
-    Error is O(h^4) in the node spacing h for the value and O(h^3) for
-    the derivative.
+    values and slopes hold one curve (n,) or a stack of curves (k, n);
+    one searchsorted locates x for all, giving shape values.shape[:-1] +
+    x.shape.  The error is O(h^4) in the node spacing h.  x outside the
+    nodes (up to an edge tolerance) raises OutOfRangeError.
     """
-    i = locate(nodes, x, what)
+    x = np.asarray(x, dtype=float)
+    lo, hi = nodes[0], nodes[-1]
+    pad = 1e-12 * max(1.0, abs(hi))
+    refuse(OutOfRangeError, (x < lo - pad) | (x > hi + pad),
+           f"{what} {{x!r}} outside tabulated range [{float(lo)!r}, {float(hi)!r}]",
+           x=x)
+    i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
     h = nodes[i + 1] - nodes[i]
     t = (x - nodes[i]) / h
-    y0, y1 = values[i], values[i + 1]
-    d0, d1 = slopes[i], slopes[i + 1]
+    y0, y1 = values[..., i], values[..., i + 1]
+    d0, d1 = slopes[..., i], slopes[..., i + 1]
     t2 = t * t
     t3 = t2 * t
     h00 = 2 * t3 - 3 * t2 + 1
     h10 = t3 - 2 * t2 + t
     h01 = -2 * t3 + 3 * t2
     h11 = t3 - t2
-    val = h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-    dh00 = (6 * t2 - 6 * t) / h
-    dh10 = 3 * t2 - 4 * t + 1
-    dh01 = (-6 * t2 + 6 * t) / h
-    dh11 = 3 * t2 - 2 * t
-    der = dh00 * y0 + dh10 * d0 + dh01 * y1 + dh11 * d1
-    return val, der
+    return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1

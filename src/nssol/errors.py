@@ -1,8 +1,26 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class NssolError(Exception):
     """Base class for all package-specific errors."""
+
+    #: mask of the offending elements of an array argument (see refuse)
+    where = None
+
+
+def refuse(error, bad, message, **values):
+    """Raise error for the first True of the boolean array bad (C order),
+    with message formatted by each of values (arrays broadcasting to bad)
+    at that element; bad goes along as the error's ``where``."""
+    bad = np.asarray(bad)
+    if bad.any():
+        k = np.argmax(bad)
+        at = {n: float(np.broadcast_to(v, bad.shape).flat[k]) for n, v in values.items()}
+        exc = error(message.format(**at))
+        exc.where = bad
+        raise exc
 
 
 class DomainError(NssolError):

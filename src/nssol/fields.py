@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteFieldError
+from ._interp import unbox
+from .errors import NonFiniteFieldError, NssolError
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,13 @@ class FieldGrid:
 
 
 class SolutionField:
-    """Point evaluator (t, r) -> (rho, u) for a shape/scaling pair.
+    """Field evaluator (t, r) -> (rho, u) for a shape/scaling pair.
 
     This is the black-box interface the residual verifier consumes: it
-    exposes field values only, never analytic derivatives.
+    exposes field values only, never analytic derivatives.  t and r are
+    scalars (floats back) or arrays that broadcast: the scaling runs once
+    on t and the shape once on z = r/a(t), so a grid costs one scaling
+    evaluation per time row.  An NssolError names the offending (t, r).
     """
 
     def __init__(self, profile, scaling, N):
@@ -40,9 +44,18 @@ class SolutionField:
         self.N = N
 
     def __call__(self, t, r):
-        a, adot = self.scaling.pair(t)
-        shape, _ = self.profile.evaluate(r / a)
-        return shape / a ** self.N, adot / a * r
+        t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
+        try:
+            a, adot = self.scaling.pair(t)
+            shape, _ = self.profile.evaluate(r / a)
+        except NssolError as exc:
+            if exc.where is None:
+                raise
+            t_all, r_all = np.broadcast_arrays(t, r)
+            k = np.argmax(np.broadcast_to(exc.where, t_all.shape))
+            raise type(exc)(f"field evaluation failed at (t={float(t_all.flat[k])!r}, "
+                            f"r={float(r_all.flat[k])!r}): {exc}") from exc
+        return unbox(shape / np.power(a, self.N)), unbox(adot / a * r)
 
 
 def eval_point(profile, scaling, N, t, r):
@@ -50,7 +63,7 @@ def eval_point(profile, scaling, N, t, r):
 
     rho = shape(r/a(t))/a(t)**N and u = (a'(t)/a(t))*r.  Domain errors
     from the scaling (t outside its trajectory) and range errors from the
-    shape (r/a beyond its z_max) propagate unchanged.
+    shape (r/a beyond its z_max) propagate with the point named.
     """
     if r < 0.0:
         raise ValueError(f"r must be >= 0, got {r}")
@@ -61,35 +74,21 @@ def eval_grid(profile, scaling, N, t_values, r_values):
     """Dense FieldGrid over strictly increasing t_values and r_values.
 
     r_values must stay positive (the residual stencils divide by r).
-    Grid points are independent pure evaluations, so any evaluation
-    order gives bitwise identical matrices; a failure at any point
-    aborts the whole grid with the offending (t, r) named.
+    The scaling is evaluated once on t_values and the shape once on the
+    (n_t, n_r) array of z; a failure at any point aborts the whole grid
+    with an offending (t, r) named.
     """
     t_values = np.asarray(t_values, dtype=float)
     r_values = np.asarray(r_values, dtype=float)
-    if t_values.ndim != 1 or len(t_values) == 0:
-        raise ValueError("t_values must be a non-empty 1-d array")
-    if r_values.ndim != 1 or len(r_values) == 0:
-        raise ValueError("r_values must be a non-empty 1-d array")
-    if len(t_values) > 1 and not np.all(np.diff(t_values) > 0.0):
-        raise ValueError("t_values must be strictly increasing")
-    if len(r_values) > 1 and not np.all(np.diff(r_values) > 0.0):
-        raise ValueError("r_values must be strictly increasing")
+    for name, values in (("t_values", t_values), ("r_values", r_values)):
+        if values.ndim != 1 or len(values) == 0:
+            raise ValueError(f"{name} must be a non-empty 1-d array")
+        if len(values) > 1 and not np.all(np.diff(values) > 0.0):
+            raise ValueError(f"{name} must be strictly increasing")
     if r_values[0] <= 0.0:
         raise ValueError(f"r_min must be > 0, got {r_values[0]}")
 
-    field = SolutionField(profile, scaling, N)
-    rho = np.empty((len(t_values), len(r_values)))
-    u = np.empty_like(rho)
-    for i, t in enumerate(t_values):
-        for j, r in enumerate(r_values):
-            try:
-                rho[i, j], u[i, j] = field(t, r)
-            except Exception as exc:
-                raise type(exc)(
-                    f"field evaluation failed at (t={float(t)!r}, "
-                    f"r={float(r)!r}): {exc}"
-                ) from exc
+    rho, u = SolutionField(profile, scaling, N)(t_values[:, None], r_values)
     if not np.all(np.isfinite(rho)) or not np.all(np.isfinite(u)):
         raise NonFiniteFieldError("grid contains non-finite field values")
     for arr in (t_values, r_values, rho, u):

@@ -9,7 +9,10 @@ separable profile ODE.
 
 import math
 
-from .errors import DomainError, OutOfRangeError
+import numpy as np
+
+from ._interp import unbox
+from .errors import DomainError, OutOfRangeError, refuse
 
 #: relative guard below which the profile ODE coefficient counts as singular
 EPS_COEFF = 1e-10
@@ -28,19 +31,6 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _exp_checked(arg, z):
-    """exp(arg), raising DomainError instead of overflowing.
-
-    Growing shapes really do exceed float range for large z (for
-    instance near a vanishing scaling, where z = r/a blows up); a clear
-    error beats a bare OverflowError or a non-finite value.
-    """
-    if arg > 709.0:  # exp(709.78...) is the float64 ceiling
-        raise DomainError(
-            f"density shape overflows at z={z!r} (exponent {arg:.4g})")
-    return math.exp(arg)
-
-
 class Profile:
     """Base class: an even, non-negative density shape on z >= 0."""
 
@@ -48,7 +38,8 @@ class Profile:
     z_max = math.inf
 
     def evaluate(self, z):
-        """Return (y, dy/dz) at |z|.  Never negative, never non-finite."""
+        """(y, dy/dz) at |z|, a scalar (floats back) or an array; never
+        negative, never non-finite."""
         raise NotImplementedError
 
 
@@ -64,9 +55,12 @@ class ExpQuadratic(Profile):
         self.C = float(C)
 
     def evaluate(self, z):
-        z = abs(z)
-        y = self.A * _exp_checked(self.B * z * z + self.C, z)
-        return y, 2.0 * self.B * z * y
+        z = np.abs(np.asarray(z, dtype=float))
+        arg = self.B * z * z + self.C
+        refuse(DomainError, arg > 709.0,  # growing shapes near a vanishing scaling
+               "density shape overflows at z={z!r} (exponent {arg:.4g})", z=z, arg=arg)
+        y = self.A * np.exp(arg)
+        return unbox(y), unbox(2.0 * self.B * z * y)
 
     def __repr__(self):
         return f"ExpQuadratic(A={self.A}, B={self.B}, C={self.C})"
@@ -97,20 +91,20 @@ class PowerRoot(Profile):
         return self._c2 * z * z + self._c0
 
     def evaluate(self, z):
-        z = abs(z)
+        z = np.abs(np.asarray(z, dtype=float))
         rad = self._radicand(z)
-        if rad <= 0.0:
-            return 0.0, 0.0
-        y = rad ** self._p
-        if not math.isfinite(y):
-            raise DomainError(
-                f"density shape overflows at z={z!r} (radicand {rad:.4g})")
-        dy = self.xi * z * rad ** (self._p - 1.0)
-        return y, dy
+        vacuum = rad <= 0.0
+        base = np.where(vacuum, 1.0, rad)
+        with np.errstate(over="ignore"):
+            y = np.power(base, self._p)
+            dy = self.xi * z * np.power(base, self._p - 1.0)
+        refuse(DomainError, ~np.isfinite(y),
+               "density shape overflows at z={z!r} (radicand {rad:.4g})", z=z, rad=rad)
+        return unbox(np.where(vacuum, 0.0, y)), unbox(np.where(vacuum, 0.0, dy))
 
     def in_support(self, z):
         """True where the radicand is positive (the shape is not clipped)."""
-        return self._radicand(abs(z)) > 0.0
+        return self._radicand(np.abs(z)) > 0.0
 
     def support_radius(self):
         """Boundary z* = sqrt(-c0/c2) where the radicand c2*z**2 + c0
@@ -129,9 +123,7 @@ def _primitive(e, x):
     (theta - 1 is 2.2e-16 for N = 3, gamma = 5/3)."""
     if e == 0.0:
         return x, 1.0
-    if e * x > _LOG_MAX:
-        return math.nan, math.nan
-    em1 = math.expm1(e * x)
+    em1 = np.where(e * x > _LOG_MAX, np.nan, np.expm1(e * x))
     return em1 / e, em1 + 1.0
 
 
@@ -170,40 +162,50 @@ class ImplicitProfile(Profile):
             self.z_vacuum = math.sqrt(2.0 * g_vac / r)
 
     def evaluate(self, z):
-        z = abs(z)
-        if z > self.z_max:
-            raise OutOfRangeError(f"z {z!r} beyond the shape's z_max={self.z_max!r}")
-        if z > 0.0 and self._singular:
-            raise OutOfRangeError(f"singular c(alpha), no shape at z={z!r}")
-        h = 0.5 * self.r * z * z
-        if h == 0.0:
-            return self.alpha, 0.0
-        if self.z_vacuum is not None and z >= self.z_vacuum:
-            return 0.0, 0.0
+        z = np.abs(np.asarray(z, dtype=float))
+        refuse(OutOfRangeError, z > self.z_max,
+               f"z {{z!r}} beyond the shape's z_max={self.z_max!r}", z=z)
+        if self._singular:
+            refuse(OutOfRangeError, z > 0.0, "singular c(alpha), no shape at z={z!r}", z=z)
+        h = (0.5 * self.r * z * z).ravel()
+        vacuum = z >= (math.inf if self.z_vacuum is None else self.z_vacuum)
+        solve = (h != 0.0) & ~vacuum.ravel()
         # Newton on log(D/h) in w = |log(y/alpha)|, D = G(y) - G(alpha), as
-        # log D is near linear where D grows like an exponential.  lo keeps
-        # D < h, hi D >= h or NaN; off that bracket, bisect, up to w_max.
+        # log D is near linear where D grows like an exponential; each point
+        # keeps its bracket (D < h at lo, D >= h or NaN at hi <= w_max),
+        # bisects off it and stops on its own step test.  The root of the
+        # quadratic D ~ s1*w + s2*w**2/2 starts well where c(alpha) ~ 0.
         d, cp, cv = self._dir, self._cp, self._cv
-        lo, hi, w, log_h = 0.0, self._w_max, h / (d * (cp - cv)), math.log(h)
-        for _ in range(100):  # bisection alone reaches rounding level in 60
-            if not lo < w < hi:
-                w = 0.5 * (lo + hi)
-            gp, yp = _primitive(self.gamma - 1.0, d * w)
-            gv, yv = _primitive(self.theta - 1.0, d * w)
-            D, dD = cp * gp - cv * gv, d * (cp * yp - cv * yv)
-            lo, hi = (w, hi) if D < h else (lo, w)
-            w_new = 0.5 * (lo + hi)
-            if D > 0.0 and dD > 0.0:
-                w_new = w - (math.log(D) - log_h) * D / dD
-            step, w = abs(w_new - w), w_new
-            if step <= 1e-15 * max(1.0, w):
-                break
-        if w >= self._w_max * (1.0 - 1e-12):
+        s1, s2 = d * (cp - cv), cp * (self.gamma - 1.0) - cv * (self.theta - 1.0)
+        disc = s1 * s1 + 2.0 * s2 * h
+        live = np.flatnonzero(solve)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w = np.where(disc > 0.0, 2.0 * h / (s1 + np.sqrt(np.abs(disc))), h / s1)
+            lo, hi, dD = np.zeros(h.size), np.full(h.size, self._w_max), np.ones(h.size)
+            log_h = np.log(h)
+            for _ in range(100):  # bisection alone reaches rounding level in 60
+                if not live.size:
+                    break
+                wl, lol, hil, hl = w[live], lo[live], hi[live], h[live]
+                wl = np.where((lol < wl) & (wl < hil), wl, 0.5 * (lol + hil))
+                gp, yp = _primitive(self.gamma - 1.0, d * wl)
+                gv, yv = _primitive(self.theta - 1.0, d * wl)
+                D, dDl = cp * gp - cv * gv, d * (cp * yp - cv * yv)
+                below = D < hl
+                lol, hil = np.where(below, wl, lol), np.where(below, hil, wl)
+                w_new = np.where((D > 0.0) & (dDl > 0.0),
+                                 wl - (np.log(D) - log_h[live]) * D / dDl,
+                                 0.5 * (lol + hil))
+                w[live], lo[live], hi[live], dD[live] = w_new, lol, hil, dDl
+                live = live[~(np.abs(w_new - wl) <= 1e-15 * np.maximum(1.0, w_new))]
+            # a root at the float range's end: overflow rising, vacuum falling
+            edge = (solve & (w >= self._w_max * (1.0 - 1e-12))).reshape(z.shape)
             if d > 0.0:
-                raise DomainError(f"density shape overflows at z={z!r}")
-            return 0.0, 0.0
-        y = math.exp(math.log(self.alpha) + d * w)
-        return y, d * self.r * z * y / dD
+                refuse(DomainError, edge, "density shape overflows at z={z!r}", z=z)
+            y = np.where(solve, np.exp(math.log(self.alpha) + d * w), self.alpha)
+            dy = np.where(solve, d * self.r * z.ravel() * y / dD, 0.0)
+        y, dy = (np.where(edge | vacuum, 0.0, x.reshape(z.shape)) for x in (y, dy))
+        return unbox(y), unbox(dy)
 
     def __repr__(self):
         return (f"ImplicitProfile(p={self.p}, v={self.v}, r={self.r}, "

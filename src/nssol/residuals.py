@@ -1,8 +1,8 @@
 """Finite-difference residual verification of candidate fields.
 
 The verifier treats (rho, u) as a black box: it samples field values on
-centered stencils and forms the mass and momentum residuals of the
-radial system
+centered stencils, five broadcast calls per lattice, and forms the mass
+and momentum residuals of the radial system
 
     rho_t + u*rho_r + rho*u_r + (N-1)/r*rho*u = 0
     rho*(u_t + u*u_r) + delta*K*(rho**gamma)_r
@@ -19,19 +19,21 @@ h**2 down to the floor set by the ODE integration tolerances (~1e-9).
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .errors import (
     DomainError,
     NonFiniteFieldError,
     OutOfRangeError,
     StencilOutOfDomainError,
+    refuse,
 )
+from .fields import SolutionField
 from .profiles import DEFAULT_Z_MAX
 from .solutions import build_solution
 
 #: lattice points per window axis used by verify_window
 DEFAULT_LATTICE = 33
-
-_SKIPPED = object()
 
 
 @dataclass(frozen=True)
@@ -125,54 +127,61 @@ class ResidualReport:
         }
 
 
-def _sample_stencil(field_fn, t, r, h_t, h_r):
-    """Field values on the centered 5-point cross around (t, r)."""
-    if r - h_r <= 0.0:
+def _array_field(field_fn):
+    """field_fn taking arrays: a SolutionField as is, any other callable
+    called once per point of the broadcast (t, r), in C order."""
+    if isinstance(field_fn, SolutionField):
+        return field_fn
+
+    def field(t, r):
+        t, r = np.broadcast_arrays(t, r)
+        samples = [field_fn(*p) for p in zip(t.ravel().tolist(), r.ravel().tolist())]
+        return tuple(np.array(samples, dtype=float).T.reshape(2, *t.shape))
+    return field
+
+
+def _residuals(field, params, t, r, h_t, h_r):
+    """Mass and momentum residuals on the centered 5-point cross around
+    each (t, r), and the mask of stencils touching vacuum (some rho <= 0),
+    where momentum is classically undefined and set to 0.  NaN is never
+    vacuum (np.minimum propagates it, and a non-finite u_t keeps the
+    stencil): a non-finite residual raises NonFiniteFieldError.
+    """
+    if np.min(r) - h_r <= 0.0:
         raise StencilOutOfDomainError(
-            f"stencil needs r - h_r > 0, got r={r!r}, h_r={h_r!r}")
+            f"stencil needs r - h_r > 0, got r={float(np.min(r))!r}, h_r={h_r!r}")
     try:
-        c = field_fn(t, r)
-        rp = field_fn(t, r + h_r)
-        rm = field_fn(t, r - h_r)
-        tp = field_fn(t + h_t, r)
-        tm = field_fn(t - h_t, r)
+        (rho, u), (rho_rp, u_rp), (rho_rm, u_rm), (rho_tp, u_tp), (rho_tm, u_tm) = (
+            field(*p) for p in ((t, r), (t, r + h_r), (t, r - h_r),
+                                (t + h_t, r), (t - h_t, r)))
     except (DomainError, OutOfRangeError) as exc:
         raise StencilOutOfDomainError(
-            f"stencil around (t={t!r}, r={r!r}) left the field domain: {exc}"
-        ) from exc
-    return c, rp, rm, tp, tm
-
-
-def _mass_from_stencil(N, r, h_t, h_r, c, rp, rm, tp, tm):
-    rho_t = (tp[0] - tm[0]) / (2.0 * h_t)
-    rho_r = (rp[0] - rm[0]) / (2.0 * h_r)
-    u_r = (rp[1] - rm[1]) / (2.0 * h_r)
-    return rho_t + c[1] * rho_r + c[0] * u_r + (N - 1) / r * c[0] * c[1]
-
-
-def _momentum_from_stencil(params, r, h_t, h_r, c, rp, rm, tp, tm):
-    """Momentum residual, or _SKIPPED if the stencil touches vacuum;
-    NonFiniteFieldError if the residual is not finite."""
+            f"stencil left the field domain: {exc}") from exc
     gamma, theta = params.gamma, params.theta
     K, kappa, N = params.K, params.kappa, params.N
-    rho_samples = (c[0], rp[0], rm[0], tp[0], tm[0])
-    if min(rho_samples) <= 0.0:
-        return _SKIPPED
-    rho_c, u_c = c
-    u_t = (tp[1] - tm[1]) / (2.0 * h_t)
-    u_r = (rp[1] - rm[1]) / (2.0 * h_r)
-    u_rr = (rp[1] - 2.0 * u_c + rm[1]) / (h_r * h_r)
-    pressure_r = (rp[0] ** gamma - rm[0] ** gamma) / (2.0 * h_r)
-    viscosity_r = kappa * (rp[0] ** theta - rm[0] ** theta) / (2.0 * h_r)
-    value = (rho_c * (u_t + u_c * u_r)
-             + params.delta * K * pressure_r
-             - viscosity_r * ((N - 1) / r * u_c + u_r)
-             - kappa * rho_c ** theta
-             * (u_rr + (N - 1) / r * u_r - (N - 1) / (r * r) * u_c))
-    if not math.isfinite(value):
-        raise NonFiniteFieldError(
-            f"momentum residual at r={r!r} is not finite: {value!r}")
-    return value
+    rho_t = (rho_tp - rho_tm) / (2.0 * h_t)
+    rho_r = (rho_rp - rho_rm) / (2.0 * h_r)
+    u_t = (u_tp - u_tm) / (2.0 * h_t)
+    u_r = (u_rp - u_rm) / (2.0 * h_r)
+    u_rr = (u_rp - 2.0 * u + u_rm) / (h_r * h_r)
+    mass = rho_t + u * rho_r + rho * u_r + (N - 1) / r * rho * u
+    vacuum = ((np.minimum.reduce([rho, rho_rp, rho_rm, rho_tp, rho_tm]) <= 0.0)
+              & np.isfinite(u_t))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pressure_r = (np.power(rho_rp, gamma) - np.power(rho_rm, gamma)) / (2.0 * h_r)
+        viscosity_r = (kappa * (np.power(rho_rp, theta) - np.power(rho_rm, theta))
+                       / (2.0 * h_r))
+        mom = (rho * (u_t + u * u_r)
+               + params.delta * K * pressure_r
+               - viscosity_r * ((N - 1) / r * u + u_r)
+               - kappa * np.power(rho, theta)
+               * (u_rr + (N - 1) / r * u_r - (N - 1) / (r * r) * u))
+    mom = np.where(vacuum, 0.0, mom)
+    for name, residual in (("mass", mass), ("momentum", mom)):
+        refuse(NonFiniteFieldError, ~np.isfinite(residual),
+               f"{name} residual at (t={{t!r}}, r={{r!r}}) is not finite: {{value!r}}",
+               t=t, r=r, value=residual)
+    return mass, mom, vacuum
 
 
 def mass_residual(field_fn, params, t, r, h_t, h_r):
@@ -180,10 +189,11 @@ def mass_residual(field_fn, params, t, r, h_t, h_r):
 
     Only the spatial dimension params.N enters; the result is bitwise
     independent of (K, kappa, gamma, theta, delta).  Raises
-    StencilOutOfDomainError when a stencil point leaves the domain.
+    StencilOutOfDomainError when a stencil point leaves the domain, and
+    NonFiniteFieldError when a residual at (t, r) is not finite.
     """
-    stencil = _sample_stencil(field_fn, t, r, h_t, h_r)
-    return _mass_from_stencil(params.N, r, h_t, h_r, *stencil)
+    mass, _, _ = _residuals(_array_field(field_fn), params, t, r, h_t, h_r)
+    return float(mass)
 
 
 def momentum_residual(field_fn, params, t, r, h_t, h_r):
@@ -195,50 +205,30 @@ def momentum_residual(field_fn, params, t, r, h_t, h_r):
     support boundary) or the residual is not finite, and
     StencilOutOfDomainError for domain exits.
     """
-    stencil = _sample_stencil(field_fn, t, r, h_t, h_r)
-    value = _momentum_from_stencil(params, r, h_t, h_r, *stencil)
-    if value is _SKIPPED:
+    _, mom, vacuum = _residuals(_array_field(field_fn), params, t, r, h_t, h_r)
+    if vacuum:
         raise NonFiniteFieldError(
             f"momentum stencil at (t={t!r}, r={r!r}) touches vacuum")
-    return value
+    return float(mom)
 
 
 def _round12(x):
     return float(f"{x:.12g}")
 
 
-def _norms_over_lattice(field_fn, params, window, h_t, h_r, lattice):
+def _norms_over_lattice(field, params, window, h_t, h_r, lattice):
     nt, nr = lattice
-    mass_max = 0.0
-    mass_sq = 0.0
-    mom_max = 0.0
-    mom_sq = 0.0
-    mom_count = 0
-    skipped = 0
-    for i in range(nt):
-        t = window.t_min + (window.t_max - window.t_min) * i / (nt - 1)
-        for j in range(nr):
-            r = window.r_min + (window.r_max - window.r_min) * j / (nr - 1)
-            stencil = _sample_stencil(field_fn, t, r, h_t, h_r)
-            mass = _mass_from_stencil(params.N, r, h_t, h_r, *stencil)
-            if not math.isfinite(mass):
-                raise NonFiniteFieldError(
-                    f"mass residual at (t={t!r}, r={r!r}) is not finite")
-            mass_max = max(mass_max, abs(mass))
-            mass_sq += mass * mass
-            mom = _momentum_from_stencil(params, r, h_t, h_r, *stencil)
-            if mom is _SKIPPED:
-                skipped += 1
-                continue
-            mom_max = max(mom_max, abs(mom))
-            mom_sq += mom * mom
-            mom_count += 1
-    mass_l2 = math.sqrt(mass_sq / (nt * nr))
-    mom_l2 = math.sqrt(mom_sq / mom_count) if mom_count else 0.0
+    t = window.t_min + (window.t_max - window.t_min) * np.arange(nt) / (nt - 1)
+    r = window.r_min + (window.r_max - window.r_min) * np.arange(nr) / (nr - 1)
+    mass, mom, vacuum = _residuals(field, params, t[:, None], r, h_t, h_r)
+    skipped = int(np.count_nonzero(vacuum))
+    kept = mom.size - skipped
     return ResolutionNorms(
         h_t=h_t, h_r=h_r,
-        mass_linf=_round12(mass_max), mass_l2=_round12(mass_l2),
-        mom_linf=_round12(mom_max), mom_l2=_round12(mom_l2),
+        mass_linf=_round12(np.max(np.abs(mass))),
+        mass_l2=_round12(math.sqrt(np.sum(mass * mass) / mass.size)),
+        mom_linf=_round12(np.max(np.abs(mom))),
+        mom_l2=_round12(math.sqrt(np.sum(mom * mom) / kept) if kept else 0.0),
         skipped_momentum=skipped)
 
 
@@ -250,7 +240,9 @@ def _order(norm_coarse, norm_fine, ratio):
 
 def verify_window(field_fn, params, window, resolutions,
                   lattice=DEFAULT_LATTICE):
-    """Residual norms over a uniform lattice at each (h_t, h_r).
+    """Residual norms over a uniform lattice at each (h_t, h_r) of a
+    SolutionField, evaluated lattice-wide, or of any (t, r) -> (rho, u)
+    callable, called once per stencil point.
 
     resolutions is a sequence of (h_t, h_r) pairs, coarse to fine; with
     two or more, the report carries convergence-order estimates from the
@@ -267,7 +259,8 @@ def verify_window(field_fn, params, window, resolutions,
     if not resolutions:
         raise ValueError("need at least one (h_t, h_r) resolution")
 
-    entries = [_norms_over_lattice(field_fn, params, window, h_t, h_r, lattice)
+    field = _array_field(field_fn)
+    entries = [_norms_over_lattice(field, params, window, h_t, h_r, lattice)
                for h_t, h_r in resolutions]
 
     order_mass = order_mom = None

@@ -10,8 +10,8 @@ stored on a uniform mesh and interpolated with cubic Hermite polynomials.
 
 import numpy as np
 
-from ._interp import hermite
-from .errors import DomainError, StepFailureError
+from ._interp import hermite, unbox
+from .errors import DomainError, StepFailureError, refuse
 
 #: a(t) <= EPS_A_FRAC * a0 terminates integration with status "vanished"
 EPS_A_FRAC = 1e-8
@@ -36,15 +36,15 @@ class ScalingFn:
     #: time t* where a reaches 0, or None if the scaling never vanishes
     vanishing_time = None
 
-    def a(self, t):
+    def pair(self, t):
+        """(a, adot) at t, a scalar (floats back) or an array of times."""
         raise NotImplementedError
+
+    def a(self, t):
+        return self.pair(t)[0]
 
     def adot(self, t):
-        raise NotImplementedError
-
-    def pair(self, t):
-        """(a, adot) at t; single lookup for field assembly."""
-        return self.a(t), self.adot(t)
+        return self.pair(t)[1]
 
 
 class PowerLawScaling(ScalingFn):
@@ -69,19 +69,13 @@ class PowerLawScaling(ScalingFn):
         self.n = float(n)
         self.s = float(s)
 
-    def _base(self, t):
+    def pair(self, t):
+        t = np.asarray(t, dtype=float)
         base = self.m * t + self.n
-        if base <= 0.0:
-            raise DomainError(
-                f"m*t + n = {base} <= 0 at t={t!r}; scaling undefined"
-            )
-        return base
-
-    def a(self, t):
-        return self.sigma * self._base(t) ** self.s
-
-    def adot(self, t):
-        return self.s * self.m * self.sigma * self._base(t) ** (self.s - 1.0)
+        refuse(DomainError, base <= 0.0,
+               "m*t + n = {base} <= 0 at t={t!r}; scaling undefined", base=base, t=t)
+        return (unbox(self.sigma * np.power(base, self.s)),
+                unbox(self.s * self.m * self.sigma * np.power(base, self.s - 1.0)))
 
     @property
     def vanishing_time(self):
@@ -99,7 +93,7 @@ class NumericScaling(ScalingFn):
 
     The acceleration values at the nodes come from the generating ODE,
     so both a and adot interpolate at O(dt^4) / O(dt^3).  Evaluation
-    outside [0, t_last] raises DomainError; t_last is shorter than the
+    outside [0, t_last] raises OutOfRangeError; t_last is shorter than the
     requested span when the trajectory vanished or diverged.
     """
 
@@ -119,6 +113,8 @@ class NumericScaling(ScalingFn):
         self.a_values = a_values
         self.adot_values = adot_values
         self.accel_values = accel_values
+        self._values = np.stack([a_values, adot_values])
+        self._slopes = np.stack([adot_values, accel_values])
         self.status = status
         self.vanishing_time = vanishing_time
         self.label = label
@@ -127,13 +123,10 @@ class NumericScaling(ScalingFn):
     def t_end(self):
         return float(self.ts[-1])
 
-    def a(self, t):
-        val, _ = hermite(self.ts, self.a_values, self.adot_values, t, "t")
-        return val
-
-    def adot(self, t):
-        val, _ = hermite(self.ts, self.adot_values, self.accel_values, t, "t")
-        return val
+    def pair(self, t):
+        # a and adot are one stack of curves: t is located once for both
+        a, adot = hermite(self.ts, self._values, self._slopes, t, "t")
+        return unbox(a), unbox(adot)
 
     def __repr__(self):
         return (f"NumericScaling({self.label}, {len(self.ts)} nodes, "

@@ -18,7 +18,7 @@ class Solution:
     scaling: object
 
     def field(self):
-        """Black-box point evaluator (t, r) -> (rho, u)."""
+        """Black-box field (t, r) -> (rho, u) on scalars or arrays."""
         return SolutionField(self.profile, self.scaling, self.params.N)
 
 

@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from nssol import cli
 from nssol.cli import ConfigError, RunConfig, main
 
 
@@ -306,3 +308,40 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
 
 def test_missing_config_file(capsys):
     assert main(["describe", "--config", "/nonexistent/cfg.json"]) == 2
+
+
+#: values whose text is easy to get wrong: a signed zero, the smallest
+#: subnormal, a near-overflow, integral floats and 17-digit mantissas
+AWKWARD = [-0.0, 5e-324, 1e308, 2.0, -3.0, 0.1, 1.0 / 3.0, 1.0000000000000002,
+           123456789.0, -2.5e-17, 6.02214076e23, 0.0]
+
+
+def _reference_csv(header, rows):
+    return "\n".join([",".join(header)]
+                     + [",".join(f"{float(v):.17g}" for v in row) for row in rows]) + "\n"
+
+
+def _reference_json(header, rows, **extra):
+    columns = {name: [row[k] for row in rows] for k, name in enumerate(header)}
+    return json.dumps({**columns, **extra}, indent=2) + "\n"
+
+
+def test_table_writers_match_reference_bytes():
+    # field payload: keys t and r on a product grid, two value columns
+    ts, rs = np.array(AWKWARD[:3]), np.array(AWKWARD[3:7])
+    rho = np.array(AWKWARD).reshape(3, 4)
+    u = -rho[::-1]
+    header = ("t", "r", "rho", "u")
+    rows = [(t, r, rho[i, j], u[i, j])
+            for i, t in enumerate(ts) for j, r in enumerate(rs)]
+    assert cli._table(header, [ts, rs], [rho, u], "csv") == _reference_csv(header, rows)
+    assert cli._table(header, [ts, rs], [rho, u], "json") == _reference_json(header, rows)
+    # scale payload: one key column and the nested status object
+    ts, a, adot = (np.array(AWKWARD[k::3]) for k in range(3))
+    rows = list(zip(ts, a, adot))
+    for status in ({"status": "completed", "vanishing_time": None},
+                   {"status": "vanished", "vanishing_time": 0.33075163160000003}):
+        header = ("t", "a", "adot")
+        assert (cli._table(header, [ts], [a, adot], "json", status=status)
+                == _reference_json(header, rows, status=status))
+        assert cli._table(header, [ts], [a, adot], "csv") == _reference_csv(header, rows)

@@ -273,6 +273,48 @@ def test_powerlaw_shape_solves_its_ode(N, gamma, m, sigma, alpha, frac):
         r * z, rel=1e-6, abs=1e-13 * abs(c(y) * y) / dz)
 
 
+def _bisection_shape(prof, z):
+    """y(z) of an ImplicitProfile by bisection alone: the root w of
+    D(w) = G(alpha*e**(d*w)) - G(alpha) = r*z**2/2, y = alpha*e**(d*w)."""
+    cp = prof.p * prof.alpha ** (prof.gamma - 1.0)
+    cv = prof.v * prof.alpha ** (prof.theta - 1.0)
+    d = 1.0 if cp > cv else -1.0
+
+    def prim(e, x):
+        return x if e == 0.0 else math.expm1(e * x) / e
+
+    def D(w):
+        return cp * prim(prof.gamma - 1.0, d * w) - cv * prim(prof.theta - 1.0, d * w)
+
+    h = 0.5 * prof.r * z * z
+    lo, hi = 0.0, 1.0
+    while D(hi) < h:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if D(mid) < h else (lo, mid)
+    return prof.alpha * math.exp(d * 0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("gamma, theta", [(5.0 / 3.0, 1.0), (3.0, 2.0)])
+@pytest.mark.parametrize("rising", [True, False])
+@pytest.mark.parametrize("frac", [3e-4, 1e-3, 6e-3])
+def test_implicit_shape_near_singular_start_matches_bisection(gamma, theta, rising, frac):
+    # |c(alpha)| at 0.03-0.6 % of its terms: the linear first guess
+    # h/(alpha*c(alpha)) lands far outside the bracket there; the batched
+    # Newton must still give the bisection root, here for all z at once
+    sign = 1.0 if rising else -1.0
+    p, alpha = 1.0, 1.0
+    v = p * (1.0 - sign * frac) / (1.0 + sign * frac)  # (p - v)/(p + v) = sign*frac
+    prof = ImplicitProfile(p, v, 1.0, gamma, theta, alpha)
+    z_hi = 2.0 if prof.z_vacuum is None else min(2.0, 0.9 * prof.z_vacuum)
+    zs = np.linspace(0.05, z_hi, 9)
+    ys, _ = prof.evaluate(zs)
+    for z, y in zip(zs, ys):
+        assert y == pytest.approx(_bisection_shape(prof, z), rel=1e-14, abs=0.0)
+        assert prof.evaluate(z)[0] == y  # a scalar takes the same path
+
+
 @pytest.mark.parametrize("build", [
     lambda: PowerLawScaling(math.nan, -1.0, 1.0, 0.5),
     lambda: PowerLawScaling(1.0, math.nan, 1.0, 0.5),

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from nssol import (
@@ -43,10 +44,8 @@ class ExpShape(Profile):
         self.inner = inner
 
     def evaluate(self, z):
-        if not self.inner.in_support(z):
-            return 0.0, 0.0
         y, dy = self.inner.evaluate(z)
-        e = math.exp(y)
+        e = np.where(self.inner.in_support(z), np.exp(y), 0.0)
         return e, dy * e
 
 
@@ -262,6 +261,27 @@ def test_nan_density_sample_is_never_certified():
         verify_window(nonfinite, params, window, RESOLUTIONS, lattice=33)
     with pytest.raises(NonFiniteFieldError):
         momentum_residual(nonfinite, params, t_nan, r_nan, 1e-3, 1e-3)
+
+
+def _parity_cases():
+    params, family, _ = pressureless_theta2()
+    # the support edge z = sqrt(12) crosses this window: stencils skipped
+    edge = ("pressureless_theta2_support_edge", params, family,
+            Window(0.1, 0.3, 2.5, 5.0))
+    return exact_families() + [edge]
+
+
+@pytest.mark.parametrize("name, params, family, window", _parity_cases(),
+                         ids=[case[0] for case in _parity_cases()])
+def test_batched_stencils_match_pointwise_adapter(name, params, family, window):
+    # a SolutionField is sampled lattice-wide; a plain callable, one point
+    # at a time; both must give the same 12-digit norms and skip counts
+    field = build_solution(params, family, t_end=window.t_max + 2e-3).field()
+    batched = verify_window(field, params, window, RESOLUTIONS, lattice=17)
+    pointwise = verify_window(lambda t, r: field(t, r), params, window,
+                              RESOLUTIONS, lattice=17)
+    assert batched.resolutions == pointwise.resolutions
+    assert (batched.resolutions[0].skipped_momentum > 0) == name.endswith("edge")
 
 
 def test_report_structure_and_rounding():
