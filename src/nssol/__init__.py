@@ -41,7 +41,6 @@ from .profiles import (
     ImplicitProfile,
     PowerRoot,
     Profile,
-    polytropic_profile,
     powerlaw_profile,
 )
 from .residuals import (
@@ -54,7 +53,6 @@ from .residuals import (
     verify_window,
 )
 from .scaling import (
-    NumericScaling,
     PowerLawScaling,
     ScalingFn,
     integrate_isothermal,
@@ -93,7 +91,6 @@ __all__ = [
     "ImplicitProfile",
     "PowerRoot",
     "Profile",
-    "polytropic_profile",
     "powerlaw_profile",
     "ResidualReport",
     "ResolutionNorms",
@@ -102,7 +99,6 @@ __all__ = [
     "momentum_residual",
     "verify_family",
     "verify_window",
-    "NumericScaling",
     "PowerLawScaling",
     "ScalingFn",
     "integrate_isothermal",

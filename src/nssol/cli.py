@@ -22,10 +22,9 @@ import numpy as np
 from . import __version__
 from .errors import NssolError
 from .fields import eval_grid
-from .model import FAMILY_TAGS, ModelParams, WithPressurePowerLaw, validate
+from .model import FAMILY_TAGS, ModelParams, validate
 from .profiles import DEFAULT_Z_MAX
 from .residuals import DEFAULT_LATTICE, Window, verify_family
-from .scaling import NumericScaling, vanishing_time
 from .solutions import build_solution
 
 
@@ -181,15 +180,6 @@ class RunConfig:
         return copy.deepcopy(self._doc)
 
 
-def _write_payload(text, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-        return False
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    return True
-
-
 def _json_doc(obj):
     return json.dumps(obj, indent=2) + "\n"
 
@@ -216,11 +206,6 @@ def _table(header, keys, values, fmt, **extra):
     return ",".join(header) + "\n" + "".join([p + row % v for p, v in zip(prefixes, rows)])
 
 
-def _emit_summary(summary, quiet, wrote_file):
-    if not quiet and wrote_file:
-        print(json.dumps(summary))
-
-
 def _build(config, t_end):
     return build_solution(config.params, config.family, t_end=t_end,
                           z_max=config.z_max)
@@ -232,104 +217,69 @@ def _require_grid(config):
     return config.grid
 
 
-def cmd_describe(config, out_path, fmt, quiet):
+def cmd_describe(config, fmt):
     outcome = validate(config.params, config.family)
-    summary = {
+    doc = {
         "family": config.family.tag,
         "ok": outcome.ok,
         "violations": list(outcome.violations),
         "model": asdict(config.params),
     }
     if outcome.derived is not None:
-        summary["s"] = outcome.derived.s
-        summary["theta_required"] = outcome.derived.theta_required
-    if outcome.ok and isinstance(config.family, WithPressurePowerLaw):
-        if config.family.m < 0.0:
-            t_star = -config.family.n / config.family.m
-            summary["vanishing_time"] = t_star
-            summary["vanishing_time_note"] = (
-                "a(t) = sigma*(m*t+n)**s vanishes at the root of m*t+n, "
-                "i.e. t* = -n/m (not -m/n)")
-        else:
-            summary["vanishing_time"] = None
-    text = _json_doc(summary)
-    wrote = _write_payload(text, out_path)
-    if not quiet:
-        if wrote:
-            print(json.dumps({"ok": outcome.ok, "path": out_path}))
-        for line in outcome.violations:
-            print(f"violation: {line}", file=sys.stderr)
-    if not outcome.ok:
-        raise ConfigError("validation failed: " + "; ".join(outcome.violations))
+        doc["s"] = outcome.derived.s
+        doc["theta_required"] = outcome.derived.theta_required
+    if outcome.ok:
+        doc.update(config.family.describe(config.params))
+    return _json_doc(doc), {"ok": outcome.ok, "violations": outcome.violations}
 
 
-def cmd_profile(config, out_path, fmt, quiet):
+def cmd_profile(config, fmt):
     grid = _require_grid(config)
-    solution = _build(config, t_end=max(grid["t_max"], 1e-3))
-    profile = solution.profile
+    profile = _build(config, t_end=max(grid["t_max"], 1e-3)).profile
     zs = np.linspace(0.0, min(grid["r_max"], profile.z_max), grid["n_r"])
-    wrote = _write_payload(
-        _table(("z", "y", "dy"), [zs], profile.evaluate(zs), fmt), out_path)
-    _emit_summary({"ok": True, "points": zs.size, "path": out_path},
-                  quiet, wrote)
+    return (_table(("z", "y", "dy"), [zs], profile.evaluate(zs), fmt),
+            {"ok": True, "points": zs.size})
 
 
-def cmd_scale(config, out_path, fmt, quiet):
+def cmd_scale(config, fmt):
     grid = _require_grid(config)
-    solution = _build(config, t_end=grid["t_max"])
-    scaling = solution.scaling
-    status = {"status": getattr(scaling, "status", "completed"),
-              "vanishing_time": scaling.vanishing_time}
-    t_hi = grid["t_max"]
-    if isinstance(scaling, NumericScaling):
-        t_hi = min(t_hi, scaling.t_end)
-    elif scaling.vanishing_time is not None:
-        t_hi = min(t_hi, scaling.vanishing_time * (1.0 - 1e-9))
-    ts = np.linspace(grid["t_min"], t_hi, grid["n_t"])
-    text = _table(("t", "a", "adot"), [ts], scaling.pair(ts), fmt, status=status)
-    wrote = _write_payload(text, out_path)
-    _emit_summary({"ok": True, **status, "path": out_path}, quiet, wrote)
+    scaling = _build(config, t_end=grid["t_max"]).scaling
+    status = {"status": scaling.status, "vanishing_time": scaling.vanishing_time}
+    ts = np.linspace(grid["t_min"], min(grid["t_max"], scaling.t_end), grid["n_t"])
+    return (_table(("t", "a", "adot"), [ts], scaling.pair(ts), fmt, status=status),
+            {"ok": True, **status})
 
 
-def cmd_field(config, out_path, fmt, quiet):
+def cmd_field(config, fmt):
     grid = _require_grid(config)
     solution = _build(config, t_end=grid["t_max"])
     ts = np.linspace(grid["t_min"], grid["t_max"], grid["n_t"])
     rs = np.linspace(grid["r_min"], grid["r_max"], grid["n_r"])
     fg = eval_grid(solution.profile, solution.scaling, config.params.N, ts, rs)
-    text = _table(("t", "r", "rho", "u"), [fg.t_values, fg.r_values],
-                  [fg.rho, fg.u], fmt)
-    wrote = _write_payload(text, out_path)
-    _emit_summary({"ok": True, "points": fg.rho.size, "path": out_path},
-                  quiet, wrote)
+    return (_table(("t", "r", "rho", "u"), [fg.t_values, fg.r_values],
+                   [fg.rho, fg.u], fmt),
+            {"ok": True, "points": fg.rho.size})
 
 
-def cmd_verify(config, out_path, fmt, quiet):
+def cmd_verify(config, fmt):
     if config.verify is None:
         raise ConfigError("this command needs a 'verify' section in the config")
     report = verify_family(config.params, config.family,
                            config.verify["window"], config.verify["resolutions"],
                            lattice=config.verify["lattice"], z_max=config.z_max)
-    text = _json_doc(report.to_dict())
-    wrote = _write_payload(text, out_path)
-    _emit_summary({"ok": True, "mass_linf": report.mass_linf,
-                   "mom_linf": report.mom_linf, "path": out_path},
-                  quiet, wrote)
+    return (_json_doc(report.to_dict()),
+            {"ok": True, "mass_linf": report.mass_linf, "mom_linf": report.mom_linf})
 
 
-def cmd_blowup(config, out_path, fmt, quiet):
+def cmd_blowup(config, fmt):
     t_end = config.grid["t_max"] if config.grid is not None else 10.0
-    solution = _build(config, t_end=t_end)
-    t_star = vanishing_time(solution.scaling)
-    doc = {"vanishing_time": t_star}
-    if isinstance(solution.scaling, NumericScaling):
-        doc["status"] = solution.scaling.status
-        doc["searched_until"] = solution.scaling.t_end
-    text = _json_doc(doc)
-    wrote = _write_payload(text, out_path)
-    _emit_summary({"ok": True, **doc, "path": out_path}, quiet, wrote)
+    doc = _build(config, t_end=t_end).scaling.blowup()
+    return _json_doc(doc), {"ok": True, **doc}
 
 
+#: subcommand -> command(config, fmt) giving its payload text and its
+#: summary record; main writes both, then any "violations" of the summary
+#: go to stderr and fail the run
 _COMMANDS = {
     "describe": cmd_describe,
     "profile": cmd_profile,
@@ -372,7 +322,20 @@ def main(argv=None):
         config = RunConfig.from_file(args.config)
         out_path = args.out if args.out is not None else config.output_path
         fmt = args.format if args.format is not None else config.output_format
-        _COMMANDS[args.command](config, out_path, fmt, args.quiet)
+        text, summary = _COMMANDS[args.command](config, fmt)
+        violations = summary.pop("violations", ())
+        if out_path is None:
+            sys.stdout.write(text)
+        else:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            if not args.quiet:
+                print(json.dumps({**summary, "path": out_path}))
+        if not args.quiet:
+            for line in violations:
+                print(f"violation: {line}", file=sys.stderr)
+        if violations:
+            raise ConfigError("validation failed: " + "; ".join(violations))
     except (ConfigError, ValueError) as exc:
         print(_error_record(exc), file=sys.stderr)
         return 2

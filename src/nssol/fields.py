@@ -78,8 +78,8 @@ def eval_grid(profile, scaling, N, t_values, r_values):
     (n_t, n_r) array of z; a failure at any point aborts the whole grid
     with an offending (t, r) named.
     """
-    t_values = np.asarray(t_values, dtype=float)
-    r_values = np.asarray(r_values, dtype=float)
+    t_values = np.array(t_values, dtype=float)  # a copy: frozen below
+    r_values = np.array(r_values, dtype=float)
     for name, values in (("t_values", t_values), ("r_values", r_values)):
         if values.ndim != 1 or len(values) == 0:
             raise ValueError(f"{name} must be a non-empty 1-d array")

@@ -11,7 +11,6 @@ and the construction of its shape and scaling (see FAMILIES).
 
 import math
 from dataclasses import dataclass, fields
-from typing import Union
 
 from . import profiles, scaling
 from .errors import DomainError
@@ -48,8 +47,16 @@ class ModelParams:
     delta: int = 1
 
 
+class Family:
+    """Base of the solution families (see FAMILIES)."""
+
+    def describe(self, params):
+        """Keys the describe command adds for a valid instance."""
+        return {}
+
+
 @dataclass(frozen=True)
-class WithPressureIsothermal:
+class WithPressureIsothermal(Family):
     """Exponential-quadratic density family, requires theta = gamma = 1.
 
     Density shape A*exp(B*z**2 + C); a(t) solves a second-order ODE from
@@ -81,7 +88,7 @@ class WithPressureIsothermal:
 
 
 @dataclass(frozen=True)
-class WithPressurePolytropic:
+class WithPressurePolytropic(Family):
     """Power-root density family, requires theta = gamma > 1."""
 
     alpha: float
@@ -98,13 +105,14 @@ class WithPressurePolytropic:
                    f"gamma={params.gamma}, theta={params.theta}")
 
     def build(self, params, t_end, z_max):
-        return (profiles.polytropic_profile(params.theta, self.alpha),
+        # y**(theta-2)*dy/dz = z, y(0) = alpha: y grows from alpha
+        return (profiles.PowerRoot(params.theta - 2.0, 1.0, self.alpha),
                 scaling.integrate_polytropic(params.gamma, params.K, params.kappa,
                                              params.N, self.a0, self.a1, t_end))
 
 
 @dataclass(frozen=True)
-class WithPressurePowerLaw:
+class WithPressurePowerLaw(Family):
     """Power-law scaling family, requires theta = gamma/2 + 1/2 - 1/N.
 
     a(t) = sigma*(m*t + n)**s with the similarity exponent s derived
@@ -146,9 +154,18 @@ class WithPressurePowerLaw:
                                           self.alpha, s, z_max=z_max),
                 scaling.PowerLawScaling(self.sigma, self.m, self.n, s))
 
+    def describe(self, params):
+        t_star = scaling.PowerLawScaling(self.sigma, self.m, self.n,
+                                         derived_s(params)).vanishing_time
+        if t_star is None:
+            return {"vanishing_time": None}
+        return {"vanishing_time": t_star,
+                "vanishing_time_note": "a(t) = sigma*(m*t+n)**s vanishes at the root "
+                                       "of m*t+n, i.e. t* = -n/m (not -m/n)"}
+
 
 @dataclass(frozen=True)
-class PressurelessTheta1:
+class PressurelessTheta1(Family):
     """Pressureless family for theta = 1.
 
     Density shape exp(lam/(2*N*kappa)*z**2 + alpha); lam and alpha are
@@ -179,7 +196,7 @@ class PressurelessTheta1:
 
 
 @dataclass(frozen=True)
-class PressurelessThetaNot1:
+class PressurelessThetaNot1(Family):
     """Pressureless family for theta != 1, power-root density shape."""
 
     lam: float
@@ -203,12 +220,15 @@ class PressurelessThetaNot1:
 
 
 #: every solution family; a new family is one class and one entry here.
-#: A family class is a frozen dataclass of its constants with a ``tag``
-#: (its config name), its pressure switch ``delta``, the constants that
-#: must be ``positive``, a generator ``violations(params)`` of messages
-#: for its other constraints, and ``build(params, t_end, z_max)`` giving
-#: (profile, scaling) of a valid instance: t_end bounds an integrated
-#: scaling, z_max the z at which the power-law shape may be evaluated.
+#: A family class is a frozen dataclass of its constants, derived from
+#: Family, with a ``tag`` (its config name), its pressure switch
+#: ``delta``, the constants that must be ``positive``, a generator
+#: ``violations(params)`` of messages for its other constraints, and
+#: ``build(params, t_end, z_max)`` giving (profile, scaling) of a valid
+#: instance: t_end bounds an integrated scaling, z_max the z at which the
+#: power-law shape may be evaluated.  Its ``describe(params)`` hook gives
+#: the extra keys of ``nssol describe`` on a valid instance (none by
+#: default; the power-law family's vanishing time).
 FAMILIES = (
     WithPressureIsothermal,
     WithPressurePolytropic,
@@ -216,8 +236,6 @@ FAMILIES = (
     PressurelessTheta1,
     PressurelessThetaNot1,
 )
-
-Family = Union[FAMILIES]
 
 FAMILY_TAGS = {cls.tag: cls for cls in FAMILIES}
 

@@ -173,8 +173,10 @@ class ImplicitProfile(Profile):
         # Newton on log(D/h) in w = |log(y/alpha)|, D = G(y) - G(alpha), as
         # log D is near linear where D grows like an exponential; each point
         # keeps its bracket (D < h at lo, D >= h or NaN at hi <= w_max),
-        # bisects off it and stops on its own step test.  The root of the
-        # quadratic D ~ s1*w + s2*w**2/2 starts well where c(alpha) ~ 0.
+        # bisects off it and stops on its own step test, or on an iterate
+        # taken inside a bracket closed to rounding, from which a Newton step
+        # may still point out.  The root of the quadratic D ~ s1*w + s2*w**2/2
+        # starts well where c(alpha) ~ 0.
         d, cp, cv = self._dir, self._cp, self._cv
         s1, s2 = d * (cp - cv), cp * (self.gamma - 1.0) - cv * (self.theta - 1.0)
         disc = s1 * s1 + 2.0 * s2 * h
@@ -188,6 +190,7 @@ class ImplicitProfile(Profile):
                     break
                 wl, lol, hil, hl = w[live], lo[live], hi[live], h[live]
                 wl = np.where((lol < wl) & (wl < hil), wl, 0.5 * (lol + hil))
+                closed = hil - lol <= 1e-15 * np.maximum(1.0, wl)
                 gp, yp = _primitive(self.gamma - 1.0, d * wl)
                 gv, yv = _primitive(self.theta - 1.0, d * wl)
                 D, dDl = cp * gp - cv * gv, d * (cp * yp - cv * yv)
@@ -196,8 +199,10 @@ class ImplicitProfile(Profile):
                 w_new = np.where((D > 0.0) & (dDl > 0.0),
                                  wl - (np.log(D) - log_h[live]) * D / dDl,
                                  0.5 * (lol + hil))
+                step = np.abs(w_new - wl) <= 1e-15 * np.maximum(1.0, w_new)
+                w_new = np.where(closed & ~step, wl, w_new)
                 w[live], lo[live], hi[live], dD[live] = w_new, lol, hil, dDl
-                live = live[~(np.abs(w_new - wl) <= 1e-15 * np.maximum(1.0, w_new))]
+                live = live[~(closed | step)]
             # a root at the float range's end: overflow rising, vacuum falling
             edge = (solve & (w >= self._w_max * (1.0 - 1e-12))).reshape(z.shape)
             if d > 0.0:
@@ -211,16 +216,6 @@ class ImplicitProfile(Profile):
         return (f"ImplicitProfile(p={self.p}, v={self.v}, r={self.r}, "
                 f"gamma={self.gamma}, theta={self.theta}, alpha={self.alpha}, "
                 f"z_max={self.z_max})")
-
-
-def polytropic_profile(theta, alpha):
-    """Power-root shape for theta = gamma > 1: y**(theta-2) * dy/dz = z.
-
-    y(0) = alpha and y(z) >= alpha everywhere (the radicand grows).
-    """
-    if not theta > 1.0:
-        raise ValueError(f"theta must be > 1, got {theta}")
-    return PowerRoot(theta - 2.0, 1.0, alpha)
 
 
 def powerlaw_profile(params, m, sigma, alpha, s, z_max=DEFAULT_Z_MAX):

@@ -217,9 +217,9 @@ def _round12(x):
 
 
 def _norms_over_lattice(field, params, window, h_t, h_r, lattice):
-    nt, nr = lattice
-    t = window.t_min + (window.t_max - window.t_min) * np.arange(nt) / (nt - 1)
-    r = window.r_min + (window.r_max - window.r_min) * np.arange(nr) / (nr - 1)
+    k = np.arange(lattice)
+    t = window.t_min + (window.t_max - window.t_min) * k / (lattice - 1)
+    r = window.r_min + (window.r_max - window.r_min) * k / (lattice - 1)
     mass, mom, vacuum = _residuals(field, params, t[:, None], r, h_t, h_r)
     skipped = int(np.count_nonzero(vacuum))
     kept = mom.size - skipped
@@ -247,13 +247,11 @@ def verify_window(field_fn, params, window, resolutions,
     resolutions is a sequence of (h_t, h_r) pairs, coarse to fine; with
     two or more, the report carries convergence-order estimates from the
     last pair (2 is the expected order for an exact solution).  lattice
-    may be an int (same count per axis) or an (n_t, n_r) pair.  A mass
-    or momentum residual that is not finite raises NonFiniteFieldError;
-    only stencils that touch vacuum (rho <= 0) are skipped.
+    is the number of points per window axis.  A mass or momentum
+    residual that is not finite raises NonFiniteFieldError; only
+    stencils that touch vacuum (rho <= 0) are skipped.
     """
-    if isinstance(lattice, int):
-        lattice = (lattice, lattice)
-    if lattice[0] < 2 or lattice[1] < 2:
+    if lattice < 2:
         raise ValueError(f"lattice must have >= 2 points per axis, got {lattice}")
     resolutions = [(float(ht), float(hr)) for ht, hr in resolutions]
     if not resolutions:
@@ -270,7 +268,7 @@ def verify_window(field_fn, params, window, resolutions,
         order_mass = _order(prev.mass_linf, last.mass_linf, ratio)
         order_mom = _order(prev.mom_linf, last.mom_linf, ratio)
 
-    return ResidualReport(window=window, lattice=tuple(lattice),
+    return ResidualReport(window=window, lattice=(lattice, lattice),
                           resolutions=tuple(entries),
                           order_mass=order_mass, order_mom=order_mom)
 

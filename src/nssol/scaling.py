@@ -8,6 +8,8 @@ vanishing threshold or exceeds a divergence cap.  Dense trajectories are
 stored on a uniform mesh and interpolated with cubic Hermite polynomials.
 """
 
+import math
+
 import numpy as np
 
 from ._interp import hermite, unbox
@@ -19,7 +21,7 @@ EPS_A_FRAC = 1e-8
 #: a(t) >= CAP_A_FRAC * a0 terminates integration with status "diverged"
 CAP_A_FRAC = 1e12
 
-#: default spacing of the stored dense trajectory
+#: spacing of the stored dense trajectory
 DEFAULT_DT = 1e-3
 
 RTOL = 1e-10
@@ -31,10 +33,23 @@ STATUS_DIVERGED = "diverged"
 
 
 class ScalingFn:
-    """Base class: a positive scaling a(t) with derivative adot(t)."""
+    """Base class: a positive scaling a(t) with derivative adot(t).
 
-    #: time t* where a reaches 0, or None if the scaling never vanishes
+    A subclass implements pair(t) and overrides what differs of:
+
+    status          how its construction ended, STATUS_COMPLETED unless
+                    an integrated trajectory vanished or diverged
+    t_end           the last time it is sampled at, inf if unbounded
+    vanishing_time  the time t* where a reaches 0, or None if never
+    """
+
+    status = STATUS_COMPLETED
+    t_end = math.inf
     vanishing_time = None
+
+    def blowup(self):
+        """The record of where a vanishes, as ``nssol blowup`` writes it."""
+        return {"vanishing_time": self.vanishing_time}
 
     def pair(self, t):
         """(a, adot) at t, a scalar (floats back) or an array of times."""
@@ -83,6 +98,12 @@ class PowerLawScaling(ScalingFn):
             return -self.n / self.m
         return None
 
+    @property
+    def t_end(self):
+        """Just short of t*, where a is still defined, or inf."""
+        t_star = self.vanishing_time
+        return math.inf if t_star is None else t_star * (1.0 - 1e-9)
+
     def __repr__(self):
         return (f"PowerLawScaling(sigma={self.sigma}, m={self.m}, "
                 f"n={self.n}, s={self.s})")
@@ -99,22 +120,20 @@ class NumericScaling(ScalingFn):
 
     def __init__(self, ts, a_values, adot_values, accel_values, status,
                  vanishing_time=None, label=""):
-        ts = np.asarray(ts, dtype=float)
-        a_values = np.asarray(a_values, dtype=float)
-        adot_values = np.asarray(adot_values, dtype=float)
-        accel_values = np.asarray(accel_values, dtype=float)
+        ts = np.array(ts, dtype=float)
+        # a and adot are one stack of curves: t is located once for both
+        values = np.array([a_values, adot_values], dtype=float)
+        slopes = np.array([adot_values, accel_values], dtype=float)
         if not np.all(np.diff(ts) > 0.0):
             raise ValueError("trajectory times must be strictly increasing")
-        if not np.all(a_values > 0.0):
+        if not np.all(values[0] > 0.0):
             raise ValueError("trajectory a values must stay positive")
-        for arr in (ts, a_values, adot_values, accel_values):
+        for arr in (ts, values, slopes):
             arr.flags.writeable = False
         self.ts = ts
-        self.a_values = a_values
-        self.adot_values = adot_values
-        self.accel_values = accel_values
-        self._values = np.stack([a_values, adot_values])
-        self._slopes = np.stack([adot_values, accel_values])
+        self._values = values
+        self._slopes = slopes
+        self.a_values, self.adot_values = values
         self.status = status
         self.vanishing_time = vanishing_time
         self.label = label
@@ -123,8 +142,11 @@ class NumericScaling(ScalingFn):
     def t_end(self):
         return float(self.ts[-1])
 
+    def blowup(self):
+        return {**super().blowup(), "status": self.status,
+                "searched_until": self.t_end}
+
     def pair(self, t):
-        # a and adot are one stack of curves: t is located once for both
         a, adot = hermite(self.ts, self._values, self._slopes, t, "t")
         return unbox(a), unbox(adot)
 
@@ -144,7 +166,7 @@ def _bisect_vanishing(dense, t_lo, t_hi, eps_a):
     return 0.5 * (t_lo + t_hi)
 
 
-def _integrate(accel, a0, a1, t_end, dt_store, label):
+def _integrate(accel, a0, a1, t_end, label):
     """Integrate a'' = accel(a, a') from (a0, a1) over [0, t_end].
 
     Returns a NumericScaling.  Terminates early with status "vanished"
@@ -214,8 +236,8 @@ def _integrate(accel, a0, a1, t_end, dt_store, label):
             status = STATUS_DIVERGED
             t_stop = float(sol.t_events[1][0])
 
-    n_nodes = max(int(np.floor(t_stop / dt_store)), 1)
-    ts = np.linspace(0.0, n_nodes * dt_store, n_nodes + 1)
+    n_nodes = max(int(np.floor(t_stop / DEFAULT_DT)), 1)
+    ts = np.linspace(0.0, n_nodes * DEFAULT_DT, n_nodes + 1)
     if ts[-1] < t_stop - 1e-15 * max(1.0, t_stop):
         ts = np.append(ts, t_stop)
     else:
@@ -230,7 +252,7 @@ def _integrate(accel, a0, a1, t_end, dt_store, label):
                           vanishing_time=t_v, label=label)
 
 
-def integrate_isothermal(B, K, kappa, N, a0, a1, t_end, dt_store=DEFAULT_DT):
+def integrate_isothermal(B, K, kappa, N, a0, a1, t_end):
     """Scaling ODE of the exponential-quadratic (theta = gamma = 1) family.
 
     Momentum balance for the shape A*exp(B*z**2 + C) requires
@@ -244,10 +266,10 @@ def integrate_isothermal(B, K, kappa, N, a0, a1, t_end, dt_store=DEFAULT_DT):
     def accel(a, ad):
         return -2.0 * B * K / a + 2.0 * B * N * kappa * ad / a ** 2
 
-    return _integrate(accel, a0, a1, t_end, dt_store, "isothermal")
+    return _integrate(accel, a0, a1, t_end, "isothermal")
 
 
-def integrate_polytropic(gamma, K, kappa, N, a0, a1, t_end, dt_store=DEFAULT_DT):
+def integrate_polytropic(gamma, K, kappa, N, a0, a1, t_end):
     """Scaling ODE of the power-root (theta = gamma > 1) family:
 
         a'' = -K*gamma*a**(N - theta*N - 1)
@@ -261,10 +283,10 @@ def integrate_polytropic(gamma, K, kappa, N, a0, a1, t_end, dt_store=DEFAULT_DT)
         return (-K * gamma * a ** (N - theta * N - 1)
                 + N * kappa * theta * ad * a ** (N - theta * N - 2))
 
-    return _integrate(accel, a0, a1, t_end, dt_store, "polytropic")
+    return _integrate(accel, a0, a1, t_end, "polytropic")
 
 
-def integrate_pressureless(theta, lam, N, a0, a1, t_end, dt_store=DEFAULT_DT):
+def integrate_pressureless(theta, lam, N, a0, a1, t_end):
     """Scaling ODE of the pressureless families:
 
         a'' = lam*a'/a**2                      for theta = 1,
@@ -282,7 +304,7 @@ def integrate_pressureless(theta, lam, N, a0, a1, t_end, dt_store=DEFAULT_DT):
             return -lam * ad / a ** expo
 
         label = "pressureless"
-    return _integrate(accel, a0, a1, t_end, dt_store, label)
+    return _integrate(accel, a0, a1, t_end, label)
 
 
 def vanishing_time(fn):

@@ -1,0 +1,38 @@
+"""Public names: every entry of ``nssol.__all__`` resolves, and so does
+every name the benchmark (bench/*.py) reads off the package, which it
+binds by name and cannot follow a rename."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+import nssol
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _resolves(name):
+    try:
+        importlib.import_module(f"nssol.{name}")  # a submodule
+    except ImportError:
+        return hasattr(nssol, name)
+    return True
+
+
+def test_all_names_resolve():
+    assert [name for name in nssol.__all__ if not hasattr(nssol, name)] == []
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
+def test_benchmark_reads_existing_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "nssol"}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "nssol"
+              for alias in node.names}
+    assert sorted(name for name in names if not _resolves(name)) == []
+

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nssol import cli
+from nssol import build_solution, cli
 from nssol.cli import ConfigError, RunConfig, main
 
 
@@ -345,3 +345,79 @@ def test_table_writers_match_reference_bytes():
         assert (cli._table(header, [ts], [a, adot], "json", status=status)
                 == _reference_json(header, rows, status=status))
         assert cli._table(header, [ts], [a, adot], "csv") == _reference_csv(header, rows)
+
+
+def _isothermal_config(B, t_max):
+    # B = -1 expands and completes; B = +1 collapses, vanishing at t ~ 0.41
+    return {"model": {"N": 3, "gamma": 1.0, "theta": 1.0},
+            "family": {"kind": "with_pressure_isothermal", "A": 1.0, "B": B,
+                       "C": 0.0, "a0": 1.0, "a1": 0.0},
+            "grid": {"t_min": 0.05, "t_max": t_max, "n_t": 7, "r_min": 0.1,
+                     "r_max": 1.0, "n_r": 4}}
+
+
+@pytest.mark.parametrize("m, keys", [
+    (-1.0, ["vanishing_time", "vanishing_time_note"]),
+    (0.0, ["vanishing_time"]),
+    (1.0, ["vanishing_time"]),
+])
+def test_describe_power_law_keys(tmp_path, capsys, m, keys):
+    cfg = _blowup_config()
+    cfg["family"]["m"] = m
+    assert main(["describe", "--config", _write(tmp_path, cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["family", "ok", "violations", "model", "s",
+                         "theta_required", *keys]
+    assert doc["vanishing_time"] == (1.0 if m < 0.0 else None)
+
+
+def test_describe_other_families_add_no_keys(tmp_path, capsys):
+    assert main(["describe", "--config",
+                 _write(tmp_path, _isothermal_config(-1.0, 0.5))]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["family", "ok", "violations", "model", "s",
+                         "theta_required"]
+
+
+@pytest.mark.parametrize("cfg, status, t_last", [
+    # a power law is sampled up to just short of its t* = 1
+    (_blowup_config(grid={"t_min": 0.05, "t_max": 2.0, "n_t": 5, "r_min": 0.1,
+                          "r_max": 1.0, "n_r": 4}), "completed", 1.0 - 1e-9),
+    (_blowup_config(), "completed", 0.3),
+    (_isothermal_config(-1.0, 0.5), "completed", 0.5),
+    (_isothermal_config(1.0, 1.5), "vanished", None),  # its last node
+])
+def test_scale_status_and_last_time(tmp_path, capsys, cfg, status, t_last):
+    out = tmp_path / "scale.csv"
+    assert main(["scale", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert list(summary) == ["ok", "status", "vanishing_time", "path"]
+    assert summary["status"] == status
+    t = float(out.read_text().splitlines()[-1].split(",")[0])
+    if t_last is None:
+        config = RunConfig(cfg)
+        t_last = build_solution(config.params, config.family, t_end=1.5).scaling.t_end
+        assert summary["vanishing_time"] <= t_last < 0.42
+    assert t == t_last
+
+
+@pytest.mark.parametrize("cfg, keys, status", [
+    (_blowup_config(), ["vanishing_time"], None),
+    (_isothermal_config(-1.0, 0.5), ["vanishing_time", "status", "searched_until"],
+     "completed"),
+    (_isothermal_config(1.0, 1.5), ["vanishing_time", "status", "searched_until"],
+     "vanished"),
+])
+def test_blowup_keys(tmp_path, capsys, cfg, keys, status):
+    out = tmp_path / "blowup.json"
+    assert main(["blowup", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc) == keys
+    assert list(json.loads(capsys.readouterr().out)) == ["ok", *keys, "path"]
+    if status is not None:
+        assert doc["status"] == status
+        t_max = cfg["grid"]["t_max"]
+        if status == "completed":
+            assert doc["vanishing_time"] is None and doc["searched_until"] == t_max
+        else:
+            assert doc["vanishing_time"] <= doc["searched_until"] < t_max

@@ -10,12 +10,12 @@ from nssol import (
     ModelParams,
     OutOfRangeError,
     PowerLawScaling,
+    PowerRoot,
     PressurelessThetaNot1,
     build_solution,
     eval_grid,
     eval_point,
     integrate_pressureless,
-    polytropic_profile,
     powerlaw_profile,
     vanishing_time,
 )
@@ -33,7 +33,7 @@ def test_eval_point_flat_static():
 
 
 def test_eval_point_polytropic_static():
-    prof = polytropic_profile(2.0, 1.0)
+    prof = PowerRoot(2.0 - 2.0, 1.0, 1.0)
     rho, u = eval_point(prof, _static_scaling(), 1, 0.0, 2.0)
     assert rho == pytest.approx(3.0, abs=1e-14)
     assert u == 0.0
@@ -56,7 +56,7 @@ def test_eval_point_rejects_negative_radius():
 
 
 def test_grid_matches_point_evaluation():
-    prof = polytropic_profile(2.0, 1.0)
+    prof = PowerRoot(2.0 - 2.0, 1.0, 1.0)
     scal = integrate_pressureless(theta=1.0, lam=0.5, N=1, a0=1.0, a1=0.3,
                                   t_end=1.0)
     grid = eval_grid(prof, scal, 1, [0.4], [0.8])
@@ -152,6 +152,17 @@ def test_grid_immutable_and_finite():
     assert np.all(np.isfinite(grid.u))
     with pytest.raises(ValueError):
         grid.rho[0, 0] = 99.0
+
+
+def test_grid_leaves_caller_arrays_writeable():
+    ts, rs = np.linspace(0.1, 0.9, 3), np.linspace(0.5, 1.0, 4)
+    grid = eval_grid(ExpQuadratic(1.0, -1.0, 0.0),
+                     PowerLawScaling(1.0, 1.0, 1.0, 0.5), 3, ts, rs)
+    ts[0] = 0.0
+    rs[0] = 0.0
+    assert grid.t_values[0] == 0.1 and grid.r_values[0] == 0.5
+    with pytest.raises(ValueError):
+        grid.t_values[0] = 0.0
 
 
 def test_center_density_grows_unbounded_before_blowup():

@@ -18,10 +18,10 @@ from nssol import (
     integrate_isothermal,
     integrate_polytropic,
     integrate_pressureless,
-    polytropic_profile,
     powerlaw_profile,
     theta_required,
 )
+from nssol import profiles
 from tests.oracles import rk4_first_order
 
 
@@ -119,13 +119,13 @@ def test_isothermal_profile_values():
 # --- polytropic shape -------------------------------------------------------
 
 def test_polytropic_profile_values():
-    prof = polytropic_profile(2.0, 1.0)  # y = z**2/2 + 1
+    prof = PowerRoot(2.0 - 2.0, 1.0, 1.0)  # y = z**2/2 + 1
     assert prof.evaluate(2.0)[0] == pytest.approx(3.0, abs=1e-14)
-    assert polytropic_profile(3.0, 1.0).evaluate(0.0)[0] == pytest.approx(1.0)
-    assert polytropic_profile(3.0, 2.0).evaluate(2.0)[0] == pytest.approx(
+    assert PowerRoot(3.0 - 2.0, 1.0, 1.0).evaluate(0.0)[0] == pytest.approx(1.0)
+    assert PowerRoot(3.0 - 2.0, 1.0, 2.0).evaluate(2.0)[0] == pytest.approx(
         math.sqrt(8.0), rel=1e-14)
     with pytest.raises(ValueError):
-        polytropic_profile(1.0, 1.0)
+        PowerRoot(1.0 - 2.0, 1.0, 1.0)
 
 
 def test_polytropic_monotone_growth():
@@ -133,7 +133,7 @@ def test_polytropic_monotone_growth():
     for _ in range(20):
         theta = rng.uniform(1.05, 4.0)
         alpha = rng.uniform(0.2, 3.0)
-        prof = polytropic_profile(theta, alpha)
+        prof = PowerRoot(theta - 2.0, 1.0, alpha)
         zs = np.linspace(0.0, 5.0, 301)
         ys = [prof.evaluate(z)[0] for z in zs]
         assert all(b >= a - 1e-12 for a, b in zip(ys, ys[1:]))
@@ -315,6 +315,22 @@ def test_implicit_shape_near_singular_start_matches_bisection(gamma, theta, risi
         assert prof.evaluate(z)[0] == y  # a scalar takes the same path
 
 
+def test_implicit_shape_stops_once_its_bracket_closes(monkeypatch):
+    # near vacuum (y ~ 0.014, z_vacuum ~ 1.30) a Newton step from inside a
+    # bracket closed to adjacent floats still points out of it, by more
+    # than the step test allows; the point used to sweep to the 100 cap
+    base = ModelParams(N=3, gamma=3.6404, theta=1.0)
+    params = ModelParams(N=3, gamma=3.6404, theta=theta_required(base))
+    prof = powerlaw_profile(params, 1.3321, 1.49, 1.3311, derived_s(params))
+    exponents = []
+    primitive = profiles._primitive
+    monkeypatch.setattr(profiles, "_primitive",
+                        lambda e, x: exponents.append(e) or primitive(e, x))
+    y, _ = prof.evaluate(1.2911)
+    assert len(exponents) // 2 <= 20  # two primitives a sweep
+    assert y == pytest.approx(_bisection_shape(prof, 1.2911), rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("build", [
     lambda: PowerLawScaling(math.nan, -1.0, 1.0, 0.5),
     lambda: PowerLawScaling(1.0, math.nan, 1.0, 0.5),
@@ -326,7 +342,7 @@ def test_implicit_shape_near_singular_start_matches_bisection(gamma, theta, risi
     lambda: PowerRoot(math.nan, 1.0, 1.0),
     lambda: PowerRoot(0.0, math.nan, 1.0),
     lambda: PowerRoot(0.0, 1.0, math.nan),
-    lambda: polytropic_profile(math.nan, 1.0),
+    lambda: PowerRoot(math.nan - 2.0, 1.0, 1.0),
     lambda: ImplicitProfile(1.0, math.nan, 1.0, 2.0, 1.0, 1.0),
     lambda: ImplicitProfile(1.0, 1.0, math.nan, 2.0, 1.0, 1.0),
     lambda: ImplicitProfile(1.0, 1.0, 1.0, 2.0, 1.0, math.nan),
@@ -345,7 +361,7 @@ def test_constructors_refuse_non_finite_constants(build):
 
 
 def test_negative_z_maps_to_absolute_value():
-    prof = polytropic_profile(2.0, 1.0)
+    prof = PowerRoot(2.0 - 2.0, 1.0, 1.0)
     assert prof.evaluate(-2.0) == prof.evaluate(2.0)
 
 

@@ -5,14 +5,13 @@ import pytest
 
 from nssol import (
     DomainError,
-    NumericScaling,
     PowerLawScaling,
     integrate_isothermal,
     integrate_polytropic,
     integrate_pressureless,
     vanishing_time,
 )
-from nssol.scaling import EPS_A_FRAC, STATUS_VANISHED
+from nssol.scaling import EPS_A_FRAC, STATUS_VANISHED, NumericScaling
 from tests.oracles import rk4_crossing_time, rk4_second_order
 
 
@@ -208,6 +207,24 @@ def test_vanishing_time_dispatch():
         vanishing_time(object())
 
 
+def test_scalings_state_their_own_facts():
+    # status, t_end and the blowup record, read without a type switch
+    collapsing = PowerLawScaling(1.0, -1.0, 2.0, 0.5)
+    assert collapsing.status == "completed"
+    assert collapsing.t_end == 2.0 * (1.0 - 1e-9)
+    assert collapsing.blowup() == {"vanishing_time": 2.0}
+    assert PowerLawScaling(1.0, 0.0, 2.0, 0.5).t_end == np.inf
+    fn = integrate_isothermal(B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
+                              t_end=1.5)
+    assert fn.status == STATUS_VANISHED
+    assert fn.t_end == fn.ts[-1] < 0.42
+    assert list(fn.blowup().items()) == [("vanishing_time", fn.vanishing_time),
+                                         ("status", STATUS_VANISHED),
+                                         ("searched_until", fn.t_end)]
+    with pytest.raises(ValueError):
+        fn.a_values[0] = 2.0
+
+
 # --- dense output consistency ----------------------------------------------------
 
 def test_stored_adot_matches_centered_difference_of_a():
@@ -215,16 +232,13 @@ def test_stored_adot_matches_centered_difference_of_a():
                               t_end=0.5)
     ts, avals, advals = fn.ts, fn.a_values, fn.adot_values
     dt = ts[1] - ts[0]
-    diffs = (avals[2:] - avals[:-2]) / (2.0 * dt)
-    err = np.max(np.abs(diffs - advals[1:-1]))
-    assert err < 1e-5  # O(dt^2) with a''' of order one
 
-    fine = integrate_isothermal(B=-1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
-                                t_end=0.5, dt_store=5e-4)
-    dts = fine.ts[1] - fine.ts[0]
-    fdiffs = (fine.a_values[2:] - fine.a_values[:-2]) / (2.0 * dts)
-    ferr = np.max(np.abs(fdiffs - fine.adot_values[1:-1]))
-    assert 2.5 < err / ferr < 6.0  # second-order rate in the mesh spacing
+    def err(k):  # centered difference of a over k node spacings
+        diffs = (avals[2 * k:] - avals[:-2 * k]) / (2.0 * k * dt)
+        return np.max(np.abs(diffs - advals[k:-k]))
+
+    assert err(1) < 1e-5  # O(dt^2) with a''' of order one
+    assert 2.5 < err(2) / err(1) < 6.0  # second-order rate in the spacing
 
 
 def test_interpolated_values_between_nodes():
