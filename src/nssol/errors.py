@@ -14,8 +14,8 @@ def refuse(error, bad, message, **values):
     """Raise error for the first True of the boolean array bad (C order),
     with message formatted by each of values (arrays broadcasting to bad)
     at that element; bad goes along as the error's ``where``."""
-    bad = np.asarray(bad)
-    if bad.any():
+    if np.count_nonzero(bad):
+        bad = np.asarray(bad)
         k = np.argmax(bad)
         at = {n: float(np.broadcast_to(v, bad.shape).flat[k]) for n, v in values.items()}
         exc = error(message.format(**at))

@@ -33,7 +33,7 @@ class SolutionField:
 
     This is the black-box interface the residual verifier consumes: it
     exposes field values only, never analytic derivatives.  t and r are
-    scalars (floats back) or arrays that broadcast: the scaling runs once
+    scalars (floats back) or ndarrays that broadcast: the scaling runs once
     on t and the shape once on z = r/a(t), so a grid costs one scaling
     evaluation per time row.  An NssolError names the offending (t, r).
     """
@@ -44,7 +44,6 @@ class SolutionField:
         self.N = N
 
     def __call__(self, t, r):
-        t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
         try:
             a, adot = self.scaling.pair(t)
             shape, _ = self.profile.evaluate(r / a)

@@ -57,7 +57,7 @@ class ExpQuadratic(Profile):
     def evaluate(self, z):
         z = np.abs(np.asarray(z, dtype=float))
         arg = self.B * z * z + self.C
-        refuse(DomainError, arg > 709.0,  # growing shapes near a vanishing scaling
+        refuse(DomainError, ~(arg <= 709.0) | (z == math.inf),  # y overflows near a = 0
                "density shape overflows at z={z!r} (exponent {arg:.4g})", z=z, arg=arg)
         y = self.A * np.exp(arg)
         return unbox(y), unbox(2.0 * self.B * z * y)
@@ -98,7 +98,7 @@ class PowerRoot(Profile):
         with np.errstate(over="ignore"):
             y = np.power(base, self._p)
             dy = self.xi * z * np.power(base, self._p - 1.0)
-        refuse(DomainError, ~np.isfinite(y),
+        refuse(DomainError, ~np.isfinite(y) | (z == math.inf),
                "density shape overflows at z={z!r} (radicand {rad:.4g})", z=z, rad=rad)
         return unbox(np.where(vacuum, 0.0, y)), unbox(np.where(vacuum, 0.0, dy))
 
@@ -163,7 +163,7 @@ class ImplicitProfile(Profile):
 
     def evaluate(self, z):
         z = np.abs(np.asarray(z, dtype=float))
-        refuse(OutOfRangeError, z > self.z_max,
+        refuse(OutOfRangeError, ~(z <= self.z_max),
                f"z {{z!r}} beyond the shape's z_max={self.z_max!r}", z=z)
         if self._singular:
             refuse(OutOfRangeError, z > 0.0, "singular c(alpha), no shape at z={z!r}", z=z)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ._interp import hermite, unbox
+from ._interp import hermite, hermite_table, unbox
 from .errors import DomainError, StepFailureError, refuse
 
 #: a(t) <= EPS_A_FRAC * a0 terminates integration with status "vanished"
@@ -87,8 +87,8 @@ class PowerLawScaling(ScalingFn):
     def pair(self, t):
         t = np.asarray(t, dtype=float)
         base = self.m * t + self.n
-        refuse(DomainError, base <= 0.0,
-               "m*t + n = {base} <= 0 at t={t!r}; scaling undefined", base=base, t=t)
+        refuse(DomainError, ~(base > 0.0),
+               "m*t + n = {base} not > 0 at t={t!r}; scaling undefined", base=base, t=t)
         return (unbox(self.sigma * np.power(base, self.s)),
                 unbox(self.s * self.m * self.sigma * np.power(base, self.s - 1.0)))
 
@@ -113,9 +113,11 @@ class NumericScaling(ScalingFn):
     """Dense (t, a, adot) trajectory with cubic Hermite interpolation.
 
     The acceleration values at the nodes come from the generating ODE,
-    so both a and adot interpolate at O(dt^4) / O(dt^3).  Evaluation
-    outside [0, t_last] raises OutOfRangeError; t_last is shorter than the
-    requested span when the trajectory vanished or diverged.
+    so both a and adot interpolate at O(dt^4) / O(dt^3).  The cubics are
+    kept as a per-interval Horner table built once, so evaluation is one
+    lookup and three multiply-adds.  Evaluation outside [0, t_last]
+    raises OutOfRangeError; t_last is shorter than the requested span
+    when the trajectory vanished or diverged.
     """
 
     def __init__(self, ts, a_values, adot_values, accel_values, status,
@@ -123,16 +125,16 @@ class NumericScaling(ScalingFn):
         ts = np.array(ts, dtype=float)
         # a and adot are one stack of curves: t is located once for both
         values = np.array([a_values, adot_values], dtype=float)
-        slopes = np.array([adot_values, accel_values], dtype=float)
         if not np.all(np.diff(ts) > 0.0):
             raise ValueError("trajectory times must be strictly increasing")
         if not np.all(values[0] > 0.0):
             raise ValueError("trajectory a values must stay positive")
-        for arr in (ts, values, slopes):
+        table = hermite_table(ts, values, np.array([adot_values, accel_values], float))
+        for arr in (ts, values, table):
             arr.flags.writeable = False
         self.ts = ts
         self._values = values
-        self._slopes = slopes
+        self._table = table
         self.a_values, self.adot_values = values
         self.status = status
         self.vanishing_time = vanishing_time
@@ -147,7 +149,7 @@ class NumericScaling(ScalingFn):
                 "searched_until": self.t_end}
 
     def pair(self, t):
-        a, adot = hermite(self.ts, self._values, self._slopes, t, "t")
+        a, adot = hermite(self.ts, self._values, self._table, t, "t")
         return unbox(a), unbox(adot)
 
     def __repr__(self):

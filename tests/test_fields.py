@@ -179,3 +179,13 @@ def test_center_density_grows_unbounded_before_blowup():
     t_late = 1.0 - 1e-5
     rho_late, _ = eval_point(prof, scal, 3, t_late, 0.0)
     assert rho_late > 1e6
+
+
+def test_field_at_infinite_radius_is_refused():
+    from nssol import DomainError
+    from tests.cases import isothermal_gaussian
+
+    params, family, window = isothermal_gaussian()
+    field = build_solution(params, family, t_end=window.t_max).field()
+    with pytest.raises(DomainError, match=r"\(t=0\.2, r=inf\)"):
+        field(0.2, math.inf)

@@ -373,3 +373,34 @@ def test_growing_shapes_overflow_cleanly():
         grower.evaluate(200.0)  # exp(4e4) exceeds float range
     shrinker = ExpQuadratic(1.0, -1.0, 0.0)
     assert shrinker.evaluate(200.0)[0] == 0.0  # clean underflow to vacuum
+
+
+def test_exp_quadratic_refuses_non_finite_z():
+    from nssol import DomainError
+
+    with pytest.raises(DomainError, match="z=nan"):
+        ExpQuadratic(1.0, -1.0, 0.0).evaluate(math.nan)
+    with pytest.raises(DomainError, match="z=inf"):
+        ExpQuadratic(1.0, -1.0, 0.0).evaluate(math.inf)
+
+
+def test_power_root_refuses_infinite_z():
+    from nssol import DomainError
+
+    clipped = PowerRoot(0.0, -1.0, 1.0)  # vacuum beyond z = sqrt(2)
+    with pytest.raises(DomainError, match="z=inf"):
+        clipped.evaluate(math.inf)
+    with pytest.raises(DomainError, match="z=nan"):
+        clipped.evaluate(math.nan)
+
+
+def test_implicit_shape_refuses_nan_z():
+    from nssol import build_solution
+    from tests.cases import powerlaw_blowup
+
+    params, family, _ = powerlaw_blowup()
+    shape = build_solution(params, family, t_end=0.5).profile
+    with pytest.raises(OutOfRangeError, match="z nan"):
+        shape.evaluate(math.nan)
+    with pytest.raises(OutOfRangeError):
+        shape.evaluate(np.array([0.5, math.nan]))

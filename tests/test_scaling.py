@@ -1,10 +1,13 @@
 """Scaling functions: closed form, adaptive integration, event handling."""
 
+import re
+
 import numpy as np
 import pytest
 
 from nssol import (
     DomainError,
+    OutOfRangeError,
     PowerLawScaling,
     integrate_isothermal,
     integrate_polytropic,
@@ -260,3 +263,106 @@ def test_numeric_scaling_rejects_bad_trajectories():
     with pytest.raises(ValueError):
         NumericScaling([0.0, 0.1], [1.0, -1.0], [0.0, 0.0], [0.0, 0.0],
                        "completed")
+
+
+def test_numeric_scaling_refuses_nan_time():
+    fn = integrate_pressureless(theta=2.0, lam=1.0, N=3, a0=1.0, a1=1.0,
+                                t_end=1.0)
+    with pytest.raises(OutOfRangeError, match="t nan"):
+        fn.pair(np.nan)
+    with pytest.raises(OutOfRangeError):
+        fn.pair(np.array([0.5, np.nan]))
+
+
+def test_powerlaw_scaling_refuses_nan_time():
+    with pytest.raises(DomainError, match="t=nan"):
+        PowerLawScaling(1.0, -1.0, 2.0, 0.5).pair(np.nan)
+
+
+# --- the per-interval cubic table and its interval lookup ----------------------
+
+def _trajectories():
+    """Completed and vanished trajectories with the accelerations they
+    were built from (the node slopes of their adot curves)."""
+    poly = _poly_accel(2.0, 1.0, 1.0, 1)
+    return [
+        (integrate_isothermal(B=-1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
+                              t_end=0.5), _iso_accel(-1.0, 1.0, 1.0, 3)),
+        (integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0, a1=0.5,
+                              t_end=0.8), poly),
+        (integrate_pressureless(theta=2.0, lam=1.0, N=3, a0=1.0, a1=1.0,
+                                t_end=1.0), lambda a, ad: -ad / a ** 5.0),
+        (integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0, a1=-1.0,
+                              t_end=2.0), poly),
+    ]
+
+
+def _hermite_basis(nodes, values, slopes, x):
+    """The cubic Hermite interpolant in its basis-function form."""
+    i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
+    h = nodes[i + 1] - nodes[i]
+    t = (x - nodes[i]) / h
+    y0, y1 = values[..., i], values[..., i + 1]
+    d0, d1 = slopes[..., i], slopes[..., i + 1]
+    t2 = t * t
+    t3 = t2 * t
+    h00 = 2 * t3 - 3 * t2 + 1
+    h10 = t3 - 2 * t2 + t
+    h01 = -2 * t3 + 3 * t2
+    h11 = t3 - t2
+    return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+
+
+def test_pair_returns_stored_node_values_exactly():
+    for fn, _ in _trajectories():
+        for k in range(len(fn.ts)):
+            assert fn.pair(fn.ts[k]) == (fn.a_values[k], fn.adot_values[k])
+
+
+def test_batched_pair_matches_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for fn, _ in _trajectories():
+        ts = rng.uniform(0.0, fn.t_end, 300)
+        a, adot = fn.pair(ts)
+        scalar = np.array([fn.pair(t) for t in ts])
+        assert np.array_equal(a, scalar[:, 0]) and np.array_equal(adot, scalar[:, 1])
+
+
+def test_table_agrees_with_hermite_basis_form():
+    # the last interval of a vanished trajectory is built from the
+    # collapse's huge end slopes and swings far beyond its node values,
+    # so only completed trajectories are held to their stored sizes
+    rng = np.random.default_rng(11)
+    for fn, accel in _trajectories()[:3]:
+        values = np.array([fn.a_values, fn.adot_values])
+        slopes = np.array([fn.adot_values, accel(fn.a_values, fn.adot_values)])
+        ts = rng.uniform(0.0, fn.t_end, 100_000)
+        ref = _hermite_basis(fn.ts, values, slopes, ts)
+        err = np.max(np.abs(np.array(fn.pair(ts)) - ref), axis=-1)
+        assert np.all(err <= 1e-15 * np.max(np.abs(values), axis=-1)), fn
+
+
+def test_interval_lookup_edges():
+    fn = integrate_isothermal(B=-1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
+                              t_end=0.5)
+    ts = fn.ts
+    pad = 1e-12 * max(1.0, abs(ts[-1]))
+    assert fn.pair(ts[0]) == (1.0, 0.0)
+    assert fn.pair(ts[250]) == (fn.a_values[250], fn.adot_values[250])
+    assert fn.pair(ts[-1]) == (fn.a_values[-1], fn.adot_values[-1])
+    assert fn.pair(ts[-1] + 0.5 * pad)[0] == pytest.approx(fn.a_values[-1], rel=1e-14)
+    past = float(ts[-1] + 2.0 * pad)
+    with pytest.raises(OutOfRangeError, match=re.escape(f"t {past!r} outside")):
+        fn.pair(past)
+    with pytest.raises(OutOfRangeError):
+        fn.pair(-2.0 * pad)
+
+
+def test_two_node_trajectory():
+    # a = 1 + 2t + t**2: its cubic interpolant is exact
+    fn = NumericScaling([0.0, 1.0], [1.0, 4.0], [2.0, 4.0], [2.0, 2.0], "completed")
+    assert fn.pair(0.0) == (1.0, 2.0)
+    assert fn.pair(0.5) == pytest.approx((2.25, 3.0), rel=1e-15)
+    a, adot = fn.pair(np.array([0.25, 1.0]))
+    np.testing.assert_allclose(a, [1.5625, 4.0], rtol=1e-15)
+    np.testing.assert_allclose(adot, [2.5, 4.0], rtol=1e-15)

@@ -65,3 +65,25 @@ def test_tracer_finds_every_target_and_restores_nssol():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_tracer_counts_hermite_as_scaling_binds_it():
+    # the trajectory's pair calls _interp.hermite through the name bound
+    # in nssol.scaling: the tracer must wrap that binding and count it
+    tracing = _load_tracing()
+    params, family, window = isothermal_gaussian()
+    scaling = nssol.build_solution(params, family, t_end=window.t_max).scaling
+    module = sys.modules["nssol.scaling"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert vars(module)["hermite"].__wrapped__ is nssol._interp.hermite.__wrapped__
+        tracer.op = "smoke"
+        scaling.pair(0.2)
+        scaling.pair(np.linspace(0.1, 0.2, 5))
+        tracer.op = None
+    finally:
+        tracer.uninstall()
+    assert vars(module)["hermite"] is nssol._interp.hermite
+    assert tracer.totals["interp.hermite"][0] == 2
+    assert tracer.totals["scaling.pair"][0] == 2
