@@ -190,13 +190,17 @@ def _table(header, keys, values, fmt, **extra):
     once, or JSON columns then extra, byte for byte json.dumps(..., indent=2)
     but with the columns from json's C encoder (indent selects the slow one)."""
     if fmt == "json":
-        columns = [json.dumps(c.ravel().tolist(), separators=(",\n    ", ": "))
-                   for c in [*np.meshgrid(*keys, indexing="ij"), *values]]
-        items = [f"  {json.dumps(k)}: [\n    {c[1:-1]}\n  ]"
-                 for k, c in zip(header, columns)]
-        items += [f"  {json.dumps(k)}: " + json.dumps(v, indent=2).replace("\n", "\n  ")
-                  for k, v in extra.items()]
-        return "{\n" + ",\n".join(items) + "\n}\n"
+        # one list of parts joined once; each column's text is dropped as
+        # soon as its brackets are sliced off
+        parts = ["{\n"]
+        for k, c in zip(header, [*np.meshgrid(*keys, indexing="ij"), *values]):
+            parts += [f"  {json.dumps(k)}: [\n    ",
+                      json.dumps(c.ravel().tolist(), separators=(",\n    ", ": "))[1:-1],
+                      "\n  ],\n"]
+        parts += [f"  {json.dumps(k)}: " + json.dumps(v, indent=2).replace("\n", "\n  ")
+                  + ",\n" for k, v in extra.items()]
+        parts[-1] = parts[-1][:-2] + "\n}\n"
+        return "".join(parts)
     prefixes = [""]
     for key in keys:
         strings = [f"{x:.17g}," for x in key.tolist()]

@@ -167,7 +167,10 @@ class ImplicitProfile(Profile):
                f"z {{z!r}} beyond the shape's z_max={self.z_max!r}", z=z)
         if self._singular:
             refuse(OutOfRangeError, z > 0.0, "singular c(alpha), no shape at z={z!r}", z=z)
-        h = (0.5 * self.r * z * z).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0*inf at r = 0
+            h = 0.5 * self.r * z * z
+        refuse(DomainError, ~(h < math.inf), "r*z**2/2 overflows at z={z!r}", z=z)
+        h = h.ravel()
         vacuum = z >= (math.inf if self.z_vacuum is None else self.z_vacuum)
         solve = (h != 0.0) & ~vacuum.ravel()
         # Newton on log(D/h) in w = |log(y/alpha)|, D = G(y) - G(alpha), as

@@ -2,10 +2,13 @@
 
 The power-law family has the closed form a(t) = sigma*(m*t + n)**s; all
 other families integrate a second-order ODE in a(t) reduced to the first
-order system (a, a').  Integration is forward from t = 0, adaptive
-(rtol 1e-10, atol 1e-12), with early termination when a(t) falls to the
-vanishing threshold or exceeds a divergence cap.  Dense trajectories are
-stored on a uniform mesh and interpolated with cubic Hermite polynomials.
+order system (a, a').  Integration is forward from t = 0 with the
+package's own Dormand-Prince 5(4) stepper, scipy's RK45 redone on Python
+floats (rtol 1e-10, atol 1e-12), with early termination when a(t) falls
+to the vanishing threshold or exceeds a divergence cap.  Dense
+trajectories are stored on a uniform mesh, plus the integrator's own
+steps in the last interval of a collapse or a runaway, and interpolated
+with cubic Hermite polynomials.
 """
 
 import math
@@ -117,11 +120,14 @@ class NumericScaling(ScalingFn):
     kept as a per-interval Horner table built once, so evaluation is one
     lookup and three multiply-adds.  Evaluation outside [0, t_last]
     raises OutOfRangeError; t_last is shorter than the requested span
-    when the trajectory vanished or diverged.
+    when the trajectory vanished or diverged.  ``stats`` holds the
+    integrator's counts when it built the trajectory: ``nfev``,
+    ``accepted`` and ``rejected`` steps, and the ``stop`` reason (one of
+    the STOP_* values), else None.
     """
 
     def __init__(self, ts, a_values, adot_values, accel_values, status,
-                 vanishing_time=None, label=""):
+                 vanishing_time=None, label="", stats=None):
         ts = np.array(ts, dtype=float)
         # a and adot are one stack of curves: t is located once for both
         values = np.array([a_values, adot_values], dtype=float)
@@ -139,6 +145,7 @@ class NumericScaling(ScalingFn):
         self.status = status
         self.vanishing_time = vanishing_time
         self.label = label
+        self.stats = stats
 
     @property
     def t_end(self):
@@ -157,15 +164,159 @@ class NumericScaling(ScalingFn):
                 f"t_end={self.t_end}, status={self.status})")
 
 
-def _bisect_vanishing(dense, t_lo, t_hi, eps_a):
-    """Refine the time where a(t) = eps_a to 1e-10 on the dense output."""
-    while t_hi - t_lo > 1e-10:
-        mid = 0.5 * (t_lo + t_hi)
-        if dense(mid)[0] - eps_a > 0.0:
-            t_lo = mid
+#: Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6, 1980) as
+#: scipy's RK45 states it: the stage rows A, the fifth-order weights B
+#: (the zero weight of stage 2 left out), the error weights E over the
+#: seven stages of a step (likewise), and P, which maps the seven stages
+#: to the coefficients of x, x**2, x**3, x**4 of Shampine's quartic
+#: dense output, x = (t - t_old)/h
+_A2 = 1 / 5
+_A3 = (3 / 40, 9 / 40)
+_A4 = (44 / 45, -56 / 15, 32 / 9)
+_A5 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
+_A6 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
+_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+#: why an integration stopped, NumericScaling.stats["stop"]
+STOP_COMPLETED = "completed"
+STOP_VANISH = "vanish_event"
+STOP_DIVERGE = "diverge_event"
+STOP_UNDERFLOW = "underflow_vanished"
+
+
+def _float_rhs(accel):
+    """accel on Python floats as numpy would compute it on float64: a
+    complex power of a negative a, a ZeroDivisionError or an
+    OverflowError gives NaN, which rejects the step that met it."""
+    def g(a, v):
+        try:
+            x = accel(a, v)
+        except (ZeroDivisionError, OverflowError):
+            return math.nan
+        return math.nan if isinstance(x, complex) else x
+    return g
+
+
+def _rms(x, y):
+    return math.sqrt(x * x + y * y) / 2 ** 0.5
+
+
+def _dopri45(g, a, v, t_end, eps_a, cap_a):
+    """Dormand-Prince 5(4) steps of (a, v)' = (v, g(a, v)) from t = 0,
+    with the arithmetic and the step control of scipy's RK45.
+
+    The first step is Hairer's choice (Solving ODEs I, II.4).  The error
+    norm is the RMS of err/(ATOL + max(|y|, |y_new|)*RTOL); a step is
+    accepted below 1 and the next one scaled by 0.9*norm**(-1/5) within
+    [0.2, 10], not grown right after a rejection; a NaN stage rejects
+    with 0.2.  Stepping stops at t_end, after the first step that ends
+    with a <= eps_a or a >= cap_a, or when the step falls below
+    10 ulp(t) (STOP_UNDERFLOW: the caller decides whether that is a
+    vanishing).  Returns (rows, stop, rejected, (t, a, v)): one row
+    (t_old, t_new, a_old, the seven stage slopes of a, the first of them
+    v_old, then those of v) per accepted step, the STOP_* reason, the
+    count of rejected steps and the last accepted state.
+    """
+    f = g(a, v)
+    sa, sv = ATOL + abs(a) * RTOL, ATOL + abs(v) * RTOL
+    d0, d1 = _rms(a / sa, v / sv), _rms(v / sa, f / sv)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    v1 = v + h0 * f
+    d2 = _rms((v1 - v) / sa, (g(a + h0 * v, v1) - f) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t_end)
+
+    a31, a32 = _A3
+    a41, a42, a43 = _A4
+    a51, a52, a53, a54 = _A5
+    a61, a62, a63, a64, a65 = _A6
+    b1, b3, b4, b5, b6 = _B
+    e1, e3, e4, e5, e6, e7 = _E
+    rows = []
+    rejected = 0
+    t = 0.0
+    while True:
+        min_step = 10 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        retry = False
+        while True:
+            if h_abs < min_step:
+                return rows, STOP_UNDERFLOW, rejected, (t, a, v)
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            v2 = v + f * _A2 * h
+            g2 = g(a + v * _A2 * h, v2)
+            v3 = v + (f * a31 + g2 * a32) * h
+            g3 = g(a + (v * a31 + v2 * a32) * h, v3)
+            v4 = v + (f * a41 + g2 * a42 + g3 * a43) * h
+            g4 = g(a + (v * a41 + v2 * a42 + v3 * a43) * h, v4)
+            v5 = v + (f * a51 + g2 * a52 + g3 * a53 + g4 * a54) * h
+            g5 = g(a + (v * a51 + v2 * a52 + v3 * a53 + v4 * a54) * h, v5)
+            v6 = v + (f * a61 + g2 * a62 + g3 * a63 + g4 * a64 + g5 * a65) * h
+            g6 = g(a + (v * a61 + v2 * a62 + v3 * a63 + v4 * a64 + v5 * a65) * h, v6)
+            a_new = a + h * (v * b1 + v3 * b3 + v4 * b4 + v5 * b5 + v6 * b6)
+            v_new = v + h * (f * b1 + g3 * b3 + g4 * b4 + g5 * b5 + g6 * b6)
+            g7 = g(a_new, v_new)
+            err = _rms(
+                (v * e1 + v3 * e3 + v4 * e4 + v5 * e5 + v6 * e6 + v_new * e7) * h
+                / (ATOL + max(abs(a), abs(a_new)) * RTOL),
+                (f * e1 + g3 * e3 + g4 * e4 + g5 * e5 + g6 * e6 + g7 * e7) * h
+                / (ATOL + max(abs(v), abs(v_new)) * RTOL))
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if retry else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)  # max() drops a NaN norm
+            retry = True
+            rejected += 1
+        rows.append((t, t_new, a, v, v2, v3, v4, v5, v6, v_new,
+                     f, g2, g3, g4, g5, g6, g7))
+        t, a, v, f = t_new, a_new, v_new, g7
+        if a <= eps_a:
+            return rows, STOP_VANISH, rejected, (t, a, v)
+        if a >= cap_a:
+            return rows, STOP_DIVERGE, rejected, (t, a, v)
+        if t >= t_end:
+            return rows, STOP_COMPLETED, rejected, (t, a, v)
+
+
+def _quartic(t, t_old, h, y_old, q):
+    """RK45's dense output y_old + h*(q0*x + q1*x**2 + q2*x**3 + q3*x**4),
+    x = (t - t_old)/h, on floats or on arrays of steps."""
+    x = (t - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    return y_old + h * (q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * (x3 * x))
+
+
+def _bisect(before, lo, hi, width=0.0):
+    """Narrow [lo, hi], with before(lo) true and before(hi) false, by
+    bisection until hi - lo <= width, or to adjacent floats."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if before(mid):
+            lo = mid
         else:
-            t_hi = mid
-    return 0.5 * (t_lo + t_hi)
+            hi = mid
+    return lo, hi
 
 
 def _integrate(accel, a0, a1, t_end, label):
@@ -174,40 +325,25 @@ def _integrate(accel, a0, a1, t_end, label):
     Returns a NumericScaling.  Terminates early with status "vanished"
     when a <= EPS_A_FRAC*a0 (the vanishing time is then bracketed to
     1e-10 by bisection on the dense output) or "diverged" when
-    a >= CAP_A_FRAC*a0.
+    a >= CAP_A_FRAC*a0; the crossing that ends the trajectory is the
+    float nearest to it on the last step's dense output.
     """
     if not (0.0 < a0 < np.inf and 0.0 < t_end < np.inf):
         raise ValueError(f"a0 and t_end must be finite and > 0, got {a0}, {t_end}")
-    if not np.isfinite(accel(a0, a1)):  # NaN constants stall solve_ivp
+    a0, a1, t_end = float(a0), float(a1), float(t_end)
+    g = _float_rhs(accel)
+    if not math.isfinite(g(a0, a1)):  # NaN constants stall the stepper
         raise ValueError(f"a'' is not finite at t=0 (a0={a0}, a1={a1})")
-    from scipy.integrate import solve_ivp
-
     eps_a = EPS_A_FRAC * a0
     cap_a = CAP_A_FRAC * a0
-
-    def rhs(t, state):
-        return [state[1], accel(state[0], state[1])]
-
-    def vanish_event(t, state):
-        return state[0] - eps_a
-
-    vanish_event.terminal = True
-    vanish_event.direction = -1
-
-    def diverge_event(t, state):
-        return state[0] - cap_a
-
-    diverge_event.terminal = True
-    diverge_event.direction = 1
-
-    sol = solve_ivp(rhs, [0.0, t_end], [a0, a1], method="RK45",
-                    rtol=RTOL, atol=ATOL, dense_output=True,
-                    events=[vanish_event, diverge_event])
-
+    rows, stop, rejected, (t_last, a_last, v_last) = _dopri45(
+        g, a0, a1, t_end, eps_a, cap_a)
+    stats = {"nfev": 2 + 6 * (len(rows) + rejected), "accepted": len(rows),
+             "rejected": rejected, "stop": stop}
     status = STATUS_COMPLETED
     t_v = None
     t_stop = t_end
-    if sol.status == -1:
+    if stop == STOP_UNDERFLOW:
         # Step-size underflow during a fast collapse means the remaining
         # time to a = 0 fell below the float64 resolution of t itself
         # (a ~ (t_v - t)**(1/3) from the viscous runaway, or the steep
@@ -215,28 +351,37 @@ def _integrate(accel, a0, a1, t_end, label):
         # When the linear-extrapolation bound a/|a'| already localizes the
         # vanishing time tighter than the 1e-10 bracket, report it as
         # vanished; anything else is a genuine failure.
-        a_last = float(sol.y[0, -1])
-        v_last = float(sol.y[1, -1])
-        t_last = float(sol.t[-1])
         remaining = a_last / abs(v_last) if v_last < 0.0 else np.inf
-        if remaining < 1e-10:
-            status = STATUS_VANISHED
-            t_v = t_last
-            t_stop = t_last
-        else:
+        if not remaining < 1e-10:
             raise StepFailureError(
-                f"scaling integration ({label}) failed: {sol.message}",
+                f"scaling integration ({label}) failed: Required step size"
+                " is less than spacing between numbers.",
                 t=t_last, state=(a_last, v_last))
-    elif sol.status == 1:
-        if len(sol.t_events[0]):
+        status = STATUS_VANISHED
+        t_v = t_stop = t_last
+    t_olds, ends, a_olds, *slopes = np.array(rows).T
+    hs = ends - t_olds
+    y_olds = np.array([a_olds, slopes[0]])
+    # q[k, c, i]: the coefficient of x**(k+1) of a (c = 0) or a' on step i
+    q = np.einsum("cjs,jk->kcs", np.reshape(slopes, (2, 7, -1)), _P)
+    if stop in (STOP_VANISH, STOP_DIVERGE):
+        t_old, t_new, a_old = rows[-1][:3]
+        h, qa = t_new - t_old, q[:, 0, -1].tolist()
+        sign, level = (1.0, eps_a) if stop == STOP_VANISH else (-1.0, cap_a)
+
+        def gap(t):  # > 0 until a crosses the level
+            return sign * (_quartic(t, t_old, h, a_old, qa) - level)
+
+        def before(t):
+            return gap(t) > 0.0
+
+        lo, hi = _bisect(before, t_old, t_new)
+        t_stop = lo if abs(gap(lo)) < abs(gap(hi)) else hi
+        if stop == STOP_VANISH:
             status = STATUS_VANISHED
-            te = float(sol.t_events[0][0])
-            t_prev = float(sol.t[-2]) if len(sol.t) > 1 else 0.0
-            t_v = _bisect_vanishing(sol.sol, t_prev, te, eps_a)
-            t_stop = te
+            t_v = 0.5 * sum(_bisect(before, t_old, t_stop, 1e-10))
         else:
             status = STATUS_DIVERGED
-            t_stop = float(sol.t_events[1][0])
 
     n_nodes = max(int(np.floor(t_stop / DEFAULT_DT)), 1)
     ts = np.linspace(0.0, n_nodes * DEFAULT_DT, n_nodes + 1)
@@ -244,14 +389,18 @@ def _integrate(accel, a0, a1, t_end, label):
         ts = np.append(ts, t_stop)
     else:
         ts[-1] = t_stop
-    states = sol.sol(ts)
-    a_vals = states[0]
-    adot_vals = states[1]
+    if status != STATUS_COMPLETED:
+        # a collapse or a runaway outruns any fixed spacing: the steps of
+        # the last interval are its nodes, so its cubics follow their scale
+        within = ends[(ends > ts[-2]) & (ends < t_stop)]
+        ts = np.concatenate([ts[:-1], within, ts[-1:]])
+    i = ends[:-1].searchsorted(ts)  # a step's end belongs to that step
+    a_vals, adot_vals = _quartic(ts, t_olds[i], hs[i], y_olds[:, i], q[..., i])
     # the event node can undershoot eps_a by the root-finder tolerance
     a_vals = np.maximum(a_vals, 0.5 * eps_a)
     accel_vals = accel(a_vals, adot_vals)
     return NumericScaling(ts, a_vals, adot_vals, accel_vals, status,
-                          vanishing_time=t_v, label=label)
+                          vanishing_time=t_v, label=label, stats=stats)
 
 
 def integrate_isothermal(B, K, kappa, N, a0, a1, t_end):

@@ -1,9 +1,10 @@
 """Independent numerical oracles used by the tests.
 
 Everything here is deliberately dumb and self-contained: fixed-step
-classical RK4 in pure Python, plus a crossing locator.  These never call
-into the package's adaptive integrators, so agreement between the two
-routes is a real check rather than a tautology.
+classical RK4 in pure Python, plus a crossing locator, and scipy's RK45
+as the reference the package's own Dormand-Prince stepper must match.
+These never call into the package's adaptive integrators, so agreement
+between the routes is a real check rather than a tautology.
 """
 
 
@@ -104,3 +105,42 @@ def rk4_crossing_time(accel, a0, a1, threshold, h, t_max):
         dt = (a_pre - threshold) / (-v_pre)
         return t_pre + min(dt, t_post - t_pre)
     return t_pre + 0.5 * (t_post - t_pre)
+
+
+def rk45_scaling(accel, a0, a1, t_end, rtol, atol, eps_a, cap_a):
+    """a'' = accel(a, a') from (a0, a1) with scipy's solve_ivp RK45,
+    stopped by the terminal events a = eps_a (falling) and a = cap_a
+    (rising), the way the package's scalings were built on scipy.
+
+    Returns (status, vanishing time or None, solve_ivp's result): a
+    vanishing found by the event is refined to 1e-10 by bisection on
+    the dense output, and a step-size underflow counts as a vanishing
+    at the last accepted time.  Imports scipy.
+    """
+    import numpy as np
+    from scipy.integrate import solve_ivp
+
+    def vanish(t, y):
+        return y[0] - eps_a
+
+    def diverge(t, y):
+        return y[0] - cap_a
+
+    vanish.terminal, vanish.direction = True, -1
+    diverge.terminal, diverge.direction = True, 1
+    with np.errstate(all="ignore"):  # numpy's NaN for a trial a < 0
+        sol = solve_ivp(lambda t, y: [y[1], accel(y[0], y[1])], [0.0, t_end],
+                        [a0, a1], method="RK45", rtol=rtol, atol=atol,
+                        dense_output=True, events=[vanish, diverge])
+    if sol.status == -1:
+        return "vanished", float(sol.t[-1]), sol
+    if sol.status == 1 and len(sol.t_events[0]):
+        lo, hi = float(sol.t[-2]), float(sol.t_events[0][0])
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            if sol.sol(mid)[0] > eps_a:
+                lo = mid
+            else:
+                hi = mid
+        return "vanished", 0.5 * (lo + hi), sol
+    return ("diverged" if sol.status == 1 else "completed"), None, sol

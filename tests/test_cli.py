@@ -278,21 +278,32 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys):
         RunConfig(cfg)
 
 
-def test_import_leaves_scipy_out():
-    # scipy is imported by the integrators on first use, not by the
-    # package import every CLI call pays for, nor by the power-law
-    # family, whose shape and scaling are closed forms
+def test_import_leaves_scipy_out(tmp_path):
+    # nssol imports no scipy: not on import, which every CLI call pays
+    # for, not in any family's build (the scaling ODEs run on the
+    # package's own stepper), and not in any subcommand
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = _isothermal_config(1.0, 0.3)
+    cfg["verify"] = {"window": {"t_min": 0.1, "t_max": 0.3, "r_min": 0.1, "r_max": 1.0},
+                     "resolutions": [[1e-3, 1e-3], [5e-4, 5e-4]], "lattice": 5}
+    path = _write(tmp_path, cfg)
+    out = str(tmp_path / "payload")
     code = ("import sys, nssol, nssol.cli\n"
-            "from tests.cases import powerlaw_blowup\n"
-            "params, family, _ = powerlaw_blowup()\n"
-            "nssol.build_solution(params, family, t_end=0.5).field()(0.2, 0.7)\n"
-            "print('scipy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                             [os.path.join(root, "src"), root])})
-    assert out.stdout.strip() == "False"
+            "from tests import cases\n"
+            "for make in (cases.isothermal_stated, cases.isothermal_gaussian,\n"
+            "             cases.polytropic_n1, cases.powerlaw_blowup,\n"
+            "             cases.pressureless_theta1, cases.pressureless_theta2):\n"
+            "    params, family, _ = make()\n"
+            "    nssol.build_solution(params, family, t_end=0.5).field()(0.2, 0.7)\n"
+            "codes = [nssol.cli.main([cmd, '--config', sys.argv[1], '--out', sys.argv[2],\n"
+            "                         '--quiet']) for cmd in ('describe', 'profile',\n"
+            "         'scale', 'field', 'verify', 'blowup')]\n"
+            "print(codes, 'scipy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, path, out],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                [os.path.join(root, "src"), root])})
+    assert result.stdout.strip() == "[0, 0, 0, 0, 0, 0] False"
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nssol import (
+    DomainError,
     ExpQuadratic,
     ImplicitProfile,
     ModelParams,
@@ -392,6 +393,21 @@ def test_power_root_refuses_infinite_z():
         clipped.evaluate(math.inf)
     with pytest.raises(DomainError, match="z=nan"):
         clipped.evaluate(math.nan)
+
+
+def test_implicit_shape_refuses_infinite_and_huge_z():
+    # with its default z_max = inf, r*z**2/2 overflows near z = 1.4e154
+    shape = ImplicitProfile(1.0, 2.0, 1.0, 2.0, 1.5, 1.0)
+    for z in (math.inf, -math.inf, 1e155, np.array([0.5, 1e200])):
+        with pytest.raises(DomainError, match="overflows at z="):
+            shape.evaluate(z)
+    # r = 0 leaves h = 0 at any finite z, but 0*inf at z = inf
+    flat = ImplicitProfile(1.0, 2.0, 0.0, 2.0, 1.5, 1.0)
+    assert flat.evaluate(1e200) == (1.0, 0.0)
+    with pytest.raises(DomainError):
+        flat.evaluate(math.inf)
+    y, dy = shape.evaluate(np.array([0.0, 1e150]))
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(dy))
 
 
 def test_implicit_shape_refuses_nan_z():

@@ -9,13 +9,16 @@ from nssol import (
     DomainError,
     OutOfRangeError,
     PowerLawScaling,
+    build_solution,
     integrate_isothermal,
     integrate_polytropic,
     integrate_pressureless,
+    scaling,
     vanishing_time,
 )
 from nssol.scaling import EPS_A_FRAC, STATUS_VANISHED, NumericScaling
-from tests.oracles import rk4_crossing_time, rk4_second_order
+from tests import cases
+from tests.oracles import rk45_scaling, rk4_crossing_time, rk4_second_order
 
 
 # --- trivial exact cases -----------------------------------------------------
@@ -329,11 +332,10 @@ def test_batched_pair_matches_scalar_calls_bit_for_bit():
 
 
 def test_table_agrees_with_hermite_basis_form():
-    # the last interval of a vanished trajectory is built from the
-    # collapse's huge end slopes and swings far beyond its node values,
-    # so only completed trajectories are held to their stored sizes
+    # a vanished trajectory too: with the integrator's steps as nodes in
+    # its last interval, no cubic there swings beyond its stored sizes
     rng = np.random.default_rng(11)
-    for fn, accel in _trajectories()[:3]:
+    for fn, accel in _trajectories():
         values = np.array([fn.a_values, fn.adot_values])
         slopes = np.array([fn.adot_values, accel(fn.a_values, fn.adot_values)])
         ts = rng.uniform(0.0, fn.t_end, 100_000)
@@ -366,3 +368,130 @@ def test_two_node_trajectory():
     a, adot = fn.pair(np.array([0.25, 1.0]))
     np.testing.assert_allclose(a, [1.5625, 4.0], rtol=1e-15)
     np.testing.assert_allclose(adot, [2.5, 4.0], rtol=1e-15)
+
+
+# --- the Dormand-Prince stepper ---------------------------------------------------
+
+def _integrated_scalings(monkeypatch):
+    """(scaling, accel, a0, a1, t_end) of each integration run by the
+    five canonical ODE families and by both steep polytropic collapses."""
+    runs = []
+    integrate = scaling._integrate
+
+    def spy(accel, a0, a1, t_end, label):
+        fn = integrate(accel, a0, a1, t_end, label)
+        runs.append((fn, accel, a0, a1, t_end))
+        return fn
+
+    monkeypatch.setattr(scaling, "_integrate", spy)
+    for make in (cases.isothermal_stated, cases.isothermal_gaussian,
+                 cases.polytropic_n1, cases.pressureless_theta1,
+                 cases.pressureless_theta2):
+        params, family, _ = make()
+        build_solution(params, family, t_end=1.2)
+    for gamma, N, a1 in ((2.0, 3, 0.0), (2.5, 2, -0.2)):
+        integrate_polytropic(gamma=gamma, K=1.0, kappa=1.0, N=N, a0=1.0, a1=a1,
+                             t_end=1.2)
+    return runs
+
+
+def test_stepper_matches_scipy_rk45(monkeypatch):
+    pytest.importorskip("scipy.integrate")
+    runs = _integrated_scalings(monkeypatch)
+    assert [fn.status for fn, *_ in runs].count(STATUS_VANISHED) == 4
+    for fn, accel, a0, a1, t_end in runs:
+        status, t_v, sol = rk45_scaling(accel, a0, a1, t_end, scaling.RTOL, scaling.ATOL,
+                                        EPS_A_FRAC * a0, scaling.CAP_A_FRAC * a0)
+        assert fn.status == status, fn
+        if t_v is None:
+            assert fn.vanishing_time is None
+        else:
+            assert abs(fn.vanishing_time - t_v) <= 1e-14 * t_v, fn
+        # the mesh nodes strictly inside, short of the last interval
+        ts = fn.ts[1:int(fn.t_end / scaling.DEFAULT_DT)]
+        np.testing.assert_allclose(fn.pair(ts), sol.sol(ts), rtol=1e-11, atol=0.0)
+
+
+def test_stats_count_the_steps_and_name_the_stop():
+    completed = integrate_isothermal(B=-1.0, K=1.0, kappa=1.0, N=3, a0=1.0,
+                                     a1=0.0, t_end=0.5)
+    underflow = integrate_isothermal(B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0,
+                                     a1=0.0, t_end=1.5)
+    event = integrate_pressureless(theta=1.0, lam=0.0, N=1, a0=1.0, a1=-1.0,
+                                   t_end=2.0)
+    # theta = 0.1, N = 3: a' ~ a**1.7/1.7 runs away in finite time
+    diverged = integrate_pressureless(theta=0.1, lam=-1.0, N=3, a0=1.0, a1=1.0,
+                                      t_end=5.0)
+    for fn, stop in ((completed, scaling.STOP_COMPLETED),
+                     (underflow, scaling.STOP_UNDERFLOW),
+                     (event, scaling.STOP_VANISH),
+                     (diverged, scaling.STOP_DIVERGE)):
+        stats = fn.stats
+        assert sorted(stats) == ["accepted", "nfev", "rejected", "stop"]
+        assert stats["stop"] == stop
+        assert stats["accepted"] > 0 and stats["rejected"] >= 0
+        # f at t = 0, the first-step probe, then six stages per attempt
+        assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+    assert diverged.status == "diverged" and diverged.vanishing_time is None
+    # a moves by ~6e3 per ulp of t there: the crossing is the nearest float
+    assert diverged.a_values[-1] == pytest.approx(scaling.CAP_A_FRAC, rel=1e-8)
+    assert NumericScaling([0.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0],
+                          "completed").stats is None
+
+
+def test_negative_trial_stage_is_rejected_not_complex(monkeypatch):
+    # with K and kappa tiny, a = 1 - t is nearly linear and the growing
+    # steps overshoot a = 0: a**(-1.5) of a negative trial a is complex
+    # on Python floats (and NaN with a RuntimeWarning on numpy floats),
+    # and must reject the step
+    def build():
+        return integrate_polytropic(gamma=1.5, K=1e-9, kappa=1e-9, N=1, a0=1.0,
+                                    a1=-1.0, t_end=2.0)
+
+    fn = build()
+    assert fn.stats["rejected"] > 0 and fn.stats["stop"] == scaling.STOP_VANISH
+    assert fn.status == STATUS_VANISHED and 0.99999 < fn.vanishing_time < 1.0
+    assert np.all(np.isfinite(fn.a_values)) and fn.a_values.min() > 0.0
+    negative = []
+    float_rhs = scaling._float_rhs
+
+    def spy(accel):
+        g = float_rhs(accel)
+
+        def rhs(a, v):
+            x = g(a, v)
+            if a < 0.0:
+                negative.append(x)
+            return x
+        return rhs
+
+    monkeypatch.setattr(scaling, "_float_rhs", spy)
+    assert build().stats == fn.stats
+    assert negative and all(np.isnan(x) for x in negative)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: integrate_isothermal(B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
+                                 t_end=1.5),
+    lambda: integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
+                                 t_end=1.2),
+    lambda: integrate_polytropic(gamma=2.5, K=1.0, kappa=1.0, N=2, a0=1.0, a1=-0.2,
+                                 t_end=1.2),
+    lambda: integrate_pressureless(theta=0.1, lam=-1.0, N=3, a0=1.0, a1=1.0,
+                                   t_end=5.0),
+], ids=["isothermal", "steep_n3", "steep_n2", "runaway"])
+def test_last_interval_of_an_early_stop_stays_between_its_nodes(build):
+    # the integrator's steps inside the last mesh interval are nodes too,
+    # so the cubics there follow the collapse or the runaway instead of
+    # swinging off (with one cubic, the isothermal collapse gave a ~ 1.1e3
+    # and adot ~ 6.1e16 at t = 0.4098946, and the runaway a < 0)
+    fn = build()
+    assert fn.status != "completed"
+    k = int(np.searchsorted(fn.ts, np.floor(fn.t_end / scaling.DEFAULT_DT)
+                            * scaling.DEFAULT_DT * (1.0 - 1e-12)))
+    ts = np.random.default_rng(5).uniform(fn.ts[k], fn.t_end, 100_000)
+    a, adot = fn.pair(ts)
+    lo, hi = sorted((fn.a_values[k], fn.a_values[-1]))
+    assert np.all((a >= lo) & (a <= hi))
+    assert np.all(adot * fn.adot_values[-1] > 0.0)
+    assert len(fn.ts) - k - 2 > 100  # the step times inside the interval
