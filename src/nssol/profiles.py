@@ -56,7 +56,9 @@ class ExpQuadratic(Profile):
 
     def evaluate(self, z):
         z = np.abs(np.asarray(z, dtype=float))
-        arg = self.B * z * z + self.C
+        # +inf (or 0*inf at B = 0) is refused below, -inf decays to 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            arg = self.B * z * z + self.C
         refuse(DomainError, ~(arg <= 709.0) | (z == math.inf),  # y overflows near a = 0
                "density shape overflows at z={z!r} (exponent {arg:.4g})", z=z, arg=arg)
         y = self.A * np.exp(arg)
@@ -92,10 +94,12 @@ class PowerRoot(Profile):
 
     def evaluate(self, z):
         z = np.abs(np.asarray(z, dtype=float))
-        rad = self._radicand(z)
-        vacuum = rad <= 0.0
-        base = np.where(vacuum, 1.0, rad)
-        with np.errstate(over="ignore"):
+        # a radicand past the float range is +inf (or 0*inf at xi = 0),
+        # refused below, or -inf, vacuum
+        with np.errstate(over="ignore", invalid="ignore"):
+            rad = self._radicand(z)
+            vacuum = rad <= 0.0
+            base = np.where(vacuum, 1.0, rad)
             y = np.power(base, self._p)
             dy = self.xi * z * np.power(base, self._p - 1.0)
         refuse(DomainError, ~np.isfinite(y) | (z == math.inf),
@@ -104,7 +108,8 @@ class PowerRoot(Profile):
 
     def in_support(self, z):
         """True where the radicand is positive (the shape is not clipped)."""
-        return self._radicand(np.abs(z)) > 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._radicand(np.abs(z)) > 0.0
 
     def support_radius(self):
         """Boundary z* = sqrt(-c0/c2) where the radicand c2*z**2 + c0

@@ -5,17 +5,16 @@ other families integrate a second-order ODE in a(t) reduced to the first
 order system (a, a').  Integration is forward from t = 0 with the
 package's own Dormand-Prince 5(4) stepper, scipy's RK45 redone on Python
 floats (rtol 1e-10, atol 1e-12), with early termination when a(t) falls
-to the vanishing threshold or exceeds a divergence cap.  Dense
-trajectories are stored on a uniform mesh, plus the integrator's own
-steps in the last interval of a collapse or a runaway, and interpolated
-with cubic Hermite polynomials.
+to the vanishing threshold or exceeds a divergence cap.  A trajectory is
+served by the stepper's own quartic dense output: each accepted step is
+a node, and between nodes a(t) and a'(t) are that step's polynomials.
 """
 
 import math
 
 import numpy as np
 
-from ._interp import hermite, hermite_table, unbox
+from ._interp import hermite, unbox
 from .errors import DomainError, StepFailureError, refuse
 
 #: a(t) <= EPS_A_FRAC * a0 terminates integration with status "vanished"
@@ -23,9 +22,6 @@ EPS_A_FRAC = 1e-8
 
 #: a(t) >= CAP_A_FRAC * a0 terminates integration with status "diverged"
 CAP_A_FRAC = 1e12
-
-#: spacing of the stored dense trajectory
-DEFAULT_DT = 1e-3
 
 RTOL = 1e-10
 ATOL = 1e-12
@@ -113,29 +109,31 @@ class PowerLawScaling(ScalingFn):
 
 
 class NumericScaling(ScalingFn):
-    """Dense (t, a, adot) trajectory with cubic Hermite interpolation.
+    """An integrated trajectory, served by its integrator's dense output.
 
-    The acceleration values at the nodes come from the generating ODE,
-    so both a and adot interpolate at O(dt^4) / O(dt^3).  The cubics are
-    kept as a per-interval Horner table built once, so evaluation is one
-    lookup and three multiply-adds.  Evaluation outside [0, t_last]
-    raises OutOfRangeError; t_last is shorter than the requested span
-    when the trajectory vanished or diverged.  ``stats`` holds the
-    integrator's counts when it built the trajectory: ``nfev``,
-    ``accepted`` and ``rejected`` steps, and the ``stop`` reason (one of
-    the STOP_* values), else None.
+    ts are the accepted steps' start times and the end, values the stack
+    (a, adot) there, and table, shape (4, 2, len(ts)), the coefficients
+    of s, s**2, s**3 and s**4, s = t - ts[i], of each step's quartic in
+    a and in adot (zero in the column of the end).  Evaluation is one
+    lookup and one four-term Horner (_interp.hermite), so pair(t) is the
+    integrator's own dense output to rounding.  Evaluation outside
+    [0, t_last] raises OutOfRangeError; t_last is shorter than the
+    requested span when the trajectory vanished or diverged.  ``stats``
+    holds the integrator's counts when it built the trajectory:
+    ``nfev``, ``accepted`` and ``rejected`` steps, and the ``stop``
+    reason (one of the STOP_* values), else None.
     """
 
-    def __init__(self, ts, a_values, adot_values, accel_values, status,
-                 vanishing_time=None, label="", stats=None):
+    def __init__(self, ts, values, table, status, vanishing_time=None,
+                 label="", stats=None):
         ts = np.array(ts, dtype=float)
         # a and adot are one stack of curves: t is located once for both
-        values = np.array([a_values, adot_values], dtype=float)
+        values = np.array(values, dtype=float)
+        table = np.array(table, dtype=float)
         if not np.all(np.diff(ts) > 0.0):
             raise ValueError("trajectory times must be strictly increasing")
         if not np.all(values[0] > 0.0):
             raise ValueError("trajectory a values must stay positive")
-        table = hermite_table(ts, values, np.array([adot_values, accel_values], float))
         for arr in (ts, values, table):
             arr.flags.writeable = False
         self.ts = ts
@@ -296,15 +294,6 @@ def _dopri45(g, a, v, t_end, eps_a, cap_a):
             return rows, STOP_COMPLETED, rejected, (t, a, v)
 
 
-def _quartic(t, t_old, h, y_old, q):
-    """RK45's dense output y_old + h*(q0*x + q1*x**2 + q2*x**3 + q3*x**4),
-    x = (t - t_old)/h, on floats or on arrays of steps."""
-    x = (t - t_old) / h
-    x2 = x * x
-    x3 = x2 * x
-    return y_old + h * (q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * (x3 * x))
-
-
 def _bisect(before, lo, hi, width=0.0):
     """Narrow [lo, hi], with before(lo) true and before(hi) false, by
     bisection until hi - lo <= width, or to adjacent floats."""
@@ -342,7 +331,7 @@ def _integrate(accel, a0, a1, t_end, label):
              "rejected": rejected, "stop": stop}
     status = STATUS_COMPLETED
     t_v = None
-    t_stop = t_end
+    t_stop = t_last
     if stop == STOP_UNDERFLOW:
         # Step-size underflow during a fast collapse means the remaining
         # time to a = 0 fell below the float64 resolution of t itself
@@ -358,48 +347,43 @@ def _integrate(accel, a0, a1, t_end, label):
                 " is less than spacing between numbers.",
                 t=t_last, state=(a_last, v_last))
         status = STATUS_VANISHED
-        t_v = t_stop = t_last
-    t_olds, ends, a_olds, *slopes = np.array(rows).T
-    hs = ends - t_olds
-    y_olds = np.array([a_olds, slopes[0]])
-    # q[k, c, i]: the coefficient of x**(k+1) of a (c = 0) or a' on step i
+        t_v = t_last
+    t_olds, t_news, a_olds, *slopes = np.array(rows).T
+    # table[k, c, i]: the coefficient of s**(k+1), s = t - t_olds[i], in a
+    # (c = 0) or a' on step i; RK45's dense output y_old + h*sum q[k]*x**(k+1),
+    # x = s/h, has it as q[k]/h**k
     q = np.einsum("cjs,jk->kcs", np.reshape(slopes, (2, 7, -1)), _P)
+    table = q / (t_news - t_olds) ** np.arange(4.0)[:, None, None]
+    t_old, _, a_old, v_old = rows[-1][:4]
+    c_a, c_v = table[..., -1].T.tolist()
+
+    def horner(y, c, t):  # the last step's polynomial, as hermite computes it
+        s = t - t_old
+        return y + s * (c[0] + s * (c[1] + s * (c[2] + s * c[3])))
+
     if stop in (STOP_VANISH, STOP_DIVERGE):
-        t_old, t_new, a_old = rows[-1][:3]
-        h, qa = t_new - t_old, q[:, 0, -1].tolist()
         sign, level = (1.0, eps_a) if stop == STOP_VANISH else (-1.0, cap_a)
 
         def gap(t):  # > 0 until a crosses the level
-            return sign * (_quartic(t, t_old, h, a_old, qa) - level)
+            return sign * (horner(a_old, c_a, t) - level)
 
         def before(t):
             return gap(t) > 0.0
 
-        lo, hi = _bisect(before, t_old, t_new)
+        lo, hi = _bisect(before, t_old, t_stop)
         t_stop = lo if abs(gap(lo)) < abs(gap(hi)) else hi
         if stop == STOP_VANISH:
             status = STATUS_VANISHED
             t_v = 0.5 * sum(_bisect(before, t_old, t_stop, 1e-10))
         else:
             status = STATUS_DIVERGED
-
-    n_nodes = max(int(np.floor(t_stop / DEFAULT_DT)), 1)
-    ts = np.linspace(0.0, n_nodes * DEFAULT_DT, n_nodes + 1)
-    if ts[-1] < t_stop - 1e-15 * max(1.0, t_stop):
-        ts = np.append(ts, t_stop)
-    else:
-        ts[-1] = t_stop
-    if status != STATUS_COMPLETED:
-        # a collapse or a runaway outruns any fixed spacing: the steps of
-        # the last interval are its nodes, so its cubics follow their scale
-        within = ends[(ends > ts[-2]) & (ends < t_stop)]
-        ts = np.concatenate([ts[:-1], within, ts[-1:]])
-    i = ends[:-1].searchsorted(ts)  # a step's end belongs to that step
-    a_vals, adot_vals = _quartic(ts, t_olds[i], hs[i], y_olds[:, i], q[..., i])
-    # the event node can undershoot eps_a by the root-finder tolerance
-    a_vals = np.maximum(a_vals, 0.5 * eps_a)
-    accel_vals = accel(a_vals, adot_vals)
-    return NumericScaling(ts, a_vals, adot_vals, accel_vals, status,
+    # the end node's column is zero, so t within hermite's edge tolerance
+    # past it gets the end values; the event node can undershoot eps_a by
+    # the root-finder tolerance
+    a_end = max(horner(a_old, c_a, t_stop), 0.5 * eps_a)
+    values = np.append([a_olds, slopes[0]], [[a_end], [horner(v_old, c_v, t_stop)]], axis=1)
+    return NumericScaling(np.append(t_olds, t_stop), values,
+                          np.append(table, np.zeros((4, 2, 1)), axis=2), status,
                           vanishing_time=t_v, label=label, stats=stats)
 
 

@@ -410,6 +410,23 @@ def test_implicit_shape_refuses_infinite_and_huge_z():
     assert np.all(np.isfinite(y)) and np.all(np.isfinite(dy))
 
 
+def test_closed_form_shapes_at_huge_z_refuse_or_vanish_without_warning():
+    # B*z*z and the radicand overflow to +-inf at z = 1e200: the growing
+    # shapes refuse, the decaying and the vacuum-reaching ones give 0
+    for shape in (ExpQuadratic(1.0, 1.0, 0.0), PowerRoot(0.0, 1.0, 1.0)):
+        with pytest.raises(DomainError, match="overflows at z=1e[+]200"):
+            shape.evaluate(1e200)
+    # flat shapes: 0*inf at z = inf, refused all the same
+    for shape in (ExpQuadratic(1.0, 0.0, 0.0), PowerRoot(0.0, 0.0, 1.0)):
+        assert shape.evaluate(1e200) == (1.0, 0.0)
+        with pytest.raises(DomainError, match="overflows at z=inf"):
+            shape.evaluate(math.inf)
+    for shape in (ExpQuadratic(1.0, -1.0, 0.0), PowerRoot(-1.5, 1.0, 1.0)):
+        assert shape.evaluate(1e200) == (0.0, 0.0)
+        y, dy = shape.evaluate(np.array([1.0, 1e200]))
+        assert y[1] == dy[1] == 0.0 and y[0] > 0.0
+
+
 def test_implicit_shape_refuses_nan_z():
     from nssol import build_solution
     from tests.cases import powerlaw_blowup

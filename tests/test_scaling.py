@@ -236,10 +236,11 @@ def test_scalings_state_their_own_facts():
 def test_stored_adot_matches_centered_difference_of_a():
     fn = integrate_isothermal(B=-1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
                               t_end=0.5)
-    ts, avals, advals = fn.ts, fn.a_values, fn.adot_values
+    ts = np.linspace(0.0, 0.5, 501)
+    avals, advals = fn.pair(ts)
     dt = ts[1] - ts[0]
 
-    def err(k):  # centered difference of a over k node spacings
+    def err(k):  # centered difference of a over k grid spacings
         diffs = (avals[2 * k:] - avals[:-2 * k]) / (2.0 * k * dt)
         return np.max(np.abs(diffs - advals[k:-k]))
 
@@ -251,7 +252,7 @@ def test_interpolated_values_between_nodes():
     fn = integrate_isothermal(B=-1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
                               t_end=0.4)
     accel = _iso_accel(-1.0, 1.0, 1.0, 3)
-    # probe times sit between stored mesh nodes and are exact multiples
+    # probe times sit between stored nodes and are exact multiples
     # of the oracle step
     for t in (0.12345, 0.22715, 0.39995):
         a_oracle, ad_oracle = rk4_second_order(accel, 1.0, 0.0, t, 1e-5)
@@ -261,10 +262,10 @@ def test_interpolated_values_between_nodes():
 
 def test_numeric_scaling_rejects_bad_trajectories():
     with pytest.raises(ValueError):
-        NumericScaling([0.0, 0.1, 0.05], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0],
-                       [0.0, 0.0, 0.0], "completed")
+        NumericScaling([0.0, 0.1, 0.05], [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+                       np.zeros((4, 2, 3)), "completed")
     with pytest.raises(ValueError):
-        NumericScaling([0.0, 0.1], [1.0, -1.0], [0.0, 0.0], [0.0, 0.0],
+        NumericScaling([0.0, 0.1], [[1.0, -1.0], [0.0, 0.0]], np.zeros((4, 2, 2)),
                        "completed")
 
 
@@ -282,64 +283,62 @@ def test_powerlaw_scaling_refuses_nan_time():
         PowerLawScaling(1.0, -1.0, 2.0, 0.5).pair(np.nan)
 
 
-# --- the per-interval cubic table and its interval lookup ----------------------
+# --- the per-step quartic table and its interval lookup -----------------------
 
 def _trajectories():
-    """Completed and vanished trajectories with the accelerations they
-    were built from (the node slopes of their adot curves)."""
-    poly = _poly_accel(2.0, 1.0, 1.0, 1)
+    """Completed and vanished trajectories."""
     return [
-        (integrate_isothermal(B=-1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
-                              t_end=0.5), _iso_accel(-1.0, 1.0, 1.0, 3)),
-        (integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0, a1=0.5,
-                              t_end=0.8), poly),
-        (integrate_pressureless(theta=2.0, lam=1.0, N=3, a0=1.0, a1=1.0,
-                                t_end=1.0), lambda a, ad: -ad / a ** 5.0),
-        (integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0, a1=-1.0,
-                              t_end=2.0), poly),
+        integrate_isothermal(B=-1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
+                             t_end=0.5),
+        integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0, a1=0.5,
+                             t_end=0.8),
+        integrate_pressureless(theta=2.0, lam=1.0, N=3, a0=1.0, a1=1.0,
+                               t_end=1.0),
+        integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0, a1=-1.0,
+                             t_end=2.0),
     ]
 
 
-def _hermite_basis(nodes, values, slopes, x):
-    """The cubic Hermite interpolant in its basis-function form."""
-    i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
-    h = nodes[i + 1] - nodes[i]
-    t = (x - nodes[i]) / h
-    y0, y1 = values[..., i], values[..., i + 1]
-    d0, d1 = slopes[..., i], slopes[..., i + 1]
-    t2 = t * t
-    t3 = t2 * t
-    h00 = 2 * t3 - 3 * t2 + 1
-    h10 = t3 - 2 * t2 + t
-    h01 = -2 * t3 + 3 * t2
-    h11 = t3 - t2
-    return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-
-
 def test_pair_returns_stored_node_values_exactly():
-    for fn, _ in _trajectories():
+    for fn in _trajectories():
         for k in range(len(fn.ts)):
             assert fn.pair(fn.ts[k]) == (fn.a_values[k], fn.adot_values[k])
 
 
 def test_batched_pair_matches_scalar_calls_bit_for_bit():
     rng = np.random.default_rng(7)
-    for fn, _ in _trajectories():
+    for fn in _trajectories():
         ts = rng.uniform(0.0, fn.t_end, 300)
         a, adot = fn.pair(ts)
         scalar = np.array([fn.pair(t) for t in ts])
         assert np.array_equal(a, scalar[:, 0]) and np.array_equal(adot, scalar[:, 1])
 
 
-def test_table_agrees_with_hermite_basis_form():
-    # a vanished trajectory too: with the integrator's steps as nodes in
-    # its last interval, no cubic there swings beyond its stored sizes
+def test_table_agrees_with_rk45_dense_output(monkeypatch):
+    # a vanished trajectory too: its last step's polynomial is served up
+    # to the event node, and no other interpolant stands in between
+    steps = []
+    dopri45 = scaling._dopri45
+
+    def spy(*args):
+        out = dopri45(*args)
+        steps.append(np.array(out[0]).T)
+        return out
+
+    monkeypatch.setattr(scaling, "_dopri45", spy)
+    trajectories = _trajectories()
     rng = np.random.default_rng(11)
-    for fn, accel in _trajectories():
-        values = np.array([fn.a_values, fn.adot_values])
-        slopes = np.array([fn.adot_values, accel(fn.a_values, fn.adot_values)])
+    for fn, (t_olds, t_news, a_olds, *slopes) in zip(trajectories, steps):
+        # RK45's dense output y_old + h*(q0*x + q1*x**2 + q2*x**3 + q3*x**4),
+        # x = (t - t_old)/h, on the step that holds t
+        q = np.einsum("cjs,jk->kcs", np.reshape(slopes, (2, 7, -1)), scaling._P)
         ts = rng.uniform(0.0, fn.t_end, 100_000)
-        ref = _hermite_basis(fn.ts, values, slopes, ts)
+        i = np.minimum(t_news.searchsorted(ts), len(t_news) - 1)
+        h = t_news[i] - t_olds[i]
+        x = (ts - t_olds[i]) / h
+        ref = np.array([a_olds, slopes[0]])[:, i] + h * (
+            q[0][:, i] * x + q[1][:, i] * x ** 2 + q[2][:, i] * x ** 3 + q[3][:, i] * x ** 4)
+        values = np.array([fn.a_values, fn.adot_values])
         err = np.max(np.abs(np.array(fn.pair(ts)) - ref), axis=-1)
         assert np.all(err <= 1e-15 * np.max(np.abs(values), axis=-1)), fn
 
@@ -348,9 +347,10 @@ def test_interval_lookup_edges():
     fn = integrate_isothermal(B=-1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
                               t_end=0.5)
     ts = fn.ts
+    k = len(ts) // 2
     pad = 1e-12 * max(1.0, abs(ts[-1]))
     assert fn.pair(ts[0]) == (1.0, 0.0)
-    assert fn.pair(ts[250]) == (fn.a_values[250], fn.adot_values[250])
+    assert fn.pair(ts[k]) == (fn.a_values[k], fn.adot_values[k])
     assert fn.pair(ts[-1]) == (fn.a_values[-1], fn.adot_values[-1])
     assert fn.pair(ts[-1] + 0.5 * pad)[0] == pytest.approx(fn.a_values[-1], rel=1e-14)
     past = float(ts[-1] + 2.0 * pad)
@@ -361,8 +361,11 @@ def test_interval_lookup_edges():
 
 
 def test_two_node_trajectory():
-    # a = 1 + 2t + t**2: its cubic interpolant is exact
-    fn = NumericScaling([0.0, 1.0], [1.0, 4.0], [2.0, 4.0], [2.0, 2.0], "completed")
+    # a = 1 + 2t + t**2 on one step, its quartic table exact
+    table = np.zeros((4, 2, 2))
+    table[:2, 0, 0] = 2.0, 1.0
+    table[0, 1, 0] = 2.0
+    fn = NumericScaling([0.0, 1.0], [[1.0, 4.0], [2.0, 4.0]], table, "completed")
     assert fn.pair(0.0) == (1.0, 2.0)
     assert fn.pair(0.5) == pytest.approx((2.25, 3.0), rel=1e-15)
     a, adot = fn.pair(np.array([0.25, 1.0]))
@@ -407,9 +410,21 @@ def test_stepper_matches_scipy_rk45(monkeypatch):
             assert fn.vanishing_time is None
         else:
             assert abs(fn.vanishing_time - t_v) <= 1e-14 * t_v, fn
-        # the mesh nodes strictly inside, short of the last interval
-        ts = fn.ts[1:int(fn.t_end / scaling.DEFAULT_DT)]
+        # a 1e-3 grid strictly inside, short of its last interval
+        ts = 1e-3 * np.arange(1, int(fn.t_end / 1e-3))
         np.testing.assert_allclose(fn.pair(ts), sol.sol(ts), rtol=1e-11, atol=0.0)
+
+
+def test_pair_is_scipys_dense_output_between_the_steps(monkeypatch):
+    pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(3)
+    for fn, accel, a0, a1, t_end in _integrated_scalings(monkeypatch):
+        *_, sol = rk45_scaling(accel, a0, a1, t_end, scaling.RTOL, scaling.ATOL,
+                               EPS_A_FRAC * a0, scaling.CAP_A_FRAC * a0)
+        ts = rng.uniform(0.0, fn.ts[-2], 10_000)  # short of the last step
+        err = np.max(np.abs(np.array(fn.pair(ts)) - sol.sol(ts)), axis=-1)
+        size = np.max(np.abs([fn.a_values, fn.adot_values]), axis=-1)
+        assert np.all(err <= 1e-9 * size), (fn, err / size)
 
 
 def test_stats_count_the_steps_and_name_the_stop():
@@ -435,7 +450,7 @@ def test_stats_count_the_steps_and_name_the_stop():
     assert diverged.status == "diverged" and diverged.vanishing_time is None
     # a moves by ~6e3 per ulp of t there: the crossing is the nearest float
     assert diverged.a_values[-1] == pytest.approx(scaling.CAP_A_FRAC, rel=1e-8)
-    assert NumericScaling([0.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0],
+    assert NumericScaling([0.0, 1.0], [[1.0, 1.0], [0.0, 0.0]], np.zeros((4, 2, 2)),
                           "completed").stats is None
 
 
@@ -470,7 +485,8 @@ def test_negative_trial_stage_is_rejected_not_complex(monkeypatch):
     assert negative and all(np.isnan(x) for x in negative)
 
 
-@pytest.mark.parametrize("build", [
+#: the isothermal collapse, both steep polytropic collapses and the runaway
+_EARLY_STOPS = pytest.mark.parametrize("build", [
     lambda: integrate_isothermal(B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
                                  t_end=1.5),
     lambda: integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
@@ -480,18 +496,54 @@ def test_negative_trial_stage_is_rejected_not_complex(monkeypatch):
     lambda: integrate_pressureless(theta=0.1, lam=-1.0, N=3, a0=1.0, a1=1.0,
                                    t_end=5.0),
 ], ids=["isothermal", "steep_n3", "steep_n2", "runaway"])
+
+
+@_EARLY_STOPS
 def test_last_interval_of_an_early_stop_stays_between_its_nodes(build):
-    # the integrator's steps inside the last mesh interval are nodes too,
-    # so the cubics there follow the collapse or the runaway instead of
-    # swinging off (with one cubic, the isothermal collapse gave a ~ 1.1e3
-    # and adot ~ 6.1e16 at t = 0.4098946, and the runaway a < 0)
+    # the integrator's steps are the nodes, so over the last 1e-3 before
+    # the end the polynomials follow the collapse or the runaway instead
+    # of swinging off (with one cubic there, the isothermal collapse gave
+    # a ~ 1.1e3 and adot ~ 6.1e16 at t = 0.4098946, and the runaway a < 0)
     fn = build()
     assert fn.status != "completed"
-    k = int(np.searchsorted(fn.ts, np.floor(fn.t_end / scaling.DEFAULT_DT)
-                            * scaling.DEFAULT_DT * (1.0 - 1e-12)))
-    ts = np.random.default_rng(5).uniform(fn.ts[k], fn.t_end, 100_000)
+    t0 = np.floor(fn.t_end / 1e-3) * 1e-3
+    ts = np.random.default_rng(5).uniform(t0, fn.t_end, 100_000)
     a, adot = fn.pair(ts)
-    lo, hi = sorted((fn.a_values[k], fn.a_values[-1]))
+    lo, hi = sorted((fn.a(t0), fn.a_values[-1]))
     assert np.all((a >= lo) & (a <= hi))
     assert np.all(adot * fn.adot_values[-1] > 0.0)
-    assert len(fn.ts) - k - 2 > 100  # the step times inside the interval
+    assert np.count_nonzero((fn.ts > t0) & (fn.ts < fn.t_end)) > 100  # step times
+
+
+@_EARLY_STOPS
+def test_end_values_hold_within_the_edge_tolerance(build):
+    # the end node's tangent line gave a = -8.8e-6 at t_end + 5e-13
+    # on the isothermal collapse, and its Gaussian field rho = -1.45e15
+    fn = build()
+    end = (fn.a_values[-1], fn.adot_values[-1])
+    assert fn.pair(fn.t_end + 5e-13) == end
+    a, adot = fn.pair(np.array([fn.t_end, fn.t_end + 5e-13]))
+    assert np.all(a == end[0]) and np.all(adot == end[1])
+
+
+def test_runaway_stays_positive_across_its_span():
+    # a 1e-3 mesh refit gave a = -2.2e5 at t = 2.0694854, where a = +1.1e5
+    fn = integrate_pressureless(theta=0.1, lam=-1.0, N=3, a0=1.0, a1=1.0, t_end=5.0)
+    assert fn.status == "diverged"
+    a, _ = fn.pair(np.random.default_rng(13).uniform(0.0, fn.t_end, 100_000))
+    assert np.all(a > 0.0)
+    assert fn.a(2.0694854) == pytest.approx(1.1048e5, rel=1e-4)
+
+
+def test_collapse_matches_rk4_oracle_close_to_its_end():
+    # polytropic_n1 vanishes at 1.0311; a 1e-3 mesh refit gave adot = +8.61
+    # here, where it is -80.32, and a 6% off
+    params, family, _ = cases.polytropic_n1()
+    fn = build_solution(params, family, t_end=1.2).scaling
+    assert fn.status == STATUS_VANISHED and 1.0306476 < fn.t_end < 1.0312
+    # RK4 at h = 1e-6 to t = 1, then h = 1e-7 over the last 0.0306476, where
+    # a falls fast: within 1.3e-10 of h = 1e-7 throughout, at a fifth of the cost
+    accel = _poly_accel(2.0, 1.0, 1.0, 1)
+    oracle = rk4_second_order(accel, *rk4_second_order(accel, 1.0, 0.5, 1.0, 1e-6),
+                              0.0306476, 1e-7)
+    assert fn.pair(1.0306476) == pytest.approx(oracle, rel=1e-6)
