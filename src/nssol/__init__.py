@@ -21,7 +21,7 @@ from .errors import (
     StencilOutOfDomainError,
     StepFailureError,
 )
-from .fields import FieldGrid, SolutionField, eval_grid, eval_point
+from .fields import FieldGrid, SolutionField, eval_grid
 from .model import (
     DerivedConstants,
     Family,
@@ -36,30 +36,15 @@ from .model import (
     theta_required,
     validate,
 )
-from .profiles import (
-    ExpQuadratic,
-    ImplicitProfile,
-    PowerRoot,
-    Profile,
-    powerlaw_profile,
-)
+from .profiles import ExpQuadratic, ImplicitProfile, PowerRoot, Profile
 from .residuals import (
     ResidualReport,
     ResolutionNorms,
     Window,
-    mass_residual,
-    momentum_residual,
     verify_family,
     verify_window,
 )
-from .scaling import (
-    PowerLawScaling,
-    ScalingFn,
-    integrate_isothermal,
-    integrate_polytropic,
-    integrate_pressureless,
-    vanishing_time,
-)
+from .scaling import PowerLawScaling, ScalingFn, vanishing_time
 from .solutions import Solution, build_solution
 
 __version__ = "0.1.0"
@@ -74,7 +59,6 @@ __all__ = [
     "FieldGrid",
     "SolutionField",
     "eval_grid",
-    "eval_point",
     "DerivedConstants",
     "Family",
     "ModelParams",
@@ -91,19 +75,13 @@ __all__ = [
     "ImplicitProfile",
     "PowerRoot",
     "Profile",
-    "powerlaw_profile",
     "ResidualReport",
     "ResolutionNorms",
     "Window",
-    "mass_residual",
-    "momentum_residual",
     "verify_family",
     "verify_window",
     "PowerLawScaling",
     "ScalingFn",
-    "integrate_isothermal",
-    "integrate_polytropic",
-    "integrate_pressureless",
     "vanishing_time",
     "Solution",
     "build_solution",

@@ -272,7 +272,8 @@ def cmd_verify(config, fmt):
                            config.verify["window"], config.verify["resolutions"],
                            lattice=config.verify["lattice"], z_max=config.z_max)
     return (_json_doc(report.to_dict()),
-            {"ok": True, "mass_linf": report.mass_linf, "mom_linf": report.mom_linf})
+            {"ok": True, "mass_linf": report.finest.mass_linf,
+             "mom_linf": report.finest.mom_linf})
 
 
 def cmd_blowup(config, fmt):

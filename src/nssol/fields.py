@@ -36,6 +36,11 @@ class SolutionField:
     scalars (floats back) or ndarrays that broadcast: the scaling runs once
     on t and the shape once on z = r/a(t), so a grid costs one scaling
     evaluation per time row.  An NssolError names the offending (t, r).
+
+    The domain is r >= 0.  It is not checked on each call: an array-safe
+    refusal would add about 8% to every black-box stencil point (1.37 us
+    against 17.1 us for a scalar Gaussian field point, one Xeon core),
+    and eval_grid and verify_window already refuse r <= 0 on their inputs.
     """
 
     def __init__(self, profile, scaling, N):
@@ -55,18 +60,6 @@ class SolutionField:
             raise type(exc)(f"field evaluation failed at (t={float(t_all.flat[k])!r}, "
                             f"r={float(r_all.flat[k])!r}): {exc}") from exc
         return unbox(shape / np.power(a, self.N)), unbox(adot / a * r)
-
-
-def eval_point(profile, scaling, N, t, r):
-    """Fields (rho, u) at one point.
-
-    rho = shape(r/a(t))/a(t)**N and u = (a'(t)/a(t))*r.  Domain errors
-    from the scaling (t outside its trajectory) and range errors from the
-    shape (r/a beyond its z_max) propagate with the point named.
-    """
-    if r < 0.0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    return SolutionField(profile, scaling, N)(t, r)
 
 
 def eval_grid(profile, scaling, N, t_values, r_values):

@@ -56,13 +56,15 @@ class ExpQuadratic(Profile):
 
     def evaluate(self, z):
         z = np.abs(np.asarray(z, dtype=float))
-        # +inf (or 0*inf at B = 0) is refused below, -inf decays to 0
+        # y or dy past the float range (near a = 0), and 0*inf at z = inf,
+        # leave dy non-finite and are refused below; -inf decays to 0
         with np.errstate(over="ignore", invalid="ignore"):
             arg = self.B * z * z + self.C
-        refuse(DomainError, ~(arg <= 709.0) | (z == math.inf),  # y overflows near a = 0
+            y = self.A * np.exp(arg)
+            dy = 2.0 * self.B * z * y
+        refuse(DomainError, ~np.isfinite(dy),
                "density shape overflows at z={z!r} (exponent {arg:.4g})", z=z, arg=arg)
-        y = self.A * np.exp(arg)
-        return unbox(y), unbox(2.0 * self.B * z * y)
+        return unbox(y), unbox(dy)
 
     def __repr__(self):
         return f"ExpQuadratic(A={self.A}, B={self.B}, C={self.C})"
@@ -87,24 +89,28 @@ class PowerRoot(Profile):
         self.alpha = float(alpha)
         self._p = 1.0 / (self.n_exp + 1.0)
         self._c2 = 0.5 * (self.n_exp + 1.0) * self.xi
-        self._c0 = self.alpha ** (self.n_exp + 1.0)
+        try:
+            self._c0 = self.alpha ** (self.n_exp + 1.0)
+        except OverflowError:
+            raise ValueError(f"alpha**(n_exp+1) overflows at alpha={alpha}, "
+                             f"n_exp={n_exp}") from None
 
     def _radicand(self, z):
         return self._c2 * z * z + self._c0
 
     def evaluate(self, z):
         z = np.abs(np.asarray(z, dtype=float))
-        # a radicand past the float range is +inf (or 0*inf at xi = 0),
-        # refused below, or -inf, vacuum
+        # a radicand past the float range is -inf, vacuum, or +inf (or
+        # 0*inf at xi = 0), which leaves y or dy non-finite, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             rad = self._radicand(z)
             vacuum = rad <= 0.0
             base = np.where(vacuum, 1.0, rad)
-            y = np.power(base, self._p)
-            dy = self.xi * z * np.power(base, self._p - 1.0)
-        refuse(DomainError, ~np.isfinite(y) | (z == math.inf),
+            y = np.where(vacuum, 0.0, np.power(base, self._p))
+            dy = np.where(vacuum, 0.0, self.xi * z * np.power(base, self._p - 1.0))
+        refuse(DomainError, ~(np.isfinite(y) & np.isfinite(dy)) | (z == math.inf),
                "density shape overflows at z={z!r} (radicand {rad:.4g})", z=z, rad=rad)
-        return unbox(np.where(vacuum, 0.0, y)), unbox(np.where(vacuum, 0.0, dy))
+        return unbox(y), unbox(dy)
 
     def in_support(self, z):
         """True where the radicand is positive (the shape is not clipped)."""

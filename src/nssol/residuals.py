@@ -75,7 +75,8 @@ class ResolutionNorms:
 class ResidualReport:
     """Residual norms over a window at one or more resolutions.
 
-    The top-level norms refer to the finest (last) resolution; the
+    finest holds the norms of the finest (last) resolution, which
+    to_dict also writes at the top level of the JSON report; the
     convergence orders come from the last pair of resolutions via
     order = log(norm_coarse/norm_fine)/log(h_coarse/h_fine) and are
     None when fewer than two resolutions ran or a norm hit zero.
@@ -91,38 +92,15 @@ class ResidualReport:
     def finest(self) -> ResolutionNorms:
         return self.resolutions[-1]
 
-    @property
-    def h_t(self):
-        return self.finest.h_t
-
-    @property
-    def h_r(self):
-        return self.finest.h_r
-
-    @property
-    def mass_linf(self):
-        return self.finest.mass_linf
-
-    @property
-    def mass_l2(self):
-        return self.finest.mass_l2
-
-    @property
-    def mom_linf(self):
-        return self.finest.mom_linf
-
-    @property
-    def mom_l2(self):
-        return self.finest.mom_l2
-
     def to_dict(self):
+        finest = self.finest
         return {
             "window": asdict(self.window),
             "lattice": list(self.lattice),
             "resolutions": [asdict(r) for r in self.resolutions],
-            "h_t": self.h_t, "h_r": self.h_r,
-            "mass_linf": self.mass_linf, "mass_l2": self.mass_l2,
-            "mom_linf": self.mom_linf, "mom_l2": self.mom_l2,
+            "h_t": finest.h_t, "h_r": finest.h_r,
+            "mass_linf": finest.mass_linf, "mass_l2": finest.mass_l2,
+            "mom_linf": finest.mom_linf, "mom_l2": finest.mom_l2,
             "order_mass": self.order_mass, "order_mom": self.order_mom,
         }
 

@@ -32,7 +32,8 @@ STATUS_DIVERGED = "diverged"
 
 
 class ScalingFn:
-    """Base class: a positive scaling a(t) with derivative adot(t).
+    """Base class: a positive scaling a(t), read with its derivative
+    a'(t) through pair(t), the one evaluation entry point.
 
     A subclass implements pair(t) and overrides what differs of:
 
@@ -53,12 +54,6 @@ class ScalingFn:
     def pair(self, t):
         """(a, adot) at t, a scalar (floats back) or an array of times."""
         raise NotImplementedError
-
-    def a(self, t):
-        return self.pair(t)[0]
-
-    def adot(self, t):
-        return self.pair(t)[1]
 
 
 class PowerLawScaling(ScalingFn):

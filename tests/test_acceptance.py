@@ -26,7 +26,7 @@ import numpy as np
 from nssol import (
     ModelParams,
     NssolError,
-    eval_point,
+    SolutionField,
     vanishing_time,
     verify_family,
     verify_window,
@@ -99,7 +99,7 @@ def test_criterion_2_power_root_family():
     _residual_clauses(report, failures)
     # the window must keep a(t) within [0.5, 2]
     sol = build_solution(params, family, t_end=window.t_max + 0.01)
-    avals = [sol.scaling.a(t) for t in np.linspace(window.t_min, window.t_max, 64)]
+    avals = [sol.scaling.pair(t)[0] for t in np.linspace(window.t_min, window.t_max, 64)]
     if not (min(avals) >= 0.5 and max(avals) <= 2.0):
         failures.append(f"a(t) range [{min(avals):.3f}, {max(avals):.3f}] not in [0.5, 2]")
     elapsed = time.perf_counter() - t0
@@ -120,7 +120,7 @@ def test_criterion_3_collapsing_power_law_family():
     if t_star is None or abs(t_star - 1.0) > 1e-10:
         failures.append(f"vanishing time {t_star} != 1.0 +- 1e-10")
     sol = build_solution(params, family, t_end=0.6)
-    rho_late, _ = eval_point(sol.profile, sol.scaling, params.N, 1.0 - 1e-5, 0.0)
+    rho_late, _ = SolutionField(sol.profile, sol.scaling, params.N)(1.0 - 1e-5, 0.0)
     if not rho_late > 1e6:
         failures.append(f"center density {rho_late:.3e} never exceeded 1e6 before t*")
     elapsed = time.perf_counter() - t0
@@ -273,7 +273,7 @@ def test_criterion_8_oracle_equivalence():
                     -lam * ad / a ** e)
         if fn.status != "completed":
             continue  # trajectory ended early; draw another case
-        a_adaptive = fn.a(t_end)
+        a_adaptive = fn.pair(t_end)[0]
         a_oracle, _ = rk4_second_order(accel, a0, a1, t_end, 1e-6)
         rel = abs(a_adaptive - a_oracle) / abs(a_oracle)
         if not rel < 1e-7:

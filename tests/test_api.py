@@ -1,6 +1,6 @@
-"""Public names: every entry of ``nssol.__all__`` resolves, and so does
-every name the benchmark (bench/*.py) reads off the package, which it
-binds by name and cannot follow a rename."""
+"""Public names: ``nssol.__all__`` is the pinned list below, every entry
+resolves, and so does every name the benchmark (bench/*.py) reads off the
+package, which it binds by name and cannot follow a rename."""
 
 import ast
 import importlib
@@ -23,6 +23,20 @@ def _resolves(name):
 
 def test_all_names_resolve():
     assert [name for name in nssol.__all__ if not hasattr(nssol, name)] == []
+
+
+def test_public_surface_is_pinned():
+    assert sorted(nssol.__all__) == [
+        "DerivedConstants", "DomainError", "ExpQuadratic", "Family", "FieldGrid",
+        "ImplicitProfile", "ModelParams", "NonFiniteFieldError", "NssolError",
+        "OutOfRangeError", "PowerLawScaling", "PowerRoot", "PressurelessTheta1",
+        "PressurelessThetaNot1", "Profile", "ResidualReport", "ResolutionNorms",
+        "ScalingFn", "Solution", "SolutionField", "StencilOutOfDomainError",
+        "StepFailureError", "ValidationOutcome", "Window", "WithPressureIsothermal",
+        "WithPressurePolytropic", "WithPressurePowerLaw", "__version__",
+        "build_solution", "derived_s", "eval_grid", "theta_required", "validate",
+        "vanishing_time", "verify_family", "verify_window",
+    ]
 
 
 @pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)

@@ -317,6 +317,29 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
     assert err["error"] == "OutOfRangeError"
 
 
+def test_overflowing_profile_exits_3_without_payload(tmp_path, capsys):
+    # with A = 1e10, A*exp(B*z**2) leaves the float range before z = 26.6
+    cfg = {
+        "model": {"N": 3, "gamma": 1.0, "theta": 1.0, "K": 1.0, "kappa": 1.0,
+                  "delta": 1},
+        "family": {"kind": "with_pressure_isothermal", "A": 1e10, "B": 1.0,
+                   "C": 0.0, "a0": 1.0, "a1": 0.0},
+        "grid": {"t_min": 0.0, "t_max": 0.1, "n_t": 3, "r_min": 0.1,
+                 "r_max": 26.6, "n_r": 5},
+    }
+    path = _write(tmp_path, cfg)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"profile.{fmt}"
+        assert main(["profile", "--config", path, "--format", fmt,
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"] == "DomainError"
+        assert "z=26.6" in err["message"]
+        assert not out.exists()
+
+
 def test_missing_config_file(capsys):
     assert main(["describe", "--config", "/nonexistent/cfg.json"]) == 2
 

