@@ -11,26 +11,29 @@ def unbox(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
-def hermite(nodes, values, table, x, what="value"):
-    """Piecewise polynomial values[i] + c1*s + c2*s**2 + c3*s**3 + c4*s**4,
-    s = x - nodes[i], at the points x (any shape).
+def hermite(edges, nodes, values, table, x, what="value"):
+    """Piecewise polynomial values[:, j] + c1*s + c2*s**2 + c3*s**3 + c4*s**4,
+    s = x - nodes[j], of a stack of k curves at the points x (any shape).
 
-    values hold one curve (n,) or a stack of curves (k, n), and table
-    their coefficients (c1, c2, c3, c4), shape (4,) + values.shape, one
-    column per node: the interval that starts there, or for the last
-    node a constant, so every node evaluates to its value exactly.  One
-    searchsorted locates x for all curves, giving shape
-    values.shape[:-1] + x.shape.  x outside the nodes (up to an edge
-    tolerance), or NaN, raises OutOfRangeError.  The name is kept from
-    the cubic Hermite tables this once evaluated: the benchmark's tracer
-    and its test wrap it under that name.
+    The n tabulated nodes sit between a NaN column at each end: nodes
+    has shape (n + 2,), values (k, n + 2) and table, their coefficients
+    (c1, c2, c3, c4), (4, k, n + 2), one column per node: the interval
+    that starts there, or for the last node a constant, so every node
+    evaluates to its value exactly.  edges, shape (n + 1,), are the
+    interval bounds of the n nodes, the lowest at the first node less an
+    edge tolerance and the highest just past the last node plus it.  One
+    searchsorted over edges locates x for all curves, giving shape
+    (k,) + x.shape: a point out of range, or NaN, lands on a NaN column,
+    so one isnan of the first curve refuses it with OutOfRangeError.
+    The name is kept from the cubic Hermite tables this once evaluated:
+    the benchmark's tracer and its test wrap it under that name.
     """
     x = np.asarray(x, dtype=float)
-    lo, hi = nodes[0], nodes[-1]
-    pad = 1e-12 * max(1.0, abs(hi))
-    refuse(OutOfRangeError, ~((x >= lo - pad) & (x <= hi + pad)),
-           what + " {x!r} outside tabulated range [{lo!r}, {hi!r}]", x=x, lo=lo, hi=hi)
-    i = nodes[1:].searchsorted(x, side="right")
-    s = x - nodes[i]
-    c1, c2, c3, c4 = table[..., i]
-    return values[..., i] + s * (c1 + s * (c2 + s * (c3 + s * c4)))
+    j = edges.searchsorted(x, side="right")
+    s = x - nodes[j]
+    c1, c2, c3, c4 = table[..., j]
+    y = values[..., j] + s * (c1 + s * (c2 + s * (c3 + s * c4)))
+    refuse(OutOfRangeError, np.isnan(y[0]),
+           what + " {x!r} outside tabulated range [{lo!r}, {hi!r}]",
+           x=x, lo=nodes[1], hi=nodes[-2])
+    return y

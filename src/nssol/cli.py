@@ -20,7 +20,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
-from .errors import NssolError
+from .errors import NonFiniteFieldError, NssolError, refuse
 from .fields import eval_grid
 from .model import FAMILY_TAGS, ModelParams, validate
 from .profiles import DEFAULT_Z_MAX
@@ -186,17 +186,34 @@ def _json_doc(obj):
 
 def _table(header, keys, values, fmt, **extra):
     """Table over the product grid of the 1-d arrays keys, values having
-    that grid's shape: CSV at 17 significant digits, each key formatted
-    once, or JSON columns then extra, byte for byte json.dumps(..., indent=2)
-    but with the columns from json's C encoder (indent selects the slow one)."""
+    that grid's shape: CSV at 17 significant digits, or JSON columns then
+    extra, byte for byte json.dumps(..., indent=2) but with the columns
+    from json's C encoder (indent selects the slow one).  Each distinct
+    key is formatted once and its text repeated over the grid.  A value
+    that is not finite raises NonFiniteFieldError: no payload carries
+    inf or NaN."""
+    names = header[:len(keys)]
+    at = ", ".join(f"{k}={{{k}!r}}" for k in names)
+    for name, column in zip(header[len(keys):], values):
+        refuse(NonFiniteFieldError, ~np.isfinite(column),
+               f"{name} at ({at}) is not finite: {{value!r}}",
+               value=column, **dict(zip(names, np.ix_(*keys))))
     if fmt == "json":
-        # one list of parts joined once; each column's text is dropped as
-        # soon as its brackets are sliced off
+        sep = ",\n    "
+        # key d's text at each grid point: each of its values repeated over
+        # the keys after it, that block repeated over the keys before it
+        sizes = [len(k) for k in keys]
+        columns = []
+        for d, k in enumerate(keys):
+            inner, outer = math.prod(sizes[d + 1:]), math.prod(sizes[:d])
+            block = sep.join(sep.join([x] * inner)
+                             for x in json.dumps(k.tolist())[1:-1].split(", "))
+            columns.append(sep.join([block] * outer))
+        columns += [json.dumps(v.ravel().tolist(), separators=(sep, ": "))[1:-1]
+                    for v in values]
         parts = ["{\n"]
-        for k, c in zip(header, [*np.meshgrid(*keys, indexing="ij"), *values]):
-            parts += [f"  {json.dumps(k)}: [\n    ",
-                      json.dumps(c.ravel().tolist(), separators=(",\n    ", ": "))[1:-1],
-                      "\n  ],\n"]
+        for k, text in zip(header, columns):
+            parts += [f"  {json.dumps(k)}: [\n    ", text, "\n  ],\n"]
         parts += [f"  {json.dumps(k)}: " + json.dumps(v, indent=2).replace("\n", "\n  ")
                   + ",\n" for k, v in extra.items()]
         parts[-1] = parts[-1][:-2] + "\n}\n"

@@ -8,6 +8,7 @@ separable profile ODE.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -94,6 +95,11 @@ class PowerRoot(Profile):
         except OverflowError:
             raise ValueError(f"alpha**(n_exp+1) overflows at alpha={alpha}, "
                              f"n_exp={n_exp}") from None
+        # at 0 the shape would be vacuum at z = 0, not alpha; a subnormal
+        # keeps too few digits (y(0) off by 1e-5 at alpha**2 = 1.5e-320)
+        if self._c0 < sys.float_info.min:
+            raise ValueError(f"alpha**(n_exp+1) = {self._c0!r} underflows at "
+                             f"alpha={alpha}, n_exp={n_exp}")
 
     def _radicand(self, z):
         return self._c2 * z * z + self._c0

@@ -1,8 +1,9 @@
 """Finite-difference residual verification of candidate fields.
 
 The verifier treats (rho, u) as a black box: it samples field values on
-centered stencils, five broadcast calls per lattice, and forms the mass
-and momentum residuals of the radial system
+centered stencils, one broadcast call on the lattice and one more per
+stencil offset and resolution, and forms the mass and momentum
+residuals of the radial system
 
     rho_t + u*rho_r + rho*u_r + (N-1)/r*rho*u = 0
     rho*(u_t + u*u_r) + delta*K*(rho**gamma)_r
@@ -107,34 +108,59 @@ class ResidualReport:
 
 def _array_field(field_fn):
     """field_fn taking arrays: a SolutionField as is, any other callable
-    called once per point of the broadcast (t, r), in C order."""
+    called once per point of the broadcast (t, r), in C order.  Each
+    sample is checked as it arrives: a rho or u that is not finite
+    raises NonFiniteFieldError at once, naming its (t, r), as it could
+    only reach a non-finite residual."""
     if isinstance(field_fn, SolutionField):
         return field_fn
 
     def field(t, r):
         t, r = np.broadcast_arrays(t, r)
-        samples = [field_fn(*p) for p in zip(t.ravel().tolist(), r.ravel().tolist())]
+        samples = []
+        for p in zip(t.ravel().tolist(), r.ravel().tolist()):
+            rho, u = field_fn(*p)
+            if not (math.isfinite(rho) and math.isfinite(u)):
+                raise NonFiniteFieldError(
+                    f"field sample at (t={p[0]!r}, r={p[1]!r}) is not finite: "
+                    f"(rho, u) = ({rho!r}, {u!r})")
+            samples.append((rho, u))
         return tuple(np.array(samples, dtype=float).T.reshape(2, *t.shape))
     return field
 
 
-def _residuals(field, params, t, r, h_t, h_r):
-    """Mass and momentum residuals on the centered 5-point cross around
-    each (t, r), and the mask of stencils touching vacuum (some rho <= 0),
-    where momentum is classically undefined and set to 0.  NaN is never
-    vacuum (np.minimum propagates it, and a non-finite u_t keeps the
-    stencil): a non-finite residual raises NonFiniteFieldError.
-    """
-    if np.min(r) - h_r <= 0.0:
-        raise StencilOutOfDomainError(
-            f"stencil needs r - h_r > 0, got r={float(np.min(r))!r}, h_r={h_r!r}")
+def _sample(field, points):
+    """field at each (t, r) of points; leaving its domain raises
+    StencilOutOfDomainError."""
     try:
-        (rho, u), (rho_rp, u_rp), (rho_rm, u_rm), (rho_tp, u_tp), (rho_tm, u_tm) = (
-            field(*p) for p in ((t, r), (t, r + h_r), (t, r - h_r),
-                                (t + h_t, r), (t - h_t, r)))
+        return [field(t, r) for t, r in points]
     except (DomainError, OutOfRangeError) as exc:
         raise StencilOutOfDomainError(
             f"stencil left the field domain: {exc}") from exc
+
+
+def _centre(field, t, r, h_rs):
+    """field at (t, r), the stencils' centre, for stencils of each
+    radial step in h_rs, which must keep r - h_r > 0."""
+    for h_r in h_rs:
+        if np.min(r) - h_r <= 0.0:
+            raise StencilOutOfDomainError(
+                f"stencil needs r - h_r > 0, got r={float(np.min(r))!r}, h_r={h_r!r}")
+    (centre,) = _sample(field, [(t, r)])
+    return centre
+
+
+def _residuals(field, params, t, r, centre, h_t, h_r):
+    """Mass and momentum residuals on the centered 5-point cross around
+    each (t, r), given centre, the field there (see _centre), and the
+    mask of stencils touching vacuum (some rho <= 0), where momentum is
+    classically undefined and set to 0.  NaN is never vacuum
+    (np.minimum propagates it, and a non-finite u_t keeps the stencil):
+    a non-finite residual raises NonFiniteFieldError.
+    """
+    rho, u = centre
+    (rho_rp, u_rp), (rho_rm, u_rm), (rho_tp, u_tp), (rho_tm, u_tm) = _sample(
+        field, ((t, r + h_r), (t, r - h_r), (t + h_t, r), (t - h_t, r)))
     gamma, theta = params.gamma, params.theta
     K, kappa, N = params.K, params.kappa, params.N
     rho_t = (rho_tp - rho_tm) / (2.0 * h_t)
@@ -162,6 +188,12 @@ def _residuals(field, params, t, r, h_t, h_r):
     return mass, mom, vacuum
 
 
+def _point_residuals(field_fn, params, t, r, h_t, h_r):
+    """_residuals of the one stencil around (t, r)."""
+    field = _array_field(field_fn)
+    return _residuals(field, params, t, r, _centre(field, t, r, [h_r]), h_t, h_r)
+
+
 def mass_residual(field_fn, params, t, r, h_t, h_r):
     """Centered-difference residual of the mass equation at (t, r).
 
@@ -170,7 +202,7 @@ def mass_residual(field_fn, params, t, r, h_t, h_r):
     StencilOutOfDomainError when a stencil point leaves the domain, and
     NonFiniteFieldError when a residual at (t, r) is not finite.
     """
-    mass, _, _ = _residuals(_array_field(field_fn), params, t, r, h_t, h_r)
+    mass, _, _ = _point_residuals(field_fn, params, t, r, h_t, h_r)
     return float(mass)
 
 
@@ -183,7 +215,7 @@ def momentum_residual(field_fn, params, t, r, h_t, h_r):
     support boundary) or the residual is not finite, and
     StencilOutOfDomainError for domain exits.
     """
-    _, mom, vacuum = _residuals(_array_field(field_fn), params, t, r, h_t, h_r)
+    _, mom, vacuum = _point_residuals(field_fn, params, t, r, h_t, h_r)
     if vacuum:
         raise NonFiniteFieldError(
             f"momentum stencil at (t={t!r}, r={r!r}) touches vacuum")
@@ -194,11 +226,7 @@ def _round12(x):
     return float(f"{x:.12g}")
 
 
-def _norms_over_lattice(field, params, window, h_t, h_r, lattice):
-    k = np.arange(lattice)
-    t = window.t_min + (window.t_max - window.t_min) * k / (lattice - 1)
-    r = window.r_min + (window.r_max - window.r_min) * k / (lattice - 1)
-    mass, mom, vacuum = _residuals(field, params, t[:, None], r, h_t, h_r)
+def _norms(mass, mom, vacuum, h_t, h_r):
     skipped = int(np.count_nonzero(vacuum))
     kept = mom.size - skipped
     return ResolutionNorms(
@@ -220,7 +248,10 @@ def verify_window(field_fn, params, window, resolutions,
                   lattice=DEFAULT_LATTICE):
     """Residual norms over a uniform lattice at each (h_t, h_r) of a
     SolutionField, evaluated lattice-wide, or of any (t, r) -> (rho, u)
-    callable, called once per stencil point.
+    callable, called once per distinct stencil point: the lattice itself
+    is sampled once and its samples serve every resolution, which then
+    adds its four offset points.  A black-box sample that is not finite
+    raises NonFiniteFieldError at once.
 
     resolutions is a sequence of (h_t, h_r) pairs, coarse to fine; with
     two or more, the report carries convergence-order estimates from the
@@ -236,7 +267,11 @@ def verify_window(field_fn, params, window, resolutions,
         raise ValueError("need at least one (h_t, h_r) resolution")
 
     field = _array_field(field_fn)
-    entries = [_norms_over_lattice(field, params, window, h_t, h_r, lattice)
+    k = np.arange(lattice)
+    t = (window.t_min + (window.t_max - window.t_min) * k / (lattice - 1))[:, None]
+    r = window.r_min + (window.r_max - window.r_min) * k / (lattice - 1)
+    centre = _centre(field, t, r, [h_r for _, h_r in resolutions])
+    entries = [_norms(*_residuals(field, params, t, r, centre, h_t, h_r), h_t, h_r)
                for h_t, h_r in resolutions]
 
     order_mass = order_mom = None

@@ -109,31 +109,43 @@ class NumericScaling(ScalingFn):
     ts are the accepted steps' start times and the end, values the stack
     (a, adot) there, and table, shape (4, 2, len(ts)), the coefficients
     of s, s**2, s**3 and s**4, s = t - ts[i], of each step's quartic in
-    a and in adot (zero in the column of the end).  Evaluation is one
-    lookup and one four-term Horner (_interp.hermite), so pair(t) is the
-    integrator's own dense output to rounding.  Evaluation outside
-    [0, t_last] raises OutOfRangeError; t_last is shorter than the
-    requested span when the trajectory vanished or diverged.  ``stats``
-    holds the integrator's counts when it built the trajectory:
-    ``nfev``, ``accepted`` and ``rejected`` steps, and the ``stop``
-    reason (one of the STOP_* values), else None.
+    a and in adot (zero in the column of the end), all finite.
+    Evaluation is one lookup and one four-term Horner (_interp.hermite),
+    so pair(t) is the integrator's own dense output to rounding.
+    Evaluation outside [0, t_last], up to an edge tolerance of
+    1e-12*max(1, t_last) that serves the end values, raises
+    OutOfRangeError; t_last is shorter than the requested span when the
+    trajectory vanished or diverged.  ``stats`` holds the integrator's
+    counts when it built the trajectory: ``nfev``, ``accepted`` and
+    ``rejected`` steps, and the ``stop`` reason (one of the STOP_*
+    values), else None.
     """
 
     def __init__(self, ts, values, table, status, vanishing_time=None,
                  label="", stats=None):
-        ts = np.array(ts, dtype=float)
+        # each array with a NaN column at each end, where hermite puts t
+        # out of range, and read through views of the columns between;
         # a and adot are one stack of curves: t is located once for both
-        values = np.array(values, dtype=float)
-        table = np.array(table, dtype=float)
+        padded = []
+        for arr in (ts, values, table):
+            arr = np.asarray(arr, dtype=float)
+            padded.append(np.full(arr.shape[:-1] + (arr.shape[-1] + 2,), np.nan))
+            padded[-1][..., 1:-1] = arr
+            padded[-1].flags.writeable = False
+        ts, values, table = (arr[..., 1:-1] for arr in padded)
         if not np.all(np.diff(ts) > 0.0):
             raise ValueError("trajectory times must be strictly increasing")
         if not np.all(values[0] > 0.0):
             raise ValueError("trajectory a values must stay positive")
-        for arr in (ts, values, table):
-            arr.flags.writeable = False
+        # NaN is what hermite serves out of range: none may sit in range
+        if not all(np.isfinite(arr).all() for arr in (ts, values, table)):
+            raise ValueError("trajectory nodes must be finite")
+        pad = 1e-12 * max(1.0, abs(ts[-1]))
+        self._edges = np.concatenate(
+            ([ts[0] - pad], ts[1:], [np.nextafter(ts[-1] + pad, np.inf)]))
+        self._edges.flags.writeable = False
+        self._nodes, self._values, self._table = padded
         self.ts = ts
-        self._values = values
-        self._table = table
         self.a_values, self.adot_values = values
         self.status = status
         self.vanishing_time = vanishing_time
@@ -149,7 +161,7 @@ class NumericScaling(ScalingFn):
                 "searched_until": self.t_end}
 
     def pair(self, t):
-        a, adot = hermite(self.ts, self._values, self._table, t, "t")
+        a, adot = hermite(self._edges, self._nodes, self._values, self._table, t, "t")
         return unbox(a), unbox(adot)
 
     def __repr__(self):
@@ -372,9 +384,9 @@ def _integrate(accel, a0, a1, t_end, label):
             t_v = 0.5 * sum(_bisect(before, t_old, t_stop, 1e-10))
         else:
             status = STATUS_DIVERGED
-    # the end node's column is zero, so t within hermite's edge tolerance
-    # past it gets the end values; the event node can undershoot eps_a by
-    # the root-finder tolerance
+    # the end node's column is zero, so t within NumericScaling's edge
+    # tolerance past it gets the end values; the event node can undershoot
+    # eps_a by the root-finder tolerance
     a_end = max(horner(a_old, c_a, t_stop), 0.5 * eps_a)
     values = np.append([a_olds, slopes[0]], [[a_end], [horner(v_old, c_v, t_stop)]], axis=1)
     return NumericScaling(np.append(t_olds, t_stop), values,

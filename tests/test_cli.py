@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nssol import build_solution, cli
+from nssol import NonFiniteFieldError, build_solution, cli, profiles
 from nssol.cli import ConfigError, RunConfig, main
 
 
@@ -379,6 +379,39 @@ def test_table_writers_match_reference_bytes():
         assert (cli._table(header, [ts], [a, adot], "json", status=status)
                 == _reference_json(header, rows, status=status))
         assert cli._table(header, [ts], [a, adot], "csv") == _reference_csv(header, rows)
+
+
+def test_table_refuses_non_finite_values():
+    ts, rs = np.array([0.1, 0.2]), np.array([1.0, 2.0, 3.0])
+    rho = np.ones((2, 3))
+    for bad in (np.inf, -np.inf, np.nan):
+        u = np.zeros((2, 3))
+        u[1, 2] = bad
+        for fmt in ("csv", "json"):
+            with pytest.raises(NonFiniteFieldError,
+                               match=rf"u at \(t=0.2, r=3.0\) is not finite: {bad!r}"):
+                cli._table(("t", "r", "rho", "u"), [ts, rs], [rho, u], fmt)
+    with pytest.raises(NonFiniteFieldError, match=r"adot at \(t=0.2\)"):
+        cli._table(("t", "a", "adot"), [ts], [ts, np.array([0.0, np.nan])], "json")
+
+
+def test_non_finite_payload_exits_3_without_payload(tmp_path, capsys, monkeypatch):
+    # a shape that returned inf instead of refusing must not reach a payload
+    def evaluate(self, z):
+        z = np.abs(np.asarray(z, dtype=float))
+        return np.where(z > 0.5, np.inf, 1.0), np.zeros_like(z)
+
+    monkeypatch.setattr(profiles.ExpQuadratic, "evaluate", evaluate)
+    path = _write(tmp_path, _isothermal_config(B=-1.0, t_max=0.3))
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"profile.{fmt}"
+        assert main(["profile", "--config", path, "--format", fmt,
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"] == "NonFiniteFieldError"
+        assert not out.exists()
 
 
 def _isothermal_config(B, t_max):

@@ -358,6 +358,9 @@ def test_implicit_shape_stops_once_its_bracket_closes(monkeypatch):
     lambda: integrate_polytropic(2.0, math.nan, 1.0, 1, 1.0, 0.5, 1.0),
     lambda: integrate_pressureless(2.0, math.nan, 3, 1.0, 0.5, 1.0),
     lambda: PowerRoot(3.0, 1.0, 1e100),  # alpha**(n_exp+1) = 1e400
+    lambda: PowerRoot(1.0, 1.0, 1e-200),  # alpha**(n_exp+1) = 1e-400
+    lambda: PowerRoot(1.0, -1.0, 1e-200),
+    lambda: PowerRoot(1.0, 1.0, 1.2345678901234567e-160),  # subnormal 1.5e-320
 ])
 def test_constructors_refuse_non_finite_constants(build):
     with pytest.raises(ValueError):

@@ -313,6 +313,43 @@ def test_verifier_consumes_plain_callables():
     assert len(calls) == 3 * 3 * 5  # five stencil samples per lattice point
 
 
+def test_black_box_samples_each_lattice_point_once():
+    # the lattice is sampled once for both resolutions, which add their
+    # four offsets each: no point is asked for twice
+    calls = []
+
+    def field(t, r):
+        calls.append((t, r))
+        return 1.0, 0.0
+
+    verify_window(field, PARAMS_N3, Window(0.1, 0.2, 0.5, 1.0),
+                  [(1e-3, 1e-3), (5e-4, 5e-4)], lattice=3)
+    assert len(calls) == 3 * 3 * (5 + 4)
+    assert len(set(calls)) == len(calls)
+
+
+def test_non_finite_sample_is_refused_at_once():
+    # the NaN at lattice point (16, 16) is the 16*33 + 16 + 1 = 545th
+    # sample: the verifier stops there, and names it
+    params, family, window = isothermal_gaussian()
+    field = build_solution(params, family, t_end=window.t_max + 2e-3).field()
+    t_nan = window.t_min + (window.t_max - window.t_min) * 16 / 32
+    r_nan = window.r_min + (window.r_max - window.r_min) * 16 / 32
+    calls = []
+
+    def nonfinite(t, r):
+        calls.append((t, r))
+        if (t, r) == (t_nan, r_nan):
+            return math.nan, 0.0
+        return field(t, r)
+
+    with pytest.raises(NonFiniteFieldError) as info:
+        verify_window(nonfinite, params, window, RESOLUTIONS, lattice=33)
+    assert len(calls) == 16 * 33 + 16 + 1
+    assert f"(t={t_nan!r}, r={r_nan!r})" in str(info.value)
+    assert "nan" in str(info.value)
+
+
 def test_single_resolution_reports_no_orders():
     field = lambda t, r: (1.0, 0.0)
     report = verify_window(field, PARAMS_N3, Window(0.1, 0.2, 0.5, 1.0),

@@ -364,6 +364,40 @@ def test_interval_lookup_edges():
         fn.pair(-2.0 * pad)
 
 
+@pytest.mark.parametrize("name, params, family, window", cases.exact_families(),
+                         ids=[case[0] for case in cases.exact_families()])
+def test_pair_range_edges_and_batches(name, params, family, window):
+    # the edge tolerance is served exactly to its last float, and an
+    # array of times gives the scalar calls' values bit for bit
+    fn = build_solution(params, family, t_end=window.t_max + 2e-3).scaling
+    lo, hi = 0.0, min(fn.t_end, window.t_max + 2e-3)
+    if isinstance(fn, NumericScaling):
+        lo, hi = fn.ts[0], fn.ts[-1]
+        pad = 1e-12 * max(1.0, abs(hi))
+        assert np.isfinite(fn.pair(lo - pad)).all()
+        assert fn.pair(hi + pad) == (fn.a_values[-1], fn.adot_values[-1])
+        for t in (np.nextafter(lo - pad, -np.inf), np.nextafter(hi + pad, np.inf),
+                  np.nan):
+            with pytest.raises(OutOfRangeError, match="outside tabulated range"):
+                fn.pair(t)
+            with pytest.raises(OutOfRangeError):
+                fn.pair(np.array([lo, t]))
+    ts = np.random.default_rng(3).uniform(lo, hi, 1000)
+    a, adot = fn.pair(ts)
+    scalar = np.array([fn.pair(t) for t in ts])
+    assert np.array_equal(a, scalar[:, 0]) and np.array_equal(adot, scalar[:, 1])
+
+
+@pytest.mark.parametrize("where", ["values", "table"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trajectory_refuses_non_finite_nodes(where, bad):
+    # NaN stands for "out of range" in the lookup: none may be built in
+    nodes = {"values": np.array([[1.0, 4.0], [2.0, 4.0]]), "table": np.zeros((4, 2, 2))}
+    nodes[where].flat[-1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        NumericScaling([0.0, 1.0], nodes["values"], nodes["table"], "completed")
+
+
 def test_two_node_trajectory():
     # a = 1 + 2t + t**2 on one step, its quartic table exact
     table = np.zeros((4, 2, 2))
