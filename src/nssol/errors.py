@@ -11,10 +11,12 @@ class NssolError(Exception):
 
 
 def refuse(error, bad, message, **values):
-    """Raise error for the first True of the boolean array bad (C order),
-    with message formatted by each of values (arrays broadcasting to bad)
-    at that element; bad goes along as the error's ``where``."""
-    if np.count_nonzero(bad):
+    """Raise error for the first True of bad, a numpy bool array or scalar
+    (C order), with message formatted by each of values (arrays broadcasting
+    to bad) at that element; bad goes along as the error's ``where``."""
+    # bad's bytes, 1 for True: no array conversion of a numpy scalar, and a
+    # Python bool, which has no buffer, fails here instead of passing
+    if 1 in memoryview(bad).tobytes():
         bad = np.asarray(bad)
         k = np.argmax(bad)
         at = {n: float(np.broadcast_to(v, bad.shape).flat[k]) for n, v in values.items()}

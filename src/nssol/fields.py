@@ -38,8 +38,8 @@ class SolutionField:
     evaluation per time row.  An NssolError names the offending (t, r).
 
     The domain is r >= 0.  It is not checked on each call: an array-safe
-    refusal would add about 8% to every black-box stencil point (1.37 us
-    against 17.1 us for a scalar Gaussian field point, one Xeon core),
+    refusal would add about 10% to every black-box stencil point (1.1 us
+    against 11.1 us a scalar Gaussian field point, best of 25, one Xeon),
     and eval_grid and verify_window already refuse r <= 0 on their inputs.
     """
 

@@ -56,7 +56,7 @@ class ExpQuadratic(Profile):
         self.C = float(C)
 
     def evaluate(self, z):
-        z = np.abs(np.asarray(z, dtype=float))
+        z = np.abs(z)
         # y or dy past the float range (near a = 0), and 0*inf at z = inf,
         # leave dy non-finite and are refused below; -inf decays to 0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -105,7 +105,7 @@ class PowerRoot(Profile):
         return self._c2 * z * z + self._c0
 
     def evaluate(self, z):
-        z = np.abs(np.asarray(z, dtype=float))
+        z = np.abs(z)
         # a radicand past the float range is -inf, vacuum, or +inf (or
         # 0*inf at xi = 0), which leaves y or dy non-finite, refused below
         with np.errstate(over="ignore", invalid="ignore"):

@@ -47,6 +47,9 @@ class Window:
     r_max: float
 
     def __post_init__(self):
+        bounds = (self.t_min, self.t_max, self.r_min, self.r_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValueError(f"window bounds must be finite, got {bounds}")
         if not self.t_min < self.t_max:
             raise ValueError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
         if not 0.0 < self.r_min < self.r_max:
@@ -188,8 +191,19 @@ def _residuals(field, params, t, r, centre, h_t, h_r):
     return mass, mom, vacuum
 
 
+def _steps(resolutions):
+    """resolutions as (h_t, h_r) float pairs, each step finite and > 0."""
+    resolutions = [(float(ht), float(hr)) for ht, hr in resolutions]
+    if not resolutions:
+        raise ValueError("need at least one (h_t, h_r) resolution")
+    if not all(0.0 < h < math.inf for pair in resolutions for h in pair):
+        raise ValueError(f"h_t and h_r must be finite and > 0, got {resolutions}")
+    return resolutions
+
+
 def _point_residuals(field_fn, params, t, r, h_t, h_r):
     """_residuals of the one stencil around (t, r)."""
+    ((h_t, h_r),) = _steps([(h_t, h_r)])
     field = _array_field(field_fn)
     return _residuals(field, params, t, r, _centre(field, t, r, [h_r]), h_t, h_r)
 
@@ -198,9 +212,10 @@ def mass_residual(field_fn, params, t, r, h_t, h_r):
     """Centered-difference residual of the mass equation at (t, r).
 
     Only the spatial dimension params.N enters; the result is bitwise
-    independent of (K, kappa, gamma, theta, delta).  Raises
-    StencilOutOfDomainError when a stencil point leaves the domain, and
-    NonFiniteFieldError when a residual at (t, r) is not finite.
+    independent of (K, kappa, gamma, theta, delta).  Raises ValueError
+    for a step that is not finite and > 0, StencilOutOfDomainError when a
+    stencil point leaves the domain, and NonFiniteFieldError when a
+    residual at (t, r) is not finite.
     """
     mass, _, _ = _point_residuals(field_fn, params, t, r, h_t, h_r)
     return float(mass)
@@ -212,8 +227,9 @@ def momentum_residual(field_fn, params, t, r, h_t, h_r):
     The gradients of rho**gamma and rho**theta come from differencing
     the powered field samples.  Raises NonFiniteFieldError when the
     stencil touches vacuum (the residual is classically undefined at a
-    support boundary) or the residual is not finite, and
-    StencilOutOfDomainError for domain exits.
+    support boundary) or the residual is not finite, ValueError for a
+    step that is not finite and > 0, and StencilOutOfDomainError for
+    domain exits.
     """
     _, mom, vacuum = _point_residuals(field_fn, params, t, r, h_t, h_r)
     if vacuum:
@@ -256,15 +272,14 @@ def verify_window(field_fn, params, window, resolutions,
     resolutions is a sequence of (h_t, h_r) pairs, coarse to fine; with
     two or more, the report carries convergence-order estimates from the
     last pair (2 is the expected order for an exact solution).  lattice
-    is the number of points per window axis.  A mass or momentum
+    is the number of points per window axis.  A step that is not finite
+    and > 0 raises ValueError before any sample.  A mass or momentum
     residual that is not finite raises NonFiniteFieldError; only
     stencils that touch vacuum (rho <= 0) are skipped.
     """
     if lattice < 2:
         raise ValueError(f"lattice must have >= 2 points per axis, got {lattice}")
-    resolutions = [(float(ht), float(hr)) for ht, hr in resolutions]
-    if not resolutions:
-        raise ValueError("need at least one (h_t, h_r) resolution")
+    resolutions = _steps(resolutions)
 
     field = _array_field(field_fn)
     k = np.arange(lattice)
@@ -295,7 +310,7 @@ def verify_family(params, family, window, resolutions,
     scaling trajectory is integrated far enough past the window for the
     time stencils at every listed resolution.
     """
-    max_h_t = max(h_t for h_t, _ in resolutions)
+    max_h_t = max(h_t for h_t, _ in _steps(resolutions))
     t_end = window.t_max + 2.0 * max_h_t
     solution = build_solution(params, family, t_end=t_end, z_max=z_max)
     return verify_window(solution.field(), params, window, resolutions,

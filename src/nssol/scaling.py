@@ -109,9 +109,11 @@ class NumericScaling(ScalingFn):
     ts are the accepted steps' start times and the end, values the stack
     (a, adot) there, and table, shape (4, 2, len(ts)), the coefficients
     of s, s**2, s**3 and s**4, s = t - ts[i], of each step's quartic in
-    a and in adot (zero in the column of the end), all finite.
-    Evaluation is one lookup and one four-term Horner (_interp.hermite),
-    so pair(t) is the integrator's own dense output to rounding.
+    a and in adot (zero in the column of the end), all finite.  They are
+    held in _interp.hermite's layout, one (2, 5, len(ts) + 2) table that
+    ts, a_values and adot_values view read-only.  Evaluation is one
+    lookup and one four-term Horner, so pair(t) is the integrator's own
+    dense output to rounding.
     Evaluation outside [0, t_last], up to an edge tolerance of
     1e-12*max(1, t_last) that serves the end values, raises
     OutOfRangeError; t_last is shorter than the requested span when the
@@ -123,30 +125,28 @@ class NumericScaling(ScalingFn):
 
     def __init__(self, ts, values, table, status, vanishing_time=None,
                  label="", stats=None):
-        # each array with a NaN column at each end, where hermite puts t
-        # out of range, and read through views of the columns between;
+        # a NaN column at each end, where hermite puts t out of range;
         # a and adot are one stack of curves: t is located once for both
-        padded = []
-        for arr in (ts, values, table):
-            arr = np.asarray(arr, dtype=float)
-            padded.append(np.full(arr.shape[:-1] + (arr.shape[-1] + 2,), np.nan))
-            padded[-1][..., 1:-1] = arr
-            padded[-1].flags.writeable = False
-        ts, values, table = (arr[..., 1:-1] for arr in padded)
+        self._nodes = np.full(len(ts) + 2, np.nan)
+        self._coef = np.full((2, 5, len(ts) + 2), np.nan)
+        self._nodes[1:-1] = ts
+        self._coef[:, 0, 1:-1] = values
+        self._coef[:, 1:, 1:-1] = np.swapaxes(table, 0, 1)
+        self._nodes.flags.writeable = self._coef.flags.writeable = False
+        ts, values = self._nodes[1:-1], self._coef[:, :, 1:-1]
         if not np.all(np.diff(ts) > 0.0):
             raise ValueError("trajectory times must be strictly increasing")
-        if not np.all(values[0] > 0.0):
+        if not np.all(values[0, 0] > 0.0):
             raise ValueError("trajectory a values must stay positive")
         # NaN is what hermite serves out of range: none may sit in range
-        if not all(np.isfinite(arr).all() for arr in (ts, values, table)):
+        if not (np.isfinite(ts).all() and np.isfinite(values).all()):
             raise ValueError("trajectory nodes must be finite")
         pad = 1e-12 * max(1.0, abs(ts[-1]))
         self._edges = np.concatenate(
             ([ts[0] - pad], ts[1:], [np.nextafter(ts[-1] + pad, np.inf)]))
         self._edges.flags.writeable = False
-        self._nodes, self._values, self._table = padded
         self.ts = ts
-        self.a_values, self.adot_values = values
+        self.a_values, self.adot_values = values[:, 0]
         self.status = status
         self.vanishing_time = vanishing_time
         self.label = label
@@ -161,7 +161,7 @@ class NumericScaling(ScalingFn):
                 "searched_until": self.t_end}
 
     def pair(self, t):
-        a, adot = hermite(self._edges, self._nodes, self._values, self._table, t, "t")
+        a, adot = hermite(self._edges, self._nodes, self._coef, t, "t")
         return unbox(a), unbox(adot)
 
     def __repr__(self):

@@ -19,6 +19,7 @@ from nssol import (
     verify_family,
     verify_window,
 )
+from nssol import residuals
 from nssol.residuals import Window, mass_residual, momentum_residual
 from tests.cases import (
     RESOLUTIONS,
@@ -348,6 +349,52 @@ def test_non_finite_sample_is_refused_at_once():
     assert len(calls) == 16 * 33 + 16 + 1
     assert f"(t={t_nan!r}, r={r_nan!r})" in str(info.value)
     assert "nan" in str(info.value)
+
+
+#: inputs the verifier refuses: window bounds, then (h_t, h_r) pairs
+_BAD_INPUTS = {
+    "infinite r_max": ((0.1, 0.5, 0.1, math.inf), [(1e-3, 1e-3)]),
+    "zero h_r": ((0.1, 0.5, 0.1, 2.0), [(1e-3, 1e-3), (1e-3, 0.0)]),
+    "nan h_r": ((0.1, 0.5, 0.1, 2.0), [(1e-3, math.nan)]),
+    "negative h_r": ((0.1, 0.5, 0.1, 2.0), [(1e-3, -1e-3)]),
+    "infinite h_t": ((0.1, 0.5, 0.1, 2.0), [(math.inf, 1e-3)]),
+}
+
+
+@pytest.mark.parametrize("entry", ["verify_window", "verify_family",
+                                   "mass_residual", "momentum_residual"])
+@pytest.mark.parametrize("bounds, resolutions", list(_BAD_INPUTS.values()),
+                         ids=list(_BAD_INPUTS))
+def test_bad_inputs_are_refused_before_any_sample(monkeypatch, entry, bounds,
+                                                  resolutions):
+    # an infinite bound made inf*0 in the lattice and blamed the field at
+    # r=nan, h_r = 0 divided by zero, a NaN h_r passed the r - h_r > 0
+    # test and a negative one went into the report: each is a ValueError
+    # now, before the field is built or sampled; the one-point residuals
+    # take the last (h_t, h_r) and no window
+    params, family, _ = isothermal_gaussian()
+    calls = []
+
+    def field(t, r):
+        calls.append((t, r))
+        return 1.0, 0.0
+
+    def build(*args, **kwargs):
+        calls.append(args)
+        return build_solution(*args, **kwargs)
+
+    monkeypatch.setattr(residuals, "build_solution", build)
+    run = {"verify_window": lambda w: verify_window(field, params, w, resolutions,
+                                                    lattice=3),
+           "verify_family": lambda w: verify_family(params, family, w, resolutions,
+                                                    lattice=3),
+           "mass_residual": lambda w: mass_residual(field, params, 0.3, 1.0,
+                                                    *resolutions[-1]),
+           "momentum_residual": lambda w: momentum_residual(field, params, 0.3, 1.0,
+                                                            *resolutions[-1])}[entry]
+    with pytest.raises(ValueError, match="finite"):
+        run(Window(*bounds))
+    assert calls == []
 
 
 def test_single_resolution_reports_no_orders():
