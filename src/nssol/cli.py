@@ -7,7 +7,9 @@ or validation failure, 3 runtime numeric failure; failures also emit a
 machine-readable JSON record on stderr.
 
 CSV payloads have a single header row, LF line endings, and numbers
-printed with 17 significant digits so binary64 values round-trip.
+printed with 17 significant digits, exactly as ``'%.17g' % x``, so
+binary64 values round-trip.  One array-wide writer (``_text.csv_rows``)
+formats every CSV number of profile, scale and field.
 """
 
 import argparse
@@ -20,6 +22,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
+from ._text import csv_rows
 from .errors import NonFiniteFieldError, NssolError, refuse
 from .fields import eval_grid
 from .model import FAMILY_TAGS, ModelParams, validate
@@ -186,12 +189,12 @@ def _json_doc(obj):
 
 def _table(header, keys, values, fmt, **extra):
     """Table over the product grid of the 1-d arrays keys, values having
-    that grid's shape: CSV at 17 significant digits, or JSON columns then
-    extra, byte for byte json.dumps(..., indent=2) but with the columns
-    from json's C encoder (indent selects the slow one).  Each distinct
-    key is formatted once and its text repeated over the grid.  A value
-    that is not finite raises NonFiniteFieldError: no payload carries
-    inf or NaN."""
+    that grid's shape: CSV, each number as ``'%.17g' % x`` from the
+    array-wide writer, or JSON columns then extra, byte for byte
+    json.dumps(..., indent=2) but with the columns from json's C encoder
+    (indent selects the slow one).  Each distinct key is formatted once
+    and its text repeated over the grid.  A value that is not finite
+    raises NonFiniteFieldError: no payload carries inf or NaN."""
     names = header[:len(keys)]
     at = ", ".join(f"{k}={{{k}!r}}" for k in names)
     for name, column in zip(header[len(keys):], values):
@@ -218,13 +221,7 @@ def _table(header, keys, values, fmt, **extra):
                   + ",\n" for k, v in extra.items()]
         parts[-1] = parts[-1][:-2] + "\n}\n"
         return "".join(parts)
-    prefixes = [""]
-    for key in keys:
-        strings = [f"{x:.17g}," for x in key.tolist()]
-        prefixes = [p + x for p in prefixes for x in strings]
-    row = ",".join(["%.17g"] * len(values)) + "\n"
-    rows = zip(*(v.ravel().tolist() for v in values))
-    return ",".join(header) + "\n" + "".join([p + row % v for p, v in zip(prefixes, rows)])
+    return ",".join(header) + "\n" + csv_rows(keys, values)
 
 
 def _build(config, t_end):

@@ -15,8 +15,11 @@ def refuse(error, bad, message, **values):
     (C order), with message formatted by each of values (arrays broadcasting
     to bad) at that element; bad goes along as the error's ``where``."""
     # bad's bytes, 1 for True: no array conversion of a numpy scalar, and a
-    # Python bool, which has no buffer, fails here instead of passing
-    if 1 in memoryview(bad).tobytes():
+    # Python bool, which has no buffer, fails here instead of passing.  A
+    # mask that is not C-contiguous (a transposed or strided view) is
+    # reduced where it lies: its bytes would be gathered one by one.
+    view = memoryview(bad)
+    if (1 in view.tobytes()) if view.c_contiguous else bad.any():
         bad = np.asarray(bad)
         k = np.argmax(bad)
         at = {n: float(np.broadcast_to(v, bad.shape).flat[k]) for n, v in values.items()}

@@ -107,13 +107,19 @@ class PowerRoot(Profile):
     def evaluate(self, z):
         z = np.abs(z)
         # a radicand past the float range is -inf, vacuum, or +inf (or
-        # 0*inf at xi = 0), which leaves y or dy non-finite, refused below
+        # 0*inf at xi = 0), which leaves y or dy non-finite, refused below.
+        # Vacuum is selected by arithmetic, not np.where, so a scalar stays
+        # a numpy scalar: there the base is 1, y is multiplied by 0 and xi
+        # is +0, so both are +0.  Vacuum needs c2 < 0, hence xi != 0, and
+        # xi*True + 0.0 is xi; a -0.0 xi, which never meets vacuum, stays.
         with np.errstate(over="ignore", invalid="ignore"):
             rad = self._radicand(z)
             vacuum = rad <= 0.0
-            base = np.where(vacuum, 1.0, rad)
-            y = np.where(vacuum, 0.0, np.power(base, self._p))
-            dy = np.where(vacuum, 0.0, self.xi * z * np.power(base, self._p - 1.0))
+            solid = ~vacuum
+            base = np.maximum(rad, 0.0) + vacuum
+            xi = self.xi * solid + 0.0 if self._c2 < 0.0 else self.xi
+            y = np.power(base, self._p) * solid
+            dy = xi * z * np.power(base, self._p - 1.0)
         refuse(DomainError, ~(np.isfinite(y) & np.isfinite(dy)) | (z == math.inf),
                "density shape overflows at z={z!r} (radicand {rad:.4g})", z=z, rad=rad)
         return unbox(y), unbox(dy)

@@ -1,14 +1,17 @@
 """Command-line interface: config schema, subcommands, exit codes, formats."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nssol import NonFiniteFieldError, build_solution, cli, profiles
+from nssol import NonFiniteFieldError, build_solution, cli, eval_grid, profiles
 from nssol.cli import ConfigError, RunConfig, main
 
 
@@ -344,10 +347,20 @@ def test_missing_config_file(capsys):
     assert main(["describe", "--config", "/nonexistent/cfg.json"]) == 2
 
 
+#: numbers whose %.17g text is easy to get wrong in an array-wide writer:
+#: the decade of the truncated 17-digit value (1e-07 is 9.99...95e-08 as a
+#: double), exact ties rounding half-even, a rounding that carries into the
+#: next decade (1e-14), both sides of the edges of the writer's integer
+#: window (1e-11 < |x| < 1e17), the largest double, the smallest subnormal
+EDGES = [1e-07, 1e-06, 1234000000000000.25, 123400000000.015625, 1e-14,
+         math.nextafter(1e-11, 0.0), 1e-11, math.nextafter(1e-11, math.inf),
+         math.nextafter(1e17, 0.0), 1e17, math.nextafter(1e17, math.inf),
+         1.7976931348623157e308, 5e-324]
+
 #: values whose text is easy to get wrong: a signed zero, the smallest
-#: subnormal, a near-overflow, integral floats and 17-digit mantissas
+#: subnormal, a near-overflow, integral floats, 17-digit mantissas and EDGES
 AWKWARD = [-0.0, 5e-324, 1e308, 2.0, -3.0, 0.1, 1.0 / 3.0, 1.0000000000000002,
-           123456789.0, -2.5e-17, 6.02214076e23, 0.0]
+           123456789.0, -2.5e-17, 6.02214076e23, 0.0] + EDGES[:-1]
 
 
 def _reference_csv(header, rows):
@@ -360,10 +373,11 @@ def _reference_json(header, rows, **extra):
     return json.dumps({**columns, **extra}, indent=2) + "\n"
 
 
-def test_table_writers_match_reference_bytes():
+@pytest.mark.parametrize("n_t, n_r", [(4, 6), (1, 24), (24, 1)])
+def test_table_writers_match_reference_bytes(n_t, n_r):
     # field payload: keys t and r on a product grid, two value columns
-    ts, rs = np.array(AWKWARD[:3]), np.array(AWKWARD[3:7])
-    rho = np.array(AWKWARD).reshape(3, 4)
+    ts, rs = np.array(AWKWARD[:n_t]), np.array(AWKWARD[-n_r:])
+    rho = np.array(AWKWARD).reshape(n_t, n_r)
     u = -rho[::-1]
     header = ("t", "r", "rho", "u")
     rows = [(t, r, rho[i, j], u[i, j])
@@ -381,16 +395,79 @@ def test_table_writers_match_reference_bytes():
         assert cli._table(header, [ts], [a, adot], "csv") == _reference_csv(header, rows)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+@example([-0.0, 0.0])
+@example(EDGES)
+@example([-x for x in EDGES])
+@example([1e-07])
+@example([1e-06])
+@example([1234000000000000.25])
+@example([123400000000.015625])
+@example([1e-14])
+@example([math.nextafter(1e-11, 0.0), math.nextafter(1e-11, math.inf)])
+@example([math.nextafter(1e17, 0.0), 1e17])
+@example([5e-324, 1.7976931348623157e308])
+@example([float(f"1e{m}") for m in range(-12, 19)])
+@example([math.nextafter(float(f"1e{m}"), 0.0) for m in range(-12, 19)])
+def test_csv_numbers_are_printf_17g(xs):
+    # every finite double, subnormals and signed zeros included, as the
+    # key and as a value column of a scale table
+    ts = np.array(xs)
+    text = cli._table(("t", "a", "adot"), [ts], [ts, -ts], "csv")
+    assert text == "t,a,adot\n" + "".join(f"{x:.17g},{x:.17g},{-x:.17g}\n" for x in xs)
+
+
+#: the benchmark's field exports, on their 256 x 256 grids: a Gaussian
+#: shape, a power-law blow-up and the pressureless theta = 2 family
+FIELD_EXPORTS = [
+    ({"N": 3, "gamma": 1.0, "theta": 1.0},
+     {"kind": "with_pressure_isothermal", "A": 1.0, "B": -1.0, "C": 0.0,
+      "a0": 1.0, "a1": 0.0}, (0.1, 0.5)),
+    ({"N": 3, "gamma": 5.0 / 3.0, "theta": 1.0},
+     {"kind": "with_pressure_power_law", "m": -1.0, "n": 1.0, "sigma": 1.0,
+      "alpha": 1.0}, (0.05, 0.5)),
+    ({"N": 3, "gamma": 1.0, "theta": 2.0},
+     {"kind": "pressureless_theta_not1", "lam": 1.0, "alpha": 1.0, "a0": 1.0,
+      "a1": 0.5}, (0.1, 0.5)),
+]
+
+
+@pytest.mark.parametrize("model, family, times", FIELD_EXPORTS)
+def test_full_size_field_csv_matches_reference_bytes(model, family, times):
+    config = RunConfig({"model": model, "family": family})
+    solution = build_solution(config.params, config.family, t_end=times[1])
+    ts, rs = np.linspace(*times, 256), np.linspace(0.1, 2.0, 256)
+    fg = eval_grid(solution.profile, solution.scaling, config.params.N, ts, rs)
+    header = ("t", "r", "rho", "u")
+    rows = zip(np.repeat(ts, rs.size), np.tile(rs, ts.size), fg.rho.ravel(), fg.u.ravel())
+    assert (cli._table(header, [fg.t_values, fg.r_values], [fg.rho, fg.u], "csv")
+            == _reference_csv(header, rows))
+
+
+def test_csv_rows_past_one_block_match_reference_bytes():
+    # a key column longer than the writer's block, cut unevenly, and
+    # values spread over 40 decades with both signs
+    rng = np.random.default_rng(5)
+    ts = np.sort(rng.uniform(0.0, 3.0, 20001))
+    a = np.exp(rng.uniform(-46.0, 46.0, ts.size)) * rng.choice([-1.0, 1.0], ts.size)
+    header = ("t", "a", "adot")
+    assert (cli._table(header, [ts], [a, 1.0 / a], "csv")
+            == _reference_csv(header, zip(ts, a, 1.0 / a)))
+
+
 def test_table_refuses_non_finite_values():
     ts, rs = np.array([0.1, 0.2]), np.array([1.0, 2.0, 3.0])
     rho = np.ones((2, 3))
     for bad in (np.inf, -np.inf, np.nan):
         u = np.zeros((2, 3))
         u[1, 2] = bad
-        for fmt in ("csv", "json"):
-            with pytest.raises(NonFiniteFieldError,
-                               match=rf"u at \(t=0.2, r=3.0\) is not finite: {bad!r}"):
-                cli._table(("t", "r", "rho", "u"), [ts, rs], [rho, u], fmt)
+        # a transposed copy: refuse reads a mask that is not C-contiguous
+        for u in (u, np.asfortranarray(u)):
+            for fmt in ("csv", "json"):
+                with pytest.raises(NonFiniteFieldError,
+                                   match=rf"u at \(t=0.2, r=3.0\) is not finite: {bad!r}"):
+                    cli._table(("t", "r", "rho", "u"), [ts, rs], [rho, u], fmt)
     with pytest.raises(NonFiniteFieldError, match=r"adot at \(t=0.2\)"):
         cli._table(("t", "a", "adot"), [ts], [ts, np.array([0.0, np.nan])], "json")
 
