@@ -38,9 +38,9 @@ _8, _32, _48, _56, _63 = _U(8), _U(32), _U(48), _U(56), _U(63)
 _TEN4, _TEN8 = _U(10**4), _U(10**8)
 _TEN16, _TEN17 = _U(10**16), _U(10**17)
 
-#: the conversion window: 5**(16 - e) fits 64 bits for e >= -11
+#: the conversion window, and its decades: 5**(16 - e) fits 64 bits
 _LO, _HI = 1e-11, 1e17
-_E_MIN, _E_MAX = -11, 17
+_E_MIN, _E_MAX = -11, 16
 
 #: 5**k for k = 0..27
 _POW5 = np.cumprod(np.concatenate([[_ONE], np.full(27, 5, _U)]), dtype=_U)
@@ -62,18 +62,18 @@ def _words(chars):
 
 #: per decade e = _E_MIN.._E_MAX: the first word's lead, bytes 1..5, in
 #: fixed notation below 1, and the last word's suffix in scientific
-#: notation, %g's choice for e < -4 or e >= 17 at 17 digits
+#: notation, %g's choice at 17 digits for e < -4 (and e >= 17, outside)
 _E = np.arange(_E_MIN, _E_MAX + 1)
-_SCI = (_E < -4) | (_E >= 17)
+_SCI = _E < -4
 _UNDER1 = ~_SCI & (_E < 0)
 _around = np.zeros((_E.size, 16), np.uint8)
 _around[:, 1] = np.where(_UNDER1, _ZERO, 0)
 _around[:, 2] = np.where(_UNDER1, _DOT, 0)
 _around[:, 3:6] = np.where(_UNDER1[:, None] & (np.arange(2, 5) <= -_E[:, None]), _ZERO, 0)
 _around[:, 8] = np.where(_SCI, ord("e"), 0)
-_around[:, 9] = np.where(_SCI, np.where(_E < 0, _MINUS, ord("+")), 0)
-_around[:, 10] = np.where(_SCI, abs(_E) // 10 + _ZERO, 0)
-_around[:, 11] = np.where(_SCI, abs(_E) % 10 + _ZERO, 0)
+_around[:, 9] = np.where(_SCI, _MINUS, 0)
+_around[:, 10] = np.where(_SCI, -_E // 10 + _ZERO, 0)
+_around[:, 11] = np.where(_SCI, -_E % 10 + _ZERO, 0)
 _LEAD, _SUFFIX = _words(_around).T
 
 #: digits 2..17 (words 1 and 2) kept by a text of 1..17 digits
@@ -123,7 +123,7 @@ def cells(x, text):
     frac, q = np.frexp(y)
     m = (frac * 2.0**53).astype(_U)
     q = q.astype(np.intp) - 53
-    e = np.clip(np.floor(np.log10(y)).astype(np.intp), _E_MIN, _E_MAX - 1)
+    e = np.clip(np.floor(np.log10(y)).astype(np.intp), _E_MIN, _E_MAX)
     quotient, up = _scaled(m, q, e)
     # the estimate from log10 can miss the decade next to a power of ten
     miss = np.flatnonzero((quotient < _TEN16) | (quotient >= _TEN17))
@@ -151,10 +151,10 @@ def cells(x, text):
 
     # %g keeps the first e + 1 digits of fixed notation (e >= 0) however
     # many are zeros, then drops trailing zeros and a bare point
-    integral = np.where((e >= 0) & (e < 17), e, 0)
+    integral = np.maximum(e, 0)
     kept = np.maximum(significant, integral + 1)
     fraction = significant > integral + 1
-    point = fraction & (integral == 0) & ((e >= 0) | (e < -4))
+    point = fraction & ((e == 0) | (e < -4))
     text[:, 0] = (np.take(_LEAD, e - _E_MIN) | np.signbit(x).astype(_U) * _MINUS_U
                   | (first + _ZERO_U) << _48 | point.astype(_U) * _DOT_U << _56)
     quads = np.take(_QUAD, quads).view(_WORD)

@@ -350,8 +350,9 @@ def test_missing_config_file(capsys):
 #: numbers whose %.17g text is easy to get wrong in an array-wide writer:
 #: the decade of the truncated 17-digit value (1e-07 is 9.99...95e-08 as a
 #: double), exact ties rounding half-even, a rounding that carries into the
-#: next decade (1e-14), both sides of the edges of the writer's integer
-#: window (1e-11 < |x| < 1e17), the largest double, the smallest subnormal
+#: next decade (1e-14, below the writer's integer window), both sides of
+#: that window's edges (1e-11 < |x| < 1e17), the largest double and the
+#: smallest subnormal
 EDGES = [1e-07, 1e-06, 1234000000000000.25, 123400000000.015625, 1e-14,
          math.nextafter(1e-11, 0.0), 1e-11, math.nextafter(1e-11, math.inf),
          math.nextafter(1e17, 0.0), 1e17, math.nextafter(1e17, math.inf),
@@ -373,17 +374,18 @@ def _reference_json(header, rows, **extra):
     return json.dumps({**columns, **extra}, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("n_t, n_r", [(4, 6), (1, 24), (24, 1)])
-def test_table_writers_match_reference_bytes(n_t, n_r):
-    # field payload: keys t and r on a product grid, two value columns
-    ts, rs = np.array(AWKWARD[:n_t]), np.array(AWKWARD[-n_r:])
-    rho = np.array(AWKWARD).reshape(n_t, n_r)
-    u = -rho[::-1]
-    header = ("t", "r", "rho", "u")
-    rows = [(t, r, rho[i, j], u[i, j])
-            for i, t in enumerate(ts) for j, r in enumerate(rs)]
-    assert cli._table(header, [ts, rs], [rho, u], "csv") == _reference_csv(header, rows)
-    assert cli._table(header, [ts, rs], [rho, u], "json") == _reference_json(header, rows)
+def test_table_writers_match_reference_bytes():
+    # field payload: keys t and r on a product grid, two value columns,
+    # on a square-ish grid, a single row and a single column
+    for n_t, n_r in ((4, 6), (1, 24), (24, 1)):
+        ts, rs = np.array(AWKWARD[:n_t]), np.array(AWKWARD[-n_r:])
+        rho = np.array(AWKWARD).reshape(n_t, n_r)
+        u = -rho[::-1]
+        header = ("t", "r", "rho", "u")
+        rows = [(t, r, rho[i, j], u[i, j])
+                for i, t in enumerate(ts) for j, r in enumerate(rs)]
+        assert cli._table(header, [ts, rs], [rho, u], "csv") == _reference_csv(header, rows)
+        assert cli._table(header, [ts, rs], [rho, u], "json") == _reference_json(header, rows)
     # scale payload: one key column and the nested status object
     ts, a, adot = (np.array(AWKWARD[k::3]) for k in range(3))
     rows = list(zip(ts, a, adot))
