@@ -26,7 +26,6 @@ from ._text import csv_rows
 from .errors import NonFiniteFieldError, NssolError, refuse
 from .fields import eval_grid
 from .model import FAMILY_TAGS, ModelParams, validate
-from .profiles import DEFAULT_Z_MAX
 from .residuals import DEFAULT_LATTICE, Window, verify_family
 from .solutions import build_solution
 
@@ -80,7 +79,6 @@ _SCHEMA = {
     "verify": ({"window": _window, "resolutions": _resolutions},
                {"lattice": _integer}),
     "output": ({}, {"format": _string, "path": _string}),
-    "numerics": ({}, {"z_max": _number}),
 }
 
 
@@ -160,10 +158,6 @@ class RunConfig:
                 f"output.format must be 'csv' or 'json', got {self.output_format!r}")
         self.output_path = out.get("path")
 
-        self.z_max = doc.get("numerics", {}).get("z_max", DEFAULT_Z_MAX)
-        if self.z_max <= 0.0:
-            raise ConfigError("numerics.z_max must be > 0")
-
     @classmethod
     def from_file(cls, path):
         def reject(literal):
@@ -225,8 +219,7 @@ def _table(header, keys, values, fmt, **extra):
 
 
 def _build(config, t_end):
-    return build_solution(config.params, config.family, t_end=t_end,
-                          z_max=config.z_max)
+    return build_solution(config.params, config.family, t_end=t_end)
 
 
 def _require_grid(config):
@@ -254,7 +247,7 @@ def cmd_describe(config, fmt):
 def cmd_profile(config, fmt):
     grid = _require_grid(config)
     profile = _build(config, t_end=max(grid["t_max"], 1e-3)).profile
-    zs = np.linspace(0.0, min(grid["r_max"], profile.z_max), grid["n_r"])
+    zs = np.linspace(0.0, grid["r_max"], grid["n_r"])
     return (_table(("z", "y", "dy"), [zs], profile.evaluate(zs), fmt),
             {"ok": True, "points": zs.size})
 
@@ -284,7 +277,7 @@ def cmd_verify(config, fmt):
         raise ConfigError("this command needs a 'verify' section in the config")
     report = verify_family(config.params, config.family,
                            config.verify["window"], config.verify["resolutions"],
-                           lattice=config.verify["lattice"], z_max=config.z_max)
+                           lattice=config.verify["lattice"])
     return (_json_doc(report.to_dict()),
             {"ok": True, "mass_linf": report.finest.mass_linf,
              "mom_linf": report.finest.mom_linf})

@@ -33,7 +33,7 @@ class DomainError(NssolError):
 
 
 class OutOfRangeError(NssolError):
-    """A tabulated trajectory or a bounded shape was queried beyond its range."""
+    """A trajectory was queried beyond its range, or a shape off its domain."""
 
 
 class StepFailureError(NssolError):

@@ -81,7 +81,7 @@ class WithPressureIsothermal(Family):
         if self.A < 0.0:
             yield f"A must be >= 0, got {self.A}"
 
-    def build(self, params, t_end, z_max):
+    def build(self, params, t_end):
         return (profiles.ExpQuadratic(self.A, self.B, self.C),
                 scaling.integrate_isothermal(self.B, params.K, params.kappa,
                                              params.N, self.a0, self.a1, t_end))
@@ -104,7 +104,7 @@ class WithPressurePolytropic(Family):
             yield ("theta=gamma>1 required for the polytropic family, got "
                    f"gamma={params.gamma}, theta={params.theta}")
 
-    def build(self, params, t_end, z_max):
+    def build(self, params, t_end):
         # y**(theta-2)*dy/dz = z, y(0) = alpha: y grows from alpha
         return (profiles.PowerRoot(params.theta - 2.0, 1.0, self.alpha),
                 scaling.integrate_polytropic(params.gamma, params.K, params.kappa,
@@ -148,10 +148,10 @@ class WithPressurePowerLaw(Family):
                 if not (0.0 < s <= 1.0):
                     yield f"similarity exponent s={s} outside (0, 1]"
 
-    def build(self, params, t_end, z_max):
+    def build(self, params, t_end):
         s = derived_s(params)
         return (profiles.powerlaw_profile(params, self.m, self.sigma,
-                                          self.alpha, s, z_max=z_max),
+                                          self.alpha, s),
                 scaling.PowerLawScaling(self.sigma, self.m, self.n, s))
 
     def describe(self, params):
@@ -186,7 +186,7 @@ class PressurelessTheta1(Family):
             yield ("theta=1 required for this pressureless family, got "
                    f"theta={params.theta}")
 
-    def build(self, params, t_end, z_max):
+    def build(self, params, t_end):
         # density exp(lam/(2*N*kappa)*z**2 + alpha)/a**N folds into the
         # exponential-quadratic shape with A=1
         return (profiles.ExpQuadratic(
@@ -212,7 +212,7 @@ class PressurelessThetaNot1(Family):
         if params.theta == 1.0:
             yield "theta != 1 required for this pressureless family"
 
-    def build(self, params, t_end, z_max):
+    def build(self, params, t_end):
         xi = -self.lam / (params.N * params.kappa * params.theta)
         return (profiles.PowerRoot(params.theta - 2.0, xi, self.alpha),
                 scaling.integrate_pressureless(params.theta, self.lam, params.N,
@@ -224,11 +224,11 @@ class PressurelessThetaNot1(Family):
 #: Family, with a ``tag`` (its config name), its pressure switch
 #: ``delta``, the constants that must be ``positive``, a generator
 #: ``violations(params)`` of messages for its other constraints, and
-#: ``build(params, t_end, z_max)`` giving (profile, scaling) of a valid
-#: instance: t_end bounds an integrated scaling, z_max the z at which the
-#: power-law shape may be evaluated.  Its ``describe(params)`` hook gives
-#: the extra keys of ``nssol describe`` on a valid instance (none by
-#: default; the power-law family's vanishing time).
+#: ``build(params, t_end)`` giving (profile, scaling) of a valid
+#: instance, where t_end bounds an integrated scaling.  Its
+#: ``describe(params)`` hook gives the extra keys of ``nssol describe`` on
+#: a valid instance (none by default; the power-law family's vanishing
+#: time).
 FAMILIES = (
     WithPressureIsothermal,
     WithPressurePolytropic,

@@ -1,10 +1,11 @@
 """Self-similar density shapes y(z), z = r/a(t).
 
-Three concrete shapes cover all solution families, each in closed form:
-an exponential of a quadratic, a power root of a quadratic (clipped to
-vacuum where the radicand turns negative), and the shape of the
-power-law scaling family, the root of the implicit closed form of its
-separable profile ODE.
+Three concrete shapes cover all solution families, each in closed form
+on every z: an exponential of a quadratic, a power root of a quadratic
+(clipped to vacuum where the radicand turns negative), and the shape of
+the power-law scaling family, the root of the implicit closed form of its
+separable profile ODE.  None has a bound on z; each refuses a value past
+the float range itself.
 """
 
 import math
@@ -17,9 +18,6 @@ from .errors import DomainError, OutOfRangeError, refuse
 
 #: relative guard below which the profile ODE coefficient counts as singular
 EPS_COEFF = 1e-10
-
-#: default bound on z of the power-law shape
-DEFAULT_Z_MAX = 10.0
 
 #: log of the largest float64, and of the smallest positive (subnormal) one
 _LOG_MAX = 709.78
@@ -34,9 +32,6 @@ def _require_finite(**values):
 
 class Profile:
     """Base class: an even, non-negative density shape on z >= 0."""
-
-    #: evaluation beyond |z| = z_max raises OutOfRangeError
-    z_max = math.inf
 
     def evaluate(self, z):
         """(y, dy/dz) at |z|, a scalar (floats back) or an array; never
@@ -159,17 +154,19 @@ class ImplicitProfile(Profile):
     G(y) = G(alpha) + r*z**2/2 on the branch through alpha.  c changes
     sign at most once: y rises without bound where c(alpha) > 0 and
     falls where c(alpha) < 0, to vacuum at z_vacuum when G(0+) is finite
-    (theta > 1), and is 0 beyond it.  A start with |c(alpha)| below
-    EPS_COEFF of the size of its terms is singular: only z = 0 evaluates.
+    (theta > 1), and is 0 beyond it.  Every z evaluates, as for the other
+    shapes: a y past the float range is refused with DomainError.  A start
+    with |c(alpha)| below EPS_COEFF of the size of its terms is singular:
+    only z = 0 evaluates.
     """
 
-    def __init__(self, p, v, r, gamma, theta, alpha, z_max=math.inf):
+    def __init__(self, p, v, r, gamma, theta, alpha):
         _require_finite(p=p, v=v, r=r, gamma=gamma, theta=theta, alpha=alpha)
-        if not (p > 0 and gamma > theta and r >= 0 and alpha > 0 and z_max > 0):
-            raise ValueError("need p > 0, gamma > theta, r >= 0, alpha > 0 and z_max"
-                             f" > 0, got {p}, {gamma}, {theta}, {r}, {alpha}, {z_max}")
+        if not (p > 0 and gamma > theta and r >= 0 and alpha > 0):
+            raise ValueError("need p > 0, gamma > theta, r >= 0 and alpha > 0, "
+                             f"got {p}, {gamma}, {theta}, {r}, {alpha}")
         self.p, self.v, self.r, self.gamma, self.theta = p, v, r, gamma, theta
-        self.alpha, self.z_max = alpha, z_max
+        self.alpha = alpha
         # G(y) - G(alpha) = cp*P(gamma-1, y/alpha) - cv*P(theta-1, y/alpha);
         # its slope in log y at alpha is cp - cv = alpha*c(alpha)
         self._cp, self._cv = p * alpha ** (gamma - 1.0), v * alpha ** (theta - 1.0)
@@ -186,8 +183,7 @@ class ImplicitProfile(Profile):
 
     def evaluate(self, z):
         z = np.abs(np.asarray(z, dtype=float))
-        refuse(OutOfRangeError, ~(z <= self.z_max),
-               f"z {{z!r}} beyond the shape's z_max={self.z_max!r}", z=z)
+        refuse(OutOfRangeError, z != z, "z {z!r} is not a number", z=z)
         if self._singular:
             refuse(OutOfRangeError, z > 0.0, "singular c(alpha), no shape at z={z!r}", z=z)
         with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0*inf at r = 0
@@ -240,13 +236,11 @@ class ImplicitProfile(Profile):
 
     def __repr__(self):
         return (f"ImplicitProfile(p={self.p}, v={self.v}, r={self.r}, "
-                f"gamma={self.gamma}, theta={self.theta}, alpha={self.alpha}, "
-                f"z_max={self.z_max})")
+                f"gamma={self.gamma}, theta={self.theta}, alpha={self.alpha})")
 
 
-def powerlaw_profile(params, m, sigma, alpha, s, z_max=DEFAULT_Z_MAX):
-    """Shape of the power-law scaling family on |z| <= z_max: the
-    ImplicitProfile of
+def powerlaw_profile(params, m, sigma, alpha, s):
+    """Shape of the power-law scaling family: the ImplicitProfile of
 
         [K*gamma/(s*sigma**(gamma*N+1)) * y**(gamma-2)
          - m*N*kappa*theta/sigma**(theta*N+1) * y**(theta-2)] * dy/dz
@@ -263,4 +257,4 @@ def powerlaw_profile(params, m, sigma, alpha, s, z_max=DEFAULT_Z_MAX):
         p=params.K * gamma / (s * sigma ** (gamma * N + 1)),
         v=m * N * params.kappa * theta / sigma ** (theta * N + 1),
         r=(1.0 - s) * m * m / sigma ** (N - 1),
-        gamma=gamma, theta=theta, alpha=alpha, z_max=z_max)
+        gamma=gamma, theta=theta, alpha=alpha)

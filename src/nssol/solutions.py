@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 from .fields import SolutionField
 from .model import Family, ModelParams, validate
-from .profiles import DEFAULT_Z_MAX
 
 
 @dataclass(frozen=True)
@@ -22,13 +21,11 @@ class Solution:
         return SolutionField(self.profile, self.scaling, self.params.N)
 
 
-def build_solution(params: ModelParams, family: Family, t_end: float,
-                   z_max: float = DEFAULT_Z_MAX) -> Solution:
+def build_solution(params: ModelParams, family: Family, t_end: float) -> Solution:
     """Construct the shape/scaling pair for a validated family.
 
     t_end bounds the scaling trajectory for the families that integrate
-    an ODE in a(t); z_max bounds the z at which the power-law family's
-    shape may be evaluated.
+    an ODE in a(t); every shape is a closed form on all of z.
     """
     outcome = validate(params, family)
     if not outcome.ok:
@@ -36,6 +33,6 @@ def build_solution(params: ModelParams, family: Family, t_end: float,
             "invalid parameter/family combination:\n  "
             + "\n  ".join(outcome.violations)
         )
-    profile, scaling = family.build(params, t_end, z_max)
+    profile, scaling = family.build(params, t_end)
     return Solution(params=params, family=family, profile=profile,
                     scaling=scaling)

@@ -128,6 +128,27 @@ def test_profile_csv_format(tmp_path, capsys):
         assert float(token) == float(f"{float(token):.17g}")
 
 
+def test_profile_spans_r_max_for_power_law(tmp_path):
+    cfg = _blowup_config()
+    cfg["grid"].update(r_max=20.0, n_r=5)
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "profile.csv"
+    assert main(["profile", "--config", path, "--out", str(out), "--quiet"]) == 0
+    zs = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert zs == ["0", "5", "10", "15", "20"]
+
+
+def test_power_law_field_far_out_in_z_exits_0(tmp_path):
+    # at t = 0.3, r = 9 is z = r/a near 10.8
+    cfg = _blowup_config()
+    cfg["grid"]["r_max"] = 9.0
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "field.csv"
+    assert main(["field", "--config", path, "--out", str(out), "--quiet"]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 1 + 5 * 4 and rows[-1].startswith("0.29999999999999999,9,")
+
+
 def test_scale_csv_and_status(tmp_path, capsys):
     path = _write(tmp_path, _blowup_config())
     out = tmp_path / "scale.csv"
@@ -201,7 +222,7 @@ def test_outputs_are_deterministic(tmp_path):
 
 
 def test_config_round_trip_is_lossless():
-    raw = _blowup_config(numerics={"z_max": 7.5})
+    raw = _blowup_config()
     cfg = RunConfig(raw)
     assert cfg.to_dict() == raw
 
@@ -218,6 +239,7 @@ def test_config_schema_validation():
     base = _blowup_config()
     for mutate in (
             lambda c: c.update(extra=1),
+            lambda c: c.update(numerics={"z_max": 7.5}),  # no such section
             lambda c: c["family"].update(kind="no_such_family"),
             lambda c: c["family"].update(lam=1.0),  # key from another family
             lambda c: c["verify"].update(resolutions=[]),
@@ -310,10 +332,10 @@ def test_import_leaves_scipy_out(tmp_path):
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):
-    # z beyond the power-law shape's z_max is a runtime numeric failure
-    cfg = _blowup_config(numerics={"z_max": 0.5})
-    cfg["grid"]["r_max"] = 2.0
-    cfg["grid"]["t_max"] = 0.5
+    # m = 10/9 makes c(alpha) vanish: the singular power-law shape has no
+    # value at z > 0, a runtime numeric failure
+    cfg = _blowup_config()
+    cfg["family"]["m"] = 10.0 / 9.0
     path = _write(tmp_path, cfg)
     assert main(["field", "--config", path]) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

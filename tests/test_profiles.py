@@ -153,8 +153,7 @@ def _blowup_params():
 def test_powerlaw_profile_constant_when_s_is_one():
     # gamma = 1 forces s = 1, so the forcing term vanishes and y == alpha
     params = ModelParams(N=2, gamma=1.0, theta=0.5, delta=1)
-    prof = powerlaw_profile(params, m=1.0, sigma=1.0, alpha=2.0, s=1.0,
-                            z_max=5.0)
+    prof = powerlaw_profile(params, m=1.0, sigma=1.0, alpha=2.0, s=1.0)
     for z in (0.0, 1.3, 5.0):
         y, dy = prof.evaluate(z)
         assert y == pytest.approx(2.0, abs=1e-12)
@@ -163,7 +162,7 @@ def test_powerlaw_profile_constant_when_s_is_one():
 
 def test_powerlaw_profile_constant_when_m_zero():
     prof = powerlaw_profile(_blowup_params(), m=0.0, sigma=1.0, alpha=1.5,
-                            s=0.5, z_max=5.0)
+                            s=0.5)
     assert prof.evaluate(4.0)[0] == pytest.approx(1.5, abs=1e-12)
 
 
@@ -172,8 +171,7 @@ def test_powerlaw_profile_matches_fixed_step_oracle():
     # cross-checked against a brute-force fixed-step RK4 run at h = 1e-6
     params = _blowup_params()
     s = 0.5
-    prof = powerlaw_profile(params, m=-1.0, sigma=1.0, alpha=1.0, s=s,
-                            z_max=2.0)
+    prof = powerlaw_profile(params, m=-1.0, sigma=1.0, alpha=1.0, s=s)
 
     def coeff(y):
         return (10.0 / 3.0) * y ** (-1.0 / 3.0) + 3.0 / y
@@ -196,13 +194,6 @@ def test_powerlaw_profile_singular_start_truncates():
     prof = powerlaw_profile(params, m=10.0 / 9.0, sigma=1.0, alpha=1.0, s=0.5)
     with pytest.raises(OutOfRangeError, match="singular"):
         prof.evaluate(0.5)
-
-
-def test_powerlaw_profile_out_of_range():
-    prof = powerlaw_profile(_blowup_params(), m=-1.0, sigma=1.0, alpha=1.0,
-                            s=0.5, z_max=2.0)
-    with pytest.raises(OutOfRangeError):
-        prof.evaluate(2.5)
 
 
 def test_powerlaw_profile_falling_matches_log_oracle():
@@ -249,7 +240,7 @@ def test_powerlaw_shape_solves_its_ode(N, gamma, m, sigma, alpha, frac):
     if abs(c_alpha) < 0.05 * (p * alpha ** (gamma - 2.0)
                               + abs(v) * alpha ** (theta - 2.0)):
         return  # near-singular start: y' = r*z/c is ill-conditioned
-    prof = powerlaw_profile(params, m, sigma, alpha, s, z_max=math.inf)
+    prof = powerlaw_profile(params, m, sigma, alpha, s)
     z_vac = math.inf
     if c_alpha < 0.0 and theta > 1.0 and r > 0.0:
         g_vac = (v * alpha ** (theta - 1.0) / (theta - 1.0)
@@ -402,7 +393,7 @@ def test_power_root_refuses_infinite_z():
 
 
 def test_implicit_shape_refuses_infinite_and_huge_z():
-    # with its default z_max = inf, r*z**2/2 overflows near z = 1.4e154
+    # r*z**2/2 overflows near z = 1.4e154
     shape = ImplicitProfile(1.0, 2.0, 1.0, 2.0, 1.5, 1.0)
     for z in (math.inf, -math.inf, 1e155, np.array([0.5, 1e200])):
         with pytest.raises(DomainError, match="overflows at z="):

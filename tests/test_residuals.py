@@ -26,6 +26,7 @@ from tests.cases import (
     exact_families,
     isothermal_gaussian,
     polytropic_n1,
+    powerlaw_blowup,
     pressureless_theta2,
 )
 
@@ -174,6 +175,16 @@ def test_vacuum_reaching_power_law_certifies(N, gamma, m):
     assert coarse.mass_linf < 1e-5 and coarse.mom_linf < 1e-5
     assert 1.7 < report.order_mass < 2.3
     assert 1.7 < report.order_mom < 2.3
+
+
+def test_power_law_certifies_far_out_in_z():
+    # r up to 9 at t = 0.3 puts z = r/a near 10.8: the closed form holds
+    # on every z, so the window certifies at order two
+    params, family, _ = powerlaw_blowup()
+    report = verify_family(params, family, Window(0.2, 0.3, 8.0, 9.0),
+                           RESOLUTIONS, lattice=17)
+    assert 1.9 < report.order_mass < 2.1
+    assert 1.9 < report.order_mom < 2.1
 
 
 def test_density_perturbation_detected():

@@ -51,12 +51,10 @@ def _calls(solution, window):
     ts = [0.0, window.t_min, 0.5 * (window.t_min + t_hi), t_hi]
     zs = [0.0, 0.25, 1.0, 1.9, 2.0]
     rs = [1.0, window.r_min, 0.7, 2.0]
-    bad_z = [math.nan, math.inf, -math.inf]
-    if profile.z_max < math.inf:
-        bad_z.append(math.floor(profile.z_max) + 1.0)
     return [
         ("pair", scaling.pair, [(t,) for t in ts], [(math.nan,), (5.0,)]),
-        ("evaluate", profile.evaluate, [(z,) for z in zs], [(z,) for z in bad_z]),
+        ("evaluate", profile.evaluate, [(z,) for z in zs],
+         [(math.nan,), (math.inf,), (-math.inf,)]),
         # not at t_hi: a vanished trajectory's end puts r/a past the shape
         ("field", field, list(zip(ts, rs))[:-1],
          [(math.nan, 1.0), (5.0, 1.0), (window.t_min, math.nan)]),

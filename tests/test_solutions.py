@@ -70,10 +70,3 @@ def test_pressureless_shape_sign_convention():
     sol = build_solution(params, family, t_end=0.2)
     assert sol.profile.xi == pytest.approx(-1.0 / 6.0)
     assert sol.profile.n_exp == pytest.approx(0.0)
-
-
-def test_powerlaw_z_max_forwarded():
-    params = ModelParams(N=3, gamma=5.0 / 3.0, theta=1.0, delta=1)
-    family = WithPressurePowerLaw(m=-1.0, n=1.0, sigma=1.0, alpha=1.0)
-    sol = build_solution(params, family, t_end=0.5, z_max=3.0)
-    assert sol.profile.z_max == pytest.approx(3.0)
