@@ -1,5 +1,6 @@
-"""CSV text of float64 arrays: every number exactly as ``'%.17g' % x``,
-formatted on whole arrays at once.
+"""Text of float64 arrays, formatted on whole arrays at once: CSV with
+every number exactly as ``'%.17g' % x``, and JSON columns with every
+number exactly as ``repr(x)``, which is what ``json.dumps`` writes.
 
 A finite x with 1e-11 < |x| < 1e17, or a zero, is converted with integer
 arithmetic only (the correctly rounded binary-to-decimal conversion of
@@ -14,13 +15,41 @@ more than half a unit of the 17th digit below them (1e-14, outside,
 does carry).  Any other value goes through Python's own ``'%.17g'``,
 one at a time.
 
+``repr`` writes the shortest digits that read back as x, the nearest to
+x among them (ties to even).  They come from the same truncated 17-digit
+quotient and its remainder, rounded correctly to 15 and to 16 digits,
+the shortest candidate that reads back as x kept:
+
+- the 15-digit one with its trailing zeros stripped is repr's digits
+  whenever repr has 15 digits or fewer: 15-digit decimals lie more than
+  four ulps of x apart, so at most one of them reads back as x, and it
+  is the nearest one;
+- else, if any 16-digit string reads back as x, the nearest one does;
+- else x needs 17 digits, and those are ``'%.17g'``'s.
+
+Whether a candidate d * 10**p reads back as x is Clinger's test (1990):
+for d < 2**53 and |p| <= 22 both factors are doubles, and one correctly
+rounded multiply or divide is the nearest double to d * 10**p.  Python's
+``repr`` formats, one at a time, what the test cannot decide: values
+whose 17-digit decade is below -7 (|p| > 22), and 16-digit candidates
+of 2**53 or more.  An exact power of two has an asymmetric rounding
+interval, a quarter ulp below it and half an ulp above, so a farther
+16-digit string could read back where the nearest does not; for none
+of the 80 powers of two in decades -7..16 does that happen, and the
+tests check each of them.  repr lays the digits out in fixed notation
+for 1e-4 <= |x| < 1e16, with ".0" after an integral value, else in
+scientific notation with a signed exponent of two digits or more
+(1e-05, 1e+16); a negative zero is -0.0.
+
 A value's text is laid out in four little-endian 64-bit words, byte by
 byte: the sign, the lead of a number below 1 ("0." and up to three
 zeros), the first digit and a point after it; the other 16 digits; the
-exponent suffix of scientific notation (or the last digit, moved up by
-a point after digit 2..16), and in byte 31 the comma or newline that
-follows.  Unused bytes are NUL.  A table is written a block of rows at a
-time, and each block's NULs go in one ``bytearray.translate``.
+exponent suffix of scientific notation, repr's ".0" of an integral
+value, or the last digit, moved up by a point after digit 2..16.
+Unused bytes are NUL.  A CSV cell puts its comma or newline in byte 31;
+a JSON cell has a fifth word for the separator of an indented list.  A
+table is written a block of whole grid rows at a time, and each block's
+NULs go in one ``bytearray.translate``.
 
 Every integer operation on the mantissa and on the text words is uint64
 with uint64 operands: mixed with a signed integer, numpy 1.x promotes to
@@ -28,22 +57,29 @@ float64 and drops bits.  Exponents, digit counts and table indices are
 intp.
 """
 
+import math
+
 import numpy as np
 
 _U = np.uint64
 _WORD = np.dtype("<u8")
 _ONE = _U(1)
 _LO32 = _U(0xFFFFFFFF)
-_8, _32, _48, _56, _63 = _U(8), _U(32), _U(48), _U(56), _U(63)
+_0, _8, _32, _48, _56, _63 = _U(0), _U(8), _U(32), _U(48), _U(56), _U(63)
+_TEN, _HUNDRED = _U(10), _U(100)
 _TEN4, _TEN8 = _U(10**4), _U(10**8)
 _TEN16, _TEN17 = _U(10**16), _U(10**17)
+_TWO53 = _U(2**53)
 
 #: the conversion window, and its decades: 5**(16 - e) fits 64 bits
 _LO, _HI = 1e-11, 1e17
 _E_MIN, _E_MAX = -11, 16
+#: the lowest decade whose 16-digit candidates Clinger's test decides
+_E_CLINGER = -7
 
-#: 5**k for k = 0..27
+#: 5**k for k = 0..27, and the doubles 10**k for k = 0..26 (exact to 22)
 _POW5 = np.cumprod(np.concatenate([[_ONE], np.full(27, 5, _U)]), dtype=_U)
+_POW10 = np.array([float(10**k) for k in range(27)])
 
 _ZERO, _DOT, _MINUS = ord("0"), ord("."), ord("-")
 _ZERO_U, _DOT_U, _MINUS_U = _U(_ZERO), _U(_DOT), _U(_MINUS)
@@ -61,20 +97,39 @@ def _words(chars):
 
 
 #: per decade e = _E_MIN.._E_MAX: the first word's lead, bytes 1..5, in
-#: fixed notation below 1, and the last word's suffix in scientific
-#: notation, %g's choice at 17 digits for e < -4 (and e >= 17, outside)
+#: fixed notation below 1 (both formats write 1e-4 <= |x| < 1 so)
 _E = np.arange(_E_MIN, _E_MAX + 1)
-_SCI = _E < -4
-_UNDER1 = ~_SCI & (_E < 0)
-_around = np.zeros((_E.size, 16), np.uint8)
+_UNDER1 = (_E >= -4) & (_E < 0)
+_around = np.zeros((_E.size, 8), np.uint8)
 _around[:, 1] = np.where(_UNDER1, _ZERO, 0)
 _around[:, 2] = np.where(_UNDER1, _DOT, 0)
 _around[:, 3:6] = np.where(_UNDER1[:, None] & (np.arange(2, 5) <= -_E[:, None]), _ZERO, 0)
-_around[:, 8] = np.where(_SCI, ord("e"), 0)
-_around[:, 9] = np.where(_SCI, _MINUS, 0)
-_around[:, 10] = np.where(_SCI, -_E // 10 + _ZERO, 0)
-_around[:, 11] = np.where(_SCI, -_E % 10 + _ZERO, 0)
-_LEAD, _SUFFIX = _words(_around).T
+_LEAD = _words(_around).ravel()
+
+
+def _notation(fixed_below):
+    """Per decade e = _E_MIN.._E_MAX, a format's layout: how many digits
+    come before the point in fixed notation, whether the point of a
+    fraction follows the first digit (from 1 to 10, and in scientific
+    notation, used below 1e-4 and from 10**fixed_below), and the last
+    word: the exponent in scientific notation, else nothing."""
+    sci = (_E < -4) | (_E >= fixed_below)
+    integral = np.where(sci, 0, np.maximum(_E, 0))
+    last = np.zeros((_E.size, 8), np.uint8)
+    last[:, 0] = np.where(sci, ord("e"), 0)
+    last[:, 1] = np.where(sci, np.where(_E < 0, _MINUS, ord("+")), 0)
+    last[:, 2] = np.where(sci, abs(_E) // 10 + _ZERO, 0)
+    last[:, 3] = np.where(sci, abs(_E) % 10 + _ZERO, 0)
+    return integral, sci | (_E == 0), _words(last).ravel()
+
+
+#: %g's choice at 17 digits: scientific for e < -4 and e >= 17 (outside)
+_PRINTF = _notation(17)
+#: repr's: scientific for e < -4 and e >= 16, and ".0" after an integral
+#: value in fixed notation
+_REPR_FIXED = 16
+_REPR = _notation(_REPR_FIXED)
+_POINT_ZERO = _U(_DOT | _ZERO << 8)
 
 #: digits 2..17 (words 1 and 2) kept by a text of 1..17 digits
 _KEEP1, _KEEP2 = _words(np.where(np.arange(1, 17) < np.arange(18)[:, None], 0xFF, 0)).T.copy()
@@ -85,13 +140,14 @@ _B, _P = np.arange(24), np.arange(16)[:, None]
 _BEFORE = _words(np.where(_B < _P, 0xFF, 0))
 _AFTER = _words(np.where(_B > _P, 0xFF, 0))
 _POINT = _words(np.where(_B == _P, _DOT, 0))
-del _DIGITS, _Z, _E, _SCI, _UNDER1, _around, _B, _P
+del _DIGITS, _Z, _UNDER1, _around, _B, _P
 
 
 def _scaled(m, q, e):
-    """Truncated 17-digit quotient Q = floor(m * 2**q * 10**(16 - e)) and
-    whether it rounds up (half-even), for uint64 m < 2**53, intp q and e,
-    -11 <= e <= 16 and Q < 10**18."""
+    """Truncated 17-digit quotient Q = floor(m * 2**q * 10**(16 - e)),
+    whether it rounds up (half-even) and whether it is exact (no
+    remainder), for uint64 m < 2**53, intp q and e, -11 <= e <= 16 and
+    Q < 10**18."""
     k = 16 - e
     p = _POW5[k]
     s = -(q + k)  # -5 <= s <= 63 in the window
@@ -109,14 +165,13 @@ def _scaled(m, q, e):
     full = _ONE << right
     twice = (lo & (full - _ONE)) << _ONE  # twice the remainder, < 2**64
     up = (twice > full) | ((twice == full) & ((quotient & _ONE) == _ONE))
-    return quotient, up.astype(_U)
+    return quotient, up.astype(_U), twice == _0
 
 
-def cells(x, text):
-    """Write the text of each value of the float64 array x, in C order,
-    into the rows of text, an (x.size, 4) array of words: ``'%.17g' % v``
-    with NULs between and after its parts, byte 31 left NUL."""
-    x = np.asarray(x, dtype=float).ravel()
+def _decimal(x):
+    """|x|, which values lie in the window, and for those the decade e
+    and _scaled's figures of the 17-digit quotient; the other rows hold
+    the figures of 1.0."""
     size = np.abs(x)
     fast = (size > _LO) & (size < _HI)
     y = np.where(fast, size, 1.0)
@@ -124,16 +179,21 @@ def cells(x, text):
     m = (frac * 2.0**53).astype(_U)
     q = q.astype(np.intp) - 53
     e = np.clip(np.floor(np.log10(y)).astype(np.intp), _E_MIN, _E_MAX)
-    quotient, up = _scaled(m, q, e)
+    quotient, up, exact = _scaled(m, q, e)
     # the estimate from log10 can miss the decade next to a power of ten
     miss = np.flatnonzero((quotient < _TEN16) | (quotient >= _TEN17))
     if miss.size:
         e[miss] += np.where(quotient[miss] < _TEN16, -1, 1)
-        quotient[miss], up[miss] = _scaled(m[miss], q[miss], e[miss])
-    digits = quotient + up  # never 10**17 in the window: no carry
-    digits[~fast] = 0  # zeros print as "0"; the rest is overwritten below
-    e[~fast] = 0
+        quotient[miss], up[miss], exact[miss] = _scaled(m[miss], q[miss], e[miss])
+    return size, fast, e, quotient, up, exact
 
+
+def _layout(x, digits, e, notation, text):
+    """Write the text of each value of x, sign included, from its digits
+    (17 of them, trailing zeros after the significant ones; a zero's
+    are 0) and decade e, into the rows of text, in a format's notation.
+    Returns which values have a fraction."""
+    integral_of, point_of, last = notation
     # the first digit, then four groups of four
     top9 = digits // _TEN8
     low8 = digits - top9 * _TEN8
@@ -149,18 +209,19 @@ def cells(x, text):
     t0, t1, t2, t3 = np.take(_TZ4, quads).T
     significant = 17 - (t3 + (t3 == 4) * (t2 + (t2 == 4) * (t1 + (t1 == 4) * t0)))
 
-    # %g keeps the first e + 1 digits of fixed notation (e >= 0) however
-    # many are zeros, then drops trailing zeros and a bare point
-    integral = np.maximum(e, 0)
+    # fixed notation keeps the first e + 1 digits (e >= 0) however many
+    # are zeros, then drops trailing zeros, and %g a bare point
+    decade = e - _E_MIN
+    integral = np.take(integral_of, decade)
     kept = np.maximum(significant, integral + 1)
     fraction = significant > integral + 1
-    point = fraction & ((e == 0) | (e < -4))
-    text[:, 0] = (np.take(_LEAD, e - _E_MIN) | np.signbit(x).astype(_U) * _MINUS_U
+    point = fraction & np.take(point_of, decade)
+    text[:, 0] = (np.take(_LEAD, decade) | np.signbit(x).astype(_U) * _MINUS_U
                   | (first + _ZERO_U) << _48 | point.astype(_U) * _DOT_U << _56)
     quads = np.take(_QUAD, quads).view(_WORD)
     text[:, 1] = quads[:, 0] & np.take(_KEEP1, kept)
     text[:, 2] = quads[:, 1] & np.take(_KEEP2, kept)
-    text[:, 3] = np.take(_SUFFIX, e - _E_MIN)
+    text[:, 3] = np.take(last, decade)
     inner = np.flatnonzero(fraction & (integral > 0))
     if inner.size:  # a point after digit 2..16: move what follows it up
         at = integral[inner]
@@ -168,10 +229,69 @@ def cells(x, text):
         moved = plain << _8
         moved[:, 1:] |= plain[:, :-1] >> _56
         text[inner, 1:4] = (plain & _BEFORE[at]) | (moved & _AFTER[at]) | _POINT[at]
-    slow = np.flatnonzero(~fast & (size != 0.0))
-    if slow.size:
-        text.view(np.uint8)[slow] = np.array(
-            [b"%.17g" % v for v in x[slow].tolist()], dtype="S32").view(np.uint8).reshape(-1, 32)
+    return fraction
+
+
+def _fallback(x, rows, text, spec):
+    """Overwrite the given rows of text with ``spec % v``, one at a time."""
+    if rows.size:
+        text.view(np.uint8)[rows] = np.array(
+            [spec % v for v in x[rows].tolist()], dtype="S32").view(np.uint8).reshape(-1, 32)
+
+
+def cells(x, text):
+    """Write the text of each value of the float64 array x, in C order,
+    into the rows of text, an (x.size, 4) array of words: ``'%.17g' % v``
+    with NULs between and after its parts, byte 31 left NUL."""
+    x = np.asarray(x, dtype=float).ravel()
+    size, fast, e, quotient, up, _ = _decimal(x)
+    digits = quotient + up  # never 10**17 in the window: no carry
+    digits[~fast] = 0  # zeros print as "0"; the rest is overwritten below
+    e[~fast] = 0
+    _layout(x, digits, e, _PRINTF, text)
+    _fallback(x, np.flatnonzero(~fast & (size != 0.0)), text, b"%.17g")
+
+
+def _nearest(quotient, exact, unit):
+    """The exact value of the truncated quotient in units of 10 or 100,
+    rounded half to even."""
+    head, tail = quotient // unit, quotient % unit
+    half = unit >> _ONE
+    up = (tail > half) | (tail == half) & (~exact | ((head & _ONE) == _ONE))
+    return head + up.astype(_U)
+
+
+def _reads_back(d, p, size):
+    """Whether the doubles d * 10**p are size, by Clinger's test (valid
+    for d < 2**53 and |p| <= 22)."""
+    d = d.astype(float)
+    scale = np.take(_POW10, np.abs(p))
+    return np.where(p < 0, d / scale, d * scale) == size
+
+
+def repr_cells(x, text):
+    """Write the text of each value of the float64 array x, in C order,
+    into the rows of text, an (x.size, 4) array of words: ``repr(v)``
+    with NULs between and after its parts."""
+    x = np.asarray(x, dtype=float).ravel()
+    size, fast, e, quotient, up, exact = _decimal(x)
+    fast &= e >= _E_CLINGER
+    c15 = _nearest(quotient, exact, _HUNDRED)
+    c16 = _nearest(quotient, exact, _TEN)
+    ok15 = _reads_back(c15, e - 14, size)
+    ok16 = _reads_back(c16, e - 15, size)
+    fast &= ok15 | (c16 < _TWO53)  # else the test cannot decide c16
+    digits = quotient + up
+    digits = np.where(ok16, c16 * _TEN, digits)
+    digits = np.where(ok15, c15 * _HUNDRED, digits)
+    digits[~fast] = 0  # zeros print as "0.0"; the rest is overwritten below
+    e[~fast] = 0
+    carry = digits == _TEN17  # 15 nines rounded up: 10**(e + 1) itself
+    digits[carry] = _TEN16
+    e += carry
+    fraction = _layout(x, digits, e, _REPR, text)
+    text[:, 3] |= (~fraction & (e >= 0) & (e < _REPR_FIXED)).astype(_U) * _POINT_ZERO
+    _fallback(x, np.flatnonzero(~fast & (size != 0.0)), text, b"%r")
 
 
 #: rows of a table formatted at once: few enough that the block and the
@@ -214,3 +334,53 @@ def csv_rows(keys, values):
             rows[:, j, 3] |= _NEWLINE if j == columns - 1 else _SEPARATOR
         parts.append(buf.translate(None, b"\0").decode("ascii"))
     return "".join(parts)
+
+
+#: the fifth word of a JSON cell: what follows each number of a column
+#: at indent 2
+_JSON_SEPARATOR = np.frombuffer(b",\n    \0\0", _WORD)[0]
+
+
+def json_columns(keys, values):
+    """The numbers of each column of a table over the product grid of the
+    1-d arrays keys, with the arrays values of that grid's shape: the keys
+    then the values at each grid point, in C order, as
+    ``json.dumps(..., indent=2)`` writes a list of them in a top-level
+    object, between its "[" and "]" and their indents.  Each column comes
+    as a list of strings, a block of grid rows each, to be joined once
+    into the document.  Each distinct key is formatted once and its text
+    repeated over the grid."""
+    sizes = [k.size for k in keys]
+    inner = math.prod(sizes[1:])
+    step = max(1, _BLOCK // inner)
+    key_text = []
+    for k in keys:
+        key_text.append(np.empty((k.size, 4), _WORD))
+        repr_cells(k, key_text[-1])
+    values = [np.reshape(v, (sizes[0], -1)) for v in values]
+    parts = [[] for _ in range(len(keys) + len(values))]
+    buf = None
+    for start in range(0, sizes[0], step):
+        stop = min(start + step, sizes[0])
+        if buf is None or stop == sizes[0]:
+            buf = bytearray((stop - start) * inner * 40)
+            column = np.frombuffer(buf, _WORD).reshape(-1, 5)
+            column[:, 4] = _JSON_SEPARATOR
+            if stop == sizes[0]:  # no separator after a column's last number
+                column[-1, 4] = 0
+            text = column[:, :4]
+            at = np.arange(column.shape[0])
+            # a block of whole rows holds the same text of each later key
+            repeated = []
+            for d in range(1, len(keys)):
+                np.take(key_text[d], at // math.prod(sizes[d + 1:]), axis=0, out=text,
+                        mode="wrap")
+                repeated.append(buf.translate(None, b"\0").decode("ascii"))
+        np.take(key_text[0], start + at // inner, axis=0, out=text)
+        parts[0].append(buf.translate(None, b"\0").decode("ascii"))
+        for d, block in enumerate(repeated, 1):
+            parts[d].append(block)
+        for j, v in enumerate(values, len(keys)):
+            repr_cells(v[start:stop], text)
+            parts[j].append(buf.translate(None, b"\0").decode("ascii"))
+    return parts

@@ -8,8 +8,10 @@ machine-readable JSON record on stderr.
 
 CSV payloads have a single header row, LF line endings, and numbers
 printed with 17 significant digits, exactly as ``'%.17g' % x``, so
-binary64 values round-trip.  One array-wide writer (``_text.csv_rows``)
-formats every CSV number of profile, scale and field.
+binary64 values round-trip.  JSON payloads are byte for byte
+``json.dumps(doc, indent=2)``, every number its shortest round-trip
+``repr``.  One array-wide writer (``_text``) formats every number of the
+CSV and JSON tables of profile, scale and field.
 """
 
 import argparse
@@ -22,7 +24,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
-from ._text import csv_rows
+from ._text import csv_rows, json_columns
 from .errors import NonFiniteFieldError, NssolError, refuse
 from .fields import eval_grid
 from .model import FAMILY_TAGS, ModelParams, validate
@@ -183,12 +185,13 @@ def _json_doc(obj):
 
 def _table(header, keys, values, fmt, **extra):
     """Table over the product grid of the 1-d arrays keys, values having
-    that grid's shape: CSV, each number as ``'%.17g' % x`` from the
-    array-wide writer, or JSON columns then extra, byte for byte
-    json.dumps(..., indent=2) but with the columns from json's C encoder
-    (indent selects the slow one).  Each distinct key is formatted once
-    and its text repeated over the grid.  A value that is not finite
-    raises NonFiniteFieldError: no payload carries inf or NaN."""
+    that grid's shape: CSV, each number as ``'%.17g' % x``, or JSON
+    columns then extra, byte for byte json.dumps(..., indent=2), each
+    number as ``repr(x)``.  One array-wide writer formats every number of
+    either format; each distinct key is formatted once and its text
+    repeated over the grid, and only extra goes through json.dumps.  A
+    value that is not finite raises NonFiniteFieldError: no payload
+    carries inf or NaN."""
     names = header[:len(keys)]
     at = ", ".join(f"{k}={{{k}!r}}" for k in names)
     for name, column in zip(header[len(keys):], values):
@@ -196,21 +199,9 @@ def _table(header, keys, values, fmt, **extra):
                f"{name} at ({at}) is not finite: {{value!r}}",
                value=column, **dict(zip(names, np.ix_(*keys))))
     if fmt == "json":
-        sep = ",\n    "
-        # key d's text at each grid point: each of its values repeated over
-        # the keys after it, that block repeated over the keys before it
-        sizes = [len(k) for k in keys]
-        columns = []
-        for d, k in enumerate(keys):
-            inner, outer = math.prod(sizes[d + 1:]), math.prod(sizes[:d])
-            block = sep.join(sep.join([x] * inner)
-                             for x in json.dumps(k.tolist())[1:-1].split(", "))
-            columns.append(sep.join([block] * outer))
-        columns += [json.dumps(v.ravel().tolist(), separators=(sep, ": "))[1:-1]
-                    for v in values]
         parts = ["{\n"]
-        for k, text in zip(header, columns):
-            parts += [f"  {json.dumps(k)}: [\n    ", text, "\n  ],\n"]
+        for k, blocks in zip(header, json_columns(keys, values)):
+            parts += [f"  {json.dumps(k)}: [\n    ", *blocks, "\n  ],\n"]
         parts += [f"  {json.dumps(k)}: " + json.dumps(v, indent=2).replace("\n", "\n  ")
                   + ",\n" for k, v in extra.items()]
         parts[-1] = parts[-1][:-2] + "\n}\n"

@@ -15,10 +15,6 @@ from dataclasses import dataclass, fields
 from . import profiles, scaling
 from .errors import DomainError
 
-#: relative tolerance for the two closed forms of the similarity exponent
-S_IDENTITY_RTOL = 1e-12
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Physical and dimensional constants of the fluid model.
@@ -140,13 +136,9 @@ class WithPressurePowerLaw(Family):
             floor = 1.0 - 1.0 / params.N
             if params.theta < floor - 1e-12:
                 yield f"theta must be >= 1 - 1/N = {floor}, got {params.theta}"
-            try:
-                s = derived_s(params)
-            except DomainError as exc:
-                yield str(exc)
-            else:
-                if not (0.0 < s <= 1.0):
-                    yield f"similarity exponent s={s} outside (0, 1]"
+            s = derived_s(params)  # defined: gamma*N - N + 2 >= 2
+            if not (0.0 < s <= 1.0):
+                yield f"similarity exponent s={s} outside (0, 1]"
 
     def build(self, params, t_end):
         s = derived_s(params)
@@ -263,13 +255,13 @@ class ValidationOutcome:
 
 
 def derived_s(params: ModelParams) -> float:
-    """Similarity exponent s = 2/(gamma*N - N + 2).
+    """Similarity exponent s = 2/(gamma*N - N + 2), from (N, gamma) only.
 
-    When theta equals gamma/2 + 1/2 - 1/N this coincides with the
-    second closed form 1/((gamma - theta)*N); the agreement is checked
-    to 1e-12 relative.  Raises DomainError if gamma*N - N + 2 <= 0
-    (cannot happen for gamma >= 1, N >= 1, guarded anyway) or if the
-    two closed forms disagree.
+    When theta equals gamma/2 + 1/2 - 1/N this is also 1/((gamma -
+    theta)*N), but gamma - theta cancels (a relative error near eps*N),
+    so that form is not evaluated.  Raises DomainError if
+    gamma*N - N + 2 <= 0 (cannot happen for gamma >= 1, N >= 1, guarded
+    anyway).
     """
     denom = params.gamma * params.N - params.N + 2.0
     if denom <= 0.0:
@@ -277,15 +269,7 @@ def derived_s(params: ModelParams) -> float:
             f"gamma*N - N + 2 = {denom} must be positive (N={params.N}, "
             f"gamma={params.gamma})"
         )
-    s = 2.0 / denom
-    theta_req = theta_required(params)
-    if abs(params.theta - theta_req) <= 1e-12 * max(1.0, abs(theta_req)):
-        if params.gamma > params.theta:
-            s_alt = 1.0 / ((params.gamma - params.theta) * params.N)
-            if abs(s - s_alt) > S_IDENTITY_RTOL * abs(s):
-                raise DomainError(
-                    f"similarity exponent closed forms disagree: {s} vs {s_alt}")
-    return s
+    return 2.0 / denom
 
 
 def theta_required(params: ModelParams) -> float:
@@ -299,8 +283,7 @@ def validate(params: ModelParams, family: Family) -> ValidationOutcome:
     Total: never raises on bad input, and never stops at the first
     failure; every violated constraint is reported with the offending
     values, a NaN or infinite number among them.  A successful outcome
-    carries the derived constants (s, theta_required) of (N, gamma)
-    wherever s is defined, which it always is for the power-law family.
+    carries the derived constants (s, theta_required) of (N, gamma).
     """
     bad = []
     if not isinstance(params.N, int) or params.N < 1:
@@ -336,10 +319,7 @@ def validate(params: ModelParams, family: Family) -> ValidationOutcome:
             for name in family.positive if getattr(family, name) <= 0.0]
 
     derived = None
-    if not bad:
-        try:
-            derived = DerivedConstants(s=derived_s(params),
-                                       theta_required=theta_required(params))
-        except DomainError:
-            pass  # its closed forms disagree; only the power-law family needs s
+    if not bad:  # so N >= 1 and gamma >= 1: gamma*N - N + 2 >= 2, s is defined
+        derived = DerivedConstants(s=derived_s(params),
+                                   theta_required=theta_required(params))
     return ValidationOutcome(ok=not bad, violations=tuple(bad), derived=derived)

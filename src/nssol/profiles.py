@@ -30,6 +30,13 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _refuse_nan(z):
+    """Every shape's refusal of a NaN z.  The closed forms look for NaN
+    only once they refuse an overflow, which a NaN z always causes, so
+    their hot path pays nothing for it."""
+    refuse(OutOfRangeError, z != z, "z {z!r} is not a number", z=z)
+
+
 class Profile:
     """Base class: an even, non-negative density shape on z >= 0."""
 
@@ -58,8 +65,12 @@ class ExpQuadratic(Profile):
             arg = self.B * z * z + self.C
             y = self.A * np.exp(arg)
             dy = 2.0 * self.B * z * y
-        refuse(DomainError, ~np.isfinite(dy),
-               "density shape overflows at z={z!r} (exponent {arg:.4g})", z=z, arg=arg)
+        try:
+            refuse(DomainError, ~np.isfinite(dy),
+                   "density shape overflows at z={z!r} (exponent {arg:.4g})", z=z, arg=arg)
+        except DomainError:
+            _refuse_nan(z)
+            raise
         return unbox(y), unbox(dy)
 
     def __repr__(self):
@@ -115,8 +126,12 @@ class PowerRoot(Profile):
             xi = self.xi * solid + 0.0 if self._c2 < 0.0 else self.xi
             y = np.power(base, self._p) * solid
             dy = xi * z * np.power(base, self._p - 1.0)
-        refuse(DomainError, ~(np.isfinite(y) & np.isfinite(dy)) | (z == math.inf),
-               "density shape overflows at z={z!r} (radicand {rad:.4g})", z=z, rad=rad)
+        try:
+            refuse(DomainError, ~(np.isfinite(y) & np.isfinite(dy)) | (z == math.inf),
+                   "density shape overflows at z={z!r} (radicand {rad:.4g})", z=z, rad=rad)
+        except DomainError:
+            _refuse_nan(z)
+            raise
         return unbox(y), unbox(dy)
 
     def in_support(self, z):
@@ -183,7 +198,7 @@ class ImplicitProfile(Profile):
 
     def evaluate(self, z):
         z = np.abs(np.asarray(z, dtype=float))
-        refuse(OutOfRangeError, z != z, "z {z!r} is not a number", z=z)
+        _refuse_nan(z)
         if self._singular:
             refuse(OutOfRangeError, z > 0.0, "singular c(alpha), no shape at z={z!r}", z=z)
         with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0*inf at r = 0

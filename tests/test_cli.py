@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from nssol import NonFiniteFieldError, build_solution, cli, eval_grid, profiles
 from nssol.cli import ConfigError, RunConfig, main
+from tests import cases
 
 
 def _blowup_config(**overrides):
@@ -396,6 +399,12 @@ def _reference_json(header, rows, **extra):
     return json.dumps({**columns, **extra}, indent=2) + "\n"
 
 
+def _lines(text):
+    # compared as lists, a failing payload reports its first wrong line
+    # at once, where a diff of two long strings takes minutes
+    return text.split("\n")
+
+
 def test_table_writers_match_reference_bytes():
     # field payload: keys t and r on a product grid, two value columns,
     # on a square-ish grid, a single row and a single column
@@ -442,6 +451,40 @@ def test_csv_numbers_are_printf_17g(xs):
     assert text == "t,a,adot\n" + "".join(f"{x:.17g},{x:.17g},{-x:.17g}\n" for x in xs)
 
 
+def _double(sign, exponent, mantissa):
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | exponent << 52 | mantissa))[0]
+
+
+#: finite float64 bit patterns: a biased exponent of 0 gives the zeros and
+#: subnormals; the narrower range, 9e-10 < |x| < 2e19, spans the writer's
+#: window
+_bit_patterns = st.builds(_double, st.integers(0, 1),
+                          st.one_of(st.integers(0, 2046), st.integers(993, 1086)),
+                          st.integers(0, 2**52 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_bit_patterns, min_size=1, max_size=40))
+@example(EDGES)
+@example([-x for x in EDGES])
+@example([2.0**k for k in range(-1074, 1024)])
+@example([float(f"1e{m}") for m in range(-12, 19)])
+@example([math.nextafter(float(f"1e{m}"), 0.0) for m in range(-12, 19)])
+@example([2.0**53 - 1.0, 2.0**53, 2.0**53 + 2.0, -(2.0**53 - 1.0)])
+@example([math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0),
+          math.nextafter(1e16, 0.0), 1e16, math.nextafter(1e16, math.inf)])
+@example([893292487130228.25])  # a tie at 16 digits: repr keeps the even one
+@example([0.30000000000000004, 123456789012345.67, 0.1, 5e-324])
+def test_json_numbers_are_repr(xs):
+    # every finite double, as the key and as a value column of a scale
+    # table, exactly as json.dumps writes it: repr, the shortest digits
+    # that read back
+    ts = np.array(xs)
+    rows = list(zip(xs, xs, (-x for x in xs)))
+    assert (_lines(cli._table(("t", "a", "adot"), [ts], [ts, -ts], "json"))
+            == _lines(_reference_json(("t", "a", "adot"), rows)))
+
+
 #: the benchmark's field exports, on their 256 x 256 grids: a Gaussian
 #: shape, a power-law blow-up and the pressureless theta = 2 family
 FIELD_EXPORTS = [
@@ -469,6 +512,19 @@ def test_full_size_field_csv_matches_reference_bytes(model, family, times):
             == _reference_csv(header, rows))
 
 
+@pytest.mark.parametrize("model, family, times", FIELD_EXPORTS)
+def test_full_size_field_json_matches_reference_bytes(model, family, times):
+    config = RunConfig({"model": model, "family": family})
+    solution = build_solution(config.params, config.family, t_end=times[1])
+    ts, rs = np.linspace(*times, 256), np.linspace(0.1, 2.0, 256)
+    fg = eval_grid(solution.profile, solution.scaling, config.params.N, ts, rs)
+    header = ("t", "r", "rho", "u")
+    rows = zip(np.repeat(ts, rs.size).tolist(), np.tile(rs, ts.size).tolist(),
+               fg.rho.ravel().tolist(), fg.u.ravel().tolist())
+    assert (_lines(cli._table(header, [fg.t_values, fg.r_values], [fg.rho, fg.u], "json"))
+            == _lines(_reference_json(header, list(rows))))
+
+
 def test_csv_rows_past_one_block_match_reference_bytes():
     # a key column longer than the writer's block, cut unevenly, and
     # values spread over 40 decades with both signs
@@ -478,6 +534,52 @@ def test_csv_rows_past_one_block_match_reference_bytes():
     header = ("t", "a", "adot")
     assert (cli._table(header, [ts], [a, 1.0 / a], "csv")
             == _reference_csv(header, zip(ts, a, 1.0 / a)))
+
+
+def test_json_columns_past_one_block_match_reference_bytes():
+    # the JSON twin: a key column longer than the writer's block, cut
+    # unevenly, and values spread over 40 decades with both signs
+    rng = np.random.default_rng(5)
+    ts = np.sort(rng.uniform(0.0, 3.0, 20001))
+    a = np.exp(rng.uniform(-46.0, 46.0, ts.size)) * rng.choice([-1.0, 1.0], ts.size)
+    header = ("t", "a", "adot")
+    rows = list(zip(ts.tolist(), a.tolist(), (1.0 / a).tolist()))
+    assert (_lines(cli._table(header, [ts], [a, 1.0 / a], "json"))
+            == _lines(_reference_json(header, rows)))
+    # and a grid whose rows do not fill the last block
+    ts, rs = ts[:61], np.sort(rng.uniform(0.1, 2.0, 301))
+    rho = a[:ts.size * rs.size].reshape(ts.size, rs.size)
+    header = ("t", "r", "rho", "u")
+    rows = list(zip(np.repeat(ts, rs.size).tolist(), np.tile(rs, ts.size).tolist(),
+                    rho.ravel().tolist(), (-rho).ravel().tolist()))
+    assert (_lines(cli._table(header, [ts, rs], [rho, -rho], "json"))
+            == _lines(_reference_json(header, rows)))
+
+
+def _case_config(make):
+    # a case of tests/cases.py as a config whose grid is the first half of
+    # its window in t (the stated Gaussian collapses at t ~ 0.41)
+    params, family, window = make()
+    t_mid = 0.5 * (window.t_min + window.t_max)
+    return {"model": asdict(params), "family": {"kind": family.tag, **asdict(family)},
+            "grid": {"t_min": window.t_min, "t_max": t_mid, "n_t": 7,
+                     "r_min": window.r_min, "r_max": window.r_max, "n_r": 9}}
+
+
+@pytest.mark.parametrize("command", ["profile", "scale", "field"])
+@pytest.mark.parametrize("make", [
+    cases.isothermal_stated, cases.isothermal_gaussian, cases.polytropic_n1,
+    cases.powerlaw_blowup, cases.pressureless_theta1, cases.pressureless_theta2,
+], ids=lambda make: make.__name__)
+def test_json_payloads_are_canonical_json_dumps(tmp_path, make, command):
+    # whatever writes the table, the bytes of a JSON payload are those
+    # json.dumps(..., indent=2) gives for the document it holds
+    path = _write(tmp_path, _case_config(make))
+    out = tmp_path / "payload.json"
+    assert main([command, "--config", path, "--out", str(out), "--format", "json",
+                 "--quiet"]) == 0
+    payload = out.read_text(encoding="utf-8")
+    assert payload == json.dumps(json.loads(payload), indent=2) + "\n"
 
 
 def test_table_refuses_non_finite_values():

@@ -163,17 +163,16 @@ def test_non_finite_inputs_reported():
     assert sum("must be finite" in v for v in out.violations) == 2
 
 
-def test_derived_s_reports_disagreeing_closed_forms():
-    # theta inside the 1e-12 band around its required value, yet far
-    # enough off that the two closed forms of s differ by more than 1e-12
-    gamma, N = 3.0, 6
-    theta = (gamma / 2.0 + 0.5 - 1.0 / N) * (1.0 + 9e-13)
-    params = ModelParams(N=N, gamma=gamma, theta=theta)
-    with pytest.raises(DomainError):
-        derived_s(params)
-    out = validate(params, WithPressurePowerLaw(m=1.0, n=1.0, sigma=1.0, alpha=1.0))
-    assert not out.ok
-    assert any("closed forms disagree" in v for v in out.violations)
+def test_power_law_family_valid_at_large_n():
+    # theta = gamma/2 + 1/2 - 1/N exactly as required; gamma - theta
+    # cancels at large N, which must not make s, or validate, refuse it
+    for N in (10**6, 10**9):
+        params = ModelParams(N=N, gamma=1.0, theta=1.0 - 1.0 / N)
+        assert params.theta == theta_required(params)
+        assert derived_s(params) == 1.0
+        out = validate(params, WithPressurePowerLaw(m=1.0, n=1.0, sigma=1.0, alpha=1.0))
+        assert out.ok, out.violations
+        assert out.derived.s == 1.0
 
 
 _special = st.sampled_from([float("nan"), float("inf"), -float("inf")])

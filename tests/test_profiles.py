@@ -376,7 +376,7 @@ def test_growing_shapes_overflow_cleanly():
 def test_exp_quadratic_refuses_non_finite_z():
     from nssol import DomainError
 
-    with pytest.raises(DomainError, match="z=nan"):
+    with pytest.raises(OutOfRangeError, match="z nan is not a number"):
         ExpQuadratic(1.0, -1.0, 0.0).evaluate(math.nan)
     with pytest.raises(DomainError, match="z=inf"):
         ExpQuadratic(1.0, -1.0, 0.0).evaluate(math.inf)
@@ -388,7 +388,7 @@ def test_power_root_refuses_infinite_z():
     clipped = PowerRoot(0.0, -1.0, 1.0)  # vacuum beyond z = sqrt(2)
     with pytest.raises(DomainError, match="z=inf"):
         clipped.evaluate(math.inf)
-    with pytest.raises(DomainError, match="z=nan"):
+    with pytest.raises(OutOfRangeError, match="z nan is not a number"):
         clipped.evaluate(math.nan)
 
 
@@ -459,3 +459,16 @@ def test_implicit_shape_refuses_nan_z():
         shape.evaluate(math.nan)
     with pytest.raises(OutOfRangeError):
         shape.evaluate(np.array([0.5, math.nan]))
+
+
+def test_every_shape_refuses_nan_z_alike():
+    # one rule for the three shapes, ahead of an overflow elsewhere in z
+    from nssol import build_solution
+    from tests.cases import powerlaw_blowup
+
+    params, family, _ = powerlaw_blowup()
+    for shape in (ExpQuadratic(1.0, 1.0, 0.0), PowerRoot(0.0, -1.0, 1.0),
+                  build_solution(params, family, t_end=0.5).profile):
+        for z in (math.nan, np.array([0.5, math.nan]), np.array([math.inf, math.nan])):
+            with pytest.raises(OutOfRangeError, match="^z nan is not a number$"):
+                shape.evaluate(z)
