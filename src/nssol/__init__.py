@@ -23,7 +23,6 @@ from .errors import (
 )
 from .fields import FieldGrid, SolutionField, eval_grid
 from .model import (
-    DerivedConstants,
     Family,
     ModelParams,
     PressurelessTheta1,
@@ -59,7 +58,6 @@ __all__ = [
     "FieldGrid",
     "SolutionField",
     "eval_grid",
-    "DerivedConstants",
     "Family",
     "ModelParams",
     "PressurelessTheta1",

@@ -27,7 +27,7 @@ from . import __version__
 from ._text import csv_rows, json_columns
 from .errors import NonFiniteFieldError, NssolError, refuse
 from .fields import eval_grid
-from .model import FAMILY_TAGS, ModelParams, validate
+from .model import FAMILY_TAGS, ModelParams, derived_s, theta_required, validate
 from .residuals import DEFAULT_LATTICE, Window, verify_family
 from .solutions import build_solution
 
@@ -227,10 +227,9 @@ def cmd_describe(config, fmt):
         "violations": list(outcome.violations),
         "model": asdict(config.params),
     }
-    if outcome.derived is not None:
-        doc["s"] = outcome.derived.s
-        doc["theta_required"] = outcome.derived.theta_required
-    if outcome.ok:
+    if outcome.ok:  # then gamma*N - N + 2 >= 2: s is defined
+        doc["s"] = derived_s(config.params)
+        doc["theta_required"] = theta_required(config.params)
         doc.update(config.family.describe(config.params))
     return _json_doc(doc), {"ok": outcome.ok, "violations": outcome.violations}
 

@@ -54,4 +54,4 @@ class StencilOutOfDomainError(NssolError):
 
 
 class NonFiniteFieldError(NssolError):
-    """A residual stencil touched vacuum or produced a non-finite sample."""
+    """A field sample or a residual is not finite (NaN or infinite)."""

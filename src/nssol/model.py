@@ -233,25 +233,12 @@ FAMILY_TAGS = {cls.tag: cls for cls in FAMILIES}
 
 
 @dataclass(frozen=True)
-class DerivedConstants:
-    """Quantities derived from (N, gamma), used by the power-law family.
-
-    s is the similarity exponent 2/(gamma*N - N + 2), which must equal
-    1/((gamma - theta)*N) when theta sits at its required value
-    gamma/2 + 1/2 - 1/N.
-    """
-
-    s: float
-    theta_required: float
-
-
-@dataclass(frozen=True)
 class ValidationOutcome:
-    """Result of :func:`validate`: ok flag plus the full violation list."""
+    """Result of :func:`validate`: ok is true exactly when violations,
+    the full list of violated constraints, is empty."""
 
     ok: bool
     violations: tuple
-    derived: DerivedConstants | None = None
 
 
 def derived_s(params: ModelParams) -> float:
@@ -282,8 +269,7 @@ def validate(params: ModelParams, family: Family) -> ValidationOutcome:
 
     Total: never raises on bad input, and never stops at the first
     failure; every violated constraint is reported with the offending
-    values, a NaN or infinite number among them.  A successful outcome
-    carries the derived constants (s, theta_required) of (N, gamma).
+    values, a NaN or infinite number among them.
     """
     bad = []
     if not isinstance(params.N, int) or params.N < 1:
@@ -317,9 +303,4 @@ def validate(params: ModelParams, family: Family) -> ValidationOutcome:
     bad += family.violations(params)
     bad += [f"{name} must be > 0, got {getattr(family, name)}"
             for name in family.positive if getattr(family, name) <= 0.0]
-
-    derived = None
-    if not bad:  # so N >= 1 and gamma >= 1: gamma*N - N + 2 >= 2, s is defined
-        derived = DerivedConstants(s=derived_s(params),
-                                   theta_required=theta_required(params))
-    return ValidationOutcome(ok=not bad, violations=tuple(bad), derived=derived)
+    return ValidationOutcome(ok=not bad, violations=tuple(bad))

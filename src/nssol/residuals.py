@@ -18,6 +18,7 @@ h**2 down to the floor set by the ODE integration tolerances (~1e-9).
 """
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -141,22 +142,11 @@ def _sample(field, points):
             f"stencil left the field domain: {exc}") from exc
 
 
-def _centre(field, t, r, h_rs):
-    """field at (t, r), the stencils' centre, for stencils of each
-    radial step in h_rs, which must keep r - h_r > 0."""
-    for h_r in h_rs:
-        if np.min(r) - h_r <= 0.0:
-            raise StencilOutOfDomainError(
-                f"stencil needs r - h_r > 0, got r={float(np.min(r))!r}, h_r={h_r!r}")
-    (centre,) = _sample(field, [(t, r)])
-    return centre
-
-
 def _residuals(field, params, t, r, centre, h_t, h_r):
     """Mass and momentum residuals on the centered 5-point cross around
-    each (t, r), given centre, the field there (see _centre), and the
-    mask of stencils touching vacuum (some rho <= 0), where momentum is
-    classically undefined and set to 0.  NaN is never vacuum
+    each (t, r), given centre, the field there, and the mask of stencils
+    touching vacuum (some rho <= 0), where momentum is classically
+    undefined and set to 0.  NaN is never vacuum
     (np.minimum propagates it, and a non-finite u_t keeps the stencil):
     a non-finite residual raises NonFiniteFieldError.
     """
@@ -200,43 +190,6 @@ def _steps(resolutions):
     return resolutions
 
 
-def _point_residuals(field_fn, params, t, r, h_t, h_r):
-    """_residuals of the one stencil around (t, r)."""
-    ((h_t, h_r),) = _steps([(h_t, h_r)])
-    field = _array_field(field_fn)
-    return _residuals(field, params, t, r, _centre(field, t, r, [h_r]), h_t, h_r)
-
-
-def mass_residual(field_fn, params, t, r, h_t, h_r):
-    """Centered-difference residual of the mass equation at (t, r).
-
-    Only the spatial dimension params.N enters; the result is bitwise
-    independent of (K, kappa, gamma, theta, delta).  Raises ValueError
-    for a step that is not finite and > 0, StencilOutOfDomainError when a
-    stencil point leaves the domain, and NonFiniteFieldError when a
-    residual at (t, r) is not finite.
-    """
-    mass, _, _ = _point_residuals(field_fn, params, t, r, h_t, h_r)
-    return float(mass)
-
-
-def momentum_residual(field_fn, params, t, r, h_t, h_r):
-    """Centered-difference residual of the momentum equation at (t, r).
-
-    The gradients of rho**gamma and rho**theta come from differencing
-    the powered field samples.  Raises NonFiniteFieldError when the
-    stencil touches vacuum (the residual is classically undefined at a
-    support boundary) or the residual is not finite, ValueError for a
-    step that is not finite and > 0, and StencilOutOfDomainError for
-    domain exits.
-    """
-    _, mom, vacuum = _point_residuals(field_fn, params, t, r, h_t, h_r)
-    if vacuum:
-        raise NonFiniteFieldError(
-            f"momentum stencil at (t={t!r}, r={r!r}) touches vacuum")
-    return float(mom)
-
-
 def _round12(x):
     return float(f"{x:.12g}")
 
@@ -251,6 +204,17 @@ def _norms(mass, mom, vacuum, h_t, h_r):
         mom_linf=_round12(np.max(np.abs(mom))),
         mom_l2=_round12(math.sqrt(np.sum(mom * mom) / kept) if kept else 0.0),
         skipped_momentum=skipped)
+
+
+def _lattice(lattice):
+    """lattice, an integer >= 2 (a numpy integer included), as an int."""
+    try:
+        points = operator.index(lattice)
+    except TypeError:
+        points = 0
+    if points < 2:
+        raise ValueError(f"lattice must be an integer >= 2, got {lattice!r}")
+    return points
 
 
 def _order(norm_coarse, norm_fine, ratio):
@@ -271,20 +235,25 @@ def verify_window(field_fn, params, window, resolutions,
     resolutions is a sequence of (h_t, h_r) pairs, coarse to fine; with
     two or more, the report carries convergence-order estimates from the
     last pair (2 is the expected order for an exact solution).  lattice
-    is the number of points per window axis.  A step that is not finite
-    and > 0 raises ValueError before any sample.  A mass or momentum
-    residual that is not finite raises NonFiniteFieldError; only
-    stencils that touch vacuum (rho <= 0) are skipped.
+    is the number of points per window axis.  A lattice that is not an
+    integer >= 2, or a step that is not finite and > 0, raises ValueError
+    before any sample; a stencil with r - h_r <= 0, or one that leaves
+    the field's domain, raises StencilOutOfDomainError.  A mass or
+    momentum residual that is not finite raises NonFiniteFieldError;
+    only stencils that touch vacuum (rho <= 0) are skipped, and counted.
     """
-    if lattice < 2:
-        raise ValueError(f"lattice must have >= 2 points per axis, got {lattice}")
+    lattice = _lattice(lattice)
     resolutions = _steps(resolutions)
 
     field = _array_field(field_fn)
     k = np.arange(lattice)
     t = (window.t_min + (window.t_max - window.t_min) * k / (lattice - 1))[:, None]
     r = window.r_min + (window.r_max - window.r_min) * k / (lattice - 1)
-    centre = _centre(field, t, r, [h_r for _, h_r in resolutions])
+    for _, h_r in resolutions:
+        if r[0] - h_r <= 0.0:
+            raise StencilOutOfDomainError(
+                f"stencil needs r - h_r > 0, got r={float(r[0])!r}, h_r={h_r!r}")
+    (centre,) = _sample(field, [(t, r)])
     entries = [_norms(*_residuals(field, params, t, r, centre, h_t, h_r), h_t, h_r)
                for h_t, h_r in resolutions]
 
@@ -307,8 +276,10 @@ def verify_family(params, family, window, resolutions, lattice=DEFAULT_LATTICE):
     runs verify_window on them with the family's pressure switch.  The
     scaling trajectory is integrated far enough past the window for the
     time stencils at every listed resolution; the shape needs no bound,
-    as every family's shape is a closed form on all of z.
+    as every family's shape is a closed form on all of z.  Its inputs
+    are checked as verify_window checks them, before the build.
     """
+    lattice = _lattice(lattice)
     max_h_t = max(h_t for h_t, _ in _steps(resolutions))
     t_end = window.t_max + 2.0 * max_h_t
     solution = build_solution(params, family, t_end=t_end)

@@ -27,12 +27,12 @@ def test_all_names_resolve():
 
 def test_public_surface_is_pinned():
     assert sorted(nssol.__all__) == [
-        "DerivedConstants", "DomainError", "ExpQuadratic", "Family", "FieldGrid",
-        "ImplicitProfile", "ModelParams", "NonFiniteFieldError", "NssolError",
-        "OutOfRangeError", "PowerLawScaling", "PowerRoot", "PressurelessTheta1",
-        "PressurelessThetaNot1", "Profile", "ResidualReport", "ResolutionNorms",
-        "ScalingFn", "Solution", "SolutionField", "StencilOutOfDomainError",
-        "StepFailureError", "ValidationOutcome", "Window", "WithPressureIsothermal",
+        "DomainError", "ExpQuadratic", "Family", "FieldGrid", "ImplicitProfile",
+        "ModelParams", "NonFiniteFieldError", "NssolError", "OutOfRangeError",
+        "PowerLawScaling", "PowerRoot", "PressurelessTheta1", "PressurelessThetaNot1",
+        "Profile", "ResidualReport", "ResolutionNorms", "ScalingFn", "Solution",
+        "SolutionField", "StencilOutOfDomainError", "StepFailureError",
+        "ValidationOutcome", "Window", "WithPressureIsothermal",
         "WithPressurePolytropic", "WithPressurePowerLaw", "__version__",
         "build_solution", "derived_s", "eval_grid", "theta_required", "validate",
         "vanishing_time", "verify_family", "verify_window",

@@ -13,7 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nssol import NonFiniteFieldError, build_solution, cli, eval_grid, profiles
+from nssol import (
+    NonFiniteFieldError,
+    build_solution,
+    cli,
+    derived_s,
+    eval_grid,
+    profiles,
+    theta_required,
+)
 from nssol.cli import ConfigError, RunConfig, main
 from tests import cases
 
@@ -48,6 +56,9 @@ def test_describe_blowup_family(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
     assert doc["s"] == pytest.approx(0.5)
+    params = RunConfig(_blowup_config()).params
+    assert doc["s"] == derived_s(params)
+    assert doc["theta_required"] == theta_required(params)
     assert doc["vanishing_time"] == pytest.approx(1.0)
     assert "-n/m" in doc["vanishing_time_note"]
 
@@ -57,7 +68,11 @@ def test_describe_invalid_family_exits_2(tmp_path, capsys):
     cfg["model"]["theta"] = 2.0  # wrong theta for this family
     path = _write(tmp_path, cfg)
     assert main(["describe", "--config", path]) == 2
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["ok"] is False
+    assert "s" not in doc and "theta_required" not in doc
+    err = json.loads(captured.err.strip().splitlines()[-1])
     assert "gamma/2" in err["message"]
 
 
@@ -508,8 +523,8 @@ def test_full_size_field_csv_matches_reference_bytes(model, family, times):
     fg = eval_grid(solution.profile, solution.scaling, config.params.N, ts, rs)
     header = ("t", "r", "rho", "u")
     rows = zip(np.repeat(ts, rs.size), np.tile(rs, ts.size), fg.rho.ravel(), fg.u.ravel())
-    assert (cli._table(header, [fg.t_values, fg.r_values], [fg.rho, fg.u], "csv")
-            == _reference_csv(header, rows))
+    assert (_lines(cli._table(header, [fg.t_values, fg.r_values], [fg.rho, fg.u], "csv"))
+            == _lines(_reference_csv(header, rows)))
 
 
 @pytest.mark.parametrize("model, family, times", FIELD_EXPORTS)
@@ -532,8 +547,8 @@ def test_csv_rows_past_one_block_match_reference_bytes():
     ts = np.sort(rng.uniform(0.0, 3.0, 20001))
     a = np.exp(rng.uniform(-46.0, 46.0, ts.size)) * rng.choice([-1.0, 1.0], ts.size)
     header = ("t", "a", "adot")
-    assert (cli._table(header, [ts], [a, 1.0 / a], "csv")
-            == _reference_csv(header, zip(ts, a, 1.0 / a)))
+    assert (_lines(cli._table(header, [ts], [a, 1.0 / a], "csv"))
+            == _lines(_reference_csv(header, zip(ts, a, 1.0 / a))))
 
 
 def test_json_columns_past_one_block_match_reference_bytes():

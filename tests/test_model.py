@@ -29,10 +29,9 @@ def test_powerlaw_ok_with_derived_constants():
     family = WithPressurePowerLaw(m=1.0, n=1.0, sigma=1.0, alpha=1.0)
     out = validate(params, family)
     assert out.ok
-    assert out.derived is not None
-    assert out.derived.s == pytest.approx(0.5, abs=1e-15)
+    assert derived_s(params) == pytest.approx(0.5, abs=1e-15)
     # gamma/2 + 1/2 - 1/N = 5/6 + 1/2 - 1/3 = 1
-    assert out.derived.theta_required == pytest.approx(1.0, abs=1e-15)
+    assert theta_required(params) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_powerlaw_gamma1_gives_s_equal_one():
@@ -40,7 +39,7 @@ def test_powerlaw_gamma1_gives_s_equal_one():
     family = WithPressurePowerLaw(m=1.0, n=1.0, sigma=1.0, alpha=1.0)
     out = validate(params, family)
     assert out.ok
-    assert out.derived.s == 1.0  # 2/(2 - 2 + 2)
+    assert derived_s(params) == 1.0  # 2/(2 - 2 + 2)
 
 
 def test_isothermal_requires_theta_gamma_one():
@@ -109,7 +108,7 @@ def test_powerlaw_constraint_bounds():
     params = ModelParams(N=3, gamma=5.0 / 3.0, theta=1.0, delta=1)
     ok = validate(params, WithPressurePowerLaw(m=-2.0, n=1.0, sigma=1.0, alpha=1.0))
     assert ok.ok  # m < 0 is legitimate (collapsing scaling)
-    assert 0.0 < ok.derived.s <= 1.0
+    assert 0.0 < derived_s(params) <= 1.0
     assert params.theta >= 1.0 - 1.0 / params.N
 
     for bad_family in (
@@ -118,7 +117,6 @@ def test_powerlaw_constraint_bounds():
             WithPressurePowerLaw(m=1.0, n=1.0, sigma=1.0, alpha=0.0)):
         out = validate(params, bad_family)
         assert not out.ok
-        assert out.derived is None
 
 
 def test_powerlaw_wrong_theta_reported():
@@ -172,7 +170,6 @@ def test_power_law_family_valid_at_large_n():
         assert derived_s(params) == 1.0
         out = validate(params, WithPressurePowerLaw(m=1.0, n=1.0, sigma=1.0, alpha=1.0))
         assert out.ok, out.violations
-        assert out.derived.s == 1.0
 
 
 _special = st.sampled_from([float("nan"), float("inf"), -float("inf")])

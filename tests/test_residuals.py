@@ -20,7 +20,7 @@ from nssol import (
     verify_window,
 )
 from nssol import residuals
-from nssol.residuals import Window, mass_residual, momentum_residual
+from nssol.residuals import Window
 from tests.cases import (
     RESOLUTIONS,
     exact_families,
@@ -31,6 +31,12 @@ from tests.cases import (
 )
 
 PARAMS_N3 = ModelParams(N=3, gamma=1.0, theta=1.0, delta=1)
+H = [(1e-3, 1e-3)]
+
+
+def _corner(t, r):
+    """The 2x2 lattice window whose lower corner is (t, r)."""
+    return Window(t, t + 1e-2, r, r + 1e-2)
 
 
 class ExpShape(Profile):
@@ -59,8 +65,10 @@ def _ansatz_field(f, a, adot):
 
 def test_constant_state_residuals_are_exactly_zero():
     field = lambda t, r: (1.0, 0.0)
-    assert mass_residual(field, PARAMS_N3, 0.5, 1.0, 1e-3, 1e-3) == 0.0
-    assert momentum_residual(field, PARAMS_N3, 0.5, 1.0, 1e-3, 1e-3) == 0.0
+    entry = verify_window(field, PARAMS_N3, _corner(0.5, 1.0), H, lattice=2).finest
+    assert entry.mass_linf == 0.0
+    assert entry.mom_linf == 0.0
+    assert entry.skipped_momentum == 0
 
 
 def test_mass_residual_small_for_exact_ansatz():
@@ -68,58 +76,68 @@ def test_mass_residual_small_for_exact_ansatz():
     # the mass equation; centered differences see only O(h^2) truncation
     field = _ansatz_field(lambda z: math.exp(-z * z),
                           lambda t: 1.0 + t, lambda t: 1.0)
-    res = mass_residual(field, PARAMS_N3, 1.0, 1.0, 1e-3, 1e-3)
-    assert abs(res) < 1e-5
+    entry = verify_window(field, PARAMS_N3, _corner(1.0, 1.0), H, lattice=2).finest
+    assert entry.mass_linf < 1e-5
 
 
 def test_mass_residual_detects_wrong_velocity():
     base = _ansatz_field(lambda z: math.exp(-z * z),
                          lambda t: 1.0 + t, lambda t: 1.0)
     skew = lambda t, r: (base(t, r)[0], 1.01 * base(t, r)[1])
-    res = mass_residual(skew, PARAMS_N3, 1.0, 1.0, 1e-3, 1e-3)
-    assert abs(res) > 1e-3
+    entry = verify_window(skew, PARAMS_N3, _corner(1.0, 1.0), H, lattice=2).finest
+    assert entry.mass_linf > 1e-3
+    assert entry.mass_l2 > 1e-3  # the root mean square of all four points
 
 
 def test_mass_residual_is_independent_of_non_geometric_params():
-    field = _ansatz_field(lambda z: 1.0 / (1.0 + z * z),
-                          lambda t: 1.0 + 0.5 * t * t, lambda t: t)
+    # the raw residuals, not the report's norms rounded to 12 digits
+    field = residuals._array_field(_ansatz_field(lambda z: 1.0 / (1.0 + z * z),
+                                                 lambda t: 1.0 + 0.5 * t * t,
+                                                 lambda t: t))
+    t, r = np.array([[0.7], [0.71]]), np.array([1.3, 1.31])
+    centre = field(t, r)
     variants = [
         ModelParams(N=3, gamma=1.0, theta=1.0, K=1.0, kappa=1.0, delta=1),
         ModelParams(N=3, gamma=2.7, theta=0.4, K=9.0, kappa=0.1, delta=0),
     ]
-    values = [mass_residual(field, p, 0.7, 1.3, 1e-3, 1e-3) for p in variants]
-    assert values[0] == values[1]  # bitwise identical
+    values = [residuals._residuals(field, p, t, r, centre, 1e-3, 1e-3)[0]
+              for p in variants]
+    assert np.array_equal(values[0], values[1])  # bitwise identical
 
 
 def test_momentum_residual_static_flat_state():
     field = lambda t, r: (2.5, 0.0)
-    assert momentum_residual(field, PARAMS_N3, 1.0, 0.7, 1e-3, 1e-3) == 0.0
+    entry = verify_window(field, PARAMS_N3, _corner(1.0, 0.7), H, lattice=2).finest
+    assert entry.mom_linf == 0.0
+    assert entry.skipped_momentum == 0
 
 
 def test_stencil_domain_guards():
     field = lambda t, r: (1.0, 0.0)
     with pytest.raises(StencilOutOfDomainError):
-        mass_residual(field, PARAMS_N3, 0.5, 5e-4, 1e-3, 1e-3)  # r - h_r <= 0
+        # r - h_r <= 0
+        verify_window(field, PARAMS_N3, _corner(0.5, 5e-4), H, lattice=2)
 
     params, family, _ = isothermal_gaussian()
-    from nssol import build_solution
     sol = build_solution(params, family, t_end=0.3)
     with pytest.raises(StencilOutOfDomainError):
         # t + h_t beyond the integrated trajectory
-        mass_residual(sol.field(), params, 0.31, 1.0, 1e-3, 1e-3)
+        verify_window(sol.field(), params, _corner(0.31, 1.0), H, lattice=2)
 
 
-def test_momentum_raises_on_vacuum_stencil():
+def test_vacuum_stencil_is_counted_in_skipped_momentum():
+    # a stencil touching vacuum has no classical momentum residual: it is
+    # left out of the momentum norms and counted, not refused
     params, family, _ = pressureless_theta2()
-    from nssol import build_solution
     sol = build_solution(params, family, t_end=0.3)
     # support boundary at z = sqrt(12): pick r just outside it at t=0.1
     a = sol.scaling.pair(0.1)[0]
     r_edge = (math.sqrt(12.0) + 1e-4) * a
-    with pytest.raises(NonFiniteFieldError):
-        momentum_residual(sol.field(), params, 0.1, r_edge, 1e-3, 1e-3)
-    # mass residual at the same point is defined (vacuum fields are zero)
-    mass_residual(sol.field(), params, 0.1, r_edge, 1e-3, 1e-3)
+    entry = verify_window(sol.field(), params, _corner(0.1, r_edge), H,
+                          lattice=2).finest
+    assert entry.skipped_momentum >= 1
+    # the mass residual is defined there (vacuum fields are zero)
+    assert math.isfinite(entry.mass_linf)
 
 
 def test_zero_field_window():
@@ -270,8 +288,6 @@ def test_nan_density_sample_is_never_certified():
 
     with pytest.raises(NonFiniteFieldError):
         verify_window(nonfinite, params, window, RESOLUTIONS, lattice=33)
-    with pytest.raises(NonFiniteFieldError):
-        momentum_residual(nonfinite, params, t_nan, r_nan, 1e-3, 1e-3)
 
 
 def _parity_cases():
@@ -362,27 +378,32 @@ def test_non_finite_sample_is_refused_at_once():
     assert "nan" in str(info.value)
 
 
-#: inputs the verifier refuses: window bounds, then (h_t, h_r) pairs
+#: inputs the verifier refuses: window bounds, (h_t, h_r) pairs and
+#: lattice, then a word of the refusal
+_GOOD = ((0.1, 0.5, 0.1, 2.0), [(1e-3, 1e-3)])
 _BAD_INPUTS = {
-    "infinite r_max": ((0.1, 0.5, 0.1, math.inf), [(1e-3, 1e-3)]),
-    "zero h_r": ((0.1, 0.5, 0.1, 2.0), [(1e-3, 1e-3), (1e-3, 0.0)]),
-    "nan h_r": ((0.1, 0.5, 0.1, 2.0), [(1e-3, math.nan)]),
-    "negative h_r": ((0.1, 0.5, 0.1, 2.0), [(1e-3, -1e-3)]),
-    "infinite h_t": ((0.1, 0.5, 0.1, 2.0), [(math.inf, 1e-3)]),
+    "infinite r_max": ((0.1, 0.5, 0.1, math.inf), [(1e-3, 1e-3)], 3, "finite"),
+    "zero h_r": ((0.1, 0.5, 0.1, 2.0), [(1e-3, 1e-3), (1e-3, 0.0)], 3, "finite"),
+    "nan h_r": ((0.1, 0.5, 0.1, 2.0), [(1e-3, math.nan)], 3, "finite"),
+    "negative h_r": ((0.1, 0.5, 0.1, 2.0), [(1e-3, -1e-3)], 3, "finite"),
+    "infinite h_t": ((0.1, 0.5, 0.1, 2.0), [(math.inf, 1e-3)], 3, "finite"),
+    **{f"lattice {n!r}": (*_GOOD, n, "lattice must be an integer >= 2")
+       for n in (2.5, math.nan, 3.0, "3", 1, np.int64(1))},
 }
 
 
-@pytest.mark.parametrize("entry", ["verify_window", "verify_family",
-                                   "mass_residual", "momentum_residual"])
-@pytest.mark.parametrize("bounds, resolutions", list(_BAD_INPUTS.values()),
-                         ids=list(_BAD_INPUTS))
+@pytest.mark.parametrize("entry", ["verify_window", "verify_family"])
+@pytest.mark.parametrize("bounds, resolutions, lattice, match",
+                         list(_BAD_INPUTS.values()), ids=list(_BAD_INPUTS))
 def test_bad_inputs_are_refused_before_any_sample(monkeypatch, entry, bounds,
-                                                  resolutions):
+                                                  resolutions, lattice, match):
     # an infinite bound made inf*0 in the lattice and blamed the field at
     # r=nan, h_r = 0 divided by zero, a NaN h_r passed the r - h_r > 0
-    # test and a negative one went into the report: each is a ValueError
-    # now, before the field is built or sampled; the one-point residuals
-    # take the last (h_t, h_r) and no window
+    # test and a negative one went into the report; a lattice of 2.5
+    # sampled past the window's far corner, a NaN one failed inside
+    # np.arange, and verify_family built the solution before refusing a
+    # lattice of 1: each is a ValueError now, before the field is built
+    # or sampled
     params, family, _ = isothermal_gaussian()
     calls = []
 
@@ -396,16 +417,20 @@ def test_bad_inputs_are_refused_before_any_sample(monkeypatch, entry, bounds,
 
     monkeypatch.setattr(residuals, "build_solution", build)
     run = {"verify_window": lambda w: verify_window(field, params, w, resolutions,
-                                                    lattice=3),
+                                                    lattice=lattice),
            "verify_family": lambda w: verify_family(params, family, w, resolutions,
-                                                    lattice=3),
-           "mass_residual": lambda w: mass_residual(field, params, 0.3, 1.0,
-                                                    *resolutions[-1]),
-           "momentum_residual": lambda w: momentum_residual(field, params, 0.3, 1.0,
-                                                            *resolutions[-1])}[entry]
-    with pytest.raises(ValueError, match="finite"):
+                                                    lattice=lattice)}[entry]
+    with pytest.raises(ValueError, match=match):
         run(Window(*bounds))
     assert calls == []
+
+
+def test_numpy_integer_lattice_is_an_int_in_the_report():
+    field = lambda t, r: (1.0, 0.0)
+    report = verify_window(field, PARAMS_N3, Window(0.1, 0.2, 0.5, 1.0), H,
+                           lattice=np.int64(3))
+    assert report.lattice == (3, 3)
+    assert all(type(n) is int for n in report.to_dict()["lattice"])
 
 
 def test_single_resolution_reports_no_orders():
