@@ -21,7 +21,7 @@ from .errors import (
     StencilOutOfDomainError,
     StepFailureError,
 )
-from .fields import FieldGrid, SolutionField, eval_grid
+from .fields import SolutionField, eval_grid
 from .model import (
     Family,
     ModelParams,
@@ -55,7 +55,6 @@ __all__ = [
     "OutOfRangeError",
     "StencilOutOfDomainError",
     "StepFailureError",
-    "FieldGrid",
     "SolutionField",
     "eval_grid",
     "Family",

@@ -11,7 +11,7 @@ def unbox(x):
     return x if type(x) is np.ndarray and x.ndim else float(x)
 
 
-def hermite(edges, nodes, coef, x, what="value"):
+def hermite(edges, nodes, coef, x):
     """Piecewise polynomial c0 + c1*s + c2*s**2 + c3*s**3 + c4*s**4,
     s = x - nodes[j], of a stack of k curves at the points x, a scalar or
     any array: a list of k numpy scalars or arrays of x's shape.
@@ -23,7 +23,8 @@ def hermite(edges, nodes, coef, x, what="value"):
     exactly.  edges, shape (n + 1,), bound the n intervals, the lowest at
     the first node less an edge tolerance and the highest just past the
     last node plus it.  One searchsorted locates x: a point out of range,
-    or NaN, lands on a NaN column and is refused with OutOfRangeError.
+    or NaN, lands on a NaN column and is refused with OutOfRangeError,
+which names x as the time t of a trajectory, the one table read here.
     A scalar x stays a numpy scalar, off numpy's 0-d array path.  The
     name is kept from the cubic Hermite tables this once evaluated: the
     benchmark's tracer and its test wrap it under that name.
@@ -32,6 +33,6 @@ def hermite(edges, nodes, coef, x, what="value"):
     s = x - nodes[j]
     y = [c0 + s * (c1 + s * (c2 + s * (c3 + s * c4))) for c0, c1, c2, c3, c4 in coef[..., j]]
     refuse(OutOfRangeError, y[0] != y[0],
-           what + " {x!r} outside tabulated range [{lo!r}, {hi!r}]",
+           "t {x!r} outside tabulated range [{lo!r}, {hi!r}]",
            x=x, lo=nodes[1], hi=nodes[-2])
     return y

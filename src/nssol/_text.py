@@ -48,8 +48,9 @@ exponent suffix of scientific notation, repr's ".0" of an integral
 value, or the last digit, moved up by a point after digit 2..16.
 Unused bytes are NUL.  A CSV cell puts its comma or newline in byte 31;
 a JSON cell has a fifth word for the separator of an indented list.  A
-table is written a block of whole grid rows at a time, and each block's
-NULs go in one ``bytearray.translate``.
+table is written a block of whole grid rows at a time by one loop for
+both formats, and the NULs of a CSV block, or of a column of a JSON
+block, go in one ``bytearray.translate``.
 
 Every integer operation on the mantissa and on the text words is uint64
 with uint64 operands: mixed with a signed integer, numpy 1.x promotes to
@@ -298,40 +299,56 @@ def repr_cells(x, text):
 #: kernel's temporaries stay in cache and are reused, not paged in anew
 _BLOCK = 8192
 
-_SEPARATOR = _U(ord(",")) << _56
-_NEWLINE = _U(ord("\n")) << _56
+
+def _blocks(keys, values, kernel, layout):
+    """Fill the cells of a table over the product grid of the 1-d arrays
+    keys, with the arrays values of that grid's shape, a block of whole
+    first-key rows at a time, and yield (buffer, view, new) per block.
+    layout(points, last) allocates the buffer of a block of that many
+    grid points, the table's last block if last, and gives its (points,
+    columns, 4) view, where kernel writes each column.  A buffer serves
+    the full blocks after its own (new false); each key is formatted
+    once, and a later key, which every full block repeats, is written
+    only into a new buffer."""
+    sizes = [k.size for k in keys]
+    inner = math.prod(sizes[1:])
+    step = max(1, _BLOCK // inner)
+    key_text = []
+    for k in keys:
+        key_text.append(np.empty((k.size, 4), _WORD))
+        kernel(k, key_text[-1])
+    values = [np.reshape(v, (sizes[0], -1)) for v in values]
+    buf = None
+    for start in range(0, sizes[0], step):
+        stop = min(start + step, sizes[0])
+        new = buf is None or stop == sizes[0]
+        if new:
+            buf, text = layout((stop - start) * inner, stop == sizes[0])
+            at = np.arange(text.shape[0])
+            for d in range(1, len(keys)):
+                np.take(key_text[d], at // math.prod(sizes[d + 1:]), axis=0,
+                        out=text[:, d], mode="wrap")
+        np.take(key_text[0], start + at // inner, axis=0, out=text[:, 0], mode="wrap")
+        for j, v in enumerate(values, len(keys)):
+            kernel(v[start:stop], text[:, j])
+        yield buf, text, new
 
 
 def csv_rows(keys, values):
     """CSV rows over the product grid of the 1-d arrays keys, with the
     arrays values of that grid's shape: each row the keys then the
-    values of one grid point, in C order.  Each distinct key is
-    formatted once and its text repeated over the grid."""
-    sizes = [k.size for k in keys]
-    inner = int(np.prod(sizes[1:]))
-    step = max(1, _BLOCK // max(inner, 1))
+    values of one grid point, in C order."""
     columns = len(keys) + len(values)
-    key_text = []
-    for d, k in enumerate(keys):
-        text = np.empty((k.size, 4), _WORD)
-        cells(k, text)
-        text[:, 3] |= _NEWLINE if d == columns - 1 else _SEPARATOR
-        key_text.append(text.reshape([-1 if i == d else 1 for i in range(len(keys))] + [4]))
-    values = [np.reshape(v, (sizes[0], -1)) for v in values]
+    ends = np.full(columns, _U(ord(",")) << _56)
+    ends[-1] = _U(ord("\n")) << _56
+
+    def layout(points, last):
+        buf = bytearray(points * columns * 32)
+        return buf, np.frombuffer(buf, _WORD).reshape(points, columns, 4)
+
     parts = []
-    buf = None
-    for start in range(0, sizes[0], step):
-        stop = min(start + step, sizes[0])
-        if buf is None or stop - start < step:
-            buf = bytearray((stop - start) * inner * columns * 32)
-        table = np.frombuffer(buf, _WORD).reshape(stop - start, *sizes[1:], columns, 4)
-        table[..., 0, :] = key_text[0][start:stop]
-        for d in range(1, len(keys)):
-            table[..., d, :] = key_text[d]
-        rows = table.reshape(-1, columns, 4)
-        for j, v in enumerate(values, len(keys)):
-            cells(v[start:stop], rows[:, j])
-            rows[:, j, 3] |= _NEWLINE if j == columns - 1 else _SEPARATOR
+    for buf, text, _ in _blocks(keys, values, cells, layout):
+        text[..., 3] |= ends
         parts.append(buf.translate(None, b"\0").decode("ascii"))
     return "".join(parts)
 
@@ -348,39 +365,23 @@ def json_columns(keys, values):
     ``json.dumps(..., indent=2)`` writes a list of them in a top-level
     object, between its "[" and "]" and their indents.  Each column comes
     as a list of strings, a block of grid rows each, to be joined once
-    into the document.  Each distinct key is formatted once and its text
-    repeated over the grid."""
-    sizes = [k.size for k in keys]
-    inner = math.prod(sizes[1:])
-    step = max(1, _BLOCK // inner)
-    key_text = []
-    for k in keys:
-        key_text.append(np.empty((k.size, 4), _WORD))
-        repr_cells(k, key_text[-1])
-    values = [np.reshape(v, (sizes[0], -1)) for v in values]
-    parts = [[] for _ in range(len(keys) + len(values))]
-    buf = None
-    for start in range(0, sizes[0], step):
-        stop = min(start + step, sizes[0])
-        if buf is None or stop == sizes[0]:
-            buf = bytearray((stop - start) * inner * 40)
-            column = np.frombuffer(buf, _WORD).reshape(-1, 5)
-            column[:, 4] = _JSON_SEPARATOR
-            if stop == sizes[0]:  # no separator after a column's last number
-                column[-1, 4] = 0
-            text = column[:, :4]
-            at = np.arange(column.shape[0])
-            # a block of whole rows holds the same text of each later key
-            repeated = []
-            for d in range(1, len(keys)):
-                np.take(key_text[d], at // math.prod(sizes[d + 1:]), axis=0, out=text,
-                        mode="wrap")
-                repeated.append(buf.translate(None, b"\0").decode("ascii"))
-        np.take(key_text[0], start + at // inner, axis=0, out=text)
-        parts[0].append(buf.translate(None, b"\0").decode("ascii"))
-        for d, block in enumerate(repeated, 1):
-            parts[d].append(block)
-        for j, v in enumerate(values, len(keys)):
-            repr_cells(v[start:stop], text)
-            parts[j].append(buf.translate(None, b"\0").decode("ascii"))
+    into the document."""
+    columns = len(keys) + len(values)
+
+    def layout(points, last):
+        buf = bytearray(columns * points * 40)
+        cell = np.frombuffer(buf, _WORD).reshape(columns, points, 5)
+        cell[..., 4] = _JSON_SEPARATOR
+        if last:  # no separator after a column's last number
+            cell[:, -1, 4] = 0
+        return buf, cell[..., :4].transpose(1, 0, 2)
+
+    parts = [[] for _ in range(columns)]
+    for buf, _, new in _blocks(keys, values, repr_cells, layout):
+        size = len(buf) // columns
+        for c, column in enumerate(parts):
+            if new or not 0 < c < len(keys):
+                column.append(buf[c * size:(c + 1) * size].translate(None, b"\0").decode("ascii"))
+            else:  # a later key: a full block repeats its text
+                column.append(column[-1])
     return parts

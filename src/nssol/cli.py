@@ -15,7 +15,6 @@ CSV and JSON tables of profile, scale and field.
 """
 
 import argparse
-import copy
 import json
 import math
 import sys
@@ -29,7 +28,7 @@ from .errors import NonFiniteFieldError, NssolError, refuse
 from .fields import eval_grid
 from .model import FAMILY_TAGS, ModelParams, derived_s, theta_required, validate
 from .residuals import DEFAULT_LATTICE, Window, verify_family
-from .solutions import build_solution
+from .solutions import build_shape, build_solution
 
 
 class ConfigError(Exception):
@@ -100,7 +99,7 @@ def _section(name, data, required, optional):
 
 
 class RunConfig:
-    """Validated run configuration; reserializes losslessly."""
+    """Validated run configuration."""
 
     def __init__(self, raw):
         if not isinstance(raw, dict):
@@ -123,7 +122,6 @@ class RunConfig:
         for name, (required, optional) in _SCHEMA.items():
             if name in raw:
                 doc[name] = _section(name, raw[name], required, optional)
-        self._doc = doc
 
         self.family = family_cls(**{k: doc["family"][k] for k in constants})
         self.params = ModelParams(**{"delta": self.family.delta, **doc["model"]})
@@ -173,10 +171,6 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
         return cls(raw)
-
-    def to_dict(self):
-        """Reconstruct the configuration document (round-trip lossless)."""
-        return copy.deepcopy(self._doc)
 
 
 def _json_doc(obj):
@@ -236,7 +230,7 @@ def cmd_describe(config, fmt):
 
 def cmd_profile(config, fmt):
     grid = _require_grid(config)
-    profile = _build(config, t_end=max(grid["t_max"], 1e-3)).profile
+    profile = build_shape(config.params, config.family)
     zs = np.linspace(0.0, grid["r_max"], grid["n_r"])
     return (_table(("z", "y", "dy"), [zs], profile.evaluate(zs), fmt),
             {"ok": True, "points": zs.size})
@@ -256,10 +250,9 @@ def cmd_field(config, fmt):
     solution = _build(config, t_end=grid["t_max"])
     ts = np.linspace(grid["t_min"], grid["t_max"], grid["n_t"])
     rs = np.linspace(grid["r_min"], grid["r_max"], grid["n_r"])
-    fg = eval_grid(solution.profile, solution.scaling, config.params.N, ts, rs)
-    return (_table(("t", "r", "rho", "u"), [fg.t_values, fg.r_values],
-                   [fg.rho, fg.u], fmt),
-            {"ok": True, "points": fg.rho.size})
+    rho, u = eval_grid(solution.profile, solution.scaling, config.params.N, ts, rs)
+    return (_table(("t", "r", "rho", "u"), [ts, rs], [rho, u], fmt),
+            {"ok": True, "points": rho.size})
 
 
 def cmd_verify(config, fmt):

@@ -5,27 +5,10 @@ mass equation holds for any C1 shape and any positive C1 scaling, while
 the momentum equation pins down the family-specific shape/scaling pair.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._interp import unbox
 from .errors import NonFiniteFieldError, NssolError
-
-
-@dataclass(frozen=True)
-class FieldGrid:
-    """Dense field samples on a rectangular (t, r) grid, time-major.
-
-    rho[i, j] and u[i, j] correspond to (t_values[i], r_values[j]).
-    All densities are non-negative and finite; u(t, r)/r is constant
-    across r at fixed t (equal to a'(t)/a(t)).
-    """
-
-    t_values: np.ndarray
-    r_values: np.ndarray
-    rho: np.ndarray
-    u: np.ndarray
 
 
 class SolutionField:
@@ -63,15 +46,17 @@ class SolutionField:
 
 
 def eval_grid(profile, scaling, N, t_values, r_values):
-    """Dense FieldGrid over strictly increasing t_values and r_values.
+    """(rho, u) on the grid of strictly increasing t_values and r_values,
+    time-major: rho[i, j] and u[i, j] at (t_values[i], r_values[j]), all
+    finite, rho >= 0.
 
     r_values must stay positive (the residual stencils divide by r).
     The scaling is evaluated once on t_values and the shape once on the
     (n_t, n_r) array of z; a failure at any point aborts the whole grid
     with an offending (t, r) named.
     """
-    t_values = np.array(t_values, dtype=float)  # a copy: frozen below
-    r_values = np.array(r_values, dtype=float)
+    t_values = np.asarray(t_values, dtype=float)
+    r_values = np.asarray(r_values, dtype=float)
     for name, values in (("t_values", t_values), ("r_values", r_values)):
         if values.ndim != 1 or len(values) == 0:
             raise ValueError(f"{name} must be a non-empty 1-d array")
@@ -83,6 +68,4 @@ def eval_grid(profile, scaling, N, t_values, r_values):
     rho, u = SolutionField(profile, scaling, N)(t_values[:, None], r_values)
     if not np.all(np.isfinite(rho)) or not np.all(np.isfinite(u)):
         raise NonFiniteFieldError("grid contains non-finite field values")
-    for arr in (t_values, r_values, rho, u):
-        arr.flags.writeable = False
-    return FieldGrid(t_values=t_values, r_values=r_values, rho=rho, u=u)
+    return rho, u

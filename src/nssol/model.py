@@ -77,10 +77,12 @@ class WithPressureIsothermal(Family):
         if self.A < 0.0:
             yield f"A must be >= 0, got {self.A}"
 
-    def build(self, params, t_end):
-        return (profiles.ExpQuadratic(self.A, self.B, self.C),
-                scaling.integrate_isothermal(self.B, params.K, params.kappa,
-                                             params.N, self.a0, self.a1, t_end))
+    def shape(self, params):
+        return profiles.ExpQuadratic(self.A, self.B, self.C)
+
+    def scale(self, params, t_end):
+        return scaling.integrate_isothermal(self.B, params.K, params.kappa,
+                                            params.N, self.a0, self.a1, t_end)
 
 
 @dataclass(frozen=True)
@@ -100,11 +102,13 @@ class WithPressurePolytropic(Family):
             yield ("theta=gamma>1 required for the polytropic family, got "
                    f"gamma={params.gamma}, theta={params.theta}")
 
-    def build(self, params, t_end):
+    def shape(self, params):
         # y**(theta-2)*dy/dz = z, y(0) = alpha: y grows from alpha
-        return (profiles.PowerRoot(params.theta - 2.0, 1.0, self.alpha),
-                scaling.integrate_polytropic(params.gamma, params.K, params.kappa,
-                                             params.N, self.a0, self.a1, t_end))
+        return profiles.PowerRoot(params.theta - 2.0, 1.0, self.alpha)
+
+    def scale(self, params, t_end):
+        return scaling.integrate_polytropic(params.gamma, params.K, params.kappa,
+                                            params.N, self.a0, self.a1, t_end)
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ class WithPressurePowerLaw(Family):
     from (N, gamma); the density shape solves a separable ODE in closed
     form with y(0) = alpha.  m may be negative (collapsing scaling,
     finite-time blowup at t* = -n/m); n > 0, sigma > 0, alpha > 0.  The
-    scaling is a closed form, so build ignores t_end.
+    scaling is a closed form, so scale ignores t_end.
     """
 
     m: float
@@ -140,15 +144,15 @@ class WithPressurePowerLaw(Family):
             if not (0.0 < s <= 1.0):
                 yield f"similarity exponent s={s} outside (0, 1]"
 
-    def build(self, params, t_end):
-        s = derived_s(params)
-        return (profiles.powerlaw_profile(params, self.m, self.sigma,
-                                          self.alpha, s),
-                scaling.PowerLawScaling(self.sigma, self.m, self.n, s))
+    def shape(self, params):
+        return profiles.powerlaw_profile(params, self.m, self.sigma, self.alpha,
+                                         derived_s(params))
+
+    def scale(self, params, t_end):
+        return scaling.PowerLawScaling(self.sigma, self.m, self.n, derived_s(params))
 
     def describe(self, params):
-        t_star = scaling.PowerLawScaling(self.sigma, self.m, self.n,
-                                         derived_s(params)).vanishing_time
+        t_star = self.scale(params, None).vanishing_time
         if t_star is None:
             return {"vanishing_time": None}
         return {"vanishing_time": t_star,
@@ -178,13 +182,15 @@ class PressurelessTheta1(Family):
             yield ("theta=1 required for this pressureless family, got "
                    f"theta={params.theta}")
 
-    def build(self, params, t_end):
+    def shape(self, params):
         # density exp(lam/(2*N*kappa)*z**2 + alpha)/a**N folds into the
         # exponential-quadratic shape with A=1
-        return (profiles.ExpQuadratic(
-                    1.0, self.lam / (2.0 * params.N * params.kappa), self.alpha),
-                scaling.integrate_pressureless(1.0, self.lam, params.N,
-                                               self.a0, self.a1, t_end))
+        return profiles.ExpQuadratic(
+            1.0, self.lam / (2.0 * params.N * params.kappa), self.alpha)
+
+    def scale(self, params, t_end):
+        return scaling.integrate_pressureless(1.0, self.lam, params.N,
+                                              self.a0, self.a1, t_end)
 
 
 @dataclass(frozen=True)
@@ -204,20 +210,23 @@ class PressurelessThetaNot1(Family):
         if params.theta == 1.0:
             yield "theta != 1 required for this pressureless family"
 
-    def build(self, params, t_end):
+    def shape(self, params):
         xi = -self.lam / (params.N * params.kappa * params.theta)
-        return (profiles.PowerRoot(params.theta - 2.0, xi, self.alpha),
-                scaling.integrate_pressureless(params.theta, self.lam, params.N,
-                                               self.a0, self.a1, t_end))
+        return profiles.PowerRoot(params.theta - 2.0, xi, self.alpha)
+
+    def scale(self, params, t_end):
+        return scaling.integrate_pressureless(params.theta, self.lam, params.N,
+                                              self.a0, self.a1, t_end)
 
 
 #: every solution family; a new family is one class and one entry here.
 #: A family class is a frozen dataclass of its constants, derived from
 #: Family, with a ``tag`` (its config name), its pressure switch
 #: ``delta``, the constants that must be ``positive``, a generator
-#: ``violations(params)`` of messages for its other constraints, and
-#: ``build(params, t_end)`` giving (profile, scaling) of a valid
-#: instance, where t_end bounds an integrated scaling.  Its
+#: ``violations(params)`` of messages for its other constraints, and, for
+#: a valid instance, ``shape(params)`` giving its density shape and
+#: ``scale(params, t_end)`` its scaling, where t_end bounds an integrated
+#: scaling: a shape alone integrates nothing.  Its
 #: ``describe(params)`` hook gives the extra keys of ``nssol describe`` on
 #: a valid instance (none by default; the power-law family's vanishing
 #: time).

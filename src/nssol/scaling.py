@@ -161,7 +161,7 @@ class NumericScaling(ScalingFn):
                 "searched_until": self.t_end}
 
     def pair(self, t):
-        a, adot = hermite(self._edges, self._nodes, self._coef, t, "t")
+        a, adot = hermite(self._edges, self._nodes, self._coef, t)
         return unbox(a), unbox(adot)
 
     def __repr__(self):
@@ -417,8 +417,6 @@ def integrate_polytropic(gamma, K, kappa, N, a0, a1, t_end):
         a'' = -K*gamma*a**(N - theta*N - 1)
               + N*kappa*theta*a'*a**(N - theta*N - 2),   theta = gamma.
     """
-    if not gamma > 1.0:
-        raise ValueError(f"gamma must be > 1, got {gamma}")
     theta = gamma
 
     def accel(a, ad):

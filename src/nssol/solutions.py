@@ -21,18 +21,22 @@ class Solution:
         return SolutionField(self.profile, self.scaling, self.params.N)
 
 
-def build_solution(params: ModelParams, family: Family, t_end: float) -> Solution:
-    """Construct the shape/scaling pair for a validated family.
-
-    t_end bounds the scaling trajectory for the families that integrate
-    an ODE in a(t); every shape is a closed form on all of z.
-    """
+def build_shape(params: ModelParams, family: Family):
+    """The density shape of a validated family alone: no scaling is built."""
     outcome = validate(params, family)
     if not outcome.ok:
         raise ValueError(
             "invalid parameter/family combination:\n  "
             + "\n  ".join(outcome.violations)
         )
-    profile, scaling = family.build(params, t_end)
-    return Solution(params=params, family=family, profile=profile,
-                    scaling=scaling)
+    return family.shape(params)
+
+
+def build_solution(params: ModelParams, family: Family, t_end: float) -> Solution:
+    """Construct the shape/scaling pair for a validated family.
+
+    t_end bounds the scaling trajectory for the families that integrate
+    an ODE in a(t); every shape is a closed form on all of z.
+    """
+    return Solution(params=params, family=family, profile=build_shape(params, family),
+                    scaling=family.scale(params, t_end))

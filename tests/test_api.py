@@ -27,7 +27,7 @@ def test_all_names_resolve():
 
 def test_public_surface_is_pinned():
     assert sorted(nssol.__all__) == [
-        "DomainError", "ExpQuadratic", "Family", "FieldGrid", "ImplicitProfile",
+        "DomainError", "ExpQuadratic", "Family", "ImplicitProfile",
         "ModelParams", "NonFiniteFieldError", "NssolError", "OutOfRangeError",
         "PowerLawScaling", "PowerRoot", "PressurelessTheta1", "PressurelessThetaNot1",
         "Profile", "ResidualReport", "ResolutionNorms", "ScalingFn", "Solution",

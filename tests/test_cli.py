@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from nssol import (
     NonFiniteFieldError,
+    StepFailureError,
     build_solution,
     cli,
     derived_s,
     eval_grid,
     profiles,
+    scaling,
     theta_required,
 )
 from nssol.cli import ConfigError, RunConfig, main
@@ -146,6 +148,23 @@ def test_profile_csv_format(tmp_path, capsys):
         assert float(token) == float(f"{float(token):.17g}")
 
 
+def test_profile_builds_no_scaling(tmp_path, monkeypatch):
+    # the shape alone is written: a scaling integration that fails (or
+    # that would run for seconds on a stiff instance) is never started
+    path = _write(tmp_path, _isothermal_config(B=-1.0, t_max=0.3))
+    expected = tmp_path / "expected.csv"
+    assert main(["profile", "--config", path, "--out", str(expected), "--quiet"]) == 0
+
+    def fail(*args, **kwargs):
+        raise StepFailureError("integration started")
+
+    monkeypatch.setattr(scaling, "_integrate", fail)
+    out = tmp_path / "profile.csv"
+    assert main(["profile", "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    assert main(["scale", "--config", path, "--quiet"]) == 3
+
+
 def test_profile_spans_r_max_for_power_law(tmp_path):
     cfg = _blowup_config()
     cfg["grid"].update(r_max=20.0, n_r=5)
@@ -239,22 +258,9 @@ def test_outputs_are_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_config_round_trip_is_lossless():
-    raw = _blowup_config()
-    cfg = RunConfig(raw)
-    assert cfg.to_dict() == raw
-
-    minimal = {"model": {"N": 2, "gamma": 1.0, "theta": 1.0},
-               "family": {"kind": "pressureless_theta1", "lam": 0.5,
-                          "alpha": 0.0, "a0": 1.0, "a1": 0.0}}
-    cfg2 = RunConfig(minimal)
-    assert cfg2.to_dict() == minimal
-
-
-def test_config_schema_validation():
+def test_config_schema_validation(tmp_path, capsys):
     with pytest.raises(ConfigError):
         RunConfig({"model": {"N": 3, "gamma": 1.0, "theta": 1.0}})  # no family
-    base = _blowup_config()
     for mutate in (
             lambda c: c.update(extra=1),
             lambda c: c.update(numerics={"z_max": 7.5}),  # no such section
@@ -264,11 +270,43 @@ def test_config_schema_validation():
             lambda c: c["verify"].update(resolutions=[[1e-3]]),
             lambda c: c["verify"].update(lattice=1),
             lambda c: c["output"].update(format="xml"),
-            lambda c: c["grid"].update(n_t=0)):
+            lambda c: c["grid"].update(n_t=0),
+            lambda c: [c],  # a root that is not an object
+            lambda c: c.update(grid=[0.05, 0.3]),  # a section that is not an object
+            lambda c: c["model"].update(N=3.0),  # not an integer
+            lambda c: c["output"].update(format=1),  # not a string
+            lambda c: c["verify"].update(resolutions=[[1e-3, 1e-3], [5e-4, 0.0]]),
+            lambda c: c["grid"].update(t_min=0.3),  # t_min = t_max
+            lambda c: c["grid"].update(r_min=2.0),  # r_min > r_max
+            lambda c: c["verify"]["window"].update(t_min=0.5)):  # t_min > t_max
         cfg = _blowup_config()
-        mutate(cfg)
+        cfg = mutate(cfg) or cfg
         with pytest.raises(ConfigError):
             RunConfig(cfg)
+        assert main(["describe", "--config", _write(tmp_path, cfg)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+
+
+def _without(section):
+    return {k: v for k, v in _blowup_config().items() if k != section}
+
+
+@pytest.mark.parametrize("command, text, match", [
+    ("describe", '{"model": {"N": 3', "is not valid JSON"),
+    *[(command, json.dumps(_without("grid")), "needs a 'grid' section")
+      for command in ("profile", "scale", "field")],
+    ("verify", json.dumps(_without("verify")), "needs a 'verify' section"),
+], ids=["invalid json", "profile without grid", "scale without grid",
+        "field without grid", "verify without verify"])
+def test_unreadable_or_incomplete_config_exits_2(tmp_path, capsys, command, text, match):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and match in err["message"]
 
 
 def test_missing_family_constant_rejected():
@@ -520,10 +558,10 @@ def test_full_size_field_csv_matches_reference_bytes(model, family, times):
     config = RunConfig({"model": model, "family": family})
     solution = build_solution(config.params, config.family, t_end=times[1])
     ts, rs = np.linspace(*times, 256), np.linspace(0.1, 2.0, 256)
-    fg = eval_grid(solution.profile, solution.scaling, config.params.N, ts, rs)
+    rho, u = eval_grid(solution.profile, solution.scaling, config.params.N, ts, rs)
     header = ("t", "r", "rho", "u")
-    rows = zip(np.repeat(ts, rs.size), np.tile(rs, ts.size), fg.rho.ravel(), fg.u.ravel())
-    assert (_lines(cli._table(header, [fg.t_values, fg.r_values], [fg.rho, fg.u], "csv"))
+    rows = zip(np.repeat(ts, rs.size), np.tile(rs, ts.size), rho.ravel(), u.ravel())
+    assert (_lines(cli._table(header, [ts, rs], [rho, u], "csv"))
             == _lines(_reference_csv(header, rows)))
 
 
@@ -532,11 +570,11 @@ def test_full_size_field_json_matches_reference_bytes(model, family, times):
     config = RunConfig({"model": model, "family": family})
     solution = build_solution(config.params, config.family, t_end=times[1])
     ts, rs = np.linspace(*times, 256), np.linspace(0.1, 2.0, 256)
-    fg = eval_grid(solution.profile, solution.scaling, config.params.N, ts, rs)
+    rho, u = eval_grid(solution.profile, solution.scaling, config.params.N, ts, rs)
     header = ("t", "r", "rho", "u")
     rows = zip(np.repeat(ts, rs.size).tolist(), np.tile(rs, ts.size).tolist(),
-               fg.rho.ravel().tolist(), fg.u.ravel().tolist())
-    assert (_lines(cli._table(header, [fg.t_values, fg.r_values], [fg.rho, fg.u], "json"))
+               rho.ravel().tolist(), u.ravel().tolist())
+    assert (_lines(cli._table(header, [ts, rs], [rho, u], "json"))
             == _lines(_reference_json(header, list(rows))))
 
 

@@ -9,6 +9,7 @@ from nssol import (
     DomainError,
     ExpQuadratic,
     ModelParams,
+    NonFiniteFieldError,
     PowerLawScaling,
     PowerRoot,
     PressurelessThetaNot1,
@@ -53,10 +54,10 @@ def test_grid_matches_point_evaluation():
     prof = PowerRoot(2.0 - 2.0, 1.0, 1.0)
     scal = integrate_pressureless(theta=1.0, lam=0.5, N=1, a0=1.0, a1=0.3,
                                   t_end=1.0)
-    grid = eval_grid(prof, scal, 1, [0.4], [0.8])
+    grid_rho, grid_u = eval_grid(prof, scal, 1, [0.4], [0.8])
     rho, u = SolutionField(prof, scal, 1)(0.4, 0.8)
-    assert grid.rho[0, 0] == rho
-    assert grid.u[0, 0] == u
+    assert grid_rho[0, 0] == rho
+    assert grid_u[0, 0] == u
 
 
 def test_velocity_linearity_across_grid():
@@ -65,11 +66,11 @@ def test_velocity_linearity_across_grid():
                                   t_end=1.0)
     ts = np.linspace(0.1, 0.9, 7)
     rs = np.linspace(0.2, 2.0, 11)
-    grid = eval_grid(prof, scal, 3, ts, rs)
+    _, u = eval_grid(prof, scal, 3, ts, rs)
     for i, t in enumerate(ts):
         ratio = scal.pair(t)[1] / scal.pair(t)[0]
         for j, r in enumerate(rs):
-            assert abs(grid.u[i, j] / r - ratio) < 1e-12 * (1.0 + abs(ratio))
+            assert abs(u[i, j] / r - ratio) < 1e-12 * (1.0 + abs(ratio))
 
 
 def test_self_similar_collapse():
@@ -103,13 +104,13 @@ def test_vacuum_region_is_exactly_zero():
     assert sol.profile.support_radius() == pytest.approx(z_star, abs=1e-10)
 
     rs = np.linspace(0.1, 4.0, 40)
-    grid = eval_grid(sol.profile, sol.scaling, N, [0.2], rs)
+    rho, _ = eval_grid(sol.profile, sol.scaling, N, [0.2], rs)
     a = sol.scaling.pair(0.2)[0]
     for j, r in enumerate(rs):
         if r / a > z_star:
-            assert grid.rho[0, j] == 0.0
+            assert rho[0, j] == 0.0
         elif r / a < z_star - 1e-9:
-            assert grid.rho[0, j] > 0.0
+            assert rho[0, j] > 0.0
 
 
 def test_grid_validation():
@@ -134,28 +135,37 @@ def test_grid_failure_names_offending_point():
     assert "r=1e+160" in str(err.value)
 
 
-def test_grid_immutable_and_finite():
+def test_grid_is_finite_and_non_negative():
     prof = ExpQuadratic(2.0, -1.0, 0.0)
     scal = integrate_pressureless(theta=1.0, lam=0.3, N=3, a0=1.0, a1=0.2,
                                   t_end=1.0)
-    grid = eval_grid(prof, scal, 3, np.linspace(0.1, 0.9, 5),
-                     np.linspace(0.1, 2.0, 7))
-    assert np.all(grid.rho >= 0.0)
-    assert np.all(np.isfinite(grid.rho))
-    assert np.all(np.isfinite(grid.u))
-    with pytest.raises(ValueError):
-        grid.rho[0, 0] = 99.0
+    rho, u = eval_grid(prof, scal, 3, np.linspace(0.1, 0.9, 5),
+                       np.linspace(0.1, 2.0, 7))
+    assert rho.shape == u.shape == (5, 7)
+    assert np.all(rho >= 0.0)
+    assert np.all(np.isfinite(rho))
+    assert np.all(np.isfinite(u))
 
 
 def test_grid_leaves_caller_arrays_writeable():
     ts, rs = np.linspace(0.1, 0.9, 3), np.linspace(0.5, 1.0, 4)
-    grid = eval_grid(ExpQuadratic(1.0, -1.0, 0.0),
-                     PowerLawScaling(1.0, 1.0, 1.0, 0.5), 3, ts, rs)
+    eval_grid(ExpQuadratic(1.0, -1.0, 0.0),
+              PowerLawScaling(1.0, 1.0, 1.0, 0.5), 3, ts, rs)
     ts[0] = 0.0
     rs[0] = 0.0
-    assert grid.t_values[0] == 0.1 and grid.r_values[0] == 0.5
-    with pytest.raises(ValueError):
-        grid.t_values[0] = 0.0
+
+
+def test_grid_refuses_non_finite_field():
+    # a shape that returned a non-finite value instead of refusing
+    class Broken(ExpQuadratic):
+        def evaluate(self, z):
+            y, dy = super().evaluate(z)
+            return np.where(z > 1.0, bad, y), dy
+
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NonFiniteFieldError, match="non-finite"):
+            eval_grid(Broken(1.0, -1.0, 0.0), _static_scaling(), 3, [0.1, 0.2],
+                      [0.5, 1.5])
 
 
 def test_center_density_grows_unbounded_before_blowup():

@@ -50,6 +50,14 @@ def test_isothermal_requires_theta_gamma_one():
     assert any("theta=gamma=1" in v for v in out.violations)
 
 
+def test_isothermal_refuses_negative_a():
+    params = ModelParams(N=3, gamma=1.0, theta=1.0, delta=1)
+    out = validate(params, WithPressureIsothermal(A=-1.0, B=-1.0, C=0.0, a0=1.0, a1=0.0))
+    assert out.violations == ("A must be >= 0, got -1.0",)
+    assert validate(params, WithPressureIsothermal(A=0.0, B=-1.0, C=0.0, a0=1.0,
+                                                   a1=0.0)).ok
+
+
 def test_derived_s_values():
     assert derived_s(ModelParams(N=3, gamma=5.0 / 3.0, theta=1.0)) == pytest.approx(0.5)
     assert derived_s(ModelParams(N=1, gamma=1.0, theta=1.0)) == 1.0

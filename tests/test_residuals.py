@@ -387,6 +387,9 @@ _BAD_INPUTS = {
     "nan h_r": ((0.1, 0.5, 0.1, 2.0), [(1e-3, math.nan)], 3, "finite"),
     "negative h_r": ((0.1, 0.5, 0.1, 2.0), [(1e-3, -1e-3)], 3, "finite"),
     "infinite h_t": ((0.1, 0.5, 0.1, 2.0), [(math.inf, 1e-3)], 3, "finite"),
+    "t bounds out of order": ((0.5, 0.1, 0.1, 2.0), [(1e-3, 1e-3)], 3, "t_min < t_max"),
+    "r bounds out of order": ((0.1, 0.5, 2.0, 0.1), [(1e-3, 1e-3)], 3, "r_min < r_max"),
+    "no resolution": ((0.1, 0.5, 0.1, 2.0), [], 3, "at least one"),
     **{f"lattice {n!r}": (*_GOOD, n, "lattice must be an integer >= 2")
        for n in (2.5, math.nan, 3.0, "3", 1, np.int64(1))},
 }

@@ -1,5 +1,6 @@
 """Scaling functions: closed form, adaptive integration, event handling."""
 
+import math
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from nssol import (
     DomainError,
     OutOfRangeError,
     PowerLawScaling,
+    StepFailureError,
     build_solution,
     scaling,
     vanishing_time,
@@ -585,3 +587,18 @@ def test_collapse_matches_rk4_oracle_close_to_its_end():
     oracle = rk4_second_order(accel, *rk4_second_order(accel, 1.0, 0.5, 1.0, 1e-6),
                               0.0306476, 1e-7)
     assert fn.pair(1.0306476) == pytest.approx(oracle, rel=1e-6)
+
+
+def test_step_size_underflow_off_a_collapse_raises_step_failure():
+    # a'' = -1/(a - 1/2)**2 from (1, 0) conserves a'**2/2 - 1/(a - 1/2) = -2:
+    # a reaches the pole at 1/2, not 0, near t = pi/8, where the step falls
+    # below the spacing of t with a far above the vanishing threshold
+    with pytest.raises(StepFailureError) as err:
+        scaling._integrate(lambda a, v: -1.0 / (a - 0.5) ** 2, 1.0, 0.0, 2.0, "test")
+    assert str(err.value) == ("scaling integration (test) failed: Required step size"
+                              " is less than spacing between numbers.")
+    assert err.value.t == pytest.approx(0.3926990816940043, rel=1e-12)
+    a, v = err.value.state
+    assert 0.0 < a - 0.5 < 1e-8
+    assert v == pytest.approx(-math.sqrt(2.0 / (a - 0.5) - 4.0), rel=1e-3)
+    assert v == pytest.approx(-4.77e4, rel=1e-2)
