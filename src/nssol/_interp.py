@@ -11,6 +11,11 @@ def unbox(x):
     return x if type(x) is np.ndarray and x.ndim else float(x)
 
 
+def horner(c, s):
+    """The quartic c[0] + c[1]*s + ... + c[4]*s**4, in Horner form."""
+    return c[0] + s * (c[1] + s * (c[2] + s * (c[3] + s * c[4])))
+
+
 def hermite(edges, nodes, coef, x):
     """Piecewise polynomial c0 + c1*s + c2*s**2 + c3*s**3 + c4*s**4,
     s = x - nodes[j], of a stack of k curves at the points x, a scalar or
@@ -31,7 +36,7 @@ which names x as the time t of a trajectory, the one table read here.
     """
     j = edges.searchsorted(x, side="right")
     s = x - nodes[j]
-    y = [c0 + s * (c1 + s * (c2 + s * (c3 + s * c4))) for c0, c1, c2, c3, c4 in coef[..., j]]
+    y = [horner(c, s) for c in coef[..., j]]
     refuse(OutOfRangeError, y[0] != y[0],
            "t {x!r} outside tabulated range [{lo!r}, {hi!r}]",
            x=x, lo=nodes[1], hi=nodes[-2])

@@ -16,7 +16,6 @@ CSV and JSON tables of profile, scale and field.
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, fields
 
@@ -26,7 +25,7 @@ from . import __version__
 from ._text import csv_rows, json_columns
 from .errors import NonFiniteFieldError, NssolError, refuse
 from .fields import eval_grid
-from .model import FAMILY_TAGS, ModelParams, derived_s, theta_required, validate
+from .model import FAMILY_TAGS, ModelParams, derived_s, finite, theta_required, validate
 from .residuals import DEFAULT_LATTICE, Window, verify_family
 from .solutions import build_shape, build_solution
 
@@ -36,15 +35,14 @@ class ConfigError(Exception):
 
 
 def _number(where, value):
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not finite(value):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 
 def _integer(where, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or not finite(value):
+        raise ConfigError(f"{where} must be an integer in the float range, got {value!r}")
     return value
 
 
@@ -203,10 +201,6 @@ def _table(header, keys, values, fmt, **extra):
     return ",".join(header) + "\n" + csv_rows(keys, values)
 
 
-def _build(config, t_end):
-    return build_solution(config.params, config.family, t_end=t_end)
-
-
 def _require_grid(config):
     if config.grid is None:
         raise ConfigError("this command needs a 'grid' section in the config")
@@ -238,7 +232,7 @@ def cmd_profile(config, fmt):
 
 def cmd_scale(config, fmt):
     grid = _require_grid(config)
-    scaling = _build(config, t_end=grid["t_max"]).scaling
+    scaling = build_solution(config.params, config.family, t_end=grid["t_max"]).scaling
     status = {"status": scaling.status, "vanishing_time": scaling.vanishing_time}
     ts = np.linspace(grid["t_min"], min(grid["t_max"], scaling.t_end), grid["n_t"])
     return (_table(("t", "a", "adot"), [ts], scaling.pair(ts), fmt, status=status),
@@ -247,7 +241,7 @@ def cmd_scale(config, fmt):
 
 def cmd_field(config, fmt):
     grid = _require_grid(config)
-    solution = _build(config, t_end=grid["t_max"])
+    solution = build_solution(config.params, config.family, t_end=grid["t_max"])
     ts = np.linspace(grid["t_min"], grid["t_max"], grid["n_t"])
     rs = np.linspace(grid["r_min"], grid["r_max"], grid["n_r"])
     rho, u = eval_grid(solution.profile, solution.scaling, config.params.N, ts, rs)
@@ -268,7 +262,7 @@ def cmd_verify(config, fmt):
 
 def cmd_blowup(config, fmt):
     t_end = config.grid["t_max"] if config.grid is not None else 10.0
-    doc = _build(config, t_end=t_end).scaling.blowup()
+    doc = build_solution(config.params, config.family, t_end=t_end).scaling.blowup()
     return _json_doc(doc), {"ok": True, **doc}
 
 

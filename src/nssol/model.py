@@ -132,7 +132,9 @@ class WithPressurePowerLaw(Family):
     positive = ("n", "sigma", "alpha")
 
     def violations(self, params):
-        if isinstance(params.N, int) and params.N >= 1 and params.gamma >= 1.0:
+        # its arithmetic overflows on an int past the float range
+        if (isinstance(params.N, int) and params.N >= 1 and params.gamma >= 1.0
+                and all(map(finite, (params.N, params.gamma, params.theta)))):
             theta_req = theta_required(params)
             if abs(params.theta - theta_req) > 1e-12 * max(1.0, abs(theta_req)):
                 yield (f"theta must equal gamma/2 + 1/2 - 1/N = {theta_req} for "
@@ -250,6 +252,15 @@ class ValidationOutcome:
     violations: tuple
 
 
+def finite(value):
+    """Whether a number converts to a finite float; an int past the float
+    range does not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def derived_s(params: ModelParams) -> float:
     """Similarity exponent s = 2/(gamma*N - N + 2), from (N, gamma) only.
 
@@ -278,7 +289,8 @@ def validate(params: ModelParams, family: Family) -> ValidationOutcome:
 
     Total: never raises on bad input, and never stops at the first
     failure; every violated constraint is reported with the offending
-    values, a NaN or infinite number among them.
+    values, among them a NaN, an infinity or an int past the float
+    range: every model and family number must convert to a finite float.
     """
     bad = []
     if not isinstance(params.N, int) or params.N < 1:
@@ -301,7 +313,7 @@ def validate(params: ModelParams, family: Family) -> ValidationOutcome:
     for obj in (params, family):
         for field in fields(obj):
             value = getattr(obj, field.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if isinstance(value, (int, float)) and not finite(value):
                 bad.append(f"{field.name} must be finite, got {value!r}")
 
     if family.delta != params.delta:

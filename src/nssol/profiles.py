@@ -38,7 +38,10 @@ def _refuse_nan(z):
 
 
 class Profile:
-    """Base class: an even, non-negative density shape on z >= 0."""
+    """Base class: an even, non-negative density shape on z >= 0, vacuum
+    (0) from z_vacuum on, to rounding; z_vacuum is None without that edge."""
+
+    z_vacuum = None
 
     def evaluate(self, z):
         """(y, dy/dz) at |z|, a scalar (floats back) or an array; never
@@ -81,8 +84,9 @@ class PowerRoot(Profile):
     """Shape ((n_exp+1)/2 * xi * z**2 + alpha**(n_exp+1)) ** (1/(n_exp+1)).
 
     Solves dy/dz * y**n_exp = xi*z with y(0) = alpha on its support.
-    Wherever the radicand is <= 0 the shape is vacuum (0), never a
-    complex or non-finite value.
+    Wherever the radicand c2*z**2 + c0 is <= 0, from z_vacuum =
+    sqrt(-c0/c2) on when c2 < 0, the shape is vacuum (0), never a complex
+    or non-finite value.
     """
 
     def __init__(self, n_exp, xi, alpha):
@@ -106,9 +110,8 @@ class PowerRoot(Profile):
         if self._c0 < sys.float_info.min:
             raise ValueError(f"alpha**(n_exp+1) = {self._c0!r} underflows at "
                              f"alpha={alpha}, n_exp={n_exp}")
-
-    def _radicand(self, z):
-        return self._c2 * z * z + self._c0
+        if self._c2 < 0.0:
+            self.z_vacuum = math.sqrt(-self._c0 / self._c2)
 
     def evaluate(self, z):
         z = np.abs(z)
@@ -119,7 +122,7 @@ class PowerRoot(Profile):
         # is +0, so both are +0.  Vacuum needs c2 < 0, hence xi != 0, and
         # xi*True + 0.0 is xi; a -0.0 xi, which never meets vacuum, stays.
         with np.errstate(over="ignore", invalid="ignore"):
-            rad = self._radicand(z)
+            rad = self._c2 * z * z + self._c0
             vacuum = rad <= 0.0
             solid = ~vacuum
             base = np.maximum(rad, 0.0) + vacuum
@@ -133,18 +136,6 @@ class PowerRoot(Profile):
             _refuse_nan(z)
             raise
         return unbox(y), unbox(dy)
-
-    def in_support(self, z):
-        """True where the radicand is positive (the shape is not clipped)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._radicand(np.abs(z)) > 0.0
-
-    def support_radius(self):
-        """Boundary z* = sqrt(-c0/c2) where the radicand c2*z**2 + c0
-        reaches 0 and the shape clips to vacuum, or None."""
-        if self._c2 >= 0.0:
-            return None  # radicand never decreases below alpha**(n+1) > 0
-        return math.sqrt(-self._c0 / self._c2)
 
     def __repr__(self):
         return f"PowerRoot(n_exp={self.n_exp}, xi={self.xi}, alpha={self.alpha})"
@@ -191,7 +182,6 @@ class ImplicitProfile(Profile):
         # w = |log(y/alpha)| up to which y stays within the float range
         self._w_max = self._dir * ((_LOG_MAX if slope > 0.0 else _LOG_MIN)
                                    - math.log(alpha))
-        self.z_vacuum = None
         if slope < 0.0 and theta > 1.0 and r > 0.0:
             g_vac = self._cv / (theta - 1.0) - self._cp / (gamma - 1.0)
             self.z_vacuum = math.sqrt(2.0 * g_vac / r)

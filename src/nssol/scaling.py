@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ._interp import hermite, unbox
+from ._interp import hermite, horner, unbox
 from .errors import DomainError, StepFailureError, refuse
 
 #: a(t) <= EPS_A_FRAC * a0 terminates integration with status "vanished"
@@ -106,14 +106,13 @@ class PowerLawScaling(ScalingFn):
 class NumericScaling(ScalingFn):
     """An integrated trajectory, served by its integrator's dense output.
 
-    ts are the accepted steps' start times and the end, values the stack
-    (a, adot) there, and table, shape (4, 2, len(ts)), the coefficients
-    of s, s**2, s**3 and s**4, s = t - ts[i], of each step's quartic in
-    a and in adot (zero in the column of the end), all finite.  They are
-    held in _interp.hermite's layout, one (2, 5, len(ts) + 2) table that
-    ts, a_values and adot_values view read-only.  Evaluation is one
-    lookup and one four-term Horner, so pair(t) is the integrator's own
-    dense output to rounding.
+    ts are the accepted steps' start times and the end, and coef the one
+    table of a (row 0) and adot, in _interp.hermite's layout, shape
+    (2, 5, len(ts)): per node the value and the coefficients of s**1..4,
+    s = t - ts[i], of its step's quartic (zero at the end), all finite.
+    A copy between two NaN columns is viewed read-only by ts, a_values
+    and adot_values.  Evaluation is one lookup and one four-term Horner,
+    so pair(t) is the integrator's own dense output to rounding.
     Evaluation outside [0, t_last], up to an edge tolerance of
     1e-12*max(1, t_last) that serves the end values, raises
     OutOfRangeError; t_last is shorter than the requested span when the
@@ -123,15 +122,13 @@ class NumericScaling(ScalingFn):
     values), else None.
     """
 
-    def __init__(self, ts, values, table, status, vanishing_time=None,
-                 label="", stats=None):
+    def __init__(self, ts, coef, status, vanishing_time=None, label="", stats=None):
         # a NaN column at each end, where hermite puts t out of range;
         # a and adot are one stack of curves: t is located once for both
         self._nodes = np.full(len(ts) + 2, np.nan)
         self._coef = np.full((2, 5, len(ts) + 2), np.nan)
         self._nodes[1:-1] = ts
-        self._coef[:, 0, 1:-1] = values
-        self._coef[:, 1:, 1:-1] = np.swapaxes(table, 0, 1)
+        self._coef[:, :, 1:-1] = coef
         self._nodes.flags.writeable = self._coef.flags.writeable = False
         ts, values = self._nodes[1:-1], self._coef[:, :, 1:-1]
         if not np.all(np.diff(ts) > 0.0):
@@ -200,6 +197,9 @@ STOP_COMPLETED = "completed"
 STOP_VANISH = "vanish_event"
 STOP_DIVERGE = "diverge_event"
 STOP_UNDERFLOW = "underflow_vanished"
+#: the status a trajectory ends with after each stop
+_STATUS = {STOP_COMPLETED: STATUS_COMPLETED, STOP_VANISH: STATUS_VANISHED,
+           STOP_DIVERGE: STATUS_DIVERGED, STOP_UNDERFLOW: STATUS_VANISHED}
 
 
 def _float_rhs(accel):
@@ -301,28 +301,14 @@ def _dopri45(g, a, v, t_end, eps_a, cap_a):
             return rows, STOP_COMPLETED, rejected, (t, a, v)
 
 
-def _bisect(before, lo, hi, width=0.0):
-    """Narrow [lo, hi], with before(lo) true and before(hi) false, by
-    bisection until hi - lo <= width, or to adjacent floats."""
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if before(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def _integrate(accel, a0, a1, t_end, label):
     """Integrate a'' = accel(a, a') from (a0, a1) over [0, t_end].
 
     Returns a NumericScaling.  Terminates early with status "vanished"
-    when a <= EPS_A_FRAC*a0 (the vanishing time is then bracketed to
-    1e-10 by bisection on the dense output) or "diverged" when
-    a >= CAP_A_FRAC*a0; the crossing that ends the trajectory is the
-    float nearest to it on the last step's dense output.
+    when a <= EPS_A_FRAC*a0 or "diverged" when a >= CAP_A_FRAC*a0; the
+    crossing that ends the trajectory is the float nearest to it on the
+    last step's dense output, and on a vanishing it is the vanishing
+    time, so vanishing_time == t_end.
     """
     if not (0.0 < a0 < np.inf and 0.0 < t_end < np.inf):
         raise ValueError(f"a0 and t_end must be finite and > 0, got {a0}, {t_end}")
@@ -336,62 +322,51 @@ def _integrate(accel, a0, a1, t_end, label):
         g, a0, a1, t_end, eps_a, cap_a)
     stats = {"nfev": 2 + 6 * (len(rows) + rejected), "accepted": len(rows),
              "rejected": rejected, "stop": stop}
-    status = STATUS_COMPLETED
-    t_v = None
-    t_stop = t_last
     if stop == STOP_UNDERFLOW:
         # Step-size underflow during a fast collapse means the remaining
         # time to a = 0 fell below the float64 resolution of t itself
         # (a ~ (t_v - t)**(1/3) from the viscous runaway, or the steep
         # collapse at N = 3, gamma = 2, which stalls near a = 2e-3*a0).
         # When the linear-extrapolation bound a/|a'| already localizes the
-        # vanishing time tighter than the 1e-10 bracket, report it as
-        # vanished; anything else is a genuine failure.
+        # vanishing time within 1e-10, report it as vanished; anything
+        # else is a genuine failure.
         remaining = a_last / abs(v_last) if v_last < 0.0 else np.inf
         if not remaining < 1e-10:
             raise StepFailureError(
                 f"scaling integration ({label}) failed: Required step size"
                 " is less than spacing between numbers.",
                 t=t_last, state=(a_last, v_last))
-        status = STATUS_VANISHED
-        t_v = t_last
     t_olds, t_news, a_olds, *slopes = np.array(rows).T
-    # table[k, c, i]: the coefficient of s**(k+1), s = t - t_olds[i], in a
-    # (c = 0) or a' on step i; RK45's dense output y_old + h*sum q[k]*x**(k+1),
-    # x = s/h, has it as q[k]/h**k
-    q = np.einsum("cjs,jk->kcs", np.reshape(slopes, (2, 7, -1)), _P)
-    table = q / (t_news - t_olds) ** np.arange(4.0)[:, None, None]
-    t_old, _, a_old, v_old = rows[-1][:4]
-    c_a, c_v = table[..., -1].T.tolist()
-
-    def horner(y, c, t):  # the last step's polynomial, as hermite computes it
-        s = t - t_old
-        return y + s * (c[0] + s * (c[1] + s * (c[2] + s * c[3])))
+    # coef[c, k, i]: the coefficient of s**k, s = t - t_olds[i], in a (c = 0)
+    # or a' on step i, and in column -1 the end values; RK45's dense output
+    # y_old + h*sum q[k]*x**(k+1), x = s/h, has c_{k+1} = q[k]/h**k
+    n = len(rows)
+    coef = np.zeros((2, 5, n + 1))
+    coef[:, 0, :n] = a_olds, slopes[0]
+    coef[:, 1:, :n] = (np.einsum("cjs,jk->cks", np.reshape(slopes, (2, 7, -1)), _P)
+                       / (t_news - t_olds) ** np.arange(4.0)[:, None])
+    t_old = rows[-1][0]
+    last = coef[:, :, n - 1].tolist()  # the last step's quartics
 
     if stop in (STOP_VANISH, STOP_DIVERGE):
         sign, level = (1.0, eps_a) if stop == STOP_VANISH else (-1.0, cap_a)
 
         def gap(t):  # > 0 until a crosses the level
-            return sign * (horner(a_old, c_a, t) - level)
+            return sign * (horner(last[0], t - t_old) - level)
 
-        def before(t):
-            return gap(t) > 0.0
-
-        lo, hi = _bisect(before, t_old, t_stop)
-        t_stop = lo if abs(gap(lo)) < abs(gap(hi)) else hi
-        if stop == STOP_VANISH:
-            status = STATUS_VANISHED
-            t_v = 0.5 * sum(_bisect(before, t_old, t_stop, 1e-10))
-        else:
-            status = STATUS_DIVERGED
-    # the end node's column is zero, so t within NumericScaling's edge
-    # tolerance past it gets the end values; the event node can undershoot
-    # eps_a by the root-finder tolerance
-    a_end = max(horner(a_old, c_a, t_stop), 0.5 * eps_a)
-    values = np.append([a_olds, slopes[0]], [[a_end], [horner(v_old, c_v, t_stop)]], axis=1)
-    return NumericScaling(np.append(t_olds, t_stop), values,
-                          np.append(table, np.zeros((4, 2, 1)), axis=2), status,
-                          vanishing_time=t_v, label=label, stats=stats)
+        lo, hi = t_old, t_last  # bisected to adjacent floats
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if gap(mid) > 0.0 else (lo, mid)
+        t_last = lo if abs(gap(lo)) < abs(gap(hi)) else hi
+    # the end node's column is zero past its values, so t within
+    # NumericScaling's edge tolerance past it gets the end values; the
+    # event node can undershoot eps_a by the root-finder tolerance
+    a_end, v_end = (horner(c, t_last - t_old) for c in last)
+    coef[:, 0, n] = max(a_end, 0.5 * eps_a), v_end
+    status = _STATUS[stop]
+    return NumericScaling(np.append(t_olds, t_last), coef, status,
+                          vanishing_time=t_last if status == STATUS_VANISHED else None,
+                          label=label, stats=stats)
 
 
 def integrate_isothermal(B, K, kappa, N, a0, a1, t_end):
@@ -451,8 +426,8 @@ def vanishing_time(fn):
     """Time t* where a -> 0, or None if the scaling never vanishes.
 
     For a power law with m < 0 this is the exact root -n/m of m*t + n;
-    for a numeric trajectory it is the bisection-refined time where a
-    reached the vanishing threshold.
+    for a numeric trajectory it is its end: the crossing of the vanishing
+    threshold on its dense output, or where the step size underflowed.
     """
     if not isinstance(fn, ScalingFn):
         raise TypeError(f"not a scaling function: {fn!r}")

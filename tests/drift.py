@@ -1,0 +1,143 @@
+"""CLI drift check: the same runs of ``nssol`` on two source trees.
+
+    python -m tests.drift OLD_SRC NEW_SRC
+
+run from the repository root, with OLD_SRC and NEW_SRC two ``src``
+directories (say, of a ``git archive`` of the parent commit and of the
+working tree).  One child interpreter per tree imports ``nssol`` from
+its tree and runs all six subcommands, in csv and in json, on each
+instance of ``tests/cases.py``, as given and with theta + 0.5, and on
+two collapses: a = 1 - t, which ends on the vanishing event, and the
+steep polytropic one, which ends on a step-size underflow.  Every run
+whose exit code, stdout, stderr or payload differs between the trees is
+printed with its first differing lines; the exit status is 1 if any
+differs.
+
+This is no golden test, and pytest does not collect it: numpy's exp and
+power can differ by an ulp between CPUs, so only two trees run on one
+machine are compared.
+"""
+
+import argparse
+import contextlib
+import difflib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from dataclasses import asdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = ("describe", "profile", "scale", "field", "verify", "blowup")
+FORMATS = ("csv", "json")
+FIELDS = ("exit", "stdout", "stderr", "payload")
+
+
+def _configs():
+    """Run name -> config document of each instance and its theta + 0.5."""
+    from nssol import ModelParams, PressurelessTheta1, WithPressurePolytropic
+    from nssol.residuals import Window
+
+    from tests import cases
+
+    instances = [(make.__name__, *make()) for make in (
+        cases.isothermal_stated, cases.isothermal_gaussian, cases.polytropic_n1,
+        cases.powerlaw_blowup, cases.pressureless_theta1, cases.pressureless_theta2)]
+    instances += [
+        ("linear_collapse", ModelParams(N=1, gamma=1.0, theta=1.0, delta=0),
+         PressurelessTheta1(lam=0.0, alpha=0.0, a0=1.0, a1=-1.0),
+         Window(0.1, 2.0, 0.1, 2.0)),
+        ("steep_collapse", ModelParams(N=3, gamma=2.0, theta=2.0),
+         WithPressurePolytropic(alpha=1.0, a0=1.0, a1=0.0),
+         Window(0.05, 1.2, 0.1, 2.0)),
+    ]
+    docs = {}
+    for name, params, family, window in instances:
+        for suffix, dtheta in (("", 0.0), (" theta+0.5", 0.5)):
+            docs[name + suffix] = {
+                "model": {**asdict(params), "theta": params.theta + dtheta},
+                "family": {"kind": family.tag, **asdict(family)},
+                "grid": {**asdict(window), "n_t": 7, "n_r": 9},
+                "verify": {"window": asdict(window),
+                           "resolutions": [list(h) for h in cases.RESOLUTIONS],
+                           "lattice": 9},
+            }
+    return docs
+
+
+def _child(src):
+    """Every run on the nssol of src, as JSON on stdout."""
+    sys.path.insert(0, os.path.abspath(src))
+    import nssol
+    from nssol.cli import main
+
+    if not Path(nssol.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"nssol was imported from {nssol.__file__}, not from {src}")
+    # each run reports its own warnings, without the tree's path
+    warnings.simplefilter("always")
+    warnings.formatwarning = lambda msg, cat, *_, **__: f"{cat.__name__}: {msg}\n"
+    configs = _configs()
+    records = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name, doc in configs.items():
+            Path("config.json").write_text(json.dumps(doc))
+            for command in COMMANDS:
+                for fmt in FORMATS:
+                    Path("payload").unlink(missing_ok=True)
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        try:
+                            code = main([command, "--config", "config.json",
+                                         "--format", fmt, "--out", "payload"])
+                        except Exception as exc:  # a crash is a difference too
+                            code = f"raised {type(exc).__name__}: {exc}"
+                    payload = Path("payload")
+                    records[f"{name} {command} {fmt}"] = {
+                        "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+                        "payload": payload.read_text() if payload.exists() else None}
+        os.chdir(ROOT)
+    json.dump(records, sys.stdout)
+
+
+def _runs(src):
+    proc = subprocess.run([sys.executable, "-m", "tests.drift", "--child", src],
+                          cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"the child on {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--child"]:
+        return _child(argv[1])
+    parser = argparse.ArgumentParser(prog="python -m tests.drift",
+                                     description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    args = parser.parse_args(argv)
+    old, new = _runs(args.old_src), _runs(args.new_src)
+    differ = 0
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key, {}), new.get(key, {})
+        bad = [f for f in FIELDS if a.get(f) != b.get(f)]
+        if not bad:
+            continue
+        differ += 1
+        print(f"{key}: {', '.join(bad)} differ")
+        for f in bad:
+            lines = difflib.unified_diff(str(a.get(f)).splitlines(), str(b.get(f)).splitlines(),
+                                         f"old {f}", f"new {f}", n=0, lineterm="")
+            for line in list(lines)[2:8]:
+                print(f"    {line}")
+    print(f"{len(old.keys() | new.keys())} runs, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

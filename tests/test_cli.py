@@ -278,7 +278,10 @@ def test_config_schema_validation(tmp_path, capsys):
             lambda c: c["verify"].update(resolutions=[[1e-3, 1e-3], [5e-4, 0.0]]),
             lambda c: c["grid"].update(t_min=0.3),  # t_min = t_max
             lambda c: c["grid"].update(r_min=2.0),  # r_min > r_max
-            lambda c: c["verify"]["window"].update(t_min=0.5)):  # t_min > t_max
+            lambda c: c["verify"]["window"].update(t_min=0.5),  # t_min > t_max
+            lambda c: c["family"].update(m=10**400),  # past the float range
+            lambda c: c["grid"].update(t_max=-10**400),
+            lambda c: c["model"].update(N=10**400)):  # an integer, but no float
         cfg = _blowup_config()
         cfg = mutate(cfg) or cfg
         with pytest.raises(ConfigError):

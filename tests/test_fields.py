@@ -101,7 +101,7 @@ def test_vacuum_region_is_exactly_zero():
     params = ModelParams(N=N, gamma=1.0, theta=theta, kappa=kappa, delta=0)
     family = PressurelessThetaNot1(lam=lam, alpha=alpha, a0=1.0, a1=0.0)
     sol = build_solution(params, family, t_end=0.5)
-    assert sol.profile.support_radius() == pytest.approx(z_star, abs=1e-10)
+    assert sol.profile.z_vacuum == pytest.approx(z_star, abs=1e-10)
 
     rs = np.linspace(0.1, 4.0, 40)
     rho, _ = eval_grid(sol.profile, sol.scaling, N, [0.2], rs)

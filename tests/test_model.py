@@ -167,6 +167,17 @@ def test_non_finite_inputs_reported():
                    PressurelessThetaNot1(lam=1.0, alpha=1.0, a0=1.0, a1=0.0))
     assert not out.ok
     assert sum("must be finite" in v for v in out.violations) == 2
+    # an int past the float range converts to no finite float: the power
+    # law's arithmetic on N would overflow, the isothermal build on A
+    huge = 10**400
+    for params, family in (
+            (ModelParams(N=huge, gamma=5.0 / 3.0, theta=1.0),
+             WithPressurePowerLaw(m=-1.0, n=1.0, sigma=1.0, alpha=1.0)),
+            (params, WithPressureIsothermal(A=huge, B=-1.0, C=0.0, a0=1.0, a1=0.0))):
+        out = validate(params, family)
+        assert not out.ok
+        assert [v for v in out.violations if "must be finite" in v] == [
+            f"{'N' if params.N == huge else 'A'} must be finite, got {huge!r}"]
 
 
 def test_power_law_family_valid_at_large_n():

@@ -71,10 +71,9 @@ def test_power_root_ode_identity_sweep():
         xi = rng.uniform(-2.0, 2.0)
         alpha = rng.uniform(0.1, 5.0)
         z = rng.uniform(0.0, 3.0)
-        prof = PowerRoot(n_exp, xi, alpha)
-        if not prof.in_support(z):
+        y, dy = PowerRoot(n_exp, xi, alpha).evaluate(z)
+        if y == 0.0:  # vacuum
             continue
-        y, dy = prof.evaluate(z)
         assert abs(dy * y ** n_exp - xi * z) < 1e-9 * (1.0 + abs(xi * z))
         checked += 1
 
@@ -89,16 +88,16 @@ def test_power_root_never_negative_or_non_finite():
 
 def test_support_radius_bisection():
     prof = PowerRoot(-3.0, 1.0, 1.0)  # radicand 1 - z**2
-    assert prof.support_radius() == pytest.approx(1.0, abs=1e-10)
+    assert prof.z_vacuum == pytest.approx(1.0, abs=1e-10)
 
     # pressureless theta=1/2 shape with lam=-1: xi = 2/3 for N=3, kappa=1,
     # radicand 1 - z**2/6, boundary sqrt(6)
     xi = -(-1.0) / (3.0 * 1.0 * 0.5)
     prof2 = PowerRoot(0.5 - 2.0, xi, 1.0)
-    assert prof2.support_radius() == pytest.approx(math.sqrt(6.0), abs=1e-10)
+    assert prof2.z_vacuum == pytest.approx(math.sqrt(6.0), abs=1e-10)
 
     grows = PowerRoot(0.0, 1.0, 1.0)
-    assert grows.support_radius() is None
+    assert grows.z_vacuum is None
 
 
 # --- exponential-quadratic shape -------------------------------------------
@@ -111,6 +110,7 @@ def test_isothermal_profile_values():
     y, dy = prof.evaluate(1.0)
     assert y == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
     assert dy == pytest.approx(-2.0 * y, rel=1e-12)
+    assert prof.z_vacuum is None  # it decays, but never to vacuum
 
     vacuum = ExpQuadratic(0.0, 5.0, 3.0)
     assert vacuum.evaluate(0.3) == (0.0, 0.0)

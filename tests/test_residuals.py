@@ -51,7 +51,7 @@ class ExpShape(Profile):
 
     def evaluate(self, z):
         y, dy = self.inner.evaluate(z)
-        e = np.where(self.inner.in_support(z), np.exp(y), 0.0)
+        e = np.where(y == 0.0, 0.0, np.exp(y))
         return e, dy * e
 
 

@@ -160,6 +160,10 @@ def test_vanished_trajectory_stays_positive_and_small():
                                  t_end=2.0)
     assert lin.status == STATUS_VANISHED
     assert lin.vanishing_time == pytest.approx(1.0 - EPS_A_FRAC, abs=1e-9)
+    # the vanishing time is the crossing that ends the trajectory, the
+    # float nearest to a = EPS_A_FRAC on a = 1 - t
+    assert lin.vanishing_time == lin.t_end
+    assert abs(lin.vanishing_time - (1.0 - EPS_A_FRAC)) <= 2 * math.ulp(1.0 - EPS_A_FRAC)
     assert lin.a_values.min() >= 0.5 * EPS_A_FRAC
     assert lin.a_values.min() < 10.0 * EPS_A_FRAC
 
@@ -266,13 +270,20 @@ def test_interpolated_values_between_nodes():
         assert fn.pair(t)[1] == pytest.approx(ad_oracle, rel=1e-6, abs=1e-9)
 
 
+def _table(a, adot):
+    """The (2, 5, n) coefficient table of constant steps with these node
+    values."""
+    coef = np.zeros((2, 5, len(a)))
+    coef[:, 0] = a, adot
+    return coef
+
+
 def test_numeric_scaling_rejects_bad_trajectories():
     with pytest.raises(ValueError):
-        NumericScaling([0.0, 0.1, 0.05], [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
-                       np.zeros((4, 2, 3)), "completed")
-    with pytest.raises(ValueError):
-        NumericScaling([0.0, 0.1], [[1.0, -1.0], [0.0, 0.0]], np.zeros((4, 2, 2)),
+        NumericScaling([0.0, 0.1, 0.05], _table([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),
                        "completed")
+    with pytest.raises(ValueError):
+        NumericScaling([0.0, 0.1], _table([1.0, -1.0], [0.0, 0.0]), "completed")
 
 
 def test_numeric_scaling_refuses_nan_time():
@@ -394,18 +405,18 @@ def test_pair_range_edges_and_batches(name, params, family, window):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_trajectory_refuses_non_finite_nodes(where, bad):
     # NaN stands for "out of range" in the lookup: none may be built in
-    nodes = {"values": np.array([[1.0, 4.0], [2.0, 4.0]]), "table": np.zeros((4, 2, 2))}
-    nodes[where].flat[-1] = bad
+    coef = _table([1.0, 4.0], [2.0, 4.0])
+    coef[1, 0 if where == "values" else 4, -1] = bad
     with pytest.raises(ValueError, match="must be finite"):
-        NumericScaling([0.0, 1.0], nodes["values"], nodes["table"], "completed")
+        NumericScaling([0.0, 1.0], coef, "completed")
 
 
 def test_two_node_trajectory():
     # a = 1 + 2t + t**2 on one step, its quartic table exact
-    table = np.zeros((4, 2, 2))
-    table[:2, 0, 0] = 2.0, 1.0
-    table[0, 1, 0] = 2.0
-    fn = NumericScaling([0.0, 1.0], [[1.0, 4.0], [2.0, 4.0]], table, "completed")
+    coef = _table([1.0, 4.0], [2.0, 4.0])
+    coef[0, 1:3, 0] = 2.0, 1.0
+    coef[1, 1, 0] = 2.0
+    fn = NumericScaling([0.0, 1.0], coef, "completed")
     assert fn.pair(0.0) == (1.0, 2.0)
     assert fn.pair(0.5) == pytest.approx((2.25, 3.0), rel=1e-15)
     a, adot = fn.pair(np.array([0.25, 1.0]))
@@ -490,7 +501,7 @@ def test_stats_count_the_steps_and_name_the_stop():
     assert diverged.status == "diverged" and diverged.vanishing_time is None
     # a moves by ~6e3 per ulp of t there: the crossing is the nearest float
     assert diverged.a_values[-1] == pytest.approx(scaling.CAP_A_FRAC, rel=1e-8)
-    assert NumericScaling([0.0, 1.0], [[1.0, 1.0], [0.0, 0.0]], np.zeros((4, 2, 2)),
+    assert NumericScaling([0.0, 1.0], _table([1.0, 1.0], [0.0, 0.0]),
                           "completed").stats is None
 
 
