@@ -168,6 +168,8 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # int() past its digit limit, or bytes not UTF-8
+            raise ConfigError(f"config {path!r} cannot be read: {exc}") from exc
         return cls(raw)
 
 

@@ -291,8 +291,15 @@ def validate(params: ModelParams, family: Family) -> ValidationOutcome:
     failure; every violated constraint is reported with the offending
     values, among them a NaN, an infinity or an int past the float
     range: every model and family number must convert to a finite float.
+    Every constant that is not an int or a float (a bool included) is
+    reported alone, as the rules compare numbers.
     """
-    bad = []
+    objs = (params, family) if type(family) in FAMILIES else (params,)
+    values = [(field.name, getattr(obj, field.name)) for obj in objs for field in fields(obj)]
+    bad = [f"{name} must be a number, got {value!r}" for name, value in values
+           if isinstance(value, bool) or not isinstance(value, (int, float))]
+    if bad:
+        return ValidationOutcome(ok=False, violations=tuple(bad))
     if not isinstance(params.N, int) or params.N < 1:
         bad.append(f"N must be an integer >= 1, got {params.N!r}")
     if params.gamma < 1.0:
@@ -310,11 +317,8 @@ def validate(params: ModelParams, family: Family) -> ValidationOutcome:
         return ValidationOutcome(ok=False, violations=tuple(bad))
 
     # NaN slips through every comparison above and below
-    for obj in (params, family):
-        for field in fields(obj):
-            value = getattr(obj, field.name)
-            if isinstance(value, (int, float)) and not finite(value):
-                bad.append(f"{field.name} must be finite, got {value!r}")
+    bad += [f"{name} must be finite, got {value!r}" for name, value in values
+            if not finite(value)]
 
     if family.delta != params.delta:
         bad.append(

@@ -289,6 +289,14 @@ def test_config_schema_validation(tmp_path, capsys):
         assert main(["describe", "--config", _write(tmp_path, cfg)]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ConfigError"
+    # an integer past int()'s 4300-digit limit fails inside json.load
+    cfg = _blowup_config()
+    cfg["family"]["m"] = "HUGE"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg).replace('"HUGE"', "1" + "0" * 5000))
+    assert main(["describe", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and str(path) in err["message"]
 
 
 def _without(section):

@@ -1,7 +1,7 @@
 """Parameter and family validation."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -178,6 +178,16 @@ def test_non_finite_inputs_reported():
         assert not out.ok
         assert [v for v in out.violations if "must be finite" in v] == [
             f"{'N' if params.N == huge else 'A'} must be finite, got {huge!r}"]
+    # a constant that is not a number is reported before any rule compares it
+    iso = WithPressureIsothermal(A=1.0, B=-1.0, C=0.0, a0=1.0, a1=0.0)
+    for params, family, violation in (
+            (ModelParams(N=3, gamma=1.0, theta=1.0), replace(iso, A=None),
+             "A must be a number, got None"),
+            (ModelParams(N=3, gamma="x", theta=1.0), iso, "gamma must be a number, got 'x'"),
+            (ModelParams(N=3, gamma=1.0, theta=1.0, delta=True), iso,
+             "delta must be a number, got True")):
+        out = validate(params, family)
+        assert not out.ok and out.violations == (violation,)
 
 
 def test_power_law_family_valid_at_large_n():

@@ -356,6 +356,26 @@ def test_black_box_samples_each_lattice_point_once():
     assert len(set(calls)) == len(calls)
 
 
+def test_black_box_over_a_solution_field_pays_the_scaling_once_per_time_row():
+    # samples come in C order over (t, r): the lattice, and each offset of
+    # each resolution, is one run of 33 points per time
+    params, family, window = isothermal_gaussian()
+    solution = build_solution(params, family, t_end=window.t_max + 2.0 * RESOLUTIONS[0][0])
+    calls = []
+
+    class CountingScaling:
+        def pair(self, t):
+            calls.append(t)
+            return solution.scaling.pair(t)
+
+    field = SolutionField(solution.profile, CountingScaling(), params.N)
+    report = verify_window(lambda t, r: field(t, r), params, window, RESOLUTIONS,
+                           lattice=33)
+    assert len(calls) <= 33 * (1 + 2 * 4)
+    assert report == verify_window(solution.field(), params, window, RESOLUTIONS,
+                                   lattice=33)
+
+
 def test_non_finite_sample_is_refused_at_once():
     # the NaN at lattice point (16, 16) is the 16*33 + 16 + 1 = 545th
     # sample: the verifier stops there, and names it

@@ -10,6 +10,7 @@ Python float, which is truthy.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ SCALARS = {
 
 def _cases():
     """(name, solution, window) of the five canonical families, each
-    built a little past its window, and one vanished trajectory."""
+    built a little past its window, one vanished trajectory and one
+    started at a' = -0.0."""
     out = []
     for name, params, family, window in cases.exact_families():
         out.append((name, build_solution(params, family, t_end=window.t_max + 0.01),
@@ -37,6 +39,11 @@ def _cases():
     solution = build_solution(params, family, t_end=window.t_max)
     assert solution.scaling.status == "vanished"
     out.append(("isothermal_vanished", solution, window))
+    # a' starts at -0.0: at t = -0.0 it stays -0.0, at t = 0.0 it is 0.0
+    params, family, window = cases.isothermal_gaussian()
+    out.append(("isothermal_a1_minus_zero",
+                 build_solution(params, replace(family, a1=-0.0), t_end=window.t_max + 0.01),
+                 window))
     return out
 
 
@@ -104,3 +111,36 @@ def test_scalar_types_refuse_like_a_batch(name, solution, window, scalar):
             with pytest.raises(NssolError) as single:
                 fn(*converted)
             assert type(single.value) is type(batch.value), (label, args)
+
+
+def _sequences(window):
+    """(t, r) sequences for one field: a field keeps the last time row it
+    computed for a float t, so each must meet a batch's bits and errors
+    whatever came before it."""
+    t0 = window.t_min
+    return [
+        [(t0, 1.0), (t0, window.r_min)],
+        [(t0, 1.0), (math.nan, 1.0), (t0, 0.7), (5.0, 1.0), (t0, 0.7)],
+        [(0.0, 1.0), (-0.0, 1.0)],
+        [(t0, 1.0), (np.float64(t0), 0.7)],
+    ]
+
+
+@pytest.mark.parametrize("name, solution, window", CASES, ids=[c[0] for c in CASES])
+def test_scalar_sequences_match_batch(name, solution, window):
+    refused = 0
+    for sequence in _sequences(window):
+        field = solution.field()
+        for t, r in sequence:
+            try:
+                batch = solution.field()(np.array([t]), np.array([r]))
+            except NssolError as exc:
+                with pytest.raises(type(exc)) as single:
+                    field(t, r)
+                assert str(single.value) == str(exc), (t, r)
+                refused += 1
+                continue
+            values = field(t, r)
+            assert all(type(v) is float for v in values), (t, r)
+            assert _bits(values) == _bits(column[0] for column in batch), (t, r)
+    assert refused == 2
