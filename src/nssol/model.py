@@ -142,7 +142,8 @@ class WithPressurePowerLaw(Family):
             floor = 1.0 - 1.0 / params.N
             if params.theta < floor - 1e-12:
                 yield f"theta must be >= 1 - 1/N = {floor}, got {params.theta}"
-            s = derived_s(params)  # defined: gamma*N - N + 2 >= 2
+            # gamma*N - N + 2 >= 2, but s = 2/inf = 0 when gamma*N overflows
+            s = derived_s(params)
             if not (0.0 < s <= 1.0):
                 yield f"similarity exponent s={s} outside (0, 1]"
 

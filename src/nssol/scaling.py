@@ -1,13 +1,25 @@
 """Scaling functions a(t) and their time derivatives.
 
-The power-law family has the closed form a(t) = sigma*(m*t + n)**s; all
-other families integrate a second-order ODE in a(t) reduced to the first
-order system (a, a').  Integration is forward from t = 0 with the
-package's own Dormand-Prince 5(4) stepper, scipy's RK45 redone on Python
-floats (rtol 1e-10, atol 1e-12), with early termination when a(t) falls
-to the vanishing threshold or exceeds a divergence cap.  A trajectory is
-served by the stepper's own quartic dense output: each accepted step is
-a node, and between nodes a(t) and a'(t) are that step's polynomials.
+The power-law family has the closed form a(t) = sigma*(m*t + n)**s; the
+other four families integrate one second-order ODE,
+
+    a'' = (V*a' - P*a)*a**(-e),   e = N*theta - N + 2,
+
+with a pressure coefficient P and a viscous one V per family:
+
+    family                        P          V
+    isothermal (theta = 1)        2*B*K      2*B*N*kappa
+    polytropic (theta = gamma)    K*gamma    N*kappa*gamma
+    pressureless, theta = 1       0          lam
+    pressureless, theta != 1      0          -lam
+
+as the first order system (a, a').  Integration is forward from t = 0
+with the package's own Dormand-Prince 5(4) stepper, scipy's RK45 redone
+on Python floats (rtol 1e-10, atol 1e-12), with early termination when
+a(t) falls to the vanishing threshold or exceeds a divergence cap.  A
+trajectory is served by the stepper's own quartic dense output: each
+accepted step is a node, and between nodes a(t) and a'(t) are that
+step's polynomials.
 """
 
 import math
@@ -122,7 +134,7 @@ class NumericScaling(ScalingFn):
     values), else None.
     """
 
-    def __init__(self, ts, coef, status, vanishing_time=None, label="", stats=None):
+    def __init__(self, ts, coef, status, label="", stats=None):
         # a NaN column at each end, where hermite puts t out of range;
         # a and adot are one stack of curves: t is located once for both
         self._nodes = np.full(len(ts) + 2, np.nan)
@@ -145,13 +157,18 @@ class NumericScaling(ScalingFn):
         self.ts = ts
         self.a_values, self.adot_values = values[:, 0]
         self.status = status
-        self.vanishing_time = vanishing_time
         self.label = label
         self.stats = stats
 
     @property
     def t_end(self):
         return float(self.ts[-1])
+
+    @property
+    def vanishing_time(self):
+        """t_end when the trajectory vanished: its last node is the
+        crossing or where the step size underflowed."""
+        return self.t_end if self.status == STATUS_VANISHED else None
 
     def blowup(self):
         return {**super().blowup(), "status": self.status,
@@ -202,13 +219,16 @@ _STATUS = {STOP_COMPLETED: STATUS_COMPLETED, STOP_VANISH: STATUS_VANISHED,
            STOP_DIVERGE: STATUS_DIVERGED, STOP_UNDERFLOW: STATUS_VANISHED}
 
 
-def _float_rhs(accel):
-    """accel on Python floats as numpy would compute it on float64: a
-    complex power of a negative a, a ZeroDivisionError or an
-    OverflowError gives NaN, which rejects the step that met it."""
+def _ode(P, V, e):
+    """g(a, v) = (V*v - P*a)*a**-e on Python floats, the scaling ODE
+    a'' = g(a, a') of every integrated family.  Where a**-e is no float,
+    a complex power of a negative a, a power of zero or an overflow, g
+    is NaN, which rejects the step that met it."""
+    P, V, e = float(P), float(V), float(e)
+
     def g(a, v):
         try:
-            x = accel(a, v)
+            x = (V * v - P * a) * a ** -e
         except (ZeroDivisionError, OverflowError):
             return math.nan
         return math.nan if isinstance(x, complex) else x
@@ -301,8 +321,9 @@ def _dopri45(g, a, v, t_end, eps_a, cap_a):
             return rows, STOP_COMPLETED, rejected, (t, a, v)
 
 
-def _integrate(accel, a0, a1, t_end, label):
-    """Integrate a'' = accel(a, a') from (a0, a1) over [0, t_end].
+def _integrate(g, a0, a1, t_end, label):
+    """Integrate a'' = g(a, a') from (a0, a1) over [0, t_end], g a float
+    function that gives NaN where it is undefined (see _ode).
 
     Returns a NumericScaling.  Terminates early with status "vanished"
     when a <= EPS_A_FRAC*a0 or "diverged" when a >= CAP_A_FRAC*a0; the
@@ -313,7 +334,6 @@ def _integrate(accel, a0, a1, t_end, label):
     if not (0.0 < a0 < np.inf and 0.0 < t_end < np.inf):
         raise ValueError(f"a0 and t_end must be finite and > 0, got {a0}, {t_end}")
     a0, a1, t_end = float(a0), float(a1), float(t_end)
-    g = _float_rhs(accel)
     if not math.isfinite(g(a0, a1)):  # NaN constants stall the stepper
         raise ValueError(f"a'' is not finite at t=0 (a0={a0}, a1={a1})")
     eps_a = EPS_A_FRAC * a0
@@ -363,63 +383,31 @@ def _integrate(accel, a0, a1, t_end, label):
     # event node can undershoot eps_a by the root-finder tolerance
     a_end, v_end = (horner(c, t_last - t_old) for c in last)
     coef[:, 0, n] = max(a_end, 0.5 * eps_a), v_end
-    status = _STATUS[stop]
-    return NumericScaling(np.append(t_olds, t_last), coef, status,
-                          vanishing_time=t_last if status == STATUS_VANISHED else None,
+    return NumericScaling(np.append(t_olds, t_last), coef, _STATUS[stop],
                           label=label, stats=stats)
 
 
 def integrate_isothermal(B, K, kappa, N, a0, a1, t_end):
-    """Scaling ODE of the exponential-quadratic (theta = gamma = 1) family.
-
-    Momentum balance for the shape A*exp(B*z**2 + C) requires
-
-        a'' = -2*B*K/a + 2*B*N*kappa*a'/a**2 .
-
-    For B < 0 the pressure gradient drives expansion; for B > 0 it
-    drives collapse and the trajectory can vanish in finite time.
-    """
-
-    def accel(a, ad):
-        return -2.0 * B * K / a + 2.0 * B * N * kappa * ad / a ** 2
-
-    return _integrate(accel, a0, a1, t_end, "isothermal")
+    """Scaling of the exponential-quadratic (theta = gamma = 1) family:
+    P = 2*B*K, V = 2*B*N*kappa, e = 2.  For B < 0 the pressure gradient
+    drives expansion; for B > 0 it drives collapse and the trajectory
+    can vanish in finite time."""
+    return _integrate(_ode(2.0 * B * K, 2.0 * B * N * kappa, 2.0),
+                      a0, a1, t_end, "isothermal")
 
 
 def integrate_polytropic(gamma, K, kappa, N, a0, a1, t_end):
-    """Scaling ODE of the power-root (theta = gamma > 1) family:
-
-        a'' = -K*gamma*a**(N - theta*N - 1)
-              + N*kappa*theta*a'*a**(N - theta*N - 2),   theta = gamma.
-    """
-    theta = gamma
-
-    def accel(a, ad):
-        return (-K * gamma * a ** (N - theta * N - 1)
-                + N * kappa * theta * ad * a ** (N - theta * N - 2))
-
-    return _integrate(accel, a0, a1, t_end, "polytropic")
+    """Scaling of the power-root (theta = gamma > 1) family:
+    P = K*gamma, V = N*kappa*gamma, e = N*gamma - N + 2."""
+    return _integrate(_ode(K * gamma, N * kappa * gamma, N * gamma - N + 2.0),
+                      a0, a1, t_end, "polytropic")
 
 
 def integrate_pressureless(theta, lam, N, a0, a1, t_end):
-    """Scaling ODE of the pressureless families:
-
-        a'' = lam*a'/a**2                      for theta = 1,
-        a'' = -lam*a'/a**(N*theta - N + 2)     for theta != 1.
-    """
-    if theta == 1.0:
-        def accel(a, ad):
-            return lam * ad / a ** 2
-
-        label = "pressureless_theta1"
-    else:
-        expo = N * theta - N + 2.0
-
-        def accel(a, ad):
-            return -lam * ad / a ** expo
-
-        label = "pressureless"
-    return _integrate(accel, a0, a1, t_end, label)
+    """Scaling of the pressureless families: P = 0, V = lam at
+    theta = 1 and -lam otherwise, e = N*theta - N + 2."""
+    V, label = (lam, "pressureless_theta1") if theta == 1.0 else (-lam, "pressureless")
+    return _integrate(_ode(0.0, V, N * theta - N + 2.0), a0, a1, t_end, label)
 
 
 def vanishing_time(fn):

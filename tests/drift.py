@@ -7,11 +7,12 @@ directories (say, of a ``git archive`` of the parent commit and of the
 working tree).  One child interpreter per tree imports ``nssol`` from
 its tree and runs all six subcommands, in csv and in json, on each
 instance of ``tests/cases.py``, as given and with theta + 0.5, and on
-two collapses: a = 1 - t, which ends on the vanishing event, and the
-steep polytropic one, which ends on a step-size underflow.  Every run
-whose exit code, stdout, stderr or payload differs between the trees is
-printed with its first differing lines; the exit status is 1 if any
-differs.
+three more: a = 1 - t, which ends on the vanishing event, the steep
+polytropic collapse, which ends on a step-size underflow, and a fast
+pressureless expansion at theta = 100, where a**(-e) underflows to 0
+with e = 299.  Every run whose exit code, stdout, stderr or payload
+differs between the trees is printed with its first differing lines;
+the exit status is 1 if any differs.
 
 This is no golden test, and pytest does not collect it: numpy's exp and
 power can differ by an ulp between CPUs, so only two trees run on one
@@ -39,7 +40,12 @@ FIELDS = ("exit", "stdout", "stderr", "payload")
 
 def _configs():
     """Run name -> config document of each instance and its theta + 0.5."""
-    from nssol import ModelParams, PressurelessTheta1, WithPressurePolytropic
+    from nssol import (
+        ModelParams,
+        PressurelessTheta1,
+        PressurelessThetaNot1,
+        WithPressurePolytropic,
+    )
     from nssol.residuals import Window
 
     from tests import cases
@@ -54,6 +60,9 @@ def _configs():
         ("steep_collapse", ModelParams(N=3, gamma=2.0, theta=2.0),
          WithPressurePolytropic(alpha=1.0, a0=1.0, a1=0.0),
          Window(0.05, 1.2, 0.1, 2.0)),
+        ("fast_expansion", ModelParams(N=3, gamma=1.0, theta=100.0, delta=0),
+         PressurelessThetaNot1(lam=1.0, alpha=1.0, a0=1.0, a1=20.0),
+         Window(0.1, 1.0, 0.1, 2.0)),
     ]
     docs = {}
     for name, params, family, window in instances:

@@ -201,6 +201,15 @@ def test_power_law_family_valid_at_large_n():
         assert out.ok, out.violations
 
 
+def test_power_law_s_of_an_overflowing_gamma_n_is_refused():
+    # gamma*N - N + 2 >= 2 in exact arithmetic, but gamma*N overflows to
+    # inf here and s = 2/inf = 0, which the closed-form scaling refuses
+    params = ModelParams(N=2, gamma=1e308, theta=5e307)
+    assert params.theta == theta_required(params) and derived_s(params) == 0.0
+    out = validate(params, WithPressurePowerLaw(m=-1.0, n=1.0, sigma=1.0, alpha=1.0))
+    assert out.violations == ("similarity exponent s=0.0 outside (0, 1]",)
+
+
 _special = st.sampled_from([float("nan"), float("inf"), -float("inf")])
 _number = st.one_of(st.floats(-3.0, 3.0), _special,
                     st.floats(allow_nan=True, allow_infinity=True))

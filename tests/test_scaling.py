@@ -8,13 +8,16 @@ import pytest
 
 from nssol import (
     DomainError,
+    ModelParams,
     OutOfRangeError,
     PowerLawScaling,
+    PressurelessThetaNot1,
     StepFailureError,
     build_solution,
     scaling,
     vanishing_time,
 )
+from nssol._interp import horner
 from nssol.scaling import (
     EPS_A_FRAC,
     STATUS_VANISHED,
@@ -499,8 +502,16 @@ def test_stats_count_the_steps_and_name_the_stop():
         # f at t = 0, the first-step probe, then six stages per attempt
         assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
     assert diverged.status == "diverged" and diverged.vanishing_time is None
-    # a moves by ~6e3 per ulp of t there: the crossing is the nearest float
-    assert diverged.a_values[-1] == pytest.approx(scaling.CAP_A_FRAC, rel=1e-8)
+    # a moves by ~6.5e4 per ulp of t there: the crossing is the float
+    # nearest to the cap on the last step's quartic, whose end node it is
+    t_end, t_old, cap = diverged.t_end, diverged.ts[-2], scaling.CAP_A_FRAC
+    quartic = diverged._coef[0, :, -3].tolist()
+    a_end, adot_end = diverged.a_values[-1], diverged.adot_values[-1]
+    assert horner(quartic, t_end - t_old) == a_end
+    gaps = [abs(horner(quartic, t - t_old) - cap)
+            for t in (math.nextafter(t_end, 0.0), t_end, math.nextafter(t_end, 3.0))]
+    assert gaps[1] <= min(gaps[0], gaps[2])
+    assert abs(a_end - cap) <= adot_end * math.ulp(t_end) / 2
     assert NumericScaling([0.0, 1.0], _table([1.0, 1.0], [0.0, 0.0]),
                           "completed").stats is None
 
@@ -519,10 +530,10 @@ def test_negative_trial_stage_is_rejected_not_complex(monkeypatch):
     assert fn.status == STATUS_VANISHED and 0.99999 < fn.vanishing_time < 1.0
     assert np.all(np.isfinite(fn.a_values)) and fn.a_values.min() > 0.0
     negative = []
-    float_rhs = scaling._float_rhs
+    ode = scaling._ode
 
-    def spy(accel):
-        g = float_rhs(accel)
+    def spy(P, V, e):
+        g = ode(P, V, e)
 
         def rhs(a, v):
             x = g(a, v)
@@ -531,9 +542,58 @@ def test_negative_trial_stage_is_rejected_not_complex(monkeypatch):
             return x
         return rhs
 
-    monkeypatch.setattr(scaling, "_float_rhs", spy)
+    monkeypatch.setattr(scaling, "_ode", spy)
     assert build().stats == fn.stats
     assert negative and all(np.isnan(x) for x in negative)
+
+
+def _first_integral_drift(fn, lam, e, a0, a1):
+    """Largest relative change of a' + lam*a**(1 - e)/(1 - e), which
+    a'' = -lam*a'*a**-e conserves, over the nodes of fn."""
+    def first_integral(a, adot):
+        return adot + lam * a ** (1.0 - e) / (1.0 - e)
+    start = first_integral(a0, a1)
+    return np.max(np.abs(first_integral(fn.a_values, fn.adot_values) / start - 1.0))
+
+
+def test_fast_expansion_at_a_large_exponent_builds():
+    # N = 3, theta = 100: e = 299, and a**299 overflowed at a = 10.74 when
+    # the right-hand side divided by it; a**-299 underflows to 0 instead,
+    # and a runs almost straight from (1, 20)
+    params = ModelParams(N=3, gamma=1.0, theta=100.0, delta=0)
+    family = PressurelessThetaNot1(lam=1.0, alpha=1.0, a0=1.0, a1=20.0)
+    fn = build_solution(params, family, t_end=1.0).scaling
+    assert fn.status == "completed" and fn.t_end == 1.0
+    assert fn.a_values[-1] == pytest.approx(21.0, rel=1e-3)
+    assert _first_integral_drift(fn, 1.0, 299.0, 1.0, 20.0) <= 1e-9
+
+
+def test_a_trial_stage_that_overflows_is_rejected(monkeypatch):
+    # e = 299: a**-299 raises OverflowError for |a| below about 0.093.
+    # The braking term lam*a'*a**-299 stops the collapse from (1, -3) at
+    # a* ~ 0.208, and the first long steps reach past it into that band
+    small = 0.09
+    raised = []
+    ode = scaling._ode
+
+    def spy(P, V, e):
+        g = ode(P, V, e)
+
+        def rhs(a, v):
+            x = g(a, v)
+            if abs(a) < small:
+                raised.append(x)
+            return x
+        return rhs
+
+    monkeypatch.setattr(scaling, "_ode", spy)
+    fn = integrate_pressureless(theta=100.0, lam=1e-200, N=3, a0=1.0, a1=-3.0,
+                                t_end=0.5)
+    assert raised and all(np.isnan(x) for x in raised)
+    assert fn.status == "completed" and fn.stats["rejected"] > 0
+    assert np.all(np.isfinite(fn.a_values)) and np.all(np.isfinite(fn.adot_values))
+    assert fn.a_values.min() > 0.2
+    assert _first_integral_drift(fn, 1e-200, 299.0, 1.0, -3.0) <= 1e-9
 
 
 #: the isothermal collapse, both steep polytropic collapses and the runaway
