@@ -24,9 +24,9 @@ class SolutionField:
     call gives.  An NssolError names the offending (t, r).
 
     The domain is r >= 0.  It is not checked on each call: an array-safe
-    refusal would add about a third to every black-box stencil point at a
-    repeated t (1.5 us against 4.3 us a scalar Gaussian field point, best
-    of 25 x 2000, one Xeon), and eval_grid and verify_window already
+    refusal would more than double every black-box stencil point at a
+    repeated t (1.3 us against 0.9 us a scalar Gaussian field point, best
+    of 9 x 2000, one Xeon), and eval_grid and verify_window already
     refuse r <= 0 on their inputs.
     """
 

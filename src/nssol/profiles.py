@@ -6,6 +6,12 @@ on every z: an exponential of a quadratic, a power root of a quadratic
 the power-law scaling family, the root of the implicit closed form of its
 separable profile ODE.  None has a bound on z; each refuses a value past
 the float range itself.
+
+The two explicit shapes evaluate a float z (np.float64 included) on
+Python floats, with numpy's exp or power, so they give a batch element's
+bits without numpy's per-call cost on a scalar.  That branch returns
+only finite values; every other z, a refusal or vacuum included, takes
+the array code.
 """
 
 import math
@@ -61,6 +67,14 @@ class ExpQuadratic(Profile):
         self.C = float(C)
 
     def evaluate(self, z):
+        if isinstance(z, float):  # np.float64 too
+            x = abs(float(z))
+            arg = self.B * x * x + self.C
+            if arg <= _LOG_MAX:
+                y = self.A * float(np.exp(arg))
+                dy = 2.0 * self.B * x * y
+                if math.isfinite(dy):
+                    return y, dy
         z = np.abs(z)
         # y or dy past the float range (near a = 0), and 0*inf at z = inf,
         # leave dy non-finite and are refused below; -inf decays to 0
@@ -114,6 +128,17 @@ class PowerRoot(Profile):
             self.z_vacuum = math.sqrt(-self._c0 / self._c2)
 
     def evaluate(self, z):
+        if isinstance(z, float):  # np.float64 too
+            x = abs(float(z))
+            rad = self._c2 * x * x + self._c0
+            if 0.0 < rad < math.inf:
+                # neither power passes e**_LOG_MAX, where np.power would warn
+                log_rad = math.log(rad)
+                if log_rad * (self._p if log_rad > 0.0 else self._p - 1.0) <= _LOG_MAX:
+                    y = float(np.power(rad, self._p))
+                    dy = self.xi * x * float(np.power(rad, self._p - 1.0))
+                    if math.isfinite(dy):
+                        return y, dy
         z = np.abs(z)
         # a radicand past the float range is -inf, vacuum, or +inf (or
         # 0*inf at xi = 0), which leaves y or dy non-finite, refused below.

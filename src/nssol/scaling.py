@@ -221,17 +221,19 @@ _STATUS = {STOP_COMPLETED: STATUS_COMPLETED, STOP_VANISH: STATUS_VANISHED,
 
 def _ode(P, V, e):
     """g(a, v) = (V*v - P*a)*a**-e on Python floats, the scaling ODE
-    a'' = g(a, a') of every integrated family.  Where a**-e is no float,
-    a complex power of a negative a, a power of zero or an overflow, g
-    is NaN, which rejects the step that met it."""
+    a'' = g(a, a') of every integrated family.  At a trial a that is not
+    > 0, where the scaling has no meaning even when a**-e is a float (an
+    integer e), and where a**-e overflows, g is NaN, which rejects the
+    step that met it."""
     P, V, e = float(P), float(V), float(e)
 
     def g(a, v):
-        try:
-            x = (V * v - P * a) * a ** -e
-        except (ZeroDivisionError, OverflowError):
+        if not a > 0.0:
             return math.nan
-        return math.nan if isinstance(x, complex) else x
+        try:
+            return (V * v - P * a) * a ** -e
+        except OverflowError:
+            return math.nan
     return g
 
 

@@ -7,10 +7,11 @@ directories (say, of a ``git archive`` of the parent commit and of the
 working tree).  One child interpreter per tree imports ``nssol`` from
 its tree and runs all six subcommands, in csv and in json, on each
 instance of ``tests/cases.py``, as given and with theta + 0.5, and on
-three more: a = 1 - t, which ends on the vanishing event, the steep
-polytropic collapse, which ends on a step-size underflow, and a fast
+four more: a = 1 - t, which ends on the vanishing event, the steep
+polytropic collapse, which ends on a step-size underflow, a fast
 pressureless expansion at theta = 100, where a**(-e) underflows to 0
-with e = 299.  Every run whose exit code, stdout, stderr or payload
+with e = 299, and a pressureless collapse at theta = 100 that a thin
+braking layer stops at a ~ 0.1, which long steps must not jump.  Every run whose exit code, stdout, stderr or payload
 differs between the trees is printed with its first differing lines;
 the exit status is 1 if any differs.
 
@@ -63,6 +64,9 @@ def _configs():
         ("fast_expansion", ModelParams(N=3, gamma=1.0, theta=100.0, delta=0),
          PressurelessThetaNot1(lam=1.0, alpha=1.0, a0=1.0, a1=20.0),
          Window(0.1, 1.0, 0.1, 2.0)),
+        ("braking_layer", ModelParams(N=3, gamma=1.0, theta=100.0, delta=0),
+         PressurelessThetaNot1(lam=1e-295, alpha=1.0, a0=1.0, a1=-1.0),
+         Window(0.1, 2.0, 0.1, 2.0)),
     ]
     docs = {}
     for name, params, family, window in instances:

@@ -1,6 +1,7 @@
 """Density shape construction and evaluation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nssol import (
     ExpQuadratic,
     ImplicitProfile,
     ModelParams,
+    NssolError,
     OutOfRangeError,
     PowerLawScaling,
     PowerRoot,
@@ -447,6 +449,72 @@ def test_closed_form_shapes_are_finite_or_refuse(shape, z):
     except DomainError:
         return
     assert math.isfinite(y) and y >= 0.0 and math.isfinite(dy), (y, dy)
+
+
+def _assert_float_parity(shape, z):
+    """A float z and a np.float64 z give floats with the bits of a
+    one-element batch, or its error type and message."""
+    try:
+        batch = shape.evaluate(np.array([z]))
+    except NssolError as exc:
+        for scalar in (float(z), np.float64(z)):
+            with pytest.raises(NssolError) as single:
+                shape.evaluate(scalar)
+            assert type(single.value) is type(exc), (shape, z)
+            assert str(single.value) == str(exc), (shape, z)
+        return
+    for scalar in (float(z), np.float64(z)):
+        values = shape.evaluate(scalar)
+        assert all(type(v) is float for v in values), (shape, z)
+        assert [v.hex() for v in values] == [float(c[0]).hex() for c in batch], (shape, z)
+
+
+_moderate = st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.one_of(
+           _closed_form_shapes,
+           st.builds(_shape, st.sampled_from([ExpQuadratic, PowerRoot]),
+                     _moderate, _moderate, _moderate)),
+       z=st.one_of(_finite, st.floats(-10.0, 10.0)))
+def test_float_z_keeps_a_batch_bits(shape, z):
+    _assert_float_parity(shape, z)
+
+
+def test_float_z_keeps_a_batch_bits_at_the_edges():
+    gaussian = ExpQuadratic(1.3, -0.7, 0.2)
+    clipped = PowerRoot(0.5, -0.3, 1.2)
+    points = [(shape, z) for shape in (gaussian, clipped, PowerRoot(0.0, 1.0, 1.0))
+              for z in (0.0, -0.0, math.nan, math.inf, -math.inf)]
+    # exp(arg) is finite past _LOG_MAX, up to log of the largest float
+    band = [math.sqrt(709.781), math.sqrt(709.7827)]
+    assert all(profiles._LOG_MAX < z * z < math.log(sys.float_info.max) for z in band)
+    points += [(shape, z) for shape in (ExpQuadratic(1e-300, 1.0, 0.0),
+                                        ExpQuadratic(1.0, 1.0, 0.0)) for z in band]
+    # rad**50 past the float range at z = 1e5, rad**-3 at z = 0
+    points += [(PowerRoot(-0.98, 1.0, 1.0), 1e5), (PowerRoot(-1.5, 1.0, 1e250), 0.0)]
+    z_vac = clipped.z_vacuum
+    points += [(clipped, z) for z in (math.nextafter(z_vac, 0.0), z_vac,
+                                      math.nextafter(z_vac, math.inf), 2.0 * z_vac)]
+    # subnormal y: exp(-740), and rad**50 at rad = 5e-7
+    subnormal = [(ExpQuadratic(1.0, -1.0, 0.0), math.sqrt(740.0)),
+                 (PowerRoot(-0.98, -1.0, 1.0), math.sqrt((1.0 - 5e-7) / 0.01))]
+    assert all(0.0 < shape.evaluate(z)[0] < sys.float_info.min for shape, z in subnormal)
+    for shape, z in points + subnormal:
+        _assert_float_parity(shape, z)
+
+
+def test_float_z_keeps_a_batch_bits_on_a_sweep():
+    # math.exp and ** differ from numpy's exp and power in the last bit at
+    # about one z in 25 of this sweep
+    z = np.linspace(0.0, 5.0, 2001)
+    for shape in (ExpQuadratic(1.3, -0.7, 0.2), PowerRoot(0.5, -0.3, 1.2),
+                  PowerRoot(2.0, 0.8, 1.1)):
+        batch = [[float(v).hex() for v in column] for column in shape.evaluate(z)]
+        for k, zk in enumerate(z):
+            for scalar in (float(zk), zk):
+                assert [v.hex() for v in shape.evaluate(scalar)] == [c[k] for c in batch]
 
 
 def test_implicit_shape_refuses_nan_z():

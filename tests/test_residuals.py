@@ -19,7 +19,8 @@ from nssol import (
     verify_family,
     verify_window,
 )
-from nssol import residuals
+from nssol import profiles, residuals
+from nssol.errors import refuse
 from nssol.residuals import Window
 from tests.cases import (
     RESOLUTIONS,
@@ -374,6 +375,27 @@ def test_black_box_over_a_solution_field_pays_the_scaling_once_per_time_row():
     assert len(calls) <= 33 * (1 + 2 * 4)
     assert report == verify_window(solution.field(), params, window, RESOLUTIONS,
                                    lattice=33)
+
+
+def test_black_box_over_a_gaussian_field_takes_the_float_branch(monkeypatch):
+    # a float z within the float range never reaches the array code's
+    # refusals; at the Gaussian's 5**2 lattice each point would call one
+    params, family, window = isothermal_gaussian()
+    solution = build_solution(params, family, t_end=window.t_max + 2.0 * H[0][0])
+    expected = verify_window(solution.field(), params, window, H, lattice=5)
+    field, points, refusals = solution.field(), [], []
+
+    def black_box(t, r):
+        points.append((t, r))
+        return field(t, r)
+
+    def spy(*args, **kwargs):
+        refusals.append(args)
+        return refuse(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "refuse", spy)
+    assert verify_window(black_box, params, window, H, lattice=5) == expected
+    assert points and not refusals
 
 
 def test_non_finite_sample_is_refused_at_once():

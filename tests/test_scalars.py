@@ -1,10 +1,13 @@
-"""Every scalar type takes the one evaluation path and gives a batch's bits.
+"""Every scalar type gives a batch's bits and a batch's errors.
 
 A Python float, a Python int, a np.float64 and a 0-d array go through
-the array code of pair, evaluate and SolutionField: each must come back
-as a float with the bits of the matching element of a batch call, and a
-NaN or out-of-range scalar of each type must raise the NssolError
-subclass the batch raises.  A Python scalar reaching a range test
+pair, evaluate and SolutionField: each must come back as a float with
+the bits of the matching element of a batch call, and a NaN or
+out-of-range scalar of each type must raise the NssolError subclass the
+batch raises.  The two explicit shapes evaluate a float or np.float64 z
+on Python floats and leave every other scalar, and every refusal, to
+their array code; the scalings and the implicit shape take the array
+code for every scalar.  A Python scalar reaching a range test
 unconverted is the trap this guards: ~(x > 0.0) is ~True == -2 on a
 Python float, which is truthy.
 """

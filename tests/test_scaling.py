@@ -518,9 +518,8 @@ def test_stats_count_the_steps_and_name_the_stop():
 
 def test_negative_trial_stage_is_rejected_not_complex(monkeypatch):
     # with K and kappa tiny, a = 1 - t is nearly linear and the growing
-    # steps overshoot a = 0: a**(-1.5) of a negative trial a is complex
-    # on Python floats (and NaN with a RuntimeWarning on numpy floats),
-    # and must reject the step
+    # steps overshoot a = 0: a negative trial a has no a**(-1.5) on
+    # Python floats, and must reject the step
     def build():
         return integrate_polytropic(gamma=1.5, K=1e-9, kappa=1e-9, N=1, a0=1.0,
                                     a1=-1.0, t_end=2.0)
@@ -594,6 +593,18 @@ def test_a_trial_stage_that_overflows_is_rejected(monkeypatch):
     assert np.all(np.isfinite(fn.a_values)) and np.all(np.isfinite(fn.adot_values))
     assert fn.a_values.min() > 0.2
     assert _first_integral_drift(fn, 1e-200, 299.0, 1.0, -3.0) <= 1e-9
+
+
+def test_a_long_step_does_not_jump_a_braking_layer():
+    # e = 299 is an integer, so a**-299 of a negative trial a is a float.
+    # The braking term holds a above a* ~ 0.1003, yet a step from
+    # a = 0.525 put its stages at a < 0 and ended on a false vanishing
+    # at t = 0.99999999; a trial a <= 0 must reject the step instead
+    fn = integrate_pressureless(theta=100.0, lam=1e-295, N=3, a0=1.0, a1=-1.0,
+                                t_end=2.0)
+    assert fn.status == "completed" and fn.t_end == 2.0
+    assert fn.a_values.min() > 0.1
+    assert _first_integral_drift(fn, 1e-295, 299.0, 1.0, -1.0) <= 1e-9
 
 
 #: the isothermal collapse, both steep polytropic collapses and the runaway
