@@ -21,11 +21,13 @@ class SolutionField:
     evaluation per time row.  So do scalar calls made row by row: the
     field keeps a, a**N and a'/a of the last nonzero float t the scaling
     accepted, and a call at an equal t reuses them, with the bits a fresh
-    call gives.  An NssolError names the offending (t, r).
+    call gives.  The kept a**N is a Python float, so a float row with a
+    float r and shape value is formed on Python floats and returned as
+    is.  An NssolError names the offending (t, r).
 
     The domain is r >= 0.  It is not checked on each call: an array-safe
     refusal would more than double every black-box stencil point at a
-    repeated t (1.3 us against 0.9 us a scalar Gaussian field point, best
+    repeated t (1.2 us against 0.7 us a scalar Gaussian field point, best
     of 9 x 2000, one Xeon), and eval_grid and verify_window already
     refuse r <= 0 on their inputs.
     """
@@ -34,7 +36,7 @@ class SolutionField:
         self.profile = profile
         self.scaling = scaling
         self.N = N
-        # (t, a, a**N, a'/a) of the last nonzero float t the scaling
+        # (t, a, float a**N, a'/a) of the last nonzero float t the scaling
         # accepted; a NaN t never equals it, so the first call goes through
         # pair.  A zero is not kept: 0.0 == -0.0, and a' at t = -0.0 can
         # be -0.0 where it is 0.0 at t = 0.0.
@@ -47,6 +49,7 @@ class SolutionField:
                 a, adot = self.scaling.pair(t)
                 a_n, rate = np.power(a, self.N), adot / a
                 if isinstance(t, float) and t:
+                    a_n = float(a_n)
                     self._row = (t, a, a_n, rate)
             shape, _ = self.profile.evaluate(r / a)
         except NssolError as exc:
@@ -56,7 +59,10 @@ class SolutionField:
             k = np.argmax(np.broadcast_to(exc.where, t_all.shape))
             raise type(exc)(f"field evaluation failed at (t={float(t_all.flat[k])!r}, "
                             f"r={float(r_all.flat[k])!r}): {exc}") from exc
-        return unbox(shape / a_n), unbox(rate * r)
+        rho, u = shape / a_n, rate * r
+        if type(rho) is float and type(u) is float:
+            return rho, u
+        return unbox(rho), unbox(u)
 
 
 def eval_grid(profile, scaling, N, t_values, r_values):

@@ -120,15 +120,18 @@ def _array_field(field_fn):
 
     def field(t, r):
         t, r = np.broadcast_arrays(t, r)
-        samples = []
+        rhos, us = [], []
+        put_rho, put_u, finite = rhos.append, us.append, math.isfinite
         for p in zip(t.ravel().tolist(), r.ravel().tolist()):
             rho, u = field_fn(*p)
-            if not (math.isfinite(rho) and math.isfinite(u)):
+            if not (finite(rho) and finite(u)):
                 raise NonFiniteFieldError(
                     f"field sample at (t={p[0]!r}, r={p[1]!r}) is not finite: "
                     f"(rho, u) = ({rho!r}, {u!r})")
-            samples.append((rho, u))
-        return tuple(np.array(samples, dtype=float).T.reshape(2, *t.shape))
+            put_rho(rho)
+            put_u(u)
+        return (np.array(rhos, dtype=float).reshape(t.shape),
+                np.array(us, dtype=float).reshape(t.shape))
     return field
 
 
@@ -194,15 +197,28 @@ def _round12(x):
     return float(f"{x:.12g}")
 
 
+def _rms(x, count):
+    """sqrt(sum(x**2)/count) of the finite residual x; where the sum of
+    squares overflows, peak*sqrt(sum((x/peak)**2)/count), peak the
+    largest |x|, which keeps the norm finite and at most peak."""
+    with np.errstate(over="ignore"):
+        total = np.sum(x * x)
+    if math.isfinite(total):
+        return math.sqrt(total / count)
+    peak = np.max(np.abs(x))
+    scaled = x / peak
+    return float(peak) * math.sqrt(np.sum(scaled * scaled) / count)
+
+
 def _norms(mass, mom, vacuum, h_t, h_r):
     skipped = int(np.count_nonzero(vacuum))
     kept = mom.size - skipped
     return ResolutionNorms(
         h_t=h_t, h_r=h_r,
         mass_linf=_round12(np.max(np.abs(mass))),
-        mass_l2=_round12(math.sqrt(np.sum(mass * mass) / mass.size)),
+        mass_l2=_round12(_rms(mass, mass.size)),
         mom_linf=_round12(np.max(np.abs(mom))),
-        mom_l2=_round12(math.sqrt(np.sum(mom * mom) / kept) if kept else 0.0),
+        mom_l2=_round12(_rms(mom, kept) if kept else 0.0),
         skipped_momentum=skipped)
 
 

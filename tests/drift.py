@@ -11,9 +11,13 @@ four more: a = 1 - t, which ends on the vanishing event, the steep
 polytropic collapse, which ends on a step-size underflow, a fast
 pressureless expansion at theta = 100, where a**(-e) underflows to 0
 with e = 299, and a pressureless collapse at theta = 100 that a thin
-braking layer stops at a ~ 0.1, which long steps must not jump.  Every run whose exit code, stdout, stderr or payload
-differs between the trees is printed with its first differing lines;
-the exit status is 1 if any differs.
+braking layer stops at a ~ 0.1, which long steps must not jump.  Every
+run whose exit code, stdout, stderr or payload differs between the
+trees is printed with its first differing lines.  Every run of NEW_SRC
+whose JSON payload (each of describe, verify and blowup, and the json
+format of the others) or stdout summary line does not parse as strict
+JSON, NaN and Infinity refused, is printed with the reason.  The exit
+status is 1 if any run differs or is not strict JSON.
 
 This is no golden test, and pytest does not collect it: numpy's exp and
 power can differ by an ulp between CPUs, so only two trees run on one
@@ -37,6 +41,8 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("describe", "profile", "scale", "field", "verify", "blowup")
 FORMATS = ("csv", "json")
 FIELDS = ("exit", "stdout", "stderr", "payload")
+#: subcommands whose payload is JSON in either format
+JSON_COMMANDS = ("describe", "verify", "blowup")
 
 
 def _configs():
@@ -125,6 +131,25 @@ def _runs(src):
     return json.loads(proc.stdout)
 
 
+def _reject(literal):
+    raise ValueError(f"holds the non-finite number {literal}")
+
+
+def _not_strict_json(key, record):
+    """Why a run's JSON payload or a stdout line of it is not strict JSON."""
+    _, command, fmt = key.rsplit(" ", 2)
+    texts = [("stdout", line) for line in record["stdout"].splitlines()]
+    if record["payload"] is not None and (fmt == "json" or command in JSON_COMMANDS):
+        texts.append(("payload", record["payload"]))
+    reasons = []
+    for field, text in texts:
+        try:
+            json.loads(text, parse_constant=_reject)
+        except ValueError as exc:  # JSONDecodeError too
+            reasons.append(f"{field}: {exc}")
+    return reasons
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
@@ -148,8 +173,17 @@ def main(argv=None):
                                          f"old {f}", f"new {f}", n=0, lineterm="")
             for line in list(lines)[2:8]:
                 print(f"    {line}")
-    print(f"{len(old.keys() | new.keys())} runs, {differ} differ")
-    return 1 if differ else 0
+    loose = 0
+    for key in sorted(new):
+        reasons = _not_strict_json(key, new[key])
+        if reasons:
+            loose += 1
+            print(f"{key}: not strict JSON")
+            for reason in reasons:
+                print(f"    {reason}")
+    print(f"{len(old.keys() | new.keys())} runs, {differ} differ, "
+          f"{loose} not strict JSON")
+    return 1 if differ or loose else 0
 
 
 if __name__ == "__main__":

@@ -240,6 +240,35 @@ def test_verify_exact_solution_end_to_end(tmp_path):
     assert report["mom_linf"] < 1e-5
 
 
+@pytest.mark.parametrize("theta", [100.0, 100.5])
+def test_verify_l2_norms_stay_finite_past_the_square_root_of_the_float_range(
+        tmp_path, capsys, theta):
+    # a collapse braked by a thin layer at a ~ 0.1: momentum residuals near
+    # 1e279, whose squares overflow; the report must still be strict JSON
+    def strict(literal):
+        raise ValueError(f"non-finite number {literal} in the payload")
+
+    window = {"t_min": 0.1, "t_max": 2.0, "r_min": 0.1, "r_max": 2.0}
+    cfg = {
+        "model": {"N": 3, "gamma": 1.0, "theta": theta, "K": 1.0, "kappa": 1.0,
+                  "delta": 0},
+        "family": {"kind": "pressureless_theta_not1", "lam": 1e-295, "alpha": 1.0,
+                   "a0": 1.0, "a1": -1.0},
+        "verify": {"window": window,
+                   "resolutions": [list(h) for h in cases.RESOLUTIONS], "lattice": 9},
+    }
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", path, "--out", str(out), "--format", "json"]) == 0
+    json.loads(capsys.readouterr().out, parse_constant=strict)
+    report = json.loads(out.read_text(), parse_constant=strict)
+    assert report["mom_linf"] > 1e200
+    for entry in report["resolutions"]:
+        for name in ("mass", "mom"):
+            assert math.isfinite(entry[f"{name}_l2"])
+            assert entry[f"{name}_l2"] <= entry[f"{name}_linf"]
+
+
 def test_json_format_payload(tmp_path):
     path = _write(tmp_path, _blowup_config())
     out = tmp_path / "field.json"

@@ -19,7 +19,7 @@ from nssol import (
     verify_family,
     verify_window,
 )
-from nssol import profiles, residuals
+from nssol import _interp, profiles, residuals
 from nssol.errors import refuse
 from nssol.residuals import Window
 from tests.cases import (
@@ -312,6 +312,25 @@ def test_batched_stencils_match_pointwise_adapter(name, params, family, window):
     assert (batched.resolutions[0].skipped_momentum > 0) == name.endswith("edge")
 
 
+@pytest.mark.parametrize("name, params, family, window", _parity_cases(),
+                         ids=[case[0] for case in _parity_cases()])
+def test_pointwise_adapter_samples_match_the_field_bytes(name, params, family, window):
+    # the samples themselves, not the 12-digit norms: on the lattice and at
+    # each stencil offset, a plain callable gathered point by point gives
+    # the arrays the field gives at once, byte for byte
+    field = build_solution(params, family, t_end=window.t_max + 2e-3).field()
+    adapter = residuals._array_field(lambda t, r: field(t, r))
+    k = np.arange(17)
+    t = (window.t_min + (window.t_max - window.t_min) * k / 16)[:, None]
+    r = window.r_min + (window.r_max - window.r_min) * k / 16
+    points = [(t, r)] + [point for h_t, h_r in RESOLUTIONS for point in (
+        (t, r + h_r), (t, r - h_r), (t + h_t, r), (t - h_t, r))]
+    for t_at, r_at in points:
+        for got, want in zip(adapter(t_at, r_at), field(t_at, r_at), strict=True):
+            assert got.shape == want.shape == (17, 17)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_report_structure_and_rounding():
     params, family, window = isothermal_gaussian()
     report = verify_family(params, family, window, RESOLUTIONS)
@@ -378,8 +397,10 @@ def test_black_box_over_a_solution_field_pays_the_scaling_once_per_time_row():
 
 
 def test_black_box_over_a_gaussian_field_takes_the_float_branch(monkeypatch):
-    # a float z within the float range never reaches the array code's
-    # refusals; at the Gaussian's 5**2 lattice each point would call one
+    # a float z within the float range, and a float t within the
+    # trajectory's, never reach the array code's refusals; at the
+    # Gaussian's 5**2 lattice each point would call the shape's, and each
+    # new time row the trajectory lookup's
     params, family, window = isothermal_gaussian()
     solution = build_solution(params, family, t_end=window.t_max + 2.0 * H[0][0])
     expected = verify_window(solution.field(), params, window, H, lattice=5)
@@ -393,7 +414,8 @@ def test_black_box_over_a_gaussian_field_takes_the_float_branch(monkeypatch):
         refusals.append(args)
         return refuse(*args, **kwargs)
 
-    monkeypatch.setattr(profiles, "refuse", spy)
+    for module in (profiles, _interp):
+        monkeypatch.setattr(module, "refuse", spy)
     assert verify_window(black_box, params, window, H, lattice=5) == expected
     assert points and not refusals
 

@@ -6,8 +6,10 @@ the bits of the matching element of a batch call, and a NaN or
 out-of-range scalar of each type must raise the NssolError subclass the
 batch raises.  The two explicit shapes evaluate a float or np.float64 z
 on Python floats and leave every other scalar, and every refusal, to
-their array code; the scalings and the implicit shape take the array
-code for every scalar.  A Python scalar reaching a range test
+their array code; so does the integrated scalings' table lookup for a
+float or np.float64 t in range, and SolutionField keeps a float row on
+Python floats.  The power-law scaling and the implicit shape take the
+array code for every scalar.  A Python scalar reaching a range test
 unconverted is the trap this guards: ~(x > 0.0) is ~True == -2 on a
 Python float, which is truthy.
 """
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from nssol import NssolError, build_solution
+from nssol.scaling import NumericScaling
 from tests import cases
 
 #: scalar type -> conversion of a float value to it
@@ -147,3 +150,33 @@ def test_scalar_sequences_match_batch(name, solution, window):
             assert all(type(v) is float for v in values), (t, r)
             assert _bits(values) == _bits(column[0] for column in batch), (t, r)
     assert refused == 2
+
+
+TRAJECTORIES = [c for c in CASES if isinstance(c[1].scaling, NumericScaling)]
+
+
+@pytest.mark.parametrize("name, solution, window", TRAJECTORIES,
+                         ids=[c[0] for c in TRAJECTORIES])
+def test_float_lookup_matches_one_element_batch_at_every_node(name, solution, window):
+    # a float t reads one column of the table on Python floats: at every
+    # node, every step's midpoint and both edges of the tolerance band it
+    # must give the batch's bits, and just past either edge (and at NaN)
+    # the batch's refusal
+    scaling = solution.scaling
+    ts = scaling.ts
+    pad = 1e-12 * max(1.0, abs(ts[-1]))
+    lo, hi = float(ts[0] - pad), float(ts[-1] + pad)
+    times = [*ts.tolist(), *(0.5 * (ts[:-1] + ts[1:])).tolist(), lo, scaling.t_end, hi]
+    for t in times:
+        batch = _bits(v[0] for v in scaling.pair(np.array([t])))
+        for x in (t, np.float64(t)):
+            values = scaling.pair(x)
+            assert all(type(v) is float for v in values), (name, t)
+            assert _bits(values) == batch, (name, t)
+    for t in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), math.nan):
+        with pytest.raises(NssolError) as batch:
+            scaling.pair(np.array([t]))
+        for x in (t, np.float64(t)):
+            with pytest.raises(type(batch.value)) as single:
+                scaling.pair(x)
+            assert str(single.value) == str(batch.value), (name, t)
