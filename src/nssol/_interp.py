@@ -5,6 +5,11 @@ import numpy as np
 
 from .errors import OutOfRangeError, refuse
 
+#: points evaluated or formatted at once by a grid's writer and its
+#: evaluation: few enough that a block and its temporaries stay in cache
+#: and are reused, not paged in anew
+BLOCK = 8192
+
 
 def unbox(x):
     """x as a float when it is 0-d, else unchanged."""

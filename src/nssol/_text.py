@@ -48,9 +48,12 @@ exponent suffix of scientific notation, repr's ".0" of an integral
 value, or the last digit, moved up by a point after digit 2..16.
 Unused bytes are NUL.  A CSV cell puts its comma or newline in byte 31;
 a JSON cell has a fifth word for the separator of an indented list.  A
-table is written a block of whole grid rows at a time by one loop for
-both formats, and the NULs of a CSV block, or of a column of a JSON
-block, go in one ``bytearray.translate``.
+table is written a block of whole grid rows, about BLOCK points, at a
+time: a CSV block holds every column of its rows, a JSON block one
+column's, so the columns of a JSON document follow each other with none
+held whole.  The NULs of a block go in one ``bytearray.translate``, and
+its bytes are yielded at once, never decoded or joined: a payload of
+any size streams through the memory of one block.
 
 Every integer operation on the mantissa and on the text words is uint64
 with uint64 operands: mixed with a signed integer, numpy 1.x promotes to
@@ -61,6 +64,8 @@ intp.
 import math
 
 import numpy as np
+
+from ._interp import BLOCK
 
 _U = np.uint64
 _WORD = np.dtype("<u8")
@@ -295,62 +300,54 @@ def repr_cells(x, text):
     _fallback(x, np.flatnonzero(~fast & (size != 0.0)), text, b"%r")
 
 
-#: rows of a table formatted at once: few enough that the block and the
-#: kernel's temporaries stay in cache and are reused, not paged in anew
-_BLOCK = 8192
-
-
-def _blocks(keys, values, kernel, layout):
-    """Fill the cells of a table over the product grid of the 1-d arrays
-    keys, with the arrays values of that grid's shape, a block of whole
-    first-key rows at a time, and yield (buffer, view, new) per block.
-    layout(points, last) allocates the buffer of a block of that many
-    grid points, the table's last block if last, and gives its (points,
-    columns, 4) view, where kernel writes each column.  A buffer serves
-    the full blocks after its own (new false); each key is formatted
-    once, and a later key, which every full block repeats, is written
-    only into a new buffer."""
+def _grid(keys, kernel):
+    """The product grid of the 1-d arrays keys, in blocks of whole
+    first-key rows, about BLOCK grid points each: per key its text,
+    formatted once by kernel, and its stride, the grid points between
+    its steps; and the slice of the first key of each block."""
     sizes = [k.size for k in keys]
-    inner = math.prod(sizes[1:])
-    step = max(1, _BLOCK // inner)
-    key_text = []
+    strides = [math.prod(sizes[d + 1:]) for d in range(len(keys))]
+    texts = []
     for k in keys:
-        key_text.append(np.empty((k.size, 4), _WORD))
-        kernel(k, key_text[-1])
-    values = [np.reshape(v, (sizes[0], -1)) for v in values]
-    buf = None
-    for start in range(0, sizes[0], step):
-        stop = min(start + step, sizes[0])
-        new = buf is None or stop == sizes[0]
-        if new:
-            buf, text = layout((stop - start) * inner, stop == sizes[0])
-            at = np.arange(text.shape[0])
-            for d in range(1, len(keys)):
-                np.take(key_text[d], at // math.prod(sizes[d + 1:]), axis=0,
-                        out=text[:, d], mode="wrap")
-        np.take(key_text[0], start + at // inner, axis=0, out=text[:, 0], mode="wrap")
-        for j, v in enumerate(values, len(keys)):
-            kernel(v[start:stop], text[:, j])
-        yield buf, text, new
+        texts.append(np.empty((k.size, 4), _WORD))
+        kernel(k, texts[-1])
+    step = max(1, BLOCK // strides[0])
+    blocks = [slice(i, min(i + step, sizes[0])) for i in range(0, sizes[0], step)]
+    return texts, strides, blocks
+
+
+def _key(texts, strides, d, rows, out):
+    """Write the text of key d at the grid points of the first-key rows
+    into out.  A later key's is the same in every full block."""
+    at = np.arange(rows.start * strides[0], rows.stop * strides[0])
+    np.take(texts[d], at // strides[d], axis=0, out=out, mode="wrap")
 
 
 def csv_rows(keys, values):
     """CSV rows over the product grid of the 1-d arrays keys, with the
     arrays values of that grid's shape: each row the keys then the
-    values of one grid point, in C order."""
+    values of one grid point, in C order.  Yields the bytes of a block
+    of whole first-key rows at a time, as soon as it is formatted.  One
+    buffer serves the full blocks after the first, whose later keys it
+    keeps, and the last block has its own."""
+    texts, strides, blocks = _grid(keys, cells)
     columns = len(keys) + len(values)
     ends = np.full(columns, _U(ord(",")) << _56)
     ends[-1] = _U(ord("\n")) << _56
-
-    def layout(points, last):
-        buf = bytearray(points * columns * 32)
-        return buf, np.frombuffer(buf, _WORD).reshape(points, columns, 4)
-
-    parts = []
-    for buf, text, _ in _blocks(keys, values, cells, layout):
+    values = [np.reshape(v, (keys[0].size, -1)) for v in values]
+    buf = None
+    for rows in blocks:
+        if buf is None or rows is blocks[-1]:
+            points = (rows.stop - rows.start) * strides[0]
+            buf = bytearray(points * columns * 32)
+            text = np.frombuffer(buf, _WORD).reshape(points, columns, 4)
+            for d in range(1, len(keys)):
+                _key(texts, strides, d, rows, text[:, d])
+        _key(texts, strides, 0, rows, text[:, 0])
+        for j, v in enumerate(values, len(keys)):
+            cells(v[rows], text[:, j])
         text[..., 3] |= ends
-        parts.append(buf.translate(None, b"\0").decode("ascii"))
-    return "".join(parts)
+        yield buf.translate(None, b"\0")
 
 
 #: the fifth word of a JSON cell: what follows each number of a column
@@ -363,25 +360,33 @@ def json_columns(keys, values):
     1-d arrays keys, with the arrays values of that grid's shape: the keys
     then the values at each grid point, in C order, as
     ``json.dumps(..., indent=2)`` writes a list of them in a top-level
-    object, between its "[" and "]" and their indents.  Each column comes
-    as a list of strings, a block of grid rows each, to be joined once
-    into the document."""
-    columns = len(keys) + len(values)
+    object, between its "[" and "]" and their indents.  Gives one
+    iterator per column, to be read in order: it formats its column a
+    block of whole first-key rows at a time and yields each block's
+    bytes as soon as they are made, so no column is held whole.  Each
+    key is formatted once, and a later key's text of a full block, the
+    same in each, is made once and yielded again."""
+    texts, strides, blocks = _grid(keys, repr_cells)
+    values = [np.reshape(v, (keys[0].size, -1)) for v in values]
 
-    def layout(points, last):
-        buf = bytearray(columns * points * 40)
-        cell = np.frombuffer(buf, _WORD).reshape(columns, points, 5)
-        cell[..., 4] = _JSON_SEPARATOR
-        if last:  # no separator after a column's last number
-            cell[:, -1, 4] = 0
-        return buf, cell[..., :4].transpose(1, 0, 2)
+    def column(c):
+        buf = None
+        for rows in blocks:
+            last = rows is blocks[-1]
+            if buf is None or last:
+                points = (rows.stop - rows.start) * strides[0]
+                buf = bytearray(points * 40)
+                cell = np.frombuffer(buf, _WORD).reshape(points, 5)
+                cell[:, 4] = _JSON_SEPARATOR
+                if last:  # no separator after a column's last number
+                    cell[-1, 4] = 0
+                chunk = None
+            if chunk is None or not 0 < c < len(keys):  # else a later key's repeat
+                if c < len(keys):
+                    _key(texts, strides, c, rows, cell[:, :4])
+                else:
+                    repr_cells(values[c - len(keys)][rows], cell[:, :4])
+                chunk = buf.translate(None, b"\0")
+            yield chunk
 
-    parts = [[] for _ in range(columns)]
-    for buf, _, new in _blocks(keys, values, repr_cells, layout):
-        size = len(buf) // columns
-        for c, column in enumerate(parts):
-            if new or not 0 < c < len(keys):
-                column.append(buf[c * size:(c + 1) * size].translate(None, b"\0").decode("ascii"))
-            else:  # a later key: a full block repeats its text
-                column.append(column[-1])
-    return parts
+    return [column(c) for c in range(len(keys) + len(values))]

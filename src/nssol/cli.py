@@ -11,7 +11,8 @@ printed with 17 significant digits, exactly as ``'%.17g' % x``, so
 binary64 values round-trip.  JSON payloads are byte for byte
 ``json.dumps(doc, indent=2)``, every number its shortest round-trip
 ``repr``.  One array-wide writer (``_text``) formats every number of the
-CSV and JSON tables of profile, scale and field.
+CSV and JSON tables of profile, scale and field, and a command writes
+each block of its payload as soon as it is formatted.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
+from ._interp import BLOCK
 from ._text import csv_rows, json_columns
 from .errors import NonFiniteFieldError, NssolError, refuse
 from .fields import eval_grid
@@ -174,7 +176,7 @@ class RunConfig:
 
 
 def _json_doc(obj):
-    return json.dumps(obj, indent=2) + "\n"
+    return (json.dumps(obj, indent=2) + "\n").encode()
 
 
 def _table(header, keys, values, fmt, **extra):
@@ -184,8 +186,9 @@ def _table(header, keys, values, fmt, **extra):
     number as ``repr(x)``.  One array-wide writer formats every number of
     either format; each distinct key is formatted once and its text
     repeated over the grid, and only extra goes through json.dumps.  A
-    value that is not finite raises NonFiniteFieldError: no payload
-    carries inf or NaN."""
+    value that is not finite raises NonFiniteFieldError here, before any
+    text is made: no payload carries inf or NaN.  Returns an iterator
+    over the payload's bytes, a block at a time."""
     names = header[:len(keys)]
     at = ", ".join(f"{k}={{{k}!r}}" for k in names)
     for name, column in zip(header[len(keys):], values):
@@ -193,14 +196,26 @@ def _table(header, keys, values, fmt, **extra):
                f"{name} at ({at}) is not finite: {{value!r}}",
                value=column, **dict(zip(names, np.ix_(*keys))))
     if fmt == "json":
-        parts = ["{\n"]
-        for k, blocks in zip(header, json_columns(keys, values)):
-            parts += [f"  {json.dumps(k)}: [\n    ", *blocks, "\n  ],\n"]
-        parts += [f"  {json.dumps(k)}: " + json.dumps(v, indent=2).replace("\n", "\n  ")
-                  + ",\n" for k, v in extra.items()]
-        parts[-1] = parts[-1][:-2] + "\n}\n"
-        return "".join(parts)
-    return ",".join(header) + "\n" + csv_rows(keys, values)
+        return _json_table(header, keys, values, extra)
+    return _csv_table(header, keys, values)
+
+
+def _csv_table(header, keys, values):
+    yield (",".join(header) + "\n").encode()
+    yield from csv_rows(keys, values)
+
+
+def _json_table(header, keys, values, extra):
+    lead = "{"
+    for k, blocks in zip(header, json_columns(keys, values)):
+        yield f"{lead}\n  {json.dumps(k)}: [\n    ".encode()
+        yield from blocks
+        yield b"\n  ]"
+        lead = ","
+    for k, v in extra.items():
+        yield (f",\n  {json.dumps(k)}: "
+               + json.dumps(v, indent=2).replace("\n", "\n  ")).encode()
+    yield b"\n}\n"
 
 
 def _require_grid(config):
@@ -209,7 +224,7 @@ def _require_grid(config):
     return config.grid
 
 
-def cmd_describe(config, fmt):
+def cmd_describe(config, fmt, write):
     outcome = validate(config.params, config.family)
     doc = {
         "family": config.family.tag,
@@ -221,55 +236,61 @@ def cmd_describe(config, fmt):
         doc["s"] = derived_s(config.params)
         doc["theta_required"] = theta_required(config.params)
         doc.update(config.family.describe(config.params))
-    return _json_doc(doc), {"ok": outcome.ok, "violations": outcome.violations}
+    write([_json_doc(doc)])
+    return {"ok": outcome.ok, "violations": outcome.violations}
 
 
-def cmd_profile(config, fmt):
+def cmd_profile(config, fmt, write):
     grid = _require_grid(config)
     profile = build_shape(config.params, config.family)
     zs = np.linspace(0.0, grid["r_max"], grid["n_r"])
-    return (_table(("z", "y", "dy"), [zs], profile.evaluate(zs), fmt),
-            {"ok": True, "points": zs.size})
+    y, dy = np.empty_like(zs), np.empty_like(zs)
+    for i in range(0, zs.size, BLOCK):  # blocks bound the shape's temporaries
+        y[i:i + BLOCK], dy[i:i + BLOCK] = profile.evaluate(zs[i:i + BLOCK])
+    write(_table(("z", "y", "dy"), [zs], [y, dy], fmt))
+    return {"ok": True, "points": zs.size}
 
 
-def cmd_scale(config, fmt):
+def cmd_scale(config, fmt, write):
     grid = _require_grid(config)
     scaling = build_solution(config.params, config.family, t_end=grid["t_max"]).scaling
     status = {"status": scaling.status, "vanishing_time": scaling.vanishing_time}
     ts = np.linspace(grid["t_min"], min(grid["t_max"], scaling.t_end), grid["n_t"])
-    return (_table(("t", "a", "adot"), [ts], scaling.pair(ts), fmt, status=status),
-            {"ok": True, **status})
+    write(_table(("t", "a", "adot"), [ts], scaling.pair(ts), fmt, status=status))
+    return {"ok": True, **status}
 
 
-def cmd_field(config, fmt):
+def cmd_field(config, fmt, write):
     grid = _require_grid(config)
     solution = build_solution(config.params, config.family, t_end=grid["t_max"])
     ts = np.linspace(grid["t_min"], grid["t_max"], grid["n_t"])
     rs = np.linspace(grid["r_min"], grid["r_max"], grid["n_r"])
     rho, u = eval_grid(solution.profile, solution.scaling, config.params.N, ts, rs)
-    return (_table(("t", "r", "rho", "u"), [ts, rs], [rho, u], fmt),
-            {"ok": True, "points": rho.size})
+    write(_table(("t", "r", "rho", "u"), [ts, rs], [rho, u], fmt))
+    return {"ok": True, "points": rho.size}
 
 
-def cmd_verify(config, fmt):
+def cmd_verify(config, fmt, write):
     if config.verify is None:
         raise ConfigError("this command needs a 'verify' section in the config")
     report = verify_family(config.params, config.family,
                            config.verify["window"], config.verify["resolutions"],
                            lattice=config.verify["lattice"])
-    return (_json_doc(report.to_dict()),
-            {"ok": True, "mass_linf": report.finest.mass_linf,
-             "mom_linf": report.finest.mom_linf})
+    write([_json_doc(report.to_dict())])
+    return {"ok": True, "mass_linf": report.finest.mass_linf,
+            "mom_linf": report.finest.mom_linf}
 
 
-def cmd_blowup(config, fmt):
+def cmd_blowup(config, fmt, write):
     t_end = config.grid["t_max"] if config.grid is not None else 10.0
     doc = build_solution(config.params, config.family, t_end=t_end).scaling.blowup()
-    return _json_doc(doc), {"ok": True, **doc}
+    write([_json_doc(doc)])
+    return {"ok": True, **doc}
 
 
-#: subcommand -> command(config, fmt) giving its payload text and its
-#: summary record; main writes both, then any "violations" of the summary
+#: subcommand -> command(config, fmt, write), which passes write its
+#: payload, an iterable of bytes made a block at a time, and returns its
+#: summary record; main writes the summary, then any "violations" of it
 #: go to stderr and fail the run
 _COMMANDS = {
     "describe": cmd_describe,
@@ -279,6 +300,30 @@ _COMMANDS = {
     "verify": cmd_verify,
     "blowup": cmd_blowup,
 }
+
+
+class _Sink:
+    """Where a payload goes, each chunk as soon as it is made: the file at
+    path, opened "wb" at the first chunk, so a run refused before it
+    leaves no file and an existing one untouched; or, without a path,
+    stdout, each chunk decoded."""
+
+    def __init__(self, path):
+        self.path = path
+        self.file = None
+
+    def write(self, chunks):
+        for chunk in chunks:
+            if self.path is None:
+                sys.stdout.write(chunk.decode())
+                continue
+            if self.file is None:
+                self.file = open(self.path, "wb")
+            self.file.write(chunk)
+
+    def close(self):
+        if self.file is not None:
+            self.file.close()
 
 
 def _error_record(exc):
@@ -313,15 +358,14 @@ def main(argv=None):
         config = RunConfig.from_file(args.config)
         out_path = args.out if args.out is not None else config.output_path
         fmt = args.format if args.format is not None else config.output_format
-        text, summary = _COMMANDS[args.command](config, fmt)
+        sink = _Sink(out_path)
+        try:
+            summary = _COMMANDS[args.command](config, fmt, sink.write)
+        finally:
+            sink.close()
         violations = summary.pop("violations", ())
-        if out_path is None:
-            sys.stdout.write(text)
-        else:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            if not args.quiet:
-                print(json.dumps({**summary, "path": out_path}))
+        if out_path is not None and not args.quiet:
+            print(json.dumps({**summary, "path": out_path}))
         if not args.quiet:
             for line in violations:
                 print(f"violation: {line}", file=sys.stderr)

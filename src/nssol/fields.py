@@ -7,7 +7,7 @@ the momentum equation pins down the family-specific shape/scaling pair.
 
 import numpy as np
 
-from ._interp import unbox
+from ._interp import BLOCK, unbox
 from .errors import NonFiniteFieldError, NssolError
 
 
@@ -55,14 +55,20 @@ class SolutionField:
         except NssolError as exc:
             if exc.where is None:
                 raise
-            t_all, r_all = np.broadcast_arrays(t, r)
-            k = np.argmax(np.broadcast_to(exc.where, t_all.shape))
-            raise type(exc)(f"field evaluation failed at (t={float(t_all.flat[k])!r}, "
-                            f"r={float(r_all.flat[k])!r}): {exc}") from exc
+            raise _named(exc, t, r) from exc
         rho, u = shape / a_n, rate * r
         if type(rho) is float and type(u) is float:
             return rho, u
         return unbox(rho), unbox(u)
+
+
+def _named(exc, t, r):
+    """A copy of exc, whose where marks points of the broadcast of t and
+    r, naming the first of them, (t, r), in its message."""
+    t_all, r_all = np.broadcast_arrays(t, r)
+    k = np.argmax(np.broadcast_to(exc.where, t_all.shape))
+    return type(exc)(f"field evaluation failed at (t={float(t_all.flat[k])!r}, "
+                     f"r={float(r_all.flat[k])!r}): {exc}")
 
 
 def eval_grid(profile, scaling, N, t_values, r_values):
@@ -71,9 +77,14 @@ def eval_grid(profile, scaling, N, t_values, r_values):
     finite, rho >= 0.
 
     r_values must stay positive (the residual stencils divide by r).
-    The scaling is evaluated once on t_values and the shape once on the
-    (n_t, n_r) array of z; a failure at any point aborts the whole grid
-    with an offending (t, r) named.
+    The scaling is evaluated once on all of t_values first, so a time
+    out of its range is refused before any shape value, as on the whole
+    grid at once.  The field is then evaluated a block of whole time
+    rows, about BLOCK points, at a time, into the preallocated rho and
+    u, so the shape's temporaries stay the size of a block whatever the
+    grid's.  Every point has the bits of one whole-grid SolutionField
+    call.  A failure at any point aborts the whole grid with the first
+    offending (t, r) named.
     """
     t_values = np.asarray(t_values, dtype=float)
     r_values = np.asarray(r_values, dtype=float)
@@ -85,7 +96,22 @@ def eval_grid(profile, scaling, N, t_values, r_values):
     if r_values[0] <= 0.0:
         raise ValueError(f"r_min must be > 0, got {r_values[0]}")
 
-    rho, u = SolutionField(profile, scaling, N)(t_values[:, None], r_values)
+    t_rows = t_values[:, None]
+    try:
+        scaling.pair(t_rows)
+    except NssolError as exc:
+        if exc.where is None:
+            raise
+        raise _named(exc, t_rows, r_values) from exc
+    field = SolutionField(profile, scaling, N)
+    rho = np.empty((t_values.size, r_values.size))
+    u = np.empty_like(rho)
+    step = max(1, BLOCK // r_values.size)
+    # an overflow of rho or u is refused below, by name, once the last
+    # block has had its chance to refuse first; no block warns of it
+    with np.errstate(over="ignore"):
+        for i in range(0, t_values.size, step):
+            rho[i:i + step], u[i:i + step] = field(t_rows[i:i + step], r_values)
     if not np.all(np.isfinite(rho)) or not np.all(np.isfinite(u)):
         raise NonFiniteFieldError("grid contains non-finite field values")
     return rho, u

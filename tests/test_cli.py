@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 from nssol import (
     NonFiniteFieldError,
+    NssolError,
+    SolutionField,
     StepFailureError,
     build_solution,
     cli,
@@ -492,6 +495,11 @@ def _reference_json(header, rows, **extra):
     return json.dumps({**columns, **extra}, indent=2) + "\n"
 
 
+def _table(*args, **extra):
+    # a table's payload, joined from the blocks the writer yields
+    return b"".join(cli._table(*args, **extra)).decode()
+
+
 def _lines(text):
     # compared as lists, a failing payload reports its first wrong line
     # at once, where a diff of two long strings takes minutes
@@ -508,17 +516,17 @@ def test_table_writers_match_reference_bytes():
         header = ("t", "r", "rho", "u")
         rows = [(t, r, rho[i, j], u[i, j])
                 for i, t in enumerate(ts) for j, r in enumerate(rs)]
-        assert cli._table(header, [ts, rs], [rho, u], "csv") == _reference_csv(header, rows)
-        assert cli._table(header, [ts, rs], [rho, u], "json") == _reference_json(header, rows)
+        assert _table(header, [ts, rs], [rho, u], "csv") == _reference_csv(header, rows)
+        assert _table(header, [ts, rs], [rho, u], "json") == _reference_json(header, rows)
     # scale payload: one key column and the nested status object
     ts, a, adot = (np.array(AWKWARD[k::3]) for k in range(3))
     rows = list(zip(ts, a, adot))
     for status in ({"status": "completed", "vanishing_time": None},
                    {"status": "vanished", "vanishing_time": 0.33075163160000003}):
         header = ("t", "a", "adot")
-        assert (cli._table(header, [ts], [a, adot], "json", status=status)
+        assert (_table(header, [ts], [a, adot], "json", status=status)
                 == _reference_json(header, rows, status=status))
-        assert cli._table(header, [ts], [a, adot], "csv") == _reference_csv(header, rows)
+        assert _table(header, [ts], [a, adot], "csv") == _reference_csv(header, rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -540,7 +548,7 @@ def test_csv_numbers_are_printf_17g(xs):
     # every finite double, subnormals and signed zeros included, as the
     # key and as a value column of a scale table
     ts = np.array(xs)
-    text = cli._table(("t", "a", "adot"), [ts], [ts, -ts], "csv")
+    text = _table(("t", "a", "adot"), [ts], [ts, -ts], "csv")
     assert text == "t,a,adot\n" + "".join(f"{x:.17g},{x:.17g},{-x:.17g}\n" for x in xs)
 
 
@@ -574,7 +582,7 @@ def test_json_numbers_are_repr(xs):
     # that read back
     ts = np.array(xs)
     rows = list(zip(xs, xs, (-x for x in xs)))
-    assert (_lines(cli._table(("t", "a", "adot"), [ts], [ts, -ts], "json"))
+    assert (_lines(_table(("t", "a", "adot"), [ts], [ts, -ts], "json"))
             == _lines(_reference_json(("t", "a", "adot"), rows)))
 
 
@@ -601,7 +609,7 @@ def test_full_size_field_csv_matches_reference_bytes(model, family, times):
     rho, u = eval_grid(solution.profile, solution.scaling, config.params.N, ts, rs)
     header = ("t", "r", "rho", "u")
     rows = zip(np.repeat(ts, rs.size), np.tile(rs, ts.size), rho.ravel(), u.ravel())
-    assert (_lines(cli._table(header, [ts, rs], [rho, u], "csv"))
+    assert (_lines(_table(header, [ts, rs], [rho, u], "csv"))
             == _lines(_reference_csv(header, rows)))
 
 
@@ -614,7 +622,7 @@ def test_full_size_field_json_matches_reference_bytes(model, family, times):
     header = ("t", "r", "rho", "u")
     rows = zip(np.repeat(ts, rs.size).tolist(), np.tile(rs, ts.size).tolist(),
                rho.ravel().tolist(), u.ravel().tolist())
-    assert (_lines(cli._table(header, [ts, rs], [rho, u], "json"))
+    assert (_lines(_table(header, [ts, rs], [rho, u], "json"))
             == _lines(_reference_json(header, list(rows))))
 
 
@@ -625,7 +633,7 @@ def test_csv_rows_past_one_block_match_reference_bytes():
     ts = np.sort(rng.uniform(0.0, 3.0, 20001))
     a = np.exp(rng.uniform(-46.0, 46.0, ts.size)) * rng.choice([-1.0, 1.0], ts.size)
     header = ("t", "a", "adot")
-    assert (_lines(cli._table(header, [ts], [a, 1.0 / a], "csv"))
+    assert (_lines(_table(header, [ts], [a, 1.0 / a], "csv"))
             == _lines(_reference_csv(header, zip(ts, a, 1.0 / a))))
 
 
@@ -637,7 +645,7 @@ def test_json_columns_past_one_block_match_reference_bytes():
     a = np.exp(rng.uniform(-46.0, 46.0, ts.size)) * rng.choice([-1.0, 1.0], ts.size)
     header = ("t", "a", "adot")
     rows = list(zip(ts.tolist(), a.tolist(), (1.0 / a).tolist()))
-    assert (_lines(cli._table(header, [ts], [a, 1.0 / a], "json"))
+    assert (_lines(_table(header, [ts], [a, 1.0 / a], "json"))
             == _lines(_reference_json(header, rows)))
     # and a grid whose rows do not fill the last block
     ts, rs = ts[:61], np.sort(rng.uniform(0.1, 2.0, 301))
@@ -645,7 +653,7 @@ def test_json_columns_past_one_block_match_reference_bytes():
     header = ("t", "r", "rho", "u")
     rows = list(zip(np.repeat(ts, rs.size).tolist(), np.tile(rs, ts.size).tolist(),
                     rho.ravel().tolist(), (-rho).ravel().tolist()))
-    assert (_lines(cli._table(header, [ts, rs], [rho, -rho], "json"))
+    assert (_lines(_table(header, [ts, rs], [rho, -rho], "json"))
             == _lines(_reference_json(header, rows)))
 
 
@@ -784,3 +792,127 @@ def test_blowup_keys(tmp_path, capsys, cfg, keys, status):
             assert doc["vanishing_time"] is None and doc["searched_until"] == t_max
         else:
             assert doc["vanishing_time"] <= doc["searched_until"] < t_max
+
+
+def _grid_config(cfg, t_min, t_max, n_t, r_min, r_max, n_r):
+    cfg["grid"] = {"t_min": t_min, "t_max": t_max, "n_t": n_t,
+                   "r_min": r_min, "r_max": r_max, "n_r": n_r}
+    return cfg
+
+
+def _whole_grid_record(cfg):
+    # the error record of the field evaluated in one whole-grid call
+    config = RunConfig(cfg)
+    grid = config.grid
+    solution = build_solution(config.params, config.family, t_end=grid["t_max"])
+    ts = np.linspace(grid["t_min"], grid["t_max"], grid["n_t"])
+    rs = np.linspace(grid["r_min"], grid["r_max"], grid["n_r"])
+    with pytest.raises(NssolError) as exc:
+        SolutionField(solution.profile, solution.scaling, config.params.N)(ts[:, None], rs)
+    return {"error": type(exc.value).__name__, "message": str(exc.value)}
+
+
+def _non_finite_in_last_block(monkeypatch):
+    # a shape that gives inf instead of refusing, at the largest z only:
+    # the last point of a collapsing power-law field, in its second block
+    cfg = _grid_config(_blowup_config(), 0.05, 0.5, 40, 0.1, 1.0, 300)
+    config = RunConfig(cfg)
+    a_last = build_solution(config.params, config.family, t_end=0.5).scaling.pair(0.5)[0]
+    z_cut = 1.0 / a_last * (1.0 - 1e-9)
+    evaluate = profiles.ImplicitProfile.evaluate
+
+    def broken(self, z):
+        y, dy = evaluate(self, z)
+        return np.where(np.abs(z) >= z_cut, np.inf, y), dy
+
+    monkeypatch.setattr(profiles.ImplicitProfile, "evaluate", broken)
+    return "field", cfg, {"error": "NonFiniteFieldError",
+                          "message": "grid contains non-finite field values"}
+
+
+def _profile_overflow_far_out(monkeypatch):
+    # the rising power-law shape overflows from z ~ 2.5e103 on: in the
+    # second of three blocks of 20001 points
+    cfg = _grid_config(_blowup_config(), 0.05, 0.5, 3, 0.1, 4e103, 20001)
+    config = RunConfig(cfg)
+    zs = np.linspace(0.0, 4e103, 20001)
+    with pytest.raises(NssolError) as exc:
+        build_solution(config.params, config.family, t_end=0.5).profile.evaluate(zs)
+    return "profile", cfg, {"error": type(exc.value).__name__, "message": str(exc.value)}
+
+
+def _past_vanished(monkeypatch):
+    # the stated Gaussian collapses at t ~ 0.41, and its shape overflows
+    # (z > 26.6) from the first row on: the time is refused first
+    cfg = _grid_config(_isothermal_config(B=1.0, t_max=0.5), 0.1, 0.5, 40, 0.1, 30.0, 300)
+    return "field", cfg, _whole_grid_record(cfg)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+@pytest.mark.parametrize("refusal", [
+    _non_finite_in_last_block, _profile_overflow_far_out, _past_vanished,
+], ids=lambda refusal: refusal.__name__.lstrip("_"))
+def test_refused_run_writes_no_payload(tmp_path, capsys, monkeypatch, refusal, existing, fmt):
+    # every refusal comes before the first byte of the payload: an
+    # existing --out file is left as it was, and none is created
+    command, cfg, record = refusal(monkeypatch)
+    path = _write(tmp_path, cfg)
+    out = tmp_path / f"payload.{fmt}"
+    if existing:
+        out.write_bytes(b"an earlier payload\n")
+    assert main([command, "--config", path, "--format", fmt, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps(record) + "\n"
+    if existing:
+        assert out.read_bytes() == b"an earlier payload\n"
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("n_t, n_r", [(40, 300), (1, 9000), (3, 5)])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("family", [
+    _blowup_config()["family"], FIELD_EXPORTS[2][1],
+], ids=["power_law", "theta2"])
+def test_streamed_field_matches_reference_bytes(tmp_path, capsys, family, fmt, n_t, n_r):
+    # several blocks of rows cut unevenly, one row wider than a block, and
+    # less than a block: the file, stdout and the reference agree
+    model = FIELD_EXPORTS[1][0] if family["kind"] == "with_pressure_power_law" \
+        else FIELD_EXPORTS[2][0]
+    cfg = _grid_config({"model": model, "family": family}, 0.05, 0.5, n_t, 0.1, 2.0, n_r)
+    path = _write(tmp_path, cfg)
+    out = tmp_path / f"field.{fmt}"
+    assert main(["field", "--config", path, "--format", fmt, "--out", str(out), "--quiet"]) == 0
+    assert main(["field", "--config", path, "--format", fmt]) == 0
+    printed = capsys.readouterr().out
+    config = RunConfig(cfg)
+    solution = build_solution(config.params, config.family, t_end=0.5)
+    ts, rs = np.linspace(0.05, 0.5, n_t), np.linspace(0.1, 2.0, n_r)
+    rho, u = SolutionField(solution.profile, solution.scaling, config.params.N)(ts[:, None], rs)
+    rows = list(zip(np.repeat(ts, n_r).tolist(), np.tile(rs, n_t).tolist(),
+                    rho.ravel().tolist(), u.ravel().tolist()))
+    reference = (_reference_csv if fmt == "csv" else _reference_json)(("t", "r", "rho", "u"), rows)
+    assert _lines(out.read_bytes().decode()) == _lines(reference)
+    assert _lines(printed) == _lines(reference)
+    assert out.read_bytes() == printed.encode() == reference.encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_field_export_memory_stays_within_a_block_of_the_grid(tmp_path, fmt):
+    # a 512 x 512 power-law field: its rho and u take 4 MiB, and its
+    # payload about 20 MB, which a writer holding it whole (some three
+    # times, near 48 MiB) would show; numpy's buffers are counted
+    cfg = _grid_config(_blowup_config(), 0.05, 0.5, 512, 0.1, 2.0, 512)
+    path = _write(tmp_path, cfg)
+    out = tmp_path / f"field.{fmt}"
+    tracemalloc.start()
+    try:
+        assert main(["field", "--config", path, "--format", fmt, "--out", str(out),
+                     "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 15 * 2**20
+    assert peak < 16 * 2**20

@@ -10,6 +10,7 @@ from nssol import (
     ExpQuadratic,
     ModelParams,
     NonFiniteFieldError,
+    NssolError,
     PowerLawScaling,
     PowerRoot,
     PressurelessThetaNot1,
@@ -20,6 +21,7 @@ from nssol import (
 )
 from nssol.profiles import powerlaw_profile
 from nssol.scaling import integrate_pressureless
+from tests import cases
 
 
 def _static_scaling():
@@ -191,3 +193,49 @@ def test_field_at_infinite_radius_is_refused():
     field = build_solution(params, family, t_end=window.t_max).field()
     with pytest.raises(DomainError, match=r"\(t=0\.2, r=inf\)"):
         field(0.2, math.inf)
+
+
+#: grids of several blocks of time rows, cut unevenly (40 x 300), of one
+#: row wider than a block (1 x 9000), and smaller than a block
+BLOCK_SHAPES = [(40, 300), (1, 9000), (3, 5)]
+
+
+@pytest.mark.parametrize("n_t, n_r", BLOCK_SHAPES)
+@pytest.mark.parametrize("make", [
+    cases.isothermal_stated, cases.isothermal_gaussian, cases.polytropic_n1,
+    cases.powerlaw_blowup, cases.pressureless_theta1, cases.pressureless_theta2,
+], ids=lambda make: make.__name__)
+def test_grid_blocks_match_one_whole_grid_call(make, n_t, n_r):
+    # over the first half of each window in t (the stated Gaussian
+    # collapses at t ~ 0.41), every point has the bits of one call
+    params, family, window = make()
+    t_mid = 0.5 * (window.t_min + window.t_max)
+    solution = build_solution(params, family, t_end=t_mid)
+    ts = np.linspace(window.t_min, t_mid, n_t)
+    rs = np.linspace(window.r_min, window.r_max, n_r)
+    rho, u = eval_grid(solution.profile, solution.scaling, params.N, ts, rs)
+    whole_rho, whole_u = SolutionField(solution.profile, solution.scaling, params.N)(
+        ts[:, None], rs)
+    assert rho.tobytes() == whole_rho.tobytes()
+    assert u.tobytes() == whole_u.tobytes()
+
+
+@pytest.mark.parametrize("make, r_max", [
+    # past the collapse at t ~ 0.41, with a shape that overflows from the
+    # first row on (z > 26.6): the time is refused first
+    (cases.isothermal_stated, 30.0),
+    # a shape overflow (z ~ 2.5e103) in the second block of rows only,
+    # after a first block whose rho overflows unrefused
+    (cases.powerlaw_blowup, 2.0e103),
+], ids=["past_collapse", "overflow_in_a_later_block"])
+def test_grid_blocks_name_the_first_failure_of_one_whole_grid_call(make, r_max):
+    params, family, window = make()
+    solution = build_solution(params, family, t_end=window.t_max)
+    ts = np.linspace(window.t_min, window.t_max, 40)
+    rs = np.linspace(window.r_min, r_max, 300)
+    with pytest.raises(NssolError) as whole:
+        SolutionField(solution.profile, solution.scaling, params.N)(ts[:, None], rs)
+    with pytest.raises(NssolError) as blocks:
+        eval_grid(solution.profile, solution.scaling, params.N, ts, rs)
+    assert type(blocks.value) is type(whole.value)
+    assert str(blocks.value) == str(whole.value)
