@@ -3,8 +3,10 @@
 Subcommands: describe, profile, scale, field, verify, blowup.  All read
 a JSON configuration document (strict schema: unknown keys are rejected)
 and write CSV or JSON payloads.  Exit codes: 0 success, 2 configuration
-or validation failure, 3 runtime numeric failure; failures also emit a
-machine-readable JSON record on stderr.
+or validation failure, or an output that cannot be written (such as an
+``--out`` in a missing directory, or naming a directory), 3 runtime
+numeric failure; failures also emit a machine-readable JSON record on
+stderr.  A payload file that fails part way is removed.
 
 CSV payloads have a single header row, LF line endings, and numbers
 printed with 17 significant digits, exactly as ``'%.17g' % x``, so
@@ -16,7 +18,9 @@ each block of its payload as soon as it is formatted.
 """
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 
@@ -306,7 +310,9 @@ class _Sink:
     """Where a payload goes, each chunk as soon as it is made: the file at
     path, opened "wb" at the first chunk, so a run refused before it
     leaves no file and an existing one untouched; or, without a path,
-    stdout, each chunk decoded."""
+    stdout, each chunk decoded.  An OSError in writing or closing the
+    file removes the file, so no run leaves part of a payload, and then
+    propagates."""
 
     def __init__(self, path):
         self.path = path
@@ -317,13 +323,30 @@ class _Sink:
             if self.path is None:
                 sys.stdout.write(chunk.decode())
                 continue
-            if self.file is None:
-                self.file = open(self.path, "wb")
-            self.file.write(chunk)
+            try:
+                if self.file is None:
+                    self.file = open(self.path, "wb")
+                self.file.write(chunk)
+            except OSError:
+                self._remove()
+                raise
 
     def close(self):
         if self.file is not None:
-            self.file.close()
+            try:
+                self.file.close()
+            except OSError:
+                self._remove()
+                raise
+
+    def _remove(self):
+        """Close and delete the file this sink opened, if it did."""
+        if self.file is not None:
+            with contextlib.suppress(OSError):  # it is already failing
+                self.file.close()
+            with contextlib.suppress(OSError):
+                os.remove(self.path)
+            self.file = None
 
 
 def _error_record(exc):
@@ -371,7 +394,7 @@ def main(argv=None):
                 print(f"violation: {line}", file=sys.stderr)
         if violations:
             raise ConfigError("validation failed: " + "; ".join(violations))
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(_error_record(exc), file=sys.stderr)
         return 2
     except NssolError as exc:

@@ -20,6 +20,11 @@ a(t) falls to the vanishing threshold or exceeds a divergence cap.  A
 trajectory is served by the stepper's own quartic dense output: each
 accepted step is a node, and between nodes a(t) and a'(t) are that
 step's polynomials.
+
+The stepper's loop is tuned for the interpreter, never for the
+arithmetic: each step makes the same float operations as the stepper
+as first written (tests/oracles.py keeps it), on the same operands in
+the same order, so every trajectory keeps its bits.
 """
 
 import math
@@ -143,9 +148,9 @@ class NumericScaling(ScalingFn):
         self._coef[:, :, 1:-1] = coef
         self._nodes.flags.writeable = self._coef.flags.writeable = False
         ts, values = self._nodes[1:-1], self._coef[:, :, 1:-1]
-        if not np.all(np.diff(ts) > 0.0):
+        if not (ts[1:] > ts[:-1]).all():
             raise ValueError("trajectory times must be strictly increasing")
-        if not np.all(values[0, 0] > 0.0):
+        if not (values[0, 0] > 0.0).all():
             raise ValueError("trajectory a values must stay positive")
         # NaN is what hermite serves out of range: none may sit in range
         if not (np.isfinite(ts).all() and np.isfinite(values).all()):
@@ -225,13 +230,13 @@ def _ode(P, V, e):
     > 0, where the scaling has no meaning even when a**-e is a float (an
     integer e), and where a**-e overflows, g is NaN, which rejects the
     step that met it."""
-    P, V, e = float(P), float(V), float(e)
+    P, V, minus_e = float(P), float(V), -float(e)
 
     def g(a, v):
         if not a > 0.0:
             return math.nan
         try:
-            return (V * v - P * a) * a ** -e
+            return (V * v - P * a) * a ** minus_e
         except OverflowError:
             return math.nan
     return g
@@ -252,10 +257,19 @@ def _dopri45(g, a, v, t_end, eps_a, cap_a):
     with 0.2.  Stepping stops at t_end, after the first step that ends
     with a <= eps_a or a >= cap_a, or when the step falls below
     10 ulp(t) (STOP_UNDERFLOW: the caller decides whether that is a
-    vanishing).  Returns (rows, stop, rejected, (t, a, v)): one row
-    (t_old, t_new, a_old, the seven stage slopes of a, the first of them
-    v_old, then those of v) per accepted step, the STOP_* reason, the
-    count of rejected steps and the last accepted state.
+    vanishing).  Returns (rows, stop, rejected, (t, a, v)): an (n, 17)
+    array with one row (t_old, t_new, a_old, the seven stage slopes of
+    a, the first of them v_old, then those of v) per accepted step, the
+    STOP_* reason, the count of rejected steps and the last accepted
+    state.
+
+    Each step makes the float operations of the stepper as first written
+    (tests/oracles.py keeps it), on the same operands in the same order,
+    and calls g as often, with the same arguments, in the same order, so
+    every row is the same to the bit.  Only the interpreter's work around
+    them is less: names bound to locals, the RMS norm, max, min and abs
+    written out, |a| and |a'| carried from one step to the next, and the
+    rows gathered in one flat list.
     """
     f = g(a, v)
     sa, sv = ATOL + abs(a) * RTOL, ATOL + abs(v) * RTOL
@@ -269,26 +283,33 @@ def _dopri45(g, a, v, t_end, eps_a, cap_a):
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1, t_end)
 
+    # max(p, q) is q if q > p else p and min(p, q) is q if q < p else p,
+    # NaN included: the loop writes max, min, abs and _rms out as the
+    # comparisons and float operations they make
+    atol, rtol, a21, sqrt, ulp = ATOL, RTOL, _A2, math.sqrt, math.ulp
     a31, a32 = _A3
     a41, a42, a43 = _A4
     a51, a52, a53, a54 = _A5
     a61, a62, a63, a64, a65 = _A6
     b1, b3, b4, b5, b6 = _B
     e1, e3, e4, e5, e6, e7 = _E
-    rows = []
+    flat = []  # the rows' 17 values each, end to end
+    extend = flat.extend
     rejected = 0
     t = 0.0
+    abs_a, abs_v = abs(a), abs(v)
     while True:
-        min_step = 10 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
+        min_step = 10 * ulp(t)
+        if min_step > h_abs:
+            h_abs = min_step
         retry = False
-        while True:
-            if h_abs < min_step:
-                return rows, STOP_UNDERFLOW, rejected, (t, a, v)
-            t_new = min(t + h_abs, t_end)
+        while not h_abs < min_step:
+            t_new = t + h_abs
+            if t_end < t_new:
+                t_new = t_end
             h = t_new - t
-            v2 = v + f * _A2 * h
-            g2 = g(a + v * _A2 * h, v2)
+            v2 = v + f * a21 * h
+            g2 = g(a + v * a21 * h, v2)
             v3 = v + (f * a31 + g2 * a32) * h
             g3 = g(a + (v * a31 + v2 * a32) * h, v3)
             v4 = v + (f * a41 + g2 * a42 + g3 * a43) * h
@@ -300,27 +321,46 @@ def _dopri45(g, a, v, t_end, eps_a, cap_a):
             a_new = a + h * (v * b1 + v3 * b3 + v4 * b4 + v5 * b5 + v6 * b6)
             v_new = v + h * (f * b1 + g3 * b3 + g4 * b4 + g5 * b5 + g6 * b6)
             g7 = g(a_new, v_new)
-            err = _rms(
-                (v * e1 + v3 * e3 + v4 * e4 + v5 * e5 + v6 * e6 + v_new * e7) * h
-                / (ATOL + max(abs(a), abs(a_new)) * RTOL),
-                (f * e1 + g3 * e3 + g4 * e4 + g5 * e5 + g6 * e6 + g7 * e7) * h
-                / (ATOL + max(abs(v), abs(v_new)) * RTOL))
+            abs_a_new = a_new if a_new >= 0.0 else -a_new
+            abs_v_new = v_new if v_new >= 0.0 else -v_new
+            x = ((v * e1 + v3 * e3 + v4 * e4 + v5 * e5 + v6 * e6 + v_new * e7) * h
+                 / (atol + (abs_a_new if abs_a_new > abs_a else abs_a) * rtol))
+            y = ((f * e1 + g3 * e3 + g4 * e4 + g5 * e5 + g6 * e6 + g7 * e7) * h
+                 / (atol + (abs_v_new if abs_v_new > abs_v else abs_v) * rtol))
+            err = sqrt(x * x + y * y) / 2 ** 0.5
             if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
-                h_abs *= min(1.0, factor) if retry else factor
+                if err == 0.0:
+                    factor = 10.0
+                else:
+                    factor = 0.9 * err ** -0.2
+                    if not factor < 10.0:
+                        factor = 10.0
+                if retry and not factor < 1.0:
+                    factor = 1.0
+                h_abs *= factor
                 break
-            h_abs *= max(0.2, 0.9 * err ** -0.2)  # max() drops a NaN norm
+            factor = 0.9 * err ** -0.2
+            h_abs *= factor if factor > 0.2 else 0.2  # a NaN norm gives 0.2
             retry = True
             rejected += 1
-        rows.append((t, t_new, a, v, v2, v3, v4, v5, v6, v_new,
-                     f, g2, g3, g4, g5, g6, g7))
+        else:  # the step fell below min_step
+            stop = STOP_UNDERFLOW
+            break
+        extend((t, t_new, a, v, v2, v3, v4, v5, v6, v_new,
+                f, g2, g3, g4, g5, g6, g7))
         t, a, v, f = t_new, a_new, v_new, g7
+        abs_a, abs_v = abs_a_new, abs_v_new
         if a <= eps_a:
-            return rows, STOP_VANISH, rejected, (t, a, v)
+            stop = STOP_VANISH
+            break
         if a >= cap_a:
-            return rows, STOP_DIVERGE, rejected, (t, a, v)
+            stop = STOP_DIVERGE
+            break
         if t >= t_end:
-            return rows, STOP_COMPLETED, rejected, (t, a, v)
+            stop = STOP_COMPLETED
+            break
+    rows = np.fromiter(flat, float, len(flat)).reshape(-1, 17)
+    return rows, stop, rejected, (t, a, v)
 
 
 def _integrate(g, a0, a1, t_end, label):
@@ -358,16 +398,18 @@ def _integrate(g, a0, a1, t_end, label):
                 f"scaling integration ({label}) failed: Required step size"
                 " is less than spacing between numbers.",
                 t=t_last, state=(a_last, v_last))
-    t_olds, t_news, a_olds, *slopes = np.array(rows).T
+    cols = rows.T
+    t_olds, t_news = cols[:2]
     # coef[c, k, i]: the coefficient of s**k, s = t - t_olds[i], in a (c = 0)
     # or a' on step i, and in column -1 the end values; RK45's dense output
     # y_old + h*sum q[k]*x**(k+1), x = s/h, has c_{k+1} = q[k]/h**k
     n = len(rows)
     coef = np.zeros((2, 5, n + 1))
-    coef[:, 0, :n] = a_olds, slopes[0]
-    coef[:, 1:, :n] = (np.einsum("cjs,jk->cks", np.reshape(slopes, (2, 7, -1)), _P)
+    coef[:, 0, :n] = cols[2:4]
+    slopes = np.ascontiguousarray(cols[3:]).reshape(2, 7, n)
+    coef[:, 1:, :n] = (np.einsum("cjs,jk->cks", slopes, _P)
                        / (t_news - t_olds) ** np.arange(4.0)[:, None])
-    t_old = rows[-1][0]
+    t_old = float(t_olds[-1])
     last = coef[:, :, n - 1].tolist()  # the last step's quartics
 
     if stop in (STOP_VANISH, STOP_DIVERGE):

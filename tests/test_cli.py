@@ -1,5 +1,6 @@
 """Command-line interface: config schema, subcommands, exit codes, formats."""
 
+import errno
 import json
 import math
 import os
@@ -869,6 +870,64 @@ def test_refused_run_writes_no_payload(tmp_path, capsys, monkeypatch, refusal, e
         assert out.read_bytes() == b"an earlier payload\n"
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unwritable_out_exits_2(tmp_path, capsys, fmt):
+    # --out in a directory that does not exist, and --out naming a
+    # directory: a JSON record and exit 2, not a traceback
+    path = _write(tmp_path, _grid_config(_blowup_config(), 0.05, 0.5, 4, 0.1, 1.0, 5))
+    (tmp_path / "dir").mkdir()
+    for out, error in ((tmp_path / "missing" / "x.out", "FileNotFoundError"),
+                       (tmp_path / "dir", "IsADirectoryError")):
+        assert main(["field", "--config", path, "--format", fmt, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert sorted(record) == ["error", "message"]
+        assert record["error"] == error and repr(str(out)) in record["message"]
+    assert not (tmp_path / "missing").exists()
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("failing", ["second_write", "close"])
+def test_a_payload_that_fails_part_way_is_removed(tmp_path, capsys, monkeypatch, fmt,
+                                                   failing):
+    # the disk fills at the second chunk of a two-block field, or when
+    # the file's last buffer is flushed: no part of the payload is left
+    path = _write(tmp_path, _grid_config(_blowup_config(), 0.05, 0.5, 40, 0.1, 1.0, 300))
+    out = tmp_path / f"field.{fmt}"
+    written = []
+    real_open = open
+
+    class DiskFills:
+        def __init__(self, file):
+            self.file = file
+
+        def write(self, chunk):
+            if failing == "second_write" and written:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            written.append(chunk)
+            return self.file.write(chunk)
+
+        def close(self):
+            self.file.close()
+            if failing == "close":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def opener(file, mode="r", **kwargs):
+        opened = real_open(file, mode, **kwargs)
+        return DiskFills(opened) if mode == "wb" else opened
+
+    monkeypatch.setattr(cli, "open", opener, raising=False)
+    assert main(["field", "--config", path, "--format", fmt, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "OSError", "message": f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"}
+    assert written and not out.exists()
+    assert len(written) == 1 if failing == "second_write" else len(written) > 2
 
 
 @pytest.mark.parametrize("n_t, n_r", [(40, 300), (1, 9000), (3, 5)])

@@ -2,9 +2,12 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nssol import (
     DomainError,
@@ -26,7 +29,7 @@ from nssol.scaling import (
     integrate_polytropic,
     integrate_pressureless,
 )
-from tests import cases
+from tests import cases, oracles
 from tests.oracles import rk45_scaling, rk4_crossing_time, rk4_second_order
 
 
@@ -684,3 +687,110 @@ def test_step_size_underflow_off_a_collapse_raises_step_failure():
     assert 0.0 < a - 0.5 < 1e-8
     assert v == pytest.approx(-math.sqrt(2.0 / (a - 0.5) - 4.0), rel=1e-3)
     assert v == pytest.approx(-4.77e4, rel=1e-2)
+
+
+# --- the stepper against the stepper as first written -------------------------
+
+def _stepper_runs(*builds):
+    """The arguments of every _dopri45 call the builds make."""
+    runs = []
+    dopri45 = scaling._dopri45
+
+    def spy(*args):
+        runs.append(args)
+        return dopri45(*args)
+
+    with mock.patch.object(scaling, "_dopri45", spy):
+        for build in builds:
+            build()
+    return runs
+
+
+def _recorded(g, calls):
+    """g, appending each call's arguments and value to calls."""
+    def rhs(a, v):
+        x = g(a, v)
+        calls.append((a, v, x))
+        return x
+    return rhs
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _same_steps_as_first_written(g, *args):
+    """Run _dopri45 and tests.oracles.dopri45 on one problem and assert
+    that both give the same rows, stop, rejected count and last state,
+    and call g alike, bit for bit.  Returns (stop, rejected)."""
+    calls, ref_calls = [], []
+    rows, stop, rejected, last = scaling._dopri45(_recorded(g, calls), *args)
+    ref_rows, ref_stop, ref_rejected, ref_last = oracles.dopri45(
+        _recorded(g, ref_calls), *args)
+    assert rows.shape == (len(ref_rows), 17)
+    assert _bits(rows) == _bits(ref_rows)
+    assert (stop, rejected) == (ref_stop, ref_rejected)
+    assert _bits(last) == _bits(ref_last)
+    assert len(calls) == len(ref_calls) and _bits(calls) == _bits(ref_calls)
+    return stop, rejected
+
+
+def test_stepper_keeps_every_bit_of_the_stepper_as_first_written(monkeypatch):
+    def pole():
+        with pytest.raises(StepFailureError):
+            scaling._integrate(lambda a, v: -1.0 / (a - 0.5) ** 2, 1.0, 0.0, 2.0,
+                               "test")
+
+    runs = [(accel, a0, a1, t_end, EPS_A_FRAC * a0, scaling.CAP_A_FRAC * a0)
+            for _, accel, a0, a1, t_end in _integrated_scalings(monkeypatch)]
+    runs += _stepper_runs(
+        # the four stops of test_stats_count_the_steps_and_name_the_stop;
+        # lam = 0 is linear, so its error norm is exactly 0
+        lambda: integrate_isothermal(B=-1.0, K=1.0, kappa=1.0, N=3, a0=1.0,
+                                     a1=0.0, t_end=0.5),
+        lambda: integrate_isothermal(B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0,
+                                     a1=0.0, t_end=1.5),
+        lambda: integrate_pressureless(theta=1.0, lam=0.0, N=1, a0=1.0, a1=-1.0,
+                                       t_end=2.0),
+        lambda: integrate_pressureless(theta=0.1, lam=-1.0, N=3, a0=1.0, a1=1.0,
+                                       t_end=5.0),
+        # NaN stages: a negative trial a, a**-299 overflowing, a braking layer
+        lambda: integrate_polytropic(gamma=1.5, K=1e-9, kappa=1e-9, N=1, a0=1.0,
+                                     a1=-1.0, t_end=2.0),
+        lambda: integrate_pressureless(theta=100.0, lam=1e-200, N=3, a0=1.0,
+                                       a1=-3.0, t_end=0.5),
+        lambda: integrate_pressureless(theta=100.0, lam=1e-295, N=3, a0=1.0,
+                                       a1=-1.0, t_end=2.0),
+        pole)
+    assert len(runs) == 15
+    outcomes = [_same_steps_as_first_written(*args) for args in runs]
+    stops = {stop for stop, _ in outcomes}
+    assert stops == {scaling.STOP_COMPLETED, scaling.STOP_VANISH,
+                     scaling.STOP_DIVERGE, scaling.STOP_UNDERFLOW}
+    assert sum(rejected > 0 for _, rejected in outcomes) >= 3
+
+
+_FAMILY_ODES = st.one_of(
+    # isothermal, B of either sign
+    st.builds(lambda B, K, kappa, N: (2.0 * B * K, 2.0 * B * N * kappa, 2.0),
+              st.floats(-2.0, 2.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+              st.integers(1, 3)),
+    # polytropic; a collapse or an expansion by the sign of a1
+    st.builds(lambda gamma, K, kappa, N: (K * gamma, N * kappa * gamma,
+                                          N * gamma - N + 2.0),
+              st.floats(1.05, 3.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+              st.integers(1, 3)),
+    # pressureless at theta = 1 and off it
+    st.builds(lambda lam: (0.0, lam, 2.0), st.floats(-2.0, 2.0)),
+    st.builds(lambda theta, lam, N: (0.0, -lam, N * theta - N + 2.0),
+              st.floats(0.3, 3.0).filter(lambda x: x != 1.0), st.floats(-2.0, 2.0),
+              st.integers(1, 3)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ode=_FAMILY_ODES, a0=st.floats(0.5, 2.0), a1=st.floats(-1.5, 1.5),
+       t_end=st.floats(0.1, 2.0))
+def test_stepper_keeps_every_bit_on_random_instances(ode, a0, a1, t_end):
+    _same_steps_as_first_written(scaling._ode(*ode), a0, a1, t_end,
+                                 EPS_A_FRAC * a0, scaling.CAP_A_FRAC * a0)
