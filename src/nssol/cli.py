@@ -6,7 +6,8 @@ and write CSV or JSON payloads.  Exit codes: 0 success, 2 configuration
 or validation failure, or an output that cannot be written (such as an
 ``--out`` in a missing directory, or naming a directory), 3 runtime
 numeric failure; failures also emit a machine-readable JSON record on
-stderr.  A payload file that fails part way is removed.
+stderr.  A run that fails after it has begun to write a regular
+``--out`` file removes that file.
 
 CSV payloads have a single header row, LF line endings, and numbers
 printed with 17 significant digits, exactly as ``'%.17g' % x``, so
@@ -21,6 +22,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 from dataclasses import asdict, fields
 
@@ -310,42 +312,39 @@ class _Sink:
     """Where a payload goes, each chunk as soon as it is made: the file at
     path, opened "wb" at the first chunk, so a run refused before it
     leaves no file and an existing one untouched; or, without a path,
-    stdout, each chunk decoded.  An OSError in writing or closing the
-    file removes the file, so no run leaves part of a payload, and then
-    propagates."""
+    stdout, each chunk decoded.  A run that fails once the file is open
+    calls discard, which removes a regular file, since it holds part of
+    a payload, and leaves a device, a FIFO or a terminal in place."""
 
     def __init__(self, path):
         self.path = path
         self.file = None
+        self.regular = False
 
     def write(self, chunks):
         for chunk in chunks:
             if self.path is None:
                 sys.stdout.write(chunk.decode())
                 continue
-            try:
-                if self.file is None:
-                    self.file = open(self.path, "wb")
-                self.file.write(chunk)
-            except OSError:
-                self._remove()
-                raise
+            if self.file is None:
+                self.file = open(self.path, "wb")
+                self.regular = stat.S_ISREG(os.fstat(self.file.fileno()).st_mode)
+            self.file.write(chunk)
 
     def close(self):
         if self.file is not None:
-            try:
-                self.file.close()
-            except OSError:
-                self._remove()
-                raise
+            self.file.close()
+            self.file = None
 
-    def _remove(self):
-        """Close and delete the file this sink opened, if it did."""
+    def discard(self):
+        """Close the file this sink opened, if it did, and remove it if
+        it is a regular file."""
         if self.file is not None:
-            with contextlib.suppress(OSError):  # it is already failing
+            with contextlib.suppress(OSError):  # the run is already failing
                 self.file.close()
-            with contextlib.suppress(OSError):
-                os.remove(self.path)
+            if self.regular:
+                with contextlib.suppress(OSError):
+                    os.remove(self.path)
             self.file = None
 
 
@@ -384,8 +383,10 @@ def main(argv=None):
         sink = _Sink(out_path)
         try:
             summary = _COMMANDS[args.command](config, fmt, sink.write)
-        finally:
             sink.close()
+        except BaseException:
+            sink.discard()
+            raise
         violations = summary.pop("violations", ())
         if out_path is not None and not args.quiet:
             print(json.dumps({**summary, "path": out_path}))

@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -890,6 +891,39 @@ def test_unwritable_out_exits_2(tmp_path, capsys, fmt):
     assert list((tmp_path / "dir").iterdir()) == []
 
 
+def _failing_open(monkeypatch, fails, written):
+    """Patch cli.open so the file opened "wb" hands each chunk to
+    fails(written, chunk) before writing it, and calls fails(written,
+    None) after closing."""
+    real_open = open
+
+    class Failing:
+        def __init__(self, file):
+            self.file = file
+
+        def fileno(self):
+            return self.file.fileno()
+
+        def write(self, chunk):
+            fails(written, chunk)
+            written.append(chunk)
+            return self.file.write(chunk)
+
+        def close(self):
+            self.file.close()
+            fails(written, None)
+
+    def opener(file, mode="r", **kwargs):
+        opened = real_open(file, mode, **kwargs)
+        return Failing(opened) if mode == "wb" else opened
+
+    monkeypatch.setattr(cli, "open", opener, raising=False)
+
+
+def _disk_full():
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("failing", ["second_write", "close"])
 def test_a_payload_that_fails_part_way_is_removed(tmp_path, capsys, monkeypatch, fmt,
@@ -899,28 +933,12 @@ def test_a_payload_that_fails_part_way_is_removed(tmp_path, capsys, monkeypatch,
     path = _write(tmp_path, _grid_config(_blowup_config(), 0.05, 0.5, 40, 0.1, 1.0, 300))
     out = tmp_path / f"field.{fmt}"
     written = []
-    real_open = open
 
-    class DiskFills:
-        def __init__(self, file):
-            self.file = file
+    def fails(written, chunk):
+        if (chunk is None) == (failing == "close") and (chunk is None or written):
+            raise _disk_full()
 
-        def write(self, chunk):
-            if failing == "second_write" and written:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            written.append(chunk)
-            return self.file.write(chunk)
-
-        def close(self):
-            self.file.close()
-            if failing == "close":
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    def opener(file, mode="r", **kwargs):
-        opened = real_open(file, mode, **kwargs)
-        return DiskFills(opened) if mode == "wb" else opened
-
-    monkeypatch.setattr(cli, "open", opener, raising=False)
+    _failing_open(monkeypatch, fails, written)
     assert main(["field", "--config", path, "--format", fmt, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -928,6 +946,48 @@ def test_a_payload_that_fails_part_way_is_removed(tmp_path, capsys, monkeypatch,
         "error": "OSError", "message": f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"}
     assert written and not out.exists()
     assert len(written) == 1 if failing == "second_write" else len(written) > 2
+
+
+def test_a_payload_interrupted_part_way_is_removed(tmp_path, monkeypatch):
+    # any exception after the first chunk, not only an OSError, discards
+    # the part written, and propagates as it was
+    path = _write(tmp_path, _grid_config(_blowup_config(), 0.05, 0.5, 40, 0.1, 1.0, 300))
+    out = tmp_path / "field.csv"
+    written = []
+
+    def fails(written, chunk):
+        if chunk is not None and written:
+            raise KeyboardInterrupt
+
+    _failing_open(monkeypatch, fails, written)
+    with pytest.raises(KeyboardInterrupt):
+        main(["field", "--config", path, "--out", str(out)])
+    assert len(written) == 1 and not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_failing_out_that_is_not_a_regular_file_is_left_in_place(
+        tmp_path, capsys, monkeypatch):
+    # --out naming a FIFO whose reader goes away before the first chunk:
+    # the write fails with EPIPE, the run exits 2, and the FIFO, which
+    # this run did not create, is still there
+    path = _write(tmp_path, _grid_config(_blowup_config(), 0.05, 0.5, 40, 0.1, 1.0, 300))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    readers = [os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)]
+    written = []
+
+    def fails(written, chunk):
+        while readers:
+            os.close(readers.pop())
+
+    _failing_open(monkeypatch, fails, written)
+    try:
+        assert main(["field", "--config", path, "--out", str(fifo)]) == 2
+    finally:
+        fails(written, None)
+    assert json.loads(capsys.readouterr().err)["error"] == "BrokenPipeError"
+    assert written and stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 @pytest.mark.parametrize("n_t, n_r", [(40, 300), (1, 9000), (3, 5)])
