@@ -23,11 +23,9 @@ from .errors import (
 )
 from .fields import SolutionField, eval_grid
 from .model import (
-    Family,
     ModelParams,
     PressurelessTheta1,
     PressurelessThetaNot1,
-    ValidationOutcome,
     WithPressureIsothermal,
     WithPressurePolytropic,
     WithPressurePowerLaw,
@@ -35,16 +33,10 @@ from .model import (
     theta_required,
     validate,
 )
-from .profiles import ExpQuadratic, ImplicitProfile, PowerRoot, Profile
-from .residuals import (
-    ResidualReport,
-    ResolutionNorms,
-    Window,
-    verify_family,
-    verify_window,
-)
-from .scaling import PowerLawScaling, ScalingFn, vanishing_time
-from .solutions import Solution, build_solution
+from .profiles import Profile
+from .residuals import Window, verify_family, verify_window
+from .scaling import ScalingFn, vanishing_time
+from .solutions import build_solution
 
 __version__ = "0.1.0"
 
@@ -57,30 +49,21 @@ __all__ = [
     "StepFailureError",
     "SolutionField",
     "eval_grid",
-    "Family",
     "ModelParams",
     "PressurelessTheta1",
     "PressurelessThetaNot1",
-    "ValidationOutcome",
     "WithPressureIsothermal",
     "WithPressurePolytropic",
     "WithPressurePowerLaw",
     "derived_s",
     "theta_required",
     "validate",
-    "ExpQuadratic",
-    "ImplicitProfile",
-    "PowerRoot",
     "Profile",
-    "ResidualReport",
-    "ResolutionNorms",
     "Window",
     "verify_family",
     "verify_window",
-    "PowerLawScaling",
     "ScalingFn",
     "vanishing_time",
-    "Solution",
     "build_solution",
     "__version__",
 ]

@@ -1,6 +1,9 @@
-"""Text of float64 arrays, formatted on whole arrays at once: CSV with
-every number exactly as ``'%.17g' % x``, and JSON columns with every
-number exactly as ``repr(x)``, which is what ``json.dumps`` writes.
+"""Text of float64 arrays, formatted on whole arrays at once, and the
+whole payload of a table: a CSV table, its header row then every number
+exactly as ``'%.17g' % x``, and a JSON document, byte for byte what
+``json.dumps(doc, indent=2)`` writes, every number of its columns
+exactly as ``repr(x)``.  This module writes every byte of a table
+payload; the CLI only picks the format.
 
 A finite x with 1e-11 < |x| < 1e17, or a zero, is converted with integer
 arithmetic only (the correctly rounded binary-to-decimal conversion of
@@ -47,7 +50,8 @@ zeros), the first digit and a point after it; the other 16 digits; the
 exponent suffix of scientific notation, repr's ".0" of an integral
 value, or the last digit, moved up by a point after digit 2..16.
 Unused bytes are NUL.  A CSV cell puts its comma or newline in byte 31;
-a JSON cell has a fifth word for the separator of an indented list.  A
+a JSON cell has a fifth word for what follows it in an indented list,
+the next number's indent or the list's end.  A
 table is written a block of whole grid rows, about BLOCK points, at a
 time: a CSV block holds every column of its rows, a JSON block one
 column's, so the columns of a JSON document follow each other with none
@@ -61,6 +65,7 @@ float64 and drops bits.  Exponents, digit counts and table indices are
 intp.
 """
 
+import json
 import math
 
 import numpy as np
@@ -323,13 +328,14 @@ def _key(texts, strides, d, rows, out):
     np.take(texts[d], at // strides[d], axis=0, out=out, mode="wrap")
 
 
-def csv_rows(keys, values):
-    """CSV rows over the product grid of the 1-d arrays keys, with the
-    arrays values of that grid's shape: each row the keys then the
-    values of one grid point, in C order.  Yields the bytes of a block
-    of whole first-key rows at a time, as soon as it is formatted.  One
-    buffer serves the full blocks after the first, whose later keys it
-    keeps, and the last block has its own."""
+def csv_table(header, keys, values):
+    """A CSV table over the product grid of the 1-d arrays keys, with the
+    arrays values of that grid's shape: the header row, then one row per
+    grid point, in C order, its keys then its values.  Yields the header,
+    then the bytes of a block of whole first-key rows at a time, as soon
+    as it is formatted.  One buffer serves the full blocks after the
+    first, whose later keys it keeps, and the last block has its own."""
+    yield (",".join(header) + "\n").encode()
     texts, strides, blocks = _grid(keys, cells)
     columns = len(keys) + len(values)
     ends = np.full(columns, _U(ord(",")) << _56)
@@ -350,26 +356,27 @@ def csv_rows(keys, values):
         yield buf.translate(None, b"\0")
 
 
-#: the fifth word of a JSON cell: what follows each number of a column
-#: at indent 2
-_JSON_SEPARATOR = np.frombuffer(b",\n    \0\0", _WORD)[0]
+#: the fifth word of a JSON cell: what follows a number of a column at
+#: indent 2, the next number's indent or, after the last, the list's end
+_JSON_SEPARATOR, _JSON_END = np.frombuffer(b",\n    \0\0\n  ]\0\0\0\0", _WORD)
 
 
-def json_columns(keys, values):
-    """The numbers of each column of a table over the product grid of the
-    1-d arrays keys, with the arrays values of that grid's shape: the keys
-    then the values at each grid point, in C order, as
-    ``json.dumps(..., indent=2)`` writes a list of them in a top-level
-    object, between its "[" and "]" and their indents.  Gives one
-    iterator per column, to be read in order: it formats its column a
-    block of whole first-key rows at a time and yields each block's
-    bytes as soon as they are made, so no column is held whole.  Each
-    key is formatted once, and a later key's text of a full block, the
-    same in each, is made once and yielded again."""
+def json_table(header, keys, values, extra):
+    """The document ``json.dumps(doc, indent=2) + "\\n"`` of doc, an
+    object whose members are the columns of a table over the product
+    grid of the 1-d arrays keys, with the arrays values of that grid's
+    shape, each named by header (the keys then the values at each grid
+    point, in C order), then the members of the dict extra.  Yields a
+    column's key line, then the bytes of a block of its whole first-key
+    rows at a time, as soon as they are made, so no column is held
+    whole.  Each key is formatted once, and a later key's text of a full
+    block, the same in each, is made once and yielded again."""
     texts, strides, blocks = _grid(keys, repr_cells)
     values = [np.reshape(v, (keys[0].size, -1)) for v in values]
-
-    def column(c):
+    lead = "{"
+    for c, name in enumerate(header):
+        yield f"{lead}\n  {json.dumps(name)}: [\n    ".encode()
+        lead = ","
         buf = None
         for rows in blocks:
             last = rows is blocks[-1]
@@ -378,8 +385,8 @@ def json_columns(keys, values):
                 buf = bytearray(points * 40)
                 cell = np.frombuffer(buf, _WORD).reshape(points, 5)
                 cell[:, 4] = _JSON_SEPARATOR
-                if last:  # no separator after a column's last number
-                    cell[-1, 4] = 0
+                if last:
+                    cell[-1, 4] = _JSON_END
                 chunk = None
             if chunk is None or not 0 < c < len(keys):  # else a later key's repeat
                 if c < len(keys):
@@ -388,5 +395,5 @@ def json_columns(keys, values):
                     repr_cells(values[c - len(keys)][rows], cell[:, :4])
                 chunk = buf.translate(None, b"\0")
             yield chunk
-
-    return [column(c) for c in range(len(keys) + len(values))]
+    # extra's members as json.dumps writes them at indent 2, its braces cut
+    yield ("," + json.dumps(extra, indent=2)[1:-2] if extra else "").encode() + b"\n}\n"

@@ -13,9 +13,10 @@ CSV payloads have a single header row, LF line endings, and numbers
 printed with 17 significant digits, exactly as ``'%.17g' % x``, so
 binary64 values round-trip.  JSON payloads are byte for byte
 ``json.dumps(doc, indent=2)``, every number its shortest round-trip
-``repr``.  One array-wide writer (``_text``) formats every number of the
-CSV and JSON tables of profile, scale and field, and a command writes
-each block of its payload as soon as it is formatted.
+``repr``.  ``_text`` writes every byte of the CSV and JSON tables of
+profile, scale and field, and a command writes each block of its
+payload as soon as it is formatted; the other payloads are small
+documents, which ``_json_doc`` writes.
 """
 
 import argparse
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from ._interp import BLOCK
-from ._text import csv_rows, json_columns
+from ._text import csv_table, json_table
 from .errors import NonFiniteFieldError, NssolError, refuse
 from .fields import eval_grid
 from .model import FAMILY_TAGS, ModelParams, derived_s, finite, theta_required, validate
@@ -187,14 +188,10 @@ def _json_doc(obj):
 
 def _table(header, keys, values, fmt, **extra):
     """Table over the product grid of the 1-d arrays keys, values having
-    that grid's shape: CSV, each number as ``'%.17g' % x``, or JSON
-    columns then extra, byte for byte json.dumps(..., indent=2), each
-    number as ``repr(x)``.  One array-wide writer formats every number of
-    either format; each distinct key is formatted once and its text
-    repeated over the grid, and only extra goes through json.dumps.  A
-    value that is not finite raises NonFiniteFieldError here, before any
-    text is made: no payload carries inf or NaN.  Returns an iterator
-    over the payload's bytes, a block at a time."""
+    that grid's shape: CSV, or JSON columns then extra, as ``_text``
+    writes them.  A value that is not finite raises NonFiniteFieldError
+    here, before any text is made: no payload carries inf or NaN.
+    Returns an iterator over the payload's bytes, a block at a time."""
     names = header[:len(keys)]
     at = ", ".join(f"{k}={{{k}!r}}" for k in names)
     for name, column in zip(header[len(keys):], values):
@@ -202,26 +199,8 @@ def _table(header, keys, values, fmt, **extra):
                f"{name} at ({at}) is not finite: {{value!r}}",
                value=column, **dict(zip(names, np.ix_(*keys))))
     if fmt == "json":
-        return _json_table(header, keys, values, extra)
-    return _csv_table(header, keys, values)
-
-
-def _csv_table(header, keys, values):
-    yield (",".join(header) + "\n").encode()
-    yield from csv_rows(keys, values)
-
-
-def _json_table(header, keys, values, extra):
-    lead = "{"
-    for k, blocks in zip(header, json_columns(keys, values)):
-        yield f"{lead}\n  {json.dumps(k)}: [\n    ".encode()
-        yield from blocks
-        yield b"\n  ]"
-        lead = ","
-    for k, v in extra.items():
-        yield (f",\n  {json.dumps(k)}: "
-               + json.dumps(v, indent=2).replace("\n", "\n  ")).encode()
-    yield b"\n}\n"
+        return json_table(header, keys, values, extra)
+    return csv_table(header, keys, values)
 
 
 def _require_grid(config):

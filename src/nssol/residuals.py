@@ -148,8 +148,9 @@ def _sample(field, points):
 def _residuals(field, params, t, r, centre, h_t, h_r):
     """Mass and momentum residuals on the centered 5-point cross around
     each (t, r), given centre, the field there, and the mask of stencils
-    touching vacuum (some rho <= 0), where momentum is classically
-    undefined and set to 0.  NaN is never vacuum
+    touching vacuum (some rho == 0), where momentum is classically
+    undefined and set to 0.  A negative rho on a stencil raises
+    DomainError.  NaN is never vacuum
     (np.minimum propagates it, and a non-finite u_t keeps the stencil):
     a non-finite residual raises NonFiniteFieldError.
     """
@@ -164,8 +165,10 @@ def _residuals(field, params, t, r, centre, h_t, h_r):
     u_r = (u_rp - u_rm) / (2.0 * h_r)
     u_rr = (u_rp - 2.0 * u + u_rm) / (h_r * h_r)
     mass = rho_t + u * rho_r + rho * u_r + (N - 1) / r * rho * u
-    vacuum = ((np.minimum.reduce([rho, rho_rp, rho_rm, rho_tp, rho_tm]) <= 0.0)
-              & np.isfinite(u_t))
+    lo = np.minimum.reduce([rho, rho_rp, rho_rm, rho_tp, rho_tm])
+    refuse(DomainError, lo < 0.0, "negative density {value!r} on the stencil "
+           "at (t={t!r}, r={r!r})", t=t, r=r, value=lo)
+    vacuum = (lo == 0.0) & np.isfinite(u_t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pressure_r = (np.power(rho_rp, gamma) - np.power(rho_rm, gamma)) / (2.0 * h_r)
         viscosity_r = (kappa * (np.power(rho_rp, theta) - np.power(rho_rm, theta))
@@ -255,8 +258,9 @@ def verify_window(field_fn, params, window, resolutions,
     integer >= 2, or a step that is not finite and > 0, raises ValueError
     before any sample; a stencil with r - h_r <= 0, or one that leaves
     the field's domain, raises StencilOutOfDomainError.  A mass or
-    momentum residual that is not finite raises NonFiniteFieldError;
-    only stencils that touch vacuum (rho <= 0) are skipped, and counted.
+    momentum residual that is not finite raises NonFiniteFieldError, and
+    a stencil with a negative rho raises DomainError: only stencils that
+    touch vacuum (rho == 0) are skipped, and counted.
     """
     lattice = _lattice(lattice)
     resolutions = _steps(resolutions)

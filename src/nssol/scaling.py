@@ -15,8 +15,8 @@ with a pressure coefficient P and a viscous one V per family:
 
 as the first order system (a, a').  Integration is forward from t = 0
 with the package's own Dormand-Prince 5(4) stepper, scipy's RK45 redone
-on Python floats (rtol 1e-10, atol 1e-12), with early termination when
-a(t) falls to the vanishing threshold or exceeds a divergence cap.  A
+on Python floats (rtol 1e-10, atol 1e-12), ending early where a(t)
+exceeds a divergence cap or vanishes, in one of two ways (_integrate).  A
 trajectory is served by the stepper's own quartic dense output: each
 accepted step is a node, and between nodes a(t) and a'(t) are that
 step's polynomials.
@@ -367,11 +367,15 @@ def _integrate(g, a0, a1, t_end, label):
     """Integrate a'' = g(a, a') from (a0, a1) over [0, t_end], g a float
     function that gives NaN where it is undefined (see _ode).
 
-    Returns a NumericScaling.  Terminates early with status "vanished"
-    when a <= EPS_A_FRAC*a0 or "diverged" when a >= CAP_A_FRAC*a0; the
-    crossing that ends the trajectory is the float nearest to it on the
-    last step's dense output, and on a vanishing it is the vanishing
-    time, so vanishing_time == t_end.
+    Returns a NumericScaling.  Terminates early with status "diverged"
+    when a >= CAP_A_FRAC*a0 or "vanished" when a <= EPS_A_FRAC*a0, at
+    the float nearest the crossing on the last step's dense output, as
+    a gentle collapse ends (a = 1 - t, or e = N*theta - N + 2 well
+    below 2).  At e >= 2, a falls like (t* - t)**(1/e) and nears
+    EPS_A_FRAC*a0 only closer to t* than the float spacing of t: the
+    step size underflows first, and the trajectory vanishes at its last
+    accepted step when a/|a'| < 1e-10.  Either end of a collapse is its
+    vanishing time, so vanishing_time == t_end.
     """
     if not (0.0 < a0 < np.inf and 0.0 < t_end < np.inf):
         raise ValueError(f"a0 and t_end must be finite and > 0, got {a0}, {t_end}")

@@ -251,16 +251,18 @@ def test_criterion_8_oracle_equivalence():
         a0 = rng.uniform(0.7, 1.5)
         a1 = rng.uniform(-0.3, 0.8)
         t_end = round(rng.uniform(0.15, 0.3), 6)
+        # each accel binds its constants once, as Python floats, to the
+        # bits its expression, associated left to right, gives inline
         if kind == "isothermal":
             B = rng.uniform(0.2, 1.2) * rng.choice((-1.0, 1.0))
             fn = integrate_isothermal(B, K, kappa, N, a0, a1, t_end)
-            accel = lambda a, ad, B=B, K=K, kappa=kappa, N=N: (
-                -2.0 * B * K / a + 2.0 * B * N * kappa * ad / a ** 2)
+            c, d = float(-2.0 * B * K), float(2.0 * B * N * kappa)
+            accel = lambda a, ad, c=c, d=d: c / a + d * ad / a ** 2
         elif kind == "polytropic":
             gamma = rng.uniform(1.2, 2.5)
             fn = integrate_polytropic(gamma, K, kappa, N, a0, a1, t_end)
-            accel = lambda a, ad, g=gamma, K=K, kp=kappa, N=N: (
-                -K * g * a ** (N - g * N - 1) + N * kp * g * ad * a ** (N - g * N - 2))
+            c, p, d, q = -K * gamma, N - gamma * N - 1, N * kappa * gamma, N - gamma * N - 2
+            accel = lambda a, ad, c=c, p=p, d=d, q=q: c * a ** p + d * ad * a ** q
         else:
             theta = rng.uniform(0.4, 2.5)
             lam = rng.uniform(0.2, 1.2) * rng.choice((-1.0, 1.0))
@@ -268,8 +270,7 @@ def test_criterion_8_oracle_equivalence():
             if theta == 1.0:
                 accel = lambda a, ad, lam=lam: lam * ad / a ** 2
             else:
-                accel = lambda a, ad, lam=lam, e=N * theta - N + 2.0: (
-                    -lam * ad / a ** e)
+                accel = lambda a, ad, c=float(-lam), e=N * theta - N + 2.0: c * ad / a ** e
         if fn.status != "completed":
             continue  # trajectory ended early; draw another case
         a_adaptive = fn.pair(t_end)[0]

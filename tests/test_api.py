@@ -25,18 +25,32 @@ def test_all_names_resolve():
     assert [name for name in nssol.__all__ if not hasattr(nssol, name)] == []
 
 
+#: types nssol returns and objects its families build, which callers
+#: import from their modules, not from the package
+MODULE_ONLY = {
+    "model": ("Family", "ValidationOutcome"),
+    "solutions": ("Solution",),
+    "residuals": ("ResidualReport", "ResolutionNorms"),
+    "profiles": ("ExpQuadratic", "PowerRoot", "ImplicitProfile"),
+    "scaling": ("PowerLawScaling",),
+}
+
+
 def test_public_surface_is_pinned():
     assert sorted(nssol.__all__) == [
-        "DomainError", "ExpQuadratic", "Family", "ImplicitProfile",
-        "ModelParams", "NonFiniteFieldError", "NssolError", "OutOfRangeError",
-        "PowerLawScaling", "PowerRoot", "PressurelessTheta1", "PressurelessThetaNot1",
-        "Profile", "ResidualReport", "ResolutionNorms", "ScalingFn", "Solution",
-        "SolutionField", "StencilOutOfDomainError", "StepFailureError",
-        "ValidationOutcome", "Window", "WithPressureIsothermal",
+        "DomainError", "ModelParams", "NonFiniteFieldError", "NssolError",
+        "OutOfRangeError", "PressurelessTheta1", "PressurelessThetaNot1",
+        "Profile", "ScalingFn", "SolutionField", "StencilOutOfDomainError",
+        "StepFailureError", "Window", "WithPressureIsothermal",
         "WithPressurePolytropic", "WithPressurePowerLaw", "__version__",
         "build_solution", "derived_s", "eval_grid", "theta_required", "validate",
         "vanishing_time", "verify_family", "verify_window",
     ]
+    for module, names in MODULE_ONLY.items():
+        for name in names:
+            assert isinstance(getattr(importlib.import_module(f"nssol.{module}"), name),
+                              type), name
+            assert not hasattr(nssol, name), name
 
 
 @pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)

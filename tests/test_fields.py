@@ -7,20 +7,17 @@ import pytest
 
 from nssol import (
     DomainError,
-    ExpQuadratic,
     ModelParams,
     NonFiniteFieldError,
     NssolError,
-    PowerLawScaling,
-    PowerRoot,
     PressurelessThetaNot1,
     SolutionField,
     build_solution,
     eval_grid,
     vanishing_time,
 )
-from nssol.profiles import powerlaw_profile
-from nssol.scaling import integrate_pressureless
+from nssol.profiles import ExpQuadratic, PowerRoot, powerlaw_profile
+from nssol.scaling import PowerLawScaling, integrate_pressureless
 from tests import cases
 
 

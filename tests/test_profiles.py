@@ -10,19 +10,16 @@ from hypothesis import strategies as st
 
 from nssol import (
     DomainError,
-    ExpQuadratic,
-    ImplicitProfile,
     ModelParams,
     NssolError,
     OutOfRangeError,
-    PowerLawScaling,
-    PowerRoot,
     derived_s,
     theta_required,
 )
 from nssol import profiles
-from nssol.profiles import powerlaw_profile
+from nssol.profiles import ExpQuadratic, ImplicitProfile, PowerRoot, powerlaw_profile
 from nssol.scaling import (
+    PowerLawScaling,
     integrate_isothermal,
     integrate_polytropic,
     integrate_pressureless,
@@ -434,6 +431,7 @@ def _shape(cls, *constants):
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+_moderate = st.floats(-4.0, 4.0)
 _closed_form_shapes = st.one_of(
     st.builds(_shape, st.just(ExpQuadratic), _finite, _finite, _finite),
     st.builds(_shape, st.just(PowerRoot), _finite, _finite, _finite))
@@ -449,6 +447,33 @@ def test_closed_form_shapes_are_finite_or_refuse(shape, z):
     except DomainError:
         return
     assert math.isfinite(y) and y >= 0.0 and math.isfinite(dy), (y, dy)
+
+
+def _implicit(p, k, r, theta, gap, alpha):
+    # v = k*p*alpha**gap: the shape falls from alpha where k > 1
+    return _shape(ImplicitProfile, p, k * p * alpha ** gap, r, theta + gap, theta, alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.one_of(
+    st.builds(_shape, st.just(ExpQuadratic), st.floats(0.0, 1e3), _moderate, _moderate),
+    st.builds(_shape, st.just(PowerRoot), _moderate, _moderate, st.floats(1e-3, 1e3)),
+    st.builds(_implicit, st.floats(0.1, 4.0), st.floats(-2.0, 4.0), st.floats(0.0, 4.0),
+              st.floats(0.5, 3.0), st.floats(0.05, 2.0), st.floats(0.1, 4.0))),
+    past=st.floats(1.0, 4.0))
+def test_no_shape_returns_a_negative_density(shape, past):
+    # the premise under which the verifier refuses a negative density:
+    # from z = 0 to past its vacuum edge, if it has one, and at the edge
+    # itself, a shape's y is finite and >= 0, batched or one z at a time,
+    # or the call refuses with an NssolError
+    edge = shape.z_vacuum or 1.0
+    zs = np.append(np.linspace(0.0, past * edge, 17), edge)
+    for z in [zs, *zs.tolist()]:
+        try:
+            y, _ = shape.evaluate(z)
+        except NssolError:
+            continue
+        assert np.all(np.isfinite(y) & (y >= 0.0)), (shape, z, y)
 
 
 def _assert_float_parity(shape, z):
@@ -467,9 +492,6 @@ def _assert_float_parity(shape, z):
         values = shape.evaluate(scalar)
         assert all(type(v) is float for v in values), (shape, z)
         assert [v.hex() for v in values] == [float(c[0]).hex() for c in batch], (shape, z)
-
-
-_moderate = st.floats(-4.0, 4.0)
 
 
 @settings(max_examples=300, deadline=None)

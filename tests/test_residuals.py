@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from nssol import (
+    DomainError,
     ModelParams,
     NonFiniteFieldError,
-    PowerRoot,
     Profile,
     SolutionField,
     StencilOutOfDomainError,
@@ -21,6 +21,7 @@ from nssol import (
 )
 from nssol import _interp, profiles, residuals
 from nssol.errors import refuse
+from nssol.profiles import PowerRoot
 from nssol.residuals import Window
 from tests.cases import (
     RESOLUTIONS,
@@ -149,6 +150,23 @@ def test_zero_field_window():
     assert entry.mass_linf == 0.0
     assert entry.mom_linf == 0.0
     assert entry.skipped_momentum == 81  # whole lattice skipped
+
+
+@pytest.mark.parametrize("outer, r_at", [(1.0, r"1\.05"), (0.0, r"0\.1")],
+                         ids=["outer_half", "everywhere"])
+def test_negative_density_is_refused_not_vacuum(outer, r_at):
+    # the Gaussian's exact field with rho negated for r > outer has no
+    # vacuum: it is refused, naming where, not certified with its positive
+    # part's norms (nor, negated everywhere, with a momentum norm of 0)
+    params, family, window = isothermal_gaussian()
+    field = build_solution(params, family, t_end=0.6).field()
+
+    def negated(t, r):
+        rho, u = field(t, r)
+        return (-rho if r > outer else rho), u
+    with pytest.raises(DomainError, match=rf"negative density -\S+ on the stencil "
+                                          rf"at \(t=0\.1, r={r_at}\)"):
+        verify_window(negated, params, window, RESOLUTIONS)
 
 
 def test_exact_families_converge_at_order_two():

@@ -13,7 +13,6 @@ from nssol import (
     DomainError,
     ModelParams,
     OutOfRangeError,
-    PowerLawScaling,
     PressurelessThetaNot1,
     StepFailureError,
     build_solution,
@@ -25,6 +24,7 @@ from nssol.scaling import (
     EPS_A_FRAC,
     STATUS_VANISHED,
     NumericScaling,
+    PowerLawScaling,
     integrate_isothermal,
     integrate_polytropic,
     integrate_pressureless,

@@ -3,10 +3,7 @@
 import pytest
 
 from nssol import (
-    ExpQuadratic,
-    ImplicitProfile,
     ModelParams,
-    PowerRoot,
     PressurelessTheta1,
     PressurelessThetaNot1,
     WithPressureIsothermal,
@@ -14,6 +11,7 @@ from nssol import (
     WithPressurePowerLaw,
     build_solution,
 )
+from nssol.profiles import ExpQuadratic, ImplicitProfile, PowerRoot
 from nssol.scaling import NumericScaling, PowerLawScaling
 
 
