@@ -16,10 +16,9 @@ with a pressure coefficient P and a viscous one V per family:
 as the first order system (a, a').  Integration is forward from t = 0
 with the package's own Dormand-Prince 5(4) stepper, scipy's RK45 redone
 on Python floats (rtol 1e-10, atol 1e-12), ending early where a(t)
-exceeds a divergence cap or vanishes, in one of two ways (_integrate).  A
-trajectory is served by the stepper's own quartic dense output: each
-accepted step is a node, and between nodes a(t) and a'(t) are that
-step's polynomials.
+exceeds a divergence cap or vanishes (_integrate).  A trajectory is
+served by the stepper's own quartic dense output: each accepted step is
+a node, and between nodes a(t) and a'(t) are that step's polynomials.
 
 The stepper's loop is tuned for the interpreter, never for the
 arithmetic: each step makes the same float operations as the stepper
@@ -34,11 +33,11 @@ import numpy as np
 from ._interp import hermite, horner, unbox
 from .errors import DomainError, StepFailureError, refuse
 
-#: a(t) <= EPS_A_FRAC * a0 terminates integration with status "vanished"
-EPS_A_FRAC = 1e-8
-
 #: a(t) >= CAP_A_FRAC * a0 terminates integration with status "diverged"
 CAP_A_FRAC = 1e12
+
+#: a step floor is a vanishing when a/|a'| < VANISH_ULPS * ulp(t) there
+VANISH_ULPS = 1e5
 
 RTOL = 1e-10
 ATOL = 1e-12
@@ -171,8 +170,9 @@ class NumericScaling(ScalingFn):
 
     @property
     def vanishing_time(self):
-        """t_end when the trajectory vanished: its last node is the
-        crossing or where the step size underflowed."""
+        """t_end when the trajectory vanished: its last node is where
+        the step size fell below 10 ulp(t), VANISH_ULPS ulp(t) or less
+        short of a = 0."""
         return self.t_end if self.status == STATUS_VANISHED else None
 
     def blowup(self):
@@ -216,12 +216,11 @@ _P = np.array([
 
 #: why an integration stopped, NumericScaling.stats["stop"]
 STOP_COMPLETED = "completed"
-STOP_VANISH = "vanish_event"
 STOP_DIVERGE = "diverge_event"
 STOP_UNDERFLOW = "underflow_vanished"
 #: the status a trajectory ends with after each stop
-_STATUS = {STOP_COMPLETED: STATUS_COMPLETED, STOP_VANISH: STATUS_VANISHED,
-           STOP_DIVERGE: STATUS_DIVERGED, STOP_UNDERFLOW: STATUS_VANISHED}
+_STATUS = {STOP_COMPLETED: STATUS_COMPLETED, STOP_DIVERGE: STATUS_DIVERGED,
+           STOP_UNDERFLOW: STATUS_VANISHED}
 
 
 def _ode(P, V, e):
@@ -246,7 +245,7 @@ def _rms(x, y):
     return math.sqrt(x * x + y * y) / 2 ** 0.5
 
 
-def _dopri45(g, a, v, t_end, eps_a, cap_a):
+def _dopri45(g, a, v, t_end, cap_a):
     """Dormand-Prince 5(4) steps of (a, v)' = (v, g(a, v)) from t = 0,
     with the arithmetic and the step control of scipy's RK45.
 
@@ -255,13 +254,12 @@ def _dopri45(g, a, v, t_end, eps_a, cap_a):
     accepted below 1 and the next one scaled by 0.9*norm**(-1/5) within
     [0.2, 10], not grown right after a rejection; a NaN stage rejects
     with 0.2.  Stepping stops at t_end, after the first step that ends
-    with a <= eps_a or a >= cap_a, or when the step falls below
-    10 ulp(t) (STOP_UNDERFLOW: the caller decides whether that is a
-    vanishing).  Returns (rows, stop, rejected, (t, a, v)): an (n, 17)
-    array with one row (t_old, t_new, a_old, the seven stage slopes of
-    a, the first of them v_old, then those of v) per accepted step, the
-    STOP_* reason, the count of rejected steps and the last accepted
-    state.
+    with a >= cap_a, or when the step falls below 10 ulp(t)
+    (STOP_UNDERFLOW: the caller decides whether that is a vanishing).
+    Returns (rows, stop, rejected, (t, a, v)): an (n, 17) array with one
+    row (t_old, t_new, a_old, the seven stage slopes of a, the first of
+    them v_old, then those of v) per accepted step, the STOP_* reason,
+    the count of rejected steps and the last accepted state.
 
     Each step makes the float operations of the stepper as first written
     (tests/oracles.py keeps it), on the same operands in the same order,
@@ -350,9 +348,6 @@ def _dopri45(g, a, v, t_end, eps_a, cap_a):
                 f, g2, g3, g4, g5, g6, g7))
         t, a, v, f = t_new, a_new, v_new, g7
         abs_a, abs_v = abs_a_new, abs_v_new
-        if a <= eps_a:
-            stop = STOP_VANISH
-            break
         if a >= cap_a:
             stop = STOP_DIVERGE
             break
@@ -368,40 +363,31 @@ def _integrate(g, a0, a1, t_end, label):
     function that gives NaN where it is undefined (see _ode).
 
     Returns a NumericScaling.  Terminates early with status "diverged"
-    when a >= CAP_A_FRAC*a0 or "vanished" when a <= EPS_A_FRAC*a0, at
-    the float nearest the crossing on the last step's dense output, as
-    a gentle collapse ends (a = 1 - t, or e = N*theta - N + 2 well
-    below 2).  At e >= 2, a falls like (t* - t)**(1/e) and nears
-    EPS_A_FRAC*a0 only closer to t* than the float spacing of t: the
-    step size underflows first, and the trajectory vanishes at its last
-    accepted step when a/|a'| < 1e-10.  Either end of a collapse is its
-    vanishing time, so vanishing_time == t_end.
+    when a >= CAP_A_FRAC*a0, at the float nearest the crossing on the
+    last step's dense output.  A collapse ends one way: as a -> 0 the
+    steps shrink with a until they fall below 10 ulp(t), and the
+    trajectory vanishes at its last accepted step when the time left,
+    a/|a'| by linear extrapolation, is below VANISH_ULPS ulp(t); any
+    other such end raises StepFailureError.  So a vanishing time is t*
+    to the resolution of t, and vanishing_time == t_end.
     """
     if not (0.0 < a0 < np.inf and 0.0 < t_end < np.inf):
         raise ValueError(f"a0 and t_end must be finite and > 0, got {a0}, {t_end}")
     a0, a1, t_end = float(a0), float(a1), float(t_end)
     if not math.isfinite(g(a0, a1)):  # NaN constants stall the stepper
         raise ValueError(f"a'' is not finite at t=0 (a0={a0}, a1={a1})")
-    eps_a = EPS_A_FRAC * a0
     cap_a = CAP_A_FRAC * a0
-    rows, stop, rejected, (t_last, a_last, v_last) = _dopri45(
-        g, a0, a1, t_end, eps_a, cap_a)
+    rows, stop, rejected, (t_last, a_last, v_last) = _dopri45(g, a0, a1, t_end, cap_a)
     stats = {"nfev": 2 + 6 * (len(rows) + rejected), "accepted": len(rows),
              "rejected": rejected, "stop": stop}
-    if stop == STOP_UNDERFLOW:
-        # Step-size underflow during a fast collapse means the remaining
-        # time to a = 0 fell below the float64 resolution of t itself
-        # (a ~ (t_v - t)**(1/3) from the viscous runaway, or the steep
-        # collapse at N = 3, gamma = 2, which stalls near a = 2e-3*a0).
-        # When the linear-extrapolation bound a/|a'| already localizes the
-        # vanishing time within 1e-10, report it as vanished; anything
-        # else is a genuine failure.
-        remaining = a_last / abs(v_last) if v_last < 0.0 else np.inf
-        if not remaining < 1e-10:
-            raise StepFailureError(
-                f"scaling integration ({label}) failed: Required step size"
-                " is less than spacing between numbers.",
-                t=t_last, state=(a_last, v_last))
+    # a collapse's step floor sits at most a few thousand ulp(t) short of
+    # a = 0; one far from a = 0 (a pole of g, say) is a failure
+    if stop == STOP_UNDERFLOW and not (
+            v_last < 0.0 and a_last / -v_last < VANISH_ULPS * math.ulp(t_last)):
+        raise StepFailureError(
+            f"scaling integration ({label}) failed: Required step size"
+            " is less than spacing between numbers.",
+            t=t_last, state=(a_last, v_last))
     cols = rows.T
     t_olds, t_news = cols[:2]
     # coef[c, k, i]: the coefficient of s**k, s = t - t_olds[i], in a (c = 0)
@@ -416,21 +402,19 @@ def _integrate(g, a0, a1, t_end, label):
     t_old = float(t_olds[-1])
     last = coef[:, :, n - 1].tolist()  # the last step's quartics
 
-    if stop in (STOP_VANISH, STOP_DIVERGE):
-        sign, level = (1.0, eps_a) if stop == STOP_VANISH else (-1.0, cap_a)
-
-        def gap(t):  # > 0 until a crosses the level
-            return sign * (horner(last[0], t - t_old) - level)
+    if stop == STOP_DIVERGE:
+        def gap(t):  # > 0 until a crosses the cap
+            return cap_a - horner(last[0], t - t_old)
 
         lo, hi = t_old, t_last  # bisected to adjacent floats
         while (mid := 0.5 * (lo + hi)) not in (lo, hi):
             lo, hi = (mid, hi) if gap(mid) > 0.0 else (lo, mid)
         t_last = lo if abs(gap(lo)) < abs(gap(hi)) else hi
     # the end node's column is zero past its values, so t within
-    # NumericScaling's edge tolerance past it gets the end values; the
-    # event node can undershoot eps_a by the root-finder tolerance
+    # NumericScaling's edge tolerance past it gets the end values; where
+    # the last quartic rounds to a <= 0, the accepted state, a > 0, serves
     a_end, v_end = (horner(c, t_last - t_old) for c in last)
-    coef[:, 0, n] = max(a_end, 0.5 * eps_a), v_end
+    coef[:, 0, n] = (a_end, v_end) if a_end > 0.0 else (a_last, v_last)
     return NumericScaling(np.append(t_olds, t_last), coef, _STATUS[stop],
                           label=label, stats=stats)
 
@@ -462,8 +446,8 @@ def vanishing_time(fn):
     """Time t* where a -> 0, or None if the scaling never vanishes.
 
     For a power law with m < 0 this is the exact root -n/m of m*t + n;
-    for a numeric trajectory it is its end: the crossing of the vanishing
-    threshold on its dense output, or where the step size underflowed.
+    for a numeric trajectory it is its end, where the step size fell below
+    10 ulp(t) as a reached 0 to the resolution of t.
     """
     if not isinstance(fn, ScalingFn):
         raise TypeError(f"not a scaling function: {fn!r}")

@@ -7,11 +7,13 @@ directories (say, of a ``git archive`` of the parent commit and of the
 working tree).  One child interpreter per tree imports ``nssol`` from
 its tree and runs all six subcommands, in csv and in json, on each
 instance of ``tests/cases.py``, as given and with theta + 0.5, and on
-four more: a = 1 - t, which ends on the vanishing event, the steep
-polytropic collapse, which ends on a step-size underflow, a fast
-pressureless expansion at theta = 100, where a**(-e) underflows to 0
-with e = 299, and a pressureless collapse at theta = 100 that a thin
-braking layer stops at a ~ 0.1, which long steps must not jump.  Every
+five more: three collapses, each ending where the step falls below
+10 ulp(t), near t = 0 and at a large t (a = 1 - t, and the steep
+polytropic collapse at K = kappa = 1 and at 1e-6, which vanish at
+t ~ 1, 0.33 and 644), a fast pressureless expansion at theta = 100,
+where a**(-e) underflows to 0 with e = 299, and a pressureless collapse
+at theta = 100 that a thin braking layer stops at a ~ 0.1, which long
+steps must not jump.  Every
 run whose exit code, stdout, stderr or payload differs between the
 trees is printed with its first differing lines.  Every run of NEW_SRC
 whose JSON payload (each of describe, verify and blowup, and the json
@@ -67,6 +69,9 @@ def _configs():
         ("steep_collapse", ModelParams(N=3, gamma=2.0, theta=2.0),
          WithPressurePolytropic(alpha=1.0, a0=1.0, a1=0.0),
          Window(0.05, 1.2, 0.1, 2.0)),
+        ("slow_collapse", ModelParams(N=3, gamma=2.0, theta=2.0, K=1e-6, kappa=1e-6),
+         WithPressurePolytropic(alpha=1.0, a0=1.0, a1=0.0),
+         Window(0.05, 1000.0, 0.1, 2.0)),
         ("fast_expansion", ModelParams(N=3, gamma=1.0, theta=100.0, delta=0),
          PressurelessThetaNot1(lam=1.0, alpha=1.0, a0=1.0, a1=20.0),
          Window(0.1, 1.0, 0.1, 2.0)),

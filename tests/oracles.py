@@ -13,7 +13,7 @@ import math
 
 from nssol.scaling import (
     _A2, _A3, _A4, _A5, _A6, _B, _E, ATOL, RTOL, STOP_COMPLETED, STOP_DIVERGE,
-    STOP_UNDERFLOW, STOP_VANISH,
+    STOP_UNDERFLOW,
 )
 
 
@@ -119,42 +119,28 @@ def rk4_crossing_time(accel, a0, a1, threshold, h, t_max):
     return t_pre + 0.5 * (t_post - t_pre)
 
 
-def rk45_scaling(accel, a0, a1, t_end, rtol, atol, eps_a, cap_a):
+def rk45_scaling(accel, a0, a1, t_end, rtol, atol, cap_a):
     """a'' = accel(a, a') from (a0, a1) with scipy's solve_ivp RK45,
-    stopped by the terminal events a = eps_a (falling) and a = cap_a
-    (rising), the way the package's scalings were built on scipy.
+    stopped by the terminal event a = cap_a (rising), the way the
+    package's scalings were built on scipy.
 
     Returns (status, vanishing time or None, solve_ivp's result): a
-    vanishing found by the event is refined to 1e-10 by bisection on
-    the dense output, and a step-size underflow counts as a vanishing
-    at the last accepted time.  Imports scipy.
+    step-size underflow counts as a vanishing at the last accepted
+    time, as a collapse of the package's stepper ends.  Imports scipy.
     """
     import numpy as np
     from scipy.integrate import solve_ivp
 
-    def vanish(t, y):
-        return y[0] - eps_a
-
     def diverge(t, y):
         return y[0] - cap_a
 
-    vanish.terminal, vanish.direction = True, -1
     diverge.terminal, diverge.direction = True, 1
     with np.errstate(all="ignore"):  # numpy's NaN for a trial a < 0
         sol = solve_ivp(lambda t, y: [y[1], accel(y[0], y[1])], [0.0, t_end],
                         [a0, a1], method="RK45", rtol=rtol, atol=atol,
-                        dense_output=True, events=[vanish, diverge])
+                        dense_output=True, events=[diverge])
     if sol.status == -1:
         return "vanished", float(sol.t[-1]), sol
-    if sol.status == 1 and len(sol.t_events[0]):
-        lo, hi = float(sol.t[-2]), float(sol.t_events[0][0])
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            if sol.sol(mid)[0] > eps_a:
-                lo = mid
-            else:
-                hi = mid
-        return "vanished", 0.5 * (lo + hi), sol
     return ("diverged" if sol.status == 1 else "completed"), None, sol
 
 
@@ -164,7 +150,14 @@ def rk45_scaling(accel, a0, a1, t_end, rtol, atol, eps_a, cap_a):
 # for speed, kept as the reference the tuned stepper must equal bit for
 # bit: same rows, stop reason, rejected count and last state.  It shares
 # the package's tableau and tolerances, so it checks the loop, not the
-# constants.
+# constants.  It also stopped after a step that ends with a <= eps_a
+# (STOP_VANISH), a stop the package has no more: at eps_a = 0 it never
+# fires on a g that is NaN at a <= 0, as the package's _ode is, since a
+# NaN stage rejects the step, so every accepted a is > 0.
+
+#: the stop after a step that ends with a <= eps_a
+STOP_VANISH = "vanish_event"
+
 
 def _rms(x, y):
     return math.sqrt(x * x + y * y) / 2 ** 0.5

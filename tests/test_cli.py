@@ -371,6 +371,16 @@ def test_steep_collapse_blowup_exits_0(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "vanished"
     assert doc["vanishing_time"] == pytest.approx(0.330751636, abs=1e-8)
+    # at K = kappa = 1e-6 the same collapse ends at t ~ 644, where a step
+    # floor of 10 ulp(t) is still a vanishing (scipy's DOP853 at rtol
+    # 1e-13 puts it at 644.3875631888623)
+    cfg["model"].update(K=1e-6, kappa=1e-6)
+    cfg["grid"] = {**_blowup_config()["grid"], "t_max": 1e9}
+    path = _write(tmp_path, cfg)
+    assert main(["blowup", "--config", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "vanished" and doc["searched_until"] == doc["vanishing_time"]
+    assert doc["vanishing_time"] == pytest.approx(644.3875631888623, rel=1e-9)
 
 
 def test_vacuum_reaching_power_law_field_exits_0(tmp_path, capsys):

@@ -185,7 +185,8 @@ def test_non_finite_inputs_reported():
              "A must be a number, got None"),
             (ModelParams(N=3, gamma="x", theta=1.0), iso, "gamma must be a number, got 'x'"),
             (ModelParams(N=3, gamma=1.0, theta=1.0, delta=True), iso,
-             "delta must be a number, got True")):
+             "delta must be a number, got True"),
+            (ModelParams(N=3, gamma=1.0, theta=1.0), "x", "unknown family type str")):
         out = validate(params, family)
         assert not out.ok and out.violations == (violation,)
 

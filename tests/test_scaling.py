@@ -2,6 +2,7 @@
 
 import math
 import re
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,6 @@ from nssol import (
 )
 from nssol._interp import horner
 from nssol.scaling import (
-    EPS_A_FRAC,
     STATUS_VANISHED,
     NumericScaling,
     PowerLawScaling,
@@ -142,7 +142,7 @@ def test_polytropic_vanishes_with_negative_velocity():
     assert t_v is not None and 0.0 < t_v < 2.0
 
     t_oracle = rk4_crossing_time(_poly_accel(2.0, 1.0, 1.0, 1), 1.0, -1.0,
-                                 EPS_A_FRAC * 1.0, 1e-6, 2.0)
+                                 1e-8, 1e-6, 2.0)
     assert t_oracle is not None
     assert abs(t_v - t_oracle) < 1e-8
 
@@ -160,31 +160,91 @@ def test_vanished_trajectory_stays_positive_and_small():
     assert fn.status == STATUS_VANISHED
     assert fn.a_values.min() > 0.0
     assert fn.a_values.min() < 1e-3
-    # a smooth, non-runaway approach to zero does hit the 1e-8 threshold:
-    # lam = 0 makes a(t) = 1 - t exactly
+    # a smooth, non-runaway approach to zero ends the same way, where the
+    # step falls below 10 ulp(t): lam = 0 makes a(t) = 1 - t exactly, and
+    # the vanishing time is t* = 1 to the resolution of t
     lin = integrate_pressureless(theta=1.0, lam=0.0, N=1, a0=1.0, a1=-1.0,
                                  t_end=2.0)
     assert lin.status == STATUS_VANISHED
-    assert lin.vanishing_time == pytest.approx(1.0 - EPS_A_FRAC, abs=1e-9)
-    # the vanishing time is the crossing that ends the trajectory, the
-    # float nearest to a = EPS_A_FRAC on a = 1 - t
     assert lin.vanishing_time == lin.t_end
-    assert abs(lin.vanishing_time - (1.0 - EPS_A_FRAC)) <= 2 * math.ulp(1.0 - EPS_A_FRAC)
-    assert lin.a_values.min() >= 0.5 * EPS_A_FRAC
-    assert lin.a_values.min() < 10.0 * EPS_A_FRAC
+    assert abs(lin.vanishing_time - 1.0) <= 1e-14
+    assert 0.0 < lin.a_values[-1] <= 1e-14
+    assert lin.a_values.min() == lin.a_values[-1]
+    # theta = 0.4, N = 3: e = 0.2 and a'' = a'*a**-0.2 conserves
+    # a' - a**0.8/0.8 = -1 - 1.25 from (1, -1), so a' = -2.25 + 1.25*a**0.8
+    # and t* = integral of da/(2.25 - 1.25*a**0.8) over [0, 1], which is
+    # 0.6760320404456746 (mpmath quadrature at 30 digits)
+    gentle = integrate_pressureless(theta=0.4, lam=-1.0, N=3, a0=1.0, a1=-1.0,
+                                    t_end=3.0)
+    assert gentle.status == STATUS_VANISHED
+    assert gentle.vanishing_time == gentle.t_end
+    assert abs(gentle.vanishing_time - 0.6760320404456746) <= 1e-10
+    assert gentle.a_values[-1] > 0.0
 
 
 def test_steep_polytropic_collapse_matches_rk4_oracle():
-    # N = 3, gamma = theta = 2 collapses so steeply that the step size
-    # underflows with a still near 2e-3; the bound a/|a'| < 1e-10 alone
-    # must report the vanishing
+    # N = 3, gamma = theta = 2 collapses so steeply that the step falls
+    # below 10 ulp(t) with a still near 2e-3, where a/|a'| ~ 6e-14 is
+    # about a thousand ulp(t): the trajectory vanishes there
     fn = integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=3, a0=1.0,
                               a1=0.0, t_end=1.2)
     assert fn.status == STATUS_VANISHED
     t_oracle = rk4_crossing_time(_poly_accel(2.0, 1.0, 1.0, 3), 1.0, 0.0,
-                                 EPS_A_FRAC * 1.0, 1e-6, 1.2)
+                                 1e-8, 1e-6, 1.2)
     assert t_oracle is not None
     assert abs(vanishing_time(fn) - t_oracle) < 1e-8
+
+
+def test_slow_polytropic_collapse_vanishes_at_a_large_time():
+    # the steep collapse above at K = kappa = 1e-6 ends at t ~ 644, where
+    # the step floor 10 ulp(t) is 2e4 times that at t ~ 0.33: a/|a'| there
+    # is 1.2e-10 in time, yet about a thousand ulp(t), as at K = 1
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    fn = integrate_polytropic(gamma=2.0, K=1e-6, kappa=1e-6, N=3, a0=1.0, a1=0.0,
+                              t_end=1e9)
+    assert fn.status == STATUS_VANISHED and fn.stats["stop"] == scaling.STOP_UNDERFLOW
+    assert fn.vanishing_time == fn.t_end and fn.a_values[-1] > 0.0
+    # scipy's DOP853 at rtol 1e-13, on the same right-hand side, stops on
+    # its own step floor, where a/|a'| is 1e-13 of t
+    g = scaling._ode(1e-6 * 2.0, 3 * 1e-6 * 2.0, 3 * 2.0 - 3 + 2.0)
+    with np.errstate(all="ignore"):
+        ref = solve_ivp(lambda t, y: [y[1], g(y[0], y[1])], [0.0, 1e9], [1.0, 0.0],
+                        method="DOP853", rtol=1e-13, atol=1e-15)
+    assert ref.status == -1 and 644.0 < ref.t[-1] < 645.0
+    assert abs(fn.vanishing_time - ref.t[-1]) <= 1e-9 * ref.t[-1]
+
+
+#: each constant of the four integrated families scaled by 10**U(-8, 1),
+#: and a1 by 10**U(-6, 0) in the test, so a collapse ends anywhere from
+#: t ~ 0.1 to past t ~ 1e6, where ulp(t) is 1e-10.  V >= 0 throughout: a
+#: V < 0 damps a', and a damped trajectory that settles on an equilibrium
+#: a* can be stiff, at steps of about 1/(|V| a*^-e) out to t_end, which
+#: no step cap bounds yet
+_SCALED = st.floats(-8.0, 1.0).map(lambda x: 10.0 ** x)
+_UNDAMPED_BUILDS = st.one_of(
+    st.builds(partial, st.just(integrate_isothermal), B=st.floats(0.0, 2.0),
+              K=_SCALED, kappa=_SCALED, N=st.integers(1, 3)),
+    st.builds(partial, st.just(integrate_polytropic), gamma=st.floats(1.05, 3.0),
+              K=_SCALED, kappa=_SCALED, N=st.integers(1, 3)),
+    st.builds(partial, st.just(integrate_pressureless), theta=st.just(1.0),
+              lam=_SCALED, N=st.integers(1, 3)),
+    st.builds(partial, st.just(integrate_pressureless),
+              theta=st.floats(0.3, 3.0).filter(lambda x: x != 1.0),
+              lam=_SCALED.map(lambda x: -x), N=st.integers(1, 3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(build=_UNDAMPED_BUILDS, a0=st.floats(0.5, 2.0), a1=st.floats(-1.5, 1.5),
+       a1_scale=st.floats(-6.0, 0.0))
+def test_every_collapse_ends_on_the_step_floor(build, a0, a1, a1_scale):
+    # a 1e-10 bound on a/|a'| in time raised StepFailureError on collapses
+    # past t ~ 265; in ulps of t, no collapse at any time scale raises
+    fn = build(a0=a0, a1=a1 * 10.0 ** a1_scale, t_end=1e9)
+    if fn.status == STATUS_VANISHED:
+        assert fn.stats["stop"] == scaling.STOP_UNDERFLOW
+        assert fn.a_values[-1] > 0.0
+        assert fn.vanishing_time == fn.t_end
 
 
 # --- power-law scaling ----------------------------------------------------------
@@ -461,7 +521,7 @@ def test_stepper_matches_scipy_rk45(monkeypatch):
     assert [fn.status for fn, *_ in runs].count(STATUS_VANISHED) == 4
     for fn, accel, a0, a1, t_end in runs:
         status, t_v, sol = rk45_scaling(accel, a0, a1, t_end, scaling.RTOL, scaling.ATOL,
-                                        EPS_A_FRAC * a0, scaling.CAP_A_FRAC * a0)
+                                        scaling.CAP_A_FRAC * a0)
         assert fn.status == status, fn
         if t_v is None:
             assert fn.vanishing_time is None
@@ -477,7 +537,7 @@ def test_pair_is_scipys_dense_output_between_the_steps(monkeypatch):
     rng = np.random.default_rng(3)
     for fn, accel, a0, a1, t_end in _integrated_scalings(monkeypatch):
         *_, sol = rk45_scaling(accel, a0, a1, t_end, scaling.RTOL, scaling.ATOL,
-                               EPS_A_FRAC * a0, scaling.CAP_A_FRAC * a0)
+                               scaling.CAP_A_FRAC * a0)
         ts = rng.uniform(0.0, fn.ts[-2], 10_000)  # short of the last step
         err = np.max(np.abs(np.array(fn.pair(ts)) - sol.sol(ts)), axis=-1)
         size = np.max(np.abs([fn.a_values, fn.adot_values]), axis=-1)
@@ -489,14 +549,14 @@ def test_stats_count_the_steps_and_name_the_stop():
                                      a1=0.0, t_end=0.5)
     underflow = integrate_isothermal(B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0,
                                      a1=0.0, t_end=1.5)
-    event = integrate_pressureless(theta=1.0, lam=0.0, N=1, a0=1.0, a1=-1.0,
-                                   t_end=2.0)
+    linear = integrate_pressureless(theta=1.0, lam=0.0, N=1, a0=1.0, a1=-1.0,
+                                    t_end=2.0)
     # theta = 0.1, N = 3: a' ~ a**1.7/1.7 runs away in finite time
     diverged = integrate_pressureless(theta=0.1, lam=-1.0, N=3, a0=1.0, a1=1.0,
                                       t_end=5.0)
     for fn, stop in ((completed, scaling.STOP_COMPLETED),
                      (underflow, scaling.STOP_UNDERFLOW),
-                     (event, scaling.STOP_VANISH),
+                     (linear, scaling.STOP_UNDERFLOW),
                      (diverged, scaling.STOP_DIVERGE)):
         stats = fn.stats
         assert sorted(stats) == ["accepted", "nfev", "rejected", "stop"]
@@ -528,7 +588,7 @@ def test_negative_trial_stage_is_rejected_not_complex(monkeypatch):
                                     a1=-1.0, t_end=2.0)
 
     fn = build()
-    assert fn.stats["rejected"] > 0 and fn.stats["stop"] == scaling.STOP_VANISH
+    assert fn.stats["rejected"] > 0 and fn.stats["stop"] == scaling.STOP_UNDERFLOW
     assert fn.status == STATUS_VANISHED and 0.99999 < fn.vanishing_time < 1.0
     assert np.all(np.isfinite(fn.a_values)) and fn.a_values.min() > 0.0
     negative = []
@@ -719,14 +779,16 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
-def _same_steps_as_first_written(g, *args):
-    """Run _dopri45 and tests.oracles.dopri45 on one problem and assert
-    that both give the same rows, stop, rejected count and last state,
-    and call g alike, bit for bit.  Returns (stop, rejected)."""
+def _same_steps_as_first_written(g, a0, a1, t_end, cap_a):
+    """Run _dopri45 and tests.oracles.dopri45, at eps_a = 0, on one
+    problem and assert that both give the same rows, stop, rejected count
+    and last state, and call g alike, bit for bit.  Returns (stop,
+    rejected)."""
     calls, ref_calls = [], []
-    rows, stop, rejected, last = scaling._dopri45(_recorded(g, calls), *args)
+    rows, stop, rejected, last = scaling._dopri45(
+        _recorded(g, calls), a0, a1, t_end, cap_a)
     ref_rows, ref_stop, ref_rejected, ref_last = oracles.dopri45(
-        _recorded(g, ref_calls), *args)
+        _recorded(g, ref_calls), a0, a1, t_end, 0.0, cap_a)
     assert rows.shape == (len(ref_rows), 17)
     assert _bits(rows) == _bits(ref_rows)
     assert (stop, rejected) == (ref_stop, ref_rejected)
@@ -741,10 +803,10 @@ def test_stepper_keeps_every_bit_of_the_stepper_as_first_written(monkeypatch):
             scaling._integrate(lambda a, v: -1.0 / (a - 0.5) ** 2, 1.0, 0.0, 2.0,
                                "test")
 
-    runs = [(accel, a0, a1, t_end, EPS_A_FRAC * a0, scaling.CAP_A_FRAC * a0)
+    runs = [(accel, a0, a1, t_end, scaling.CAP_A_FRAC * a0)
             for _, accel, a0, a1, t_end in _integrated_scalings(monkeypatch)]
     runs += _stepper_runs(
-        # the four stops of test_stats_count_the_steps_and_name_the_stop;
+        # the runs of test_stats_count_the_steps_and_name_the_stop;
         # lam = 0 is linear, so its error norm is exactly 0
         lambda: integrate_isothermal(B=-1.0, K=1.0, kappa=1.0, N=3, a0=1.0,
                                      a1=0.0, t_end=0.5),
@@ -765,8 +827,8 @@ def test_stepper_keeps_every_bit_of_the_stepper_as_first_written(monkeypatch):
     assert len(runs) == 15
     outcomes = [_same_steps_as_first_written(*args) for args in runs]
     stops = {stop for stop, _ in outcomes}
-    assert stops == {scaling.STOP_COMPLETED, scaling.STOP_VANISH,
-                     scaling.STOP_DIVERGE, scaling.STOP_UNDERFLOW}
+    assert stops == {scaling.STOP_COMPLETED, scaling.STOP_DIVERGE,
+                     scaling.STOP_UNDERFLOW}
     assert sum(rejected > 0 for _, rejected in outcomes) >= 3
 
 
@@ -793,4 +855,4 @@ _FAMILY_ODES = st.one_of(
        t_end=st.floats(0.1, 2.0))
 def test_stepper_keeps_every_bit_on_random_instances(ode, a0, a1, t_end):
     _same_steps_as_first_written(scaling._ode(*ode), a0, a1, t_end,
-                                 EPS_A_FRAC * a0, scaling.CAP_A_FRAC * a0)
+                                 scaling.CAP_A_FRAC * a0)
