@@ -36,6 +36,14 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _edge(num, den):
+    """sqrt(num/den) for num, den > 0, the vacuum edge of a shape: where
+    the quotient overflows (a subnormal den), the root, still a float, is
+    taken apart."""
+    q = num / den
+    return math.sqrt(q) if q < math.inf else math.sqrt(num) / math.sqrt(den)
+
+
 def _refuse_nan(z):
     """Every shape's refusal of a NaN z.  The closed forms look for NaN
     only once they refuse an overflow, which a NaN z always causes, so
@@ -125,7 +133,7 @@ class PowerRoot(Profile):
             raise ValueError(f"alpha**(n_exp+1) = {self._c0!r} underflows at "
                              f"alpha={alpha}, n_exp={n_exp}")
         if self._c2 < 0.0:
-            self.z_vacuum = math.sqrt(-self._c0 / self._c2)
+            self.z_vacuum = _edge(self._c0, -self._c2)
 
     def evaluate(self, z):
         if isinstance(z, float):  # np.float64 too
@@ -209,7 +217,7 @@ class ImplicitProfile(Profile):
                                    - math.log(alpha))
         if slope < 0.0 and theta > 1.0 and r > 0.0:
             g_vac = self._cv / (theta - 1.0) - self._cp / (gamma - 1.0)
-            self.z_vacuum = math.sqrt(2.0 * g_vac / r)
+            self.z_vacuum = _edge(2.0 * g_vac, r)
 
     def evaluate(self, z):
         z = np.abs(np.asarray(z, dtype=float))

@@ -16,14 +16,10 @@ with a pressure coefficient P and a viscous one V per family:
 as the first order system (a, a').  Integration is forward from t = 0
 with the package's own Dormand-Prince 5(4) stepper, scipy's RK45 redone
 on Python floats (rtol 1e-10, atol 1e-12), ending early where a(t)
-exceeds a divergence cap or vanishes (_integrate).  A trajectory is
-served by the stepper's own quartic dense output: each accepted step is
-a node, and between nodes a(t) and a'(t) are that step's polynomials.
-
-The stepper's loop is tuned for the interpreter, never for the
-arithmetic: each step makes the same float operations as the stepper
-as first written (tests/oracles.py keeps it), on the same operands in
-the same order, so every trajectory keeps its bits.
+exceeds a divergence cap or vanishes, and refusing a stiff problem
+(_integrate).  A trajectory is served by the stepper's own quartic dense
+output: each accepted step is a node, and between nodes a(t) and a'(t)
+are that step's polynomials.
 """
 
 import math
@@ -38,6 +34,9 @@ CAP_A_FRAC = 1e12
 
 #: a step floor is a vanishing when a/|a'| < VANISH_ULPS * ulp(t) there
 VANISH_ULPS = 1e5
+
+#: a stiff problem is refused with more than STIFF_STEPS steps left
+STIFF_STEPS = 1e5
 
 RTOL = 1e-10
 ATOL = 1e-12
@@ -218,6 +217,7 @@ _P = np.array([
 STOP_COMPLETED = "completed"
 STOP_DIVERGE = "diverge_event"
 STOP_UNDERFLOW = "underflow_vanished"
+STOP_STIFF = "stiff"
 #: the status a trajectory ends with after each stop
 _STATUS = {STOP_COMPLETED: STATUS_COMPLETED, STOP_DIVERGE: STATUS_DIVERGED,
            STOP_UNDERFLOW: STATUS_VANISHED}
@@ -254,20 +254,21 @@ def _dopri45(g, a, v, t_end, cap_a):
     accepted below 1 and the next one scaled by 0.9*norm**(-1/5) within
     [0.2, 10], not grown right after a rejection; a NaN stage rejects
     with 0.2.  Stepping stops at t_end, after the first step that ends
-    with a >= cap_a, or when the step falls below 10 ulp(t)
-    (STOP_UNDERFLOW: the caller decides whether that is a vanishing).
-    Returns (rows, stop, rejected, (t, a, v)): an (n, 17) array with one
-    row (t_old, t_new, a_old, the seven stage slopes of a, the first of
-    them v_old, then those of v) per accepted step, the STOP_* reason,
-    the count of rejected steps and the last accepted state.
+    with a >= cap_a, when the step falls below 10 ulp(t) (STOP_UNDERFLOW:
+    the caller decides whether that is a vanishing), or when Hairer's
+    stiffness test finds the steps held at RK45's stability limit with
+    more than STIFF_STEPS of them left (STOP_STIFF).  Returns (rows,
+    stop, rejected, (t, a, v)): an (n, 17) array with one row (t_old,
+    t_new, a_old, the seven stage slopes of a, the first of them v_old,
+    then those of v) per accepted step, the STOP_* reason, the count of
+    rejected steps and the last accepted state.
 
-    Each step makes the float operations of the stepper as first written
-    (tests/oracles.py keeps it), on the same operands in the same order,
-    and calls g as often, with the same arguments, in the same order, so
-    every row is the same to the bit.  Only the interpreter's work around
-    them is less: names bound to locals, the RMS norm, max, min and abs
-    written out, |a| and |a'| carried from one step to the next, and the
-    rows gathered in one flat list.
+    Each step makes the float operations and the g calls of the stepper
+    as first written (tests/oracles.py keeps it), on the same operands
+    in the same order, so every row is the same to the bit: the loop only
+    spends less interpreter work around them (locals, max, min, abs and
+    the RMS norm written out, |a| and |a'| carried, one flat list of
+    rows), and the stiffness test adds arithmetic beside them.
     """
     f = g(a, v)
     sa, sv = ATOL + abs(a) * RTOL, ATOL + abs(v) * RTOL
@@ -293,7 +294,8 @@ def _dopri45(g, a, v, t_end, cap_a):
     e1, e3, e4, e5, e6, e7 = _E
     flat = []  # the rows' 17 values each, end to end
     extend = flat.extend
-    rejected = 0
+    rejected = stiff = calm = 0
+    check = 1000
     t = 0.0
     abs_a, abs_v = abs(a), abs(v)
     while True:
@@ -315,7 +317,8 @@ def _dopri45(g, a, v, t_end, cap_a):
             v5 = v + (f * a51 + g2 * a52 + g3 * a53 + g4 * a54) * h
             g5 = g(a + (v * a51 + v2 * a52 + v3 * a53 + v4 * a54) * h, v5)
             v6 = v + (f * a61 + g2 * a62 + g3 * a63 + g4 * a64 + g5 * a65) * h
-            g6 = g(a + (v * a61 + v2 * a62 + v3 * a63 + v4 * a64 + v5 * a65) * h, v6)
+            a6 = a + (v * a61 + v2 * a62 + v3 * a63 + v4 * a64 + v5 * a65) * h
+            g6 = g(a6, v6)
             a_new = a + h * (v * b1 + v3 * b3 + v4 * b4 + v5 * b5 + v6 * b6)
             v_new = v + h * (f * b1 + g3 * b3 + g4 * b4 + g5 * b5 + g6 * b6)
             g7 = g(a_new, v_new)
@@ -354,6 +357,25 @@ def _dopri45(g, a, v, t_end, cap_a):
         if t >= t_end:
             stop = STOP_COMPLETED
             break
+        # Hairer's stiffness test (DOPRI5), on each 1000th step and on
+        # every step while some are stiff: h*lambda from stages 6 and 7,
+        # which both sit at t
+        check -= 1
+        if check and not stiff:
+            continue
+        check = 1000
+        dv = v - v6
+        den = (a - a6) * (a - a6) + dv * dv
+        if (den > 0.0 and t_end - t > STIFF_STEPS * h
+                and h * sqrt((dv * dv + (f - g6) * (f - g6)) / den) > 3.25):
+            stiff, calm = stiff + 1, 0
+            if stiff == 15:
+                stop = STOP_STIFF
+                break
+        elif stiff:
+            calm += 1
+            if calm == 6:
+                stiff = 0
     rows = np.fromiter(flat, float, len(flat)).reshape(-1, 17)
     return rows, stop, rejected, (t, a, v)
 
@@ -362,7 +384,8 @@ def _integrate(g, a0, a1, t_end, label):
     """Integrate a'' = g(a, a') from (a0, a1) over [0, t_end], g a float
     function that gives NaN where it is undefined (see _ode).
 
-    Returns a NumericScaling.  Terminates early with status "diverged"
+    Returns a NumericScaling, or raises StepFailureError on a stiff
+    problem (see _dopri45).  Terminates early with status "diverged"
     when a >= CAP_A_FRAC*a0, at the float nearest the crossing on the
     last step's dense output.  A collapse ends one way: as a -> 0 the
     steps shrink with a until they fall below 10 ulp(t), and the
@@ -381,12 +404,15 @@ def _integrate(g, a0, a1, t_end, label):
     stats = {"nfev": 2 + 6 * (len(rows) + rejected), "accepted": len(rows),
              "rejected": rejected, "stop": stop}
     # a collapse's step floor sits at most a few thousand ulp(t) short of
-    # a = 0; one far from a = 0 (a pole of g, say) is a failure
-    if stop == STOP_UNDERFLOW and not (
+    # a = 0; one far from a = 0 (a pole of g, say) is a failure, as is a
+    # stiff problem, which RK45 would step at its stability limit
+    if stop == STOP_STIFF or stop == STOP_UNDERFLOW and not (
             v_last < 0.0 and a_last / -v_last < VANISH_ULPS * math.ulp(t_last)):
         raise StepFailureError(
-            f"scaling integration ({label}) failed: Required step size"
-            " is less than spacing between numbers.",
+            f"scaling integration ({label}) failed: " + (
+                "the problem is stiff, h*lambda over 3.25 on 15 steps."
+                if stop == STOP_STIFF else
+                "Required step size is less than spacing between numbers."),
             t=t_last, state=(a_last, v_last))
     cols = rows.T
     t_olds, t_news = cols[:2]

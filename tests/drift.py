@@ -7,13 +7,14 @@ directories (say, of a ``git archive`` of the parent commit and of the
 working tree).  One child interpreter per tree imports ``nssol`` from
 its tree and runs all six subcommands, in csv and in json, on each
 instance of ``tests/cases.py``, as given and with theta + 0.5, and on
-five more: three collapses, each ending where the step falls below
+six more: three collapses, each ending where the step falls below
 10 ulp(t), near t = 0 and at a large t (a = 1 - t, and the steep
 polytropic collapse at K = kappa = 1 and at 1e-6, which vanish at
 t ~ 1, 0.33 and 644), a fast pressureless expansion at theta = 100,
-where a**(-e) underflows to 0 with e = 299, and a pressureless collapse
+where a**(-e) underflows to 0 with e = 299, a pressureless collapse
 at theta = 100 that a thin braking layer stops at a ~ 0.1, which long
-steps must not jump.  Every
+steps must not jump, and a damped relaxation toward a ~ 1e-9 that the
+stepper refuses as stiff.  Every
 run whose exit code, stdout, stderr or payload differs between the
 trees is printed with its first differing lines.  Every run of NEW_SRC
 whose JSON payload (each of describe, verify and blowup, and the json
@@ -77,6 +78,9 @@ def _configs():
          Window(0.1, 1.0, 0.1, 2.0)),
         ("braking_layer", ModelParams(N=3, gamma=1.0, theta=100.0, delta=0),
          PressurelessThetaNot1(lam=1e-295, alpha=1.0, a0=1.0, a1=-1.0),
+         Window(0.1, 2.0, 0.1, 2.0)),
+        ("stiff_relaxation", ModelParams(N=1, gamma=1.0, theta=1.0, delta=0),
+         PressurelessTheta1(lam=-1e-9, alpha=0.0, a0=1.0, a1=-1.0),
          Window(0.1, 2.0, 0.1, 2.0)),
     ]
     docs = {}

@@ -383,6 +383,22 @@ def test_steep_collapse_blowup_exits_0(tmp_path, capsys):
     assert doc["vanishing_time"] == pytest.approx(644.3875631888623, rel=1e-9)
 
 
+def test_stiff_relaxation_blowup_exits_3(tmp_path, capsys):
+    # a' + lam/a is conserved: a relaxes toward a* ~ 1e-9, never to 0,
+    # at steps RK45's stability limit holds near 3e-9
+    cfg = {"model": {"N": 1, "gamma": 1.4, "theta": 1.0, "delta": 0},
+           "family": {"kind": "pressureless_theta1", "lam": -1e-9, "alpha": 0.0,
+                      "a0": 1.0, "a1": -1.0}}
+    path = _write(tmp_path, cfg)
+    assert main(["blowup", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "StepFailureError",
+        "message": ("scaling integration (pressureless_theta1) failed: the problem"
+                    " is stiff, h*lambda over 3.25 on 15 steps.")}
+
+
 def test_vacuum_reaching_power_law_field_exits_0(tmp_path, capsys):
     # N = 3, gamma = 3, m = 3: the shape falls to vacuum at z ~ 2.211
     cfg = _blowup_config()

@@ -461,6 +461,10 @@ def _implicit(p, k, r, theta, gap, alpha):
     st.builds(_implicit, st.floats(0.1, 4.0), st.floats(-2.0, 4.0), st.floats(0.0, 4.0),
               st.floats(0.5, 3.0), st.floats(0.05, 2.0), st.floats(0.1, 4.0))),
     past=st.floats(1.0, 4.0))
+# a subnormal r or xi: the quotient under the edge's square root
+# overflows, while the edges, near 3e155 and 4.5e161, are floats
+@example(shape=_implicit(1.0, 2.0, 2.225073858507e-311, 2.0, 1.0, 1.0), past=1.0)
+@example(shape=PowerRoot(1.0, -5e-324, 1.0), past=1.0)
 def test_no_shape_returns_a_negative_density(shape, past):
     # the premise under which the verifier refuses a negative density:
     # from z = 0 to past its vacuum edge, if it has one, and at the edge

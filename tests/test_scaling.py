@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nssol import (
@@ -180,6 +180,17 @@ def test_vanished_trajectory_stays_positive_and_small():
     assert gentle.vanishing_time == gentle.t_end
     assert abs(gentle.vanishing_time - 0.6760320404456746) <= 1e-10
     assert gentle.a_values[-1] > 0.0
+    # the damped collapse lam = 1 (V = -1) from (1, -2) conserves
+    # a' + a**0.8/0.8 = -0.75, so a' = -0.75 - 1.25*a**0.8 stays below 0
+    # (e < 1 bounds the damping at a = 0), and t* = integral of
+    # da/(0.75 + 1.25*a**0.8) over [0, 1] = 0.7390238058606226 (mpmath)
+    damped = integrate_pressureless(theta=0.4, lam=1.0, N=3, a0=1.0, a1=-2.0,
+                                    t_end=3.0)
+    assert damped.status == STATUS_VANISHED
+    assert damped.stats["stop"] == scaling.STOP_UNDERFLOW
+    assert damped.vanishing_time == damped.t_end
+    assert abs(damped.vanishing_time - 0.7390238058606226) <= 1e-10
+    assert damped.a_values[-1] > 0.0
 
 
 def test_steep_polytropic_collapse_matches_rk4_oracle():
@@ -216,10 +227,8 @@ def test_slow_polytropic_collapse_vanishes_at_a_large_time():
 
 #: each constant of the four integrated families scaled by 10**U(-8, 1),
 #: and a1 by 10**U(-6, 0) in the test, so a collapse ends anywhere from
-#: t ~ 0.1 to past t ~ 1e6, where ulp(t) is 1e-10.  V >= 0 throughout: a
-#: V < 0 damps a', and a damped trajectory that settles on an equilibrium
-#: a* can be stiff, at steps of about 1/(|V| a*^-e) out to t_end, which
-#: no step cap bounds yet
+#: t ~ 0.1 to past t ~ 1e6, where ulp(t) is 1e-10.  V >= 0 throughout;
+#: the damped builds, V < 0, follow
 _SCALED = st.floats(-8.0, 1.0).map(lambda x: 10.0 ** x)
 _UNDAMPED_BUILDS = st.one_of(
     st.builds(partial, st.just(integrate_isothermal), B=st.floats(0.0, 2.0),
@@ -241,6 +250,37 @@ def test_every_collapse_ends_on_the_step_floor(build, a0, a1, a1_scale):
     # a 1e-10 bound on a/|a'| in time raised StepFailureError on collapses
     # past t ~ 265; in ulps of t, no collapse at any time scale raises
     fn = build(a0=a0, a1=a1 * 10.0 ** a1_scale, t_end=1e9)
+    if fn.status == STATUS_VANISHED:
+        assert fn.stats["stop"] == scaling.STOP_UNDERFLOW
+        assert fn.a_values[-1] > 0.0
+        assert fn.vanishing_time == fn.t_end
+
+
+_DAMPED_BUILDS = st.one_of(
+    st.builds(partial, st.just(integrate_isothermal), B=st.floats(-2.0, 0.0),
+              K=_SCALED, kappa=_SCALED, N=st.integers(1, 3)),
+    st.builds(partial, st.just(integrate_pressureless), theta=st.just(1.0),
+              lam=_SCALED.map(lambda x: -x), N=st.integers(1, 3)),
+    st.builds(partial, st.just(integrate_pressureless),
+              theta=st.floats(0.3, 3.0).filter(lambda x: x != 1.0),
+              lam=_SCALED, N=st.integers(1, 3)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(build=_DAMPED_BUILDS, a0=st.floats(0.5, 2.0), a1=st.floats(-1.5, -0.5))
+def test_every_damped_build_ends_or_is_refused_as_stiff(build, a0, a1):
+    # a V < 0 damps a' as a falls: at e < 1 a collapse still vanishes, on
+    # the step floor; at e >= 1 a settles toward an equilibrium a*, where
+    # RK45 steps at its stability limit, about 3.3*a*^e/|V|, and a
+    # small a* makes that stiff.  In one run of 300 examples of these
+    # builds, 45 vanished and 25 were refused as stiff
+    try:
+        with _budgeted(10 ** 6):
+            fn = build(a0=a0, a1=a1, t_end=10.0)
+    except StepFailureError as err:
+        assert "the problem is stiff" in str(err)
+        return
     if fn.status == STATUS_VANISHED:
         assert fn.stats["stop"] == scaling.STOP_UNDERFLOW
         assert fn.a_values[-1] > 0.0
@@ -749,6 +789,68 @@ def test_step_size_underflow_off_a_collapse_raises_step_failure():
     assert v == pytest.approx(-4.77e4, rel=1e-2)
 
 
+def _budgeted(calls):
+    """A patch under which a test fails once the builds' right-hand
+    sides are called more than calls times in all, so that a run the
+    stepper does not bound fails instead of running on."""
+    ode, count = scaling._ode, [0]
+
+    def budgeted_ode(P, V, e):
+        g = ode(P, V, e)
+
+        def rhs(a, v):
+            count[0] += 1
+            assert count[0] <= calls, "the stepper ran past the test's budget"
+            return g(a, v)
+        return rhs
+    return mock.patch.object(scaling, "_ode", budgeted_ode)
+
+
+@pytest.mark.parametrize("build", [
+    # a'' = lam*a'/a**2 at theta = 1 conserves a' + lam/a: from (1, -1) at
+    # lam = -1e-9, a' = 1e-9/a - (1 + 1e-9) relaxes a toward
+    # a* = 1e-9/(1 + 1e-9) at a rate |lam|/a*^2 ~ 1e9, and never to 0.
+    # RK45 holds it only at steps of about 3e-9, some 3e8 of them to t_end
+    partial(integrate_pressureless, theta=1.0, lam=-1e-9, N=1, a0=1.0, a1=-1.0,
+            t_end=2.0),
+    # a* ~ 1e-7: about 3e6 steps
+    partial(integrate_pressureless, theta=1.0, lam=-1e-7, N=1, a0=1.0, a1=-1.0,
+            t_end=2.0),
+    # damped builds that take about 8e7, 1.3e6 and 1.8e6 steps
+    partial(integrate_pressureless, theta=2.9676758208408756, lam=2.1134628881933883,
+            N=3, a0=0.10296249123195082, a1=0.04497138529114988, t_end=2.0),
+    partial(integrate_isothermal, B=-0.5, K=1.0, kappa=1.0, N=3, a0=1e-3, a1=2.0,
+            t_end=7.0),
+    partial(integrate_isothermal, B=-1.0, K=1.0, kappa=100.0, N=3, a0=0.01, a1=0.0,
+            t_end=1.0),
+])
+def test_stiff_build_is_refused_within_a_few_thousand_steps(build):
+    with _budgeted(30_000), pytest.raises(StepFailureError) as err:
+        build()
+    assert str(err.value).endswith(
+        " failed: the problem is stiff, h*lambda over 3.25 on 15 steps.")
+    a, v = err.value.state
+    assert err.value.t > 0.0 and a > 0.0 and math.isfinite(v)
+
+
+def test_stiff_relaxation_is_refused_only_with_many_steps_left():
+    # the relaxation above is refused at its equilibrium a*
+    with pytest.raises(StepFailureError) as err:
+        integrate_pressureless(theta=1.0, lam=-1e-9, N=1, a0=1.0, a1=-1.0,
+                               t_end=2.0)
+    a, v = err.value.state
+    assert 1.0 < err.value.t < 1.001
+    assert a == pytest.approx(1e-9 / (1.0 + 1e-9), rel=1e-6)
+    assert abs(v) < 1e-9
+    # at lam = -1e-4 the steps are held near 3.3/(|lam|/a*^2) ~ 3.3e-4:
+    # some 3000 of them to t_end, under STIFF_STEPS, so the build runs on
+    # through the stiffness test's checks and completes at a*
+    fn = integrate_pressureless(theta=1.0, lam=-1e-4, N=1, a0=1.0, a1=-1.0,
+                                t_end=2.0)
+    assert fn.status == "completed" and fn.stats["accepted"] > 3000
+    assert fn.a_values[-1] == pytest.approx(1e-4 / (1.0 + 1e-4), rel=1e-6)
+
+
 # --- the stepper against the stepper as first written -------------------------
 
 def _stepper_runs(*builds):
@@ -781,9 +883,9 @@ def _bits(values):
 
 def _same_steps_as_first_written(g, a0, a1, t_end, cap_a):
     """Run _dopri45 and tests.oracles.dopri45, at eps_a = 0, on one
-    problem and assert that both give the same rows, stop, rejected count
-    and last state, and call g alike, bit for bit.  Returns (stop,
-    rejected)."""
+    problem that the stiffness test lets through, and assert that both
+    give the same rows, stop, rejected count and last state, and call g
+    alike, bit for bit.  Returns (stop, rejected)."""
     calls, ref_calls = [], []
     rows, stop, rejected, last = scaling._dopri45(
         _recorded(g, calls), a0, a1, t_end, cap_a)
@@ -823,8 +925,12 @@ def test_stepper_keeps_every_bit_of_the_stepper_as_first_written(monkeypatch):
                                        a1=-3.0, t_end=0.5),
         lambda: integrate_pressureless(theta=100.0, lam=1e-295, N=3, a0=1.0,
                                        a1=-1.0, t_end=2.0),
+        # 3323 steps at RK45's stability limit, too few left for the
+        # stiffness test to stop it
+        lambda: integrate_pressureless(theta=1.0, lam=-1e-4, N=1, a0=1.0,
+                                       a1=-1.0, t_end=2.0),
         pole)
-    assert len(runs) == 15
+    assert len(runs) == 16
     outcomes = [_same_steps_as_first_written(*args) for args in runs]
     stops = {stop for stop, _ in outcomes}
     assert stops == {scaling.STOP_COMPLETED, scaling.STOP_DIVERGE,
@@ -854,5 +960,9 @@ _FAMILY_ODES = st.one_of(
 @given(ode=_FAMILY_ODES, a0=st.floats(0.5, 2.0), a1=st.floats(-1.5, 1.5),
        t_end=st.floats(0.1, 2.0))
 def test_stepper_keeps_every_bit_on_random_instances(ode, a0, a1, t_end):
-    _same_steps_as_first_written(scaling._ode(*ode), a0, a1, t_end,
-                                 scaling.CAP_A_FRAC * a0)
+    # the first-written stepper has no stiffness test: on a stiff draw (a
+    # lam near -1e-9 at theta = 1, say) it would step to t_end at RK45's
+    # stability limit, so such a draw is left out
+    g, cap_a = scaling._ode(*ode), scaling.CAP_A_FRAC * a0
+    assume(scaling._dopri45(g, a0, a1, t_end, cap_a)[1] != scaling.STOP_STIFF)
+    _same_steps_as_first_written(g, a0, a1, t_end, cap_a)
