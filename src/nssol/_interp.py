@@ -5,6 +5,9 @@ import numpy as np
 
 from .errors import OutOfRangeError, refuse
 
+#: the refusal of a time outside a trajectory's range [lo, hi]
+OUT_OF_RANGE = "t {x!r} outside tabulated range [{lo!r}, {hi!r}]"
+
 #: points evaluated or formatted at once by a grid's writer and its
 #: evaluation: few enough that a block and its temporaries stay in cache
 #: and are reused, not paged in anew
@@ -48,7 +51,5 @@ def hermite(edges, nodes, coef, x):
         return [horner(c, s) for c in coef[..., j].tolist()]
     s = x - nodes[j]
     y = [horner(c, s) for c in coef[..., j]]
-    refuse(OutOfRangeError, y[0] != y[0],
-           "t {x!r} outside tabulated range [{lo!r}, {hi!r}]",
-           x=x, lo=nodes[1], hi=nodes[-2])
+    refuse(OutOfRangeError, y[0] != y[0], OUT_OF_RANGE, x=x, lo=nodes[1], hi=nodes[-2])
     return y

@@ -7,20 +7,26 @@ directories (say, of a ``git archive`` of the parent commit and of the
 working tree).  One child interpreter per tree imports ``nssol`` from
 its tree and runs all six subcommands, in csv and in json, on each
 instance of ``tests/cases.py``, as given and with theta + 0.5, and on
-six more: three collapses, each ending where the step falls below
-10 ulp(t), near t = 0 and at a large t (a = 1 - t, and the steep
-polytropic collapse at K = kappa = 1 and at 1e-6, which vanish at
-t ~ 1, 0.33 and 644), a fast pressureless expansion at theta = 100,
-where a**(-e) underflows to 0 with e = 299, a pressureless collapse
-at theta = 100 that a thin braking layer stops at a ~ 0.1, which long
+seven more: four collapses near t = 0 and at a large t (a = 1 - t,
+which ends where the step in t falls below 10 ulp(t), the steep
+polytropic collapse at K = kappa = 1 and at 1e-6, and a pressureless
+one at e = 1.4, whose tails are integrated in a to a = 0 at t ~ 0.33,
+644 and 0.56), a fast pressureless expansion at theta = 100, where
+a**(-e) underflows to 0 with e = 299, a pressureless collapse at
+theta = 100 that a thin braking layer stops at a ~ 0.1, which long
 steps must not jump, and a damped relaxation toward a ~ 1e-9 that the
-stepper refuses as stiff.  Every
-run whose exit code, stdout, stderr or payload differs between the
-trees is printed with its first differing lines.  Every run of NEW_SRC
-whose JSON payload (each of describe, verify and blowup, and the json
-format of the others) or stdout summary line does not parse as strict
-JSON, NaN and Infinity refused, is printed with the reason.  The exit
-status is 1 if any run differs or is not strict JSON.
+stepper refuses as stiff.  Every run whose exit code, stdout, stderr or
+payload differs between the trees is printed with its first differing
+lines.  Every run of NEW_SRC whose JSON payload (each of describe,
+verify and blowup, and the json format of the others) or stdout
+summary line does not parse as strict JSON, NaN and Infinity refused,
+is printed with the reason.  Every instance of NEW_SRC whose blowup
+states a collapse law a ~ C*(T - t)**(1/e) is checked against its
+scaling: a(T - d) must meet C*d**(1/e) to LAW_RTOL at one of the gaps
+d = 1e-3 ... 1e-9 times max(1, T) that it serves, where the law's own
+error, which falls with d, is not yet swamped by the tail's tolerance
+on t, about 1e-12*T.  The exit status is 1 if any run differs, is not
+strict JSON or misses its law.
 
 This is no golden test, and pytest does not collect it: numpy's exp and
 power can differ by an ulp between CPUs, so only two trees run on one
@@ -32,6 +38,7 @@ import contextlib
 import difflib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -46,6 +53,8 @@ FORMATS = ("csv", "json")
 FIELDS = ("exit", "stdout", "stderr", "payload")
 #: subcommands whose payload is JSON in either format
 JSON_COMMANDS = ("describe", "verify", "blowup")
+#: the relative error a collapse law must meet at one of its gaps
+LAW_RTOL = 1e-2
 
 
 def _configs():
@@ -73,6 +82,9 @@ def _configs():
         ("slow_collapse", ModelParams(N=3, gamma=2.0, theta=2.0, K=1e-6, kappa=1e-6),
          WithPressurePolytropic(alpha=1.0, a0=1.0, a1=0.0),
          Window(0.05, 1000.0, 0.1, 2.0)),
+        ("gentle_collapse", ModelParams(N=3, gamma=1.0, theta=0.8, delta=0),
+         PressurelessThetaNot1(lam=-1.0, alpha=1.0, a0=1.0, a1=-1.0),
+         Window(0.1, 1.0, 0.1, 2.0)),
         ("fast_expansion", ModelParams(N=3, gamma=1.0, theta=100.0, delta=0),
          PressurelessThetaNot1(lam=1.0, alpha=1.0, a0=1.0, a1=20.0),
          Window(0.1, 1.0, 0.1, 2.0)),
@@ -97,8 +109,28 @@ def _configs():
     return docs
 
 
+def _law_error(doc, law):
+    """The smallest relative error of the collapse law that the blowup
+    record law states, over the gaps d that the scaling of the config doc
+    serves, and that d."""
+    from nssol import build_solution
+    from nssol.cli import RunConfig
+
+    config = RunConfig(doc)
+    scaling = build_solution(config.params, config.family,
+                             t_end=config.grid["t_max"]).scaling
+    T, C, p = law["vanishing_time"], law["collapse_constant"], law["collapse_exponent"]
+    errors = []
+    for k in range(3, 10):
+        t = T - 10.0 ** -k * max(1.0, T)
+        if t <= scaling.t_end:
+            errors.append((abs(scaling.pair(t)[0] / (C * (T - t) ** p) - 1.0), T - t))
+    return min(errors, default=(math.inf, math.nan))
+
+
 def _child(src):
-    """Every run on the nssol of src, as JSON on stdout."""
+    """Every run on the nssol of src, and each collapse law's error, as
+    JSON on stdout."""
     sys.path.insert(0, os.path.abspath(src))
     import nssol
     from nssol.cli import main
@@ -129,7 +161,13 @@ def _child(src):
                         "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
                         "payload": payload.read_text() if payload.exists() else None}
         os.chdir(ROOT)
-    json.dump(records, sys.stdout)
+    laws = {}
+    for name, doc in configs.items():
+        blowup = records[f"{name} blowup json"]
+        law = json.loads(blowup["payload"]) if blowup["exit"] == 0 else {}
+        if "collapse_exponent" in law:
+            laws[name] = _law_error(doc, law)
+    json.dump({"runs": records, "laws": laws}, sys.stdout)
 
 
 def _runs(src):
@@ -168,7 +206,8 @@ def main(argv=None):
     parser.add_argument("old_src")
     parser.add_argument("new_src")
     args = parser.parse_args(argv)
-    old, new = _runs(args.old_src), _runs(args.new_src)
+    old, new_tree = _runs(args.old_src)["runs"], _runs(args.new_src)
+    new, laws = new_tree["runs"], new_tree["laws"]
     differ = 0
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key, {}), new.get(key, {})
@@ -190,9 +229,14 @@ def main(argv=None):
             print(f"{key}: not strict JSON")
             for reason in reasons:
                 print(f"    {reason}")
+    missed = 0
+    for name, (error, gap) in sorted(laws.items()):
+        missed += not error <= LAW_RTOL
+        print(f"{name}: collapse law within {error:.1e} at T - t = {gap:.1e}"
+              + ("" if error <= LAW_RTOL else f", not {LAW_RTOL:g}"))
     print(f"{len(old.keys() | new.keys())} runs, {differ} differ, "
-          f"{loose} not strict JSON")
-    return 1 if differ or loose else 0
+          f"{loose} not strict JSON, {missed} of {len(laws)} collapse laws missed")
+    return 1 if differ or loose or missed else 0
 
 
 if __name__ == "__main__":

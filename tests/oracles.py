@@ -6,7 +6,8 @@ as the reference the package's own Dormand-Prince stepper must match.
 These never call into the package's adaptive integrators, so agreement
 between the routes is a real check rather than a tautology.  The one
 exception is ``dopri45``, a verbatim copy of the package's own stepper
-as first written, which the tuned stepper must equal bit for bit.
+as first written, which the tuned stepper must equal bit for bit, up to
+where a collapse's tail takes over.
 """
 
 import math
@@ -126,7 +127,8 @@ def rk45_scaling(accel, a0, a1, t_end, rtol, atol, cap_a):
 
     Returns (status, vanishing time or None, solve_ivp's result): a
     step-size underflow counts as a vanishing at the last accepted
-    time, as a collapse of the package's stepper ends.  Imports scipy.
+    time, as a collapse of the package's stepper in t ends.  Imports
+    scipy.
     """
     import numpy as np
     from scipy.integrate import solve_ivp
@@ -148,12 +150,16 @@ def rk45_scaling(accel, a0, a1, t_end, rtol, atol, cap_a):
 #
 # A verbatim copy of nssol.scaling._dopri45 before its loop was tuned
 # for speed, kept as the reference the tuned stepper must equal bit for
-# bit: same rows, stop reason, rejected count and last state.  It shares
-# the package's tableau and tolerances, so it checks the loop, not the
-# constants.  It also stopped after a step that ends with a <= eps_a
-# (STOP_VANISH), a stop the package has no more: at eps_a = 0 it never
-# fires on a g that is NaN at a <= 0, as the package's _ode is, since a
-# NaN stage rejects the step, so every accepted a is > 0.
+# bit: same rows, stop reason, rejected count and last state.  The
+# package's stepper now takes any first order system (y, z)' = F(x, y, z);
+# on the scaling ODE from t = 0 it must make this one's steps, and where
+# a collapse switches to its tail integrated in a (STOP_SWITCH), its rows
+# are this one's up to there.  It shares the package's tableau and
+# tolerances, so it checks the loop, not the constants.  It also stopped
+# after a step that ends with a <= eps_a (STOP_VANISH), a stop the
+# package has no more: at eps_a = 0 it never fires on a g that is NaN at
+# a <= 0, as the package's _ode is, since a NaN stage rejects the step,
+# so every accepted a is > 0.
 
 #: the stop after a step that ends with a <= eps_a
 STOP_VANISH = "vanish_event"

@@ -379,7 +379,8 @@ def test_steep_collapse_blowup_exits_0(tmp_path, capsys):
     path = _write(tmp_path, cfg)
     assert main(["blowup", "--config", path]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["status"] == "vanished" and doc["searched_until"] == doc["vanishing_time"]
+    # the tail, integrated in a, serves up to the last float short of t*
+    assert doc["status"] == "vanished" and doc["searched_until"] < doc["vanishing_time"]
     assert doc["vanishing_time"] == pytest.approx(644.3875631888623, rel=1e-9)
 
 
@@ -796,7 +797,7 @@ def test_scale_status_and_last_time(tmp_path, capsys, cfg, status, t_last):
     if t_last is None:
         config = RunConfig(cfg)
         t_last = build_solution(config.params, config.family, t_end=1.5).scaling.t_end
-        assert summary["vanishing_time"] <= t_last < 0.42
+        assert t_last < summary["vanishing_time"] < 0.42
     assert t == t_last
 
 
@@ -804,7 +805,9 @@ def test_scale_status_and_last_time(tmp_path, capsys, cfg, status, t_last):
     (_blowup_config(), ["vanishing_time"], None),
     (_isothermal_config(-1.0, 0.5), ["vanishing_time", "status", "searched_until"],
      "completed"),
-    (_isothermal_config(1.0, 1.5), ["vanishing_time", "status", "searched_until"],
+    # a collapse's tail adds its law a ~ C*(T - t)**(1/e)
+    (_isothermal_config(1.0, 1.5), ["vanishing_time", "status", "searched_until",
+                                    "collapse_exponent", "collapse_constant"],
      "vanished"),
 ])
 def test_blowup_keys(tmp_path, capsys, cfg, keys, status):
@@ -819,7 +822,10 @@ def test_blowup_keys(tmp_path, capsys, cfg, keys, status):
         if status == "completed":
             assert doc["vanishing_time"] is None and doc["searched_until"] == t_max
         else:
-            assert doc["vanishing_time"] <= doc["searched_until"] < t_max
+            assert doc["searched_until"] < doc["vanishing_time"] < t_max
+            # e = 2 and e*V/(e - 1) = 2*(2*B*N*kappa) at B = 1, N = 3
+            assert doc["collapse_exponent"] == 0.5
+            assert doc["collapse_constant"] == pytest.approx(12.0 ** 0.5, rel=1e-15)
 
 
 def _grid_config(cfg, t_min, t_max, n_t, r_min, r_max, n_r):

@@ -152,17 +152,18 @@ def test_polytropic_vanishes_with_negative_velocity():
 
 
 def test_vanished_trajectory_stays_positive_and_small():
-    # this collapse is a viscous runaway (a ~ (t_v - t)**(1/3)); it ends
-    # once the remaining time to a = 0 is below float resolution, with a
+    # this collapse is a viscous runaway (a ~ (t_v - t)**(1/3)); its tail,
+    # integrated in a, serves up to the last float short of t_v, with a
     # tiny but positive final value
     fn = integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0,
                               a1=-1.0, t_end=2.0)
     assert fn.status == STATUS_VANISHED
     assert fn.a_values.min() > 0.0
     assert fn.a_values.min() < 1e-3
-    # a smooth, non-runaway approach to zero ends the same way, where the
-    # step falls below 10 ulp(t): lam = 0 makes a(t) = 1 - t exactly, and
-    # the vanishing time is t* = 1 to the resolution of t
+    # a smooth, non-runaway approach to zero at V = 0 has no tail and
+    # ends where the step falls below 10 ulp(t): lam = 0 makes
+    # a(t) = 1 - t exactly, and the vanishing time is t* = 1 to the
+    # resolution of t
     lin = integrate_pressureless(theta=1.0, lam=0.0, N=1, a0=1.0, a1=-1.0,
                                  t_end=2.0)
     assert lin.status == STATUS_VANISHED
@@ -194,9 +195,9 @@ def test_vanished_trajectory_stays_positive_and_small():
 
 
 def test_steep_polytropic_collapse_matches_rk4_oracle():
-    # N = 3, gamma = theta = 2 collapses so steeply that the step falls
-    # below 10 ulp(t) with a still near 2e-3, where a/|a'| ~ 6e-14 is
-    # about a thousand ulp(t): the trajectory vanishes there
+    # N = 3, gamma = theta = 2 collapses so steeply that a stepper in t
+    # fell below 10 ulp(t) with a still near 2e-3; its tail, integrated
+    # in a, reaches a = 0
     fn = integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=3, a0=1.0,
                               a1=0.0, t_end=1.2)
     assert fn.status == STATUS_VANISHED
@@ -208,18 +209,18 @@ def test_steep_polytropic_collapse_matches_rk4_oracle():
 
 def test_slow_polytropic_collapse_vanishes_at_a_large_time():
     # the steep collapse above at K = kappa = 1e-6 ends at t ~ 644, where
-    # the step floor 10 ulp(t) is 2e4 times that at t ~ 0.33: a/|a'| there
-    # is 1.2e-10 in time, yet about a thousand ulp(t), as at K = 1
+    # a step in t would fall below its floor 10 ulp(t), 2e4 times that at
+    # t ~ 0.33: the tail, integrated in a, reaches a = 0 all the same
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     fn = integrate_polytropic(gamma=2.0, K=1e-6, kappa=1e-6, N=3, a0=1.0, a1=0.0,
                               t_end=1e9)
-    assert fn.status == STATUS_VANISHED and fn.stats["stop"] == scaling.STOP_UNDERFLOW
-    assert fn.vanishing_time == fn.t_end and fn.a_values[-1] > 0.0
+    assert fn.status == STATUS_VANISHED and fn.stats["stop"] == scaling.STOP_ZERO
+    assert fn.t_end < fn.vanishing_time and fn.a_values[-1] > 0.0
     # scipy's DOP853 at rtol 1e-13, on the same right-hand side, stops on
     # its own step floor, where a/|a'| is 1e-13 of t
-    g = scaling._ode(1e-6 * 2.0, 3 * 1e-6 * 2.0, 3 * 2.0 - 3 + 2.0)
+    F = scaling._ode(1e-6 * 2.0, 3 * 1e-6 * 2.0, 3 * 2.0 - 3 + 2.0)
     with np.errstate(all="ignore"):
-        ref = solve_ivp(lambda t, y: [y[1], g(y[0], y[1])], [0.0, 1e9], [1.0, 0.0],
+        ref = solve_ivp(lambda t, y: F(t, *y), [0.0, 1e9], [1.0, 0.0],
                         method="DOP853", rtol=1e-13, atol=1e-15)
     assert ref.status == -1 and 644.0 < ref.t[-1] < 645.0
     assert abs(fn.vanishing_time - ref.t[-1]) <= 1e-9 * ref.t[-1]
@@ -243,17 +244,38 @@ _UNDAMPED_BUILDS = st.one_of(
 )
 
 
+def _tailed(build, **kwargs):
+    """build(**kwargs), and whether _integrate was given a tail, as it
+    is at V > 0 and e > 1."""
+    tails, integrate = [], scaling._integrate
+
+    def spy(F, a0, a1, t_end, label, tail=None):
+        tails.append(tail is not None)
+        return integrate(F, a0, a1, t_end, label, tail)
+
+    with mock.patch.object(scaling, "_integrate", spy):
+        fn = build(**kwargs)
+    return fn, tails == [True]
+
+
 @settings(max_examples=60, deadline=None)
 @given(build=_UNDAMPED_BUILDS, a0=st.floats(0.5, 2.0), a1=st.floats(-1.5, 1.5),
        a1_scale=st.floats(-6.0, 0.0))
-def test_every_collapse_ends_on_the_step_floor(build, a0, a1, a1_scale):
-    # a 1e-10 bound on a/|a'| in time raised StepFailureError on collapses
-    # past t ~ 265; in ulps of t, no collapse at any time scale raises
-    fn = build(a0=a0, a1=a1 * 10.0 ** a1_scale, t_end=1e9)
+def test_every_collapse_ends_at_a_zero_or_on_the_step_floor(build, a0, a1, a1_scale):
+    # a collapse at V > 0 and e > 1 ends at a = 0 on its tail, integrated
+    # in a, and serves up to a float short of it.  Any other ends where the
+    # step in t falls below 10 ulp(t), a bound in ulps of t that no
+    # collapse at any time scale fails; so does one at V > 0 and e > 1
+    # whose tail would start closer to a = 0 than that floor (a = 1 - t
+    # at B = 1e-15, where a'*a**(e - 1) nears -V/(e - 1) at a ~ 2e-15)
+    fn, tailed = _tailed(build, a0=a0, a1=a1 * 10.0 ** a1_scale, t_end=1e9)
     if fn.status == STATUS_VANISHED:
-        assert fn.stats["stop"] == scaling.STOP_UNDERFLOW
         assert fn.a_values[-1] > 0.0
-        assert fn.vanishing_time == fn.t_end
+        if fn.stats["stop"] == scaling.STOP_ZERO:
+            assert tailed and fn.t_end < fn.vanishing_time
+        else:
+            assert fn.stats["stop"] == scaling.STOP_UNDERFLOW
+            assert fn.vanishing_time == fn.t_end
 
 
 _DAMPED_BUILDS = st.one_of(
@@ -285,6 +307,156 @@ def test_every_damped_build_ends_or_is_refused_as_stiff(build, a0, a1):
         assert fn.stats["stop"] == scaling.STOP_UNDERFLOW
         assert fn.a_values[-1] > 0.0
         assert fn.vanishing_time == fn.t_end
+
+
+# --- a collapse's tail, integrated in a -----------------------------------------
+
+#: collapses at V > 0 and e > 1 from (1, 0) unless given: isothermal N = 3
+#: and N = 1, polytropic N = 3 at gamma = 2, N = 2 at gamma = 2.5 from
+#: (1, -0.2) and N = 1 at gamma = 2, and pressureless at e = 1.4, each
+#: with its (P, V, e, a0, a1)
+_COLLAPSES = [
+    (partial(integrate_isothermal, B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0),
+     (2.0, 6.0, 2.0, 1.0, 0.0)),
+    (partial(integrate_isothermal, B=1.0, K=1.0, kappa=1.0, N=1, a0=1.0, a1=0.0),
+     (2.0, 2.0, 2.0, 1.0, 0.0)),
+    (partial(integrate_polytropic, gamma=2.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0),
+     (2.0, 6.0, 5.0, 1.0, 0.0)),
+    (partial(integrate_polytropic, gamma=2.5, K=1.0, kappa=1.0, N=2, a0=1.0, a1=-0.2),
+     (2.5, 5.0, 5.0, 1.0, -0.2)),
+    (partial(integrate_polytropic, gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0, a1=0.0),
+     (2.0, 2.0, 3.0, 1.0, 0.0)),
+    (partial(integrate_pressureless, theta=0.8, lam=-1.0, N=3, a0=1.0, a1=-1.0),
+     (0.0, 1.0, 1.4, 1.0, -1.0)),
+]
+_COLLAPSE_IDS = ["isothermal_n3", "isothermal_n1", "polytropic_n3", "polytropic_n2",
+                 "polytropic_n1", "pressureless_e1.4"]
+
+
+def _dop853_vanishing_time(P, V, e, a0, a1):
+    """t at a = 0 by scipy's DOP853 at rtol 1e-13: in t to a = a0/2, then
+    t and w = a' + c*a**(1 - e), c = V/(e - 1), over a down to 0."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+    def half(t, y):
+        return y[0] - 0.5 * a0
+
+    half.terminal, half.direction = True, -1
+    t_phase = solve_ivp(lambda t, y: [y[1], (V * y[1] - P * y[0]) * y[0] ** -e],
+                        [0.0, 100.0], [a0, a1], method="DOP853", rtol=1e-13,
+                        atol=1e-15, events=[half])
+    t, (a, v) = t_phase.t_events[0][0], t_phase.y_events[0][0]
+    c = V / (e - 1.0)
+
+    def in_a(a, y):
+        D = y[1] * a ** (e - 1.0) - c
+        return [a ** (e - 1.0) / D, -P / D]
+
+    a_phase = solve_ivp(in_a, [a, 0.0], [t, v + c * a ** (1.0 - e)], method="DOP853",
+                        rtol=1e-13, atol=1e-15)
+    return a_phase.y[0, -1]
+
+
+@pytest.mark.parametrize("build, constants", _COLLAPSES, ids=_COLLAPSE_IDS)
+def test_collapse_tail_reaches_a_zero_in_few_steps(build, constants):
+    # a stepper in t took 540-770 accepted steps on these, ending 4.7e-12
+    # to 8.7e-12 short of this reference; with the tail integrated in a
+    # from where the collapse follows its law they take 101-161 in all
+    fn = build(t_end=2.0)
+    assert fn.status == STATUS_VANISHED and fn.stats["stop"] == scaling.STOP_ZERO
+    assert fn.stats["accepted"] <= 200
+    assert abs(fn.vanishing_time - _dop853_vanishing_time(*constants)) <= 1e-11
+
+
+@pytest.mark.parametrize("build", [build for build, _ in _COLLAPSES], ids=_COLLAPSE_IDS)
+def test_tail_continues_the_t_piece_and_falls_to_its_end(build):
+    fn = build(t_end=2.0)
+    t_switch = fn.ts[_t_piece(fn) - 1]
+    assert 0.0 < t_switch < fn.t_end < fn.vanishing_time
+    # the switch node is the t-piece's; the next float is the tail's
+    (a, adot), (a_next, adot_next) = fn.pair(t_switch), fn.pair(math.nextafter(t_switch, 1.0))
+    assert abs(a_next - a) <= 8 * math.ulp(a) and abs(adot_next - adot) <= 1e-14 * -adot
+    ts = np.linspace(t_switch, fn.t_end, 4001)
+    a, adot = fn.pair(ts)
+    assert np.all(np.diff(a) < 0.0) and a[-1] > 0.0 and np.all(adot < 0.0)
+    assert a[-1] == fn.a_values[-1] and np.isfinite(adot[-1])
+
+
+def test_collapse_cut_by_the_requested_end_completes_there():
+    # the polytropic N = 1 collapse from (1, -1) switches after one step,
+    # and a tail that passes t_end before a = 0 completes at t_end
+    whole = integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0, a1=-1.0,
+                                 t_end=2.0)
+    t_stop = 0.5 * (whole.ts[1] + whole.vanishing_time)
+    fn = integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0, a1=-1.0,
+                              t_end=t_stop)
+    assert fn.status == "completed" and fn.stats["stop"] == scaling.STOP_COMPLETED
+    assert fn.t_end == t_stop and fn.vanishing_time is None
+    assert fn.pair(t_stop) == pytest.approx(whole.pair(t_stop), rel=1e-12)
+
+
+def _tail_rows(monkeypatch, build):
+    """build(), and the rows of its tail's _dopri45 call."""
+    tails = []
+    dopri45 = scaling._dopri45
+
+    def spy(*args):
+        out = dopri45(*args)
+        if args[5] == scaling.TAIL_RTOL:
+            tails.append(out[0])
+        return out
+
+    monkeypatch.setattr(scaling, "_dopri45", spy)
+    fn = build()
+    monkeypatch.undo()
+    (rows,) = tails
+    return fn, rows
+
+
+def test_tail_nodes_that_round_to_one_time_are_dropped(monkeypatch):
+    # at e = 119 the tail's t(a) ~ T - k*a**119 is T to the float below
+    # a ~ 0.67: the steps that start there are no nodes, and the last
+    # node is the largest float short of T, served at a > 0
+    fn, rows = _tail_rows(monkeypatch, lambda: integrate_pressureless(
+        theta=40.0, lam=-1.0, N=3, a0=1.0, a1=-1.0, t_end=2.0))
+    assert fn.t_end == math.nextafter(fn.vanishing_time, 0.0)
+    assert np.count_nonzero(rows[:, 2] >= fn.t_end) >= 2
+    assert np.all(np.diff(fn.ts) > 0.0)
+    assert 0.5 < fn.a_values[-1] < 1.0 and np.isfinite(fn.adot_values[-1])
+
+
+def test_tail_drops_a_step_that_starts_where_the_next_does(monkeypatch):
+    # no t reads a step whose next one starts at the same float: with one
+    # step of the isothermal collapse's tail given twice, the tail has the
+    # same nodes and values
+    fn, rows = _tail_rows(monkeypatch, lambda: integrate_isothermal(
+        B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0, t_end=1.5))
+    k = len(rows) // 2
+    tails = [scaling._Tail(r, fn.vanishing_time, 1.5, 6.0, 2.0)
+             for r in (rows, np.insert(rows, k, rows[k], axis=0))]
+    for got in ("ts", "a", "adot"):
+        assert _bits(getattr(tails[0], got)) == _bits(getattr(tails[1], got))
+    ts = np.linspace(rows[0, 2], fn.t_end, 1001)[1:]
+    assert _bits([tails[0].pair(t) for t in ts]) == _bits([tails[1].pair(t) for t in ts])
+    assert _bits(fn.pair(ts)) == _bits(np.transpose([tails[0].pair(t) for t in ts]))
+
+
+def test_blowup_states_the_collapse_law_of_its_tail():
+    fn = integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
+                              t_end=2.0)
+    doc = fn.blowup()
+    # e = 5, V = 6: a ~ (e*V/(e - 1)*(T - t))**(1/e) = (7.5*(T - t))**0.2
+    assert doc["collapse_exponent"] == 0.2
+    assert doc["collapse_constant"] == pytest.approx(7.5 ** 0.2, rel=1e-15)
+    # the law's error falls with T - t, until the tail's tolerance on t,
+    # about 1e-12*T, takes over near 1e-9
+    T = fn.vanishing_time
+    for gap, rtol in ((1e-3, 1e-3), (1e-7, 1e-5)):
+        law = doc["collapse_constant"] * gap ** doc["collapse_exponent"]
+        assert fn.pair(T - gap)[0] == pytest.approx(law, rel=rtol)
+    # a collapse that ends on the step floor states no law
+    damped = integrate_pressureless(theta=0.4, lam=1.0, N=3, a0=1.0, a1=-2.0, t_end=3.0)
+    assert damped.status == STATUS_VANISHED and "collapse_exponent" not in damped.blowup()
 
 
 # --- power-law scaling ----------------------------------------------------------
@@ -342,7 +514,9 @@ def test_scalings_state_their_own_facts():
     assert fn.t_end == fn.ts[-1] < 0.42
     assert list(fn.blowup().items()) == [("vanishing_time", fn.vanishing_time),
                                          ("status", STATUS_VANISHED),
-                                         ("searched_until", fn.t_end)]
+                                         ("searched_until", fn.t_end),
+                                         ("collapse_exponent", 0.5),
+                                         ("collapse_constant", 12.0 ** 0.5)]
     with pytest.raises(ValueError):
         fn.a_values[0] = 2.0
 
@@ -419,6 +593,8 @@ def _trajectories():
                                t_end=1.0),
         integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0, a1=-1.0,
                              t_end=2.0),
+        integrate_isothermal(B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
+                             t_end=1.5),
     ]
 
 
@@ -429,39 +605,44 @@ def test_pair_returns_stored_node_values_exactly():
 
 
 def test_batched_pair_matches_scalar_calls_bit_for_bit():
+    # both collapses have a tail, which gets a third of the times
     rng = np.random.default_rng(7)
     for fn in _trajectories():
-        ts = rng.uniform(0.0, fn.t_end, 300)
+        t_tail = fn.ts[_t_piece(fn) - 1]
+        ts = np.concatenate((rng.uniform(0.0, fn.t_end, 200),
+                             rng.uniform(t_tail, fn.t_end, 100)))
         a, adot = fn.pair(ts)
         scalar = np.array([fn.pair(t) for t in ts])
         assert np.array_equal(a, scalar[:, 0]) and np.array_equal(adot, scalar[:, 1])
 
 
 def test_table_agrees_with_rk45_dense_output(monkeypatch):
-    # a vanished trajectory too: its last step's polynomial is served up
-    # to the event node, and no other interpolant stands in between
+    # a vanished trajectory too: its last step's polynomial in t is served
+    # up to the switch node, and no other interpolant stands in between
     steps = []
     dopri45 = scaling._dopri45
 
     def spy(*args):
         out = dopri45(*args)
-        steps.append(np.array(out[0]).T)
+        if args[5] == scaling.RTOL:  # the t-piece
+            steps.append(np.array(out[0]).T)
         return out
 
     monkeypatch.setattr(scaling, "_dopri45", spy)
     trajectories = _trajectories()
     rng = np.random.default_rng(11)
-    for fn, (t_olds, t_news, a_olds, *slopes) in zip(trajectories, steps):
+    for fn, (t_olds, t_news, a_olds, v_olds, *slopes) in zip(trajectories, steps):
         # RK45's dense output y_old + h*(q0*x + q1*x**2 + q2*x**3 + q3*x**4),
         # x = (t - t_old)/h, on the step that holds t
+        assert np.array_equal(v_olds, slopes[0])
         q = np.einsum("cjs,jk->kcs", np.reshape(slopes, (2, 7, -1)), scaling._P)
-        ts = rng.uniform(0.0, fn.t_end, 100_000)
+        ts = rng.uniform(0.0, min(fn.t_end, t_news[-1]), 100_000)
         i = np.minimum(t_news.searchsorted(ts), len(t_news) - 1)
         h = t_news[i] - t_olds[i]
         x = (ts - t_olds[i]) / h
-        ref = np.array([a_olds, slopes[0]])[:, i] + h * (
+        ref = np.array([a_olds, v_olds])[:, i] + h * (
             q[0][:, i] * x + q[1][:, i] * x ** 2 + q[2][:, i] * x ** 3 + q[3][:, i] * x ** 4)
-        values = np.array([fn.a_values, fn.adot_values])
+        values = np.array([fn.a_values, fn.adot_values])[:, :len(t_olds) + 1]
         err = np.max(np.abs(np.array(fn.pair(ts)) - ref), axis=-1)
         assert np.all(err <= 1e-15 * np.max(np.abs(values), axis=-1)), fn
 
@@ -483,8 +664,13 @@ def test_interval_lookup_edges():
         fn.pair(-2.0 * pad)
 
 
-@pytest.mark.parametrize("name, params, family, window", cases.exact_families(),
-                         ids=[case[0] for case in cases.exact_families()])
+#: the exact families, and the collapse of criterion 1, whose tail is
+#: integrated in a
+_RANGE_CASES = cases.exact_families() + [("isothermal_stated", *cases.isothermal_stated())]
+
+
+@pytest.mark.parametrize("name, params, family, window", _RANGE_CASES,
+                         ids=[case[0] for case in _RANGE_CASES])
 def test_pair_range_edges_and_batches(name, params, family, window):
     # the edge tolerance is served exactly to its last float, and an
     # array of times gives the scalar calls' values bit for bit
@@ -502,6 +688,9 @@ def test_pair_range_edges_and_batches(name, params, family, window):
             with pytest.raises(OutOfRangeError):
                 fn.pair(np.array([lo, t]))
     ts = np.random.default_rng(3).uniform(lo, hi, 1000)
+    if name == "isothermal_stated":  # its tail gets times of its own
+        assert fn.stats["stop"] == scaling.STOP_ZERO
+        ts = np.append(ts, np.random.default_rng(4).uniform(fn.ts[_t_piece(fn) - 1], hi, 200))
     a, adot = fn.pair(ts)
     scalar = np.array([fn.pair(t) for t in ts])
     assert np.array_equal(a, scalar[:, 0]) and np.array_equal(adot, scalar[:, 1])
@@ -533,14 +722,14 @@ def test_two_node_trajectory():
 # --- the Dormand-Prince stepper ---------------------------------------------------
 
 def _integrated_scalings(monkeypatch):
-    """(scaling, accel, a0, a1, t_end) of each integration run by the
+    """(scaling, F, a0, a1, t_end, tail) of each integration run by the
     five canonical ODE families and by both steep polytropic collapses."""
     runs = []
     integrate = scaling._integrate
 
-    def spy(accel, a0, a1, t_end, label):
-        fn = integrate(accel, a0, a1, t_end, label)
-        runs.append((fn, accel, a0, a1, t_end))
+    def spy(F, a0, a1, t_end, label, tail=None):
+        fn = integrate(F, a0, a1, t_end, label, tail)
+        runs.append((fn, F, a0, a1, t_end, tail))
         return fn
 
     monkeypatch.setattr(scaling, "_integrate", spy)
@@ -555,55 +744,75 @@ def _integrated_scalings(monkeypatch):
     return runs
 
 
+def _accel(F):
+    """a'' = accel(a, a') of the first order system F of the scaling ODE."""
+    return lambda a, v: F(0.0, a, v)[1]
+
+
+def _t_piece(fn):
+    """The number of nodes of fn's table in t, which a collapse's tail
+    follows."""
+    return len(fn._nodes) - 2
+
+
 def test_stepper_matches_scipy_rk45(monkeypatch):
     pytest.importorskip("scipy.integrate")
     runs = _integrated_scalings(monkeypatch)
     assert [fn.status for fn, *_ in runs].count(STATUS_VANISHED) == 4
-    for fn, accel, a0, a1, t_end in runs:
-        status, t_v, sol = rk45_scaling(accel, a0, a1, t_end, scaling.RTOL, scaling.ATOL,
-                                        scaling.CAP_A_FRAC * a0)
+    for fn, F, a0, a1, t_end, tail in runs:
+        status, t_v, sol = rk45_scaling(_accel(F), a0, a1, t_end, scaling.RTOL,
+                                        scaling.ATOL, scaling.CAP_A_FRAC * a0)
         assert fn.status == status, fn
+        t_last = fn.ts[_t_piece(fn) - 1]
         if t_v is None:
             assert fn.vanishing_time is None
-        else:
+        elif fn.stats["stop"] == scaling.STOP_UNDERFLOW:
             assert abs(fn.vanishing_time - t_v) <= 1e-14 * t_v, fn
-        # a 1e-3 grid strictly inside, short of its last interval
-        ts = 1e-3 * np.arange(1, int(fn.t_end / 1e-3))
+        else:
+            # RK45 follows the collapse in t past the switch node to its
+            # step floor; the tail's t at a = 0 is held to DOP853 in
+            # test_collapse_tail_reaches_a_zero_in_few_steps
+            assert t_last < t_v and fn.t_end < fn.vanishing_time, fn
+        # a 1e-3 grid strictly inside the table in t, short of its last
+        # interval
+        ts = 1e-3 * np.arange(1, int(t_last / 1e-3))
         np.testing.assert_allclose(fn.pair(ts), sol.sol(ts), rtol=1e-11, atol=0.0)
 
 
 def test_pair_is_scipys_dense_output_between_the_steps(monkeypatch):
     pytest.importorskip("scipy.integrate")
     rng = np.random.default_rng(3)
-    for fn, accel, a0, a1, t_end in _integrated_scalings(monkeypatch):
-        *_, sol = rk45_scaling(accel, a0, a1, t_end, scaling.RTOL, scaling.ATOL,
+    for fn, F, a0, a1, t_end, tail in _integrated_scalings(monkeypatch):
+        *_, sol = rk45_scaling(_accel(F), a0, a1, t_end, scaling.RTOL, scaling.ATOL,
                                scaling.CAP_A_FRAC * a0)
-        ts = rng.uniform(0.0, fn.ts[-2], 10_000)  # short of the last step
+        n = _t_piece(fn)
+        ts = rng.uniform(0.0, fn.ts[n - 2], 10_000)  # short of its last step in t
         err = np.max(np.abs(np.array(fn.pair(ts)) - sol.sol(ts)), axis=-1)
-        size = np.max(np.abs([fn.a_values, fn.adot_values]), axis=-1)
+        size = np.max(np.abs([fn.a_values[:n], fn.adot_values[:n]]), axis=-1)
         assert np.all(err <= 1e-9 * size), (fn, err / size)
 
 
 def test_stats_count_the_steps_and_name_the_stop():
     completed = integrate_isothermal(B=-1.0, K=1.0, kappa=1.0, N=3, a0=1.0,
                                      a1=0.0, t_end=0.5)
-    underflow = integrate_isothermal(B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0,
-                                     a1=0.0, t_end=1.5)
+    collapse = integrate_isothermal(B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0,
+                                    a1=0.0, t_end=1.5)
     linear = integrate_pressureless(theta=1.0, lam=0.0, N=1, a0=1.0, a1=-1.0,
                                     t_end=2.0)
     # theta = 0.1, N = 3: a' ~ a**1.7/1.7 runs away in finite time
     diverged = integrate_pressureless(theta=0.1, lam=-1.0, N=3, a0=1.0, a1=1.0,
                                       t_end=5.0)
-    for fn, stop in ((completed, scaling.STOP_COMPLETED),
-                     (underflow, scaling.STOP_UNDERFLOW),
-                     (linear, scaling.STOP_UNDERFLOW),
-                     (diverged, scaling.STOP_DIVERGE)):
+    for fn, stop, pieces in ((completed, scaling.STOP_COMPLETED, 1),
+                             (collapse, scaling.STOP_ZERO, 2),
+                             (linear, scaling.STOP_UNDERFLOW, 1),
+                             (diverged, scaling.STOP_DIVERGE, 1)):
         stats = fn.stats
         assert sorted(stats) == ["accepted", "nfev", "rejected", "stop"]
         assert stats["stop"] == stop
         assert stats["accepted"] > 0 and stats["rejected"] >= 0
-        # f at t = 0, the first-step probe, then six stages per attempt
-        assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+        # per piece f at its start and the first-step probe, then six
+        # stages per attempt
+        assert stats["nfev"] == 2 * pieces + 6 * (stats["accepted"] + stats["rejected"])
     assert diverged.status == "diverged" and diverged.vanishing_time is None
     # a moves by ~6.5e4 per ulp of t there: the crossing is the float
     # nearest to the cap on the last step's quartic, whose end node it is
@@ -628,19 +837,19 @@ def test_negative_trial_stage_is_rejected_not_complex(monkeypatch):
                                     a1=-1.0, t_end=2.0)
 
     fn = build()
-    assert fn.stats["rejected"] > 0 and fn.stats["stop"] == scaling.STOP_UNDERFLOW
+    assert fn.stats["rejected"] > 0 and fn.stats["stop"] == scaling.STOP_ZERO
     assert fn.status == STATUS_VANISHED and 0.99999 < fn.vanishing_time < 1.0
     assert np.all(np.isfinite(fn.a_values)) and fn.a_values.min() > 0.0
     negative = []
     ode = scaling._ode
 
     def spy(P, V, e):
-        g = ode(P, V, e)
+        F = ode(P, V, e)
 
-        def rhs(a, v):
-            x = g(a, v)
+        def rhs(t, a, v):
+            x = F(t, a, v)
             if a < 0.0:
-                negative.append(x)
+                negative.append(x[1])
             return x
         return rhs
 
@@ -679,12 +888,12 @@ def test_a_trial_stage_that_overflows_is_rejected(monkeypatch):
     ode = scaling._ode
 
     def spy(P, V, e):
-        g = ode(P, V, e)
+        F = ode(P, V, e)
 
-        def rhs(a, v):
-            x = g(a, v)
+        def rhs(t, a, v):
+            x = F(t, a, v)
             if abs(a) < small:
-                raised.append(x)
+                raised.append(x[1])
             return x
         return rhs
 
@@ -737,7 +946,10 @@ def test_last_interval_of_an_early_stop_stays_between_its_nodes(build):
     lo, hi = sorted((fn.pair(t0)[0], fn.a_values[-1]))
     assert np.all((a >= lo) & (a <= hi))
     assert np.all(adot * fn.adot_values[-1] > 0.0)
-    assert np.count_nonzero((fn.ts > t0) & (fn.ts < fn.t_end)) > 100  # step times
+    # step times, where a 1e-3 mesh would have none: a stepper in t
+    # shrinks its steps toward the end, a collapse's tail in a does not
+    steps = 2 if fn.stats["stop"] == scaling.STOP_ZERO else 100
+    assert np.count_nonzero((fn.ts > t0) & (fn.ts < fn.t_end)) > steps
 
 
 @_EARLY_STOPS
@@ -774,12 +986,16 @@ def test_collapse_matches_rk4_oracle_close_to_its_end():
     assert fn.pair(1.0306476) == pytest.approx(oracle, rel=1e-6)
 
 
+def _pole(t, a, v):
+    return v, -1.0 / (a - 0.5) ** 2
+
+
 def test_step_size_underflow_off_a_collapse_raises_step_failure():
     # a'' = -1/(a - 1/2)**2 from (1, 0) conserves a'**2/2 - 1/(a - 1/2) = -2:
     # a reaches the pole at 1/2, not 0, near t = pi/8, where the step falls
     # below the spacing of t with a far above the vanishing threshold
     with pytest.raises(StepFailureError) as err:
-        scaling._integrate(lambda a, v: -1.0 / (a - 0.5) ** 2, 1.0, 0.0, 2.0, "test")
+        scaling._integrate(_pole, 1.0, 0.0, 2.0, "test")
     assert str(err.value) == ("scaling integration (test) failed: Required step size"
                               " is less than spacing between numbers.")
     assert err.value.t == pytest.approx(0.3926990816940043, rel=1e-12)
@@ -796,12 +1012,12 @@ def _budgeted(calls):
     ode, count = scaling._ode, [0]
 
     def budgeted_ode(P, V, e):
-        g = ode(P, V, e)
+        F = ode(P, V, e)
 
-        def rhs(a, v):
+        def rhs(t, a, v):
             count[0] += 1
             assert count[0] <= calls, "the stepper ran past the test's budget"
-            return g(a, v)
+            return F(t, a, v)
         return rhs
     return mock.patch.object(scaling, "_ode", budgeted_ode)
 
@@ -854,13 +1070,15 @@ def test_stiff_relaxation_is_refused_only_with_many_steps_left():
 # --- the stepper against the stepper as first written -------------------------
 
 def _stepper_runs(*builds):
-    """The arguments of every _dopri45 call the builds make."""
+    """(F, a0, a1, t_end, cap_a, switch) of every _dopri45 call in t, the
+    t-piece, that the builds make."""
     runs = []
     dopri45 = scaling._dopri45
 
-    def spy(*args):
-        runs.append(args)
-        return dopri45(*args)
+    def spy(F, x, y, z, x_end, rtol, atol, cap, switch=None):
+        if rtol == scaling.RTOL:
+            runs.append((F, y, z, x_end, cap, switch))
+        return dopri45(F, x, y, z, x_end, rtol, atol, cap, switch)
 
     with mock.patch.object(scaling, "_dopri45", spy):
         for build in builds:
@@ -868,11 +1086,11 @@ def _stepper_runs(*builds):
     return runs
 
 
-def _recorded(g, calls):
-    """g, appending each call's arguments and value to calls."""
-    def rhs(a, v):
-        x = g(a, v)
-        calls.append((a, v, x))
+def _recorded(F, calls):
+    """F, appending each call's a, a' and a'' to calls."""
+    def rhs(t, a, v):
+        x = F(t, a, v)
+        calls.append((a, v, x[1]))
         return x
     return rhs
 
@@ -881,32 +1099,55 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
-def _same_steps_as_first_written(g, a0, a1, t_end, cap_a):
+def _same_steps_as_first_written(F, a0, a1, t_end, cap_a, switch=None):
     """Run _dopri45 and tests.oracles.dopri45, at eps_a = 0, on one
     problem that the stiffness test lets through, and assert that both
-    give the same rows, stop, rejected count and last state, and call g
-    alike, bit for bit.  Returns (stop, rejected)."""
+    give the same rows, stop, rejected count and last state, and call the
+    right-hand side alike, bit for bit.  Where switch stops _dopri45 at a
+    collapse's tail, its rows, calls and last state are those of the
+    oracle up to there.  Returns (stop, rejected)."""
     calls, ref_calls = [], []
     rows, stop, rejected, last = scaling._dopri45(
-        _recorded(g, calls), a0, a1, t_end, cap_a)
+        _recorded(F, calls), 0.0, a0, a1, t_end, scaling.RTOL, scaling.ATOL, cap_a,
+        switch)
     ref_rows, ref_stop, ref_rejected, ref_last = oracles.dopri45(
-        _recorded(g, ref_calls), a0, a1, t_end, 0.0, cap_a)
-    assert rows.shape == (len(ref_rows), 17)
+        _recorded_accel(F, ref_calls), a0, a1, t_end, 0.0, cap_a)
+    # a row (t_old, t_new, a_old, v_old, the slopes of a, those of v), where
+    # the first slope of a is v_old, and the oracle's has no v_old
+    n = len(rows)
+    assert rows.shape == (n, 18) and _bits(rows[:, 3]) == _bits(rows[:, 4])
+    rows = np.delete(rows, 3, axis=1)
+    if stop == scaling.STOP_SWITCH:
+        assert n < len(ref_rows)
+        ref_last = ref_rows[n][0], ref_rows[n][2], ref_rows[n][3]
+        ref_rows, ref_stop, ref_calls = ref_rows[:n], stop, ref_calls[:len(calls)]
+        assert rejected <= ref_rejected
+    else:
+        assert rejected == ref_rejected
     assert _bits(rows) == _bits(ref_rows)
-    assert (stop, rejected) == (ref_stop, ref_rejected)
+    assert stop == ref_stop
     assert _bits(last) == _bits(ref_last)
     assert len(calls) == len(ref_calls) and _bits(calls) == _bits(ref_calls)
     return stop, rejected
 
 
+def _recorded_accel(F, calls):
+    """a'' of F as the oracle's g(a, a'), appending each call's a, a'
+    and a'' to calls."""
+    def g(a, v):
+        x = F(0.0, a, v)[1]
+        calls.append((a, v, x))
+        return x
+    return g
+
+
 def test_stepper_keeps_every_bit_of_the_stepper_as_first_written(monkeypatch):
     def pole():
         with pytest.raises(StepFailureError):
-            scaling._integrate(lambda a, v: -1.0 / (a - 0.5) ** 2, 1.0, 0.0, 2.0,
-                               "test")
+            scaling._integrate(_pole, 1.0, 0.0, 2.0, "test")
 
-    runs = [(accel, a0, a1, t_end, scaling.CAP_A_FRAC * a0)
-            for _, accel, a0, a1, t_end in _integrated_scalings(monkeypatch)]
+    runs = [(F, a0, a1, t_end, scaling.CAP_A_FRAC * a0, tail and tail[0])
+            for _, F, a0, a1, t_end, tail in _integrated_scalings(monkeypatch)]
     runs += _stepper_runs(
         # the runs of test_stats_count_the_steps_and_name_the_stop;
         # lam = 0 is linear, so its error norm is exactly 0
@@ -934,7 +1175,7 @@ def test_stepper_keeps_every_bit_of_the_stepper_as_first_written(monkeypatch):
     outcomes = [_same_steps_as_first_written(*args) for args in runs]
     stops = {stop for stop, _ in outcomes}
     assert stops == {scaling.STOP_COMPLETED, scaling.STOP_DIVERGE,
-                     scaling.STOP_UNDERFLOW}
+                     scaling.STOP_UNDERFLOW, scaling.STOP_SWITCH}
     assert sum(rejected > 0 for _, rejected in outcomes) >= 3
 
 
@@ -963,6 +1204,8 @@ def test_stepper_keeps_every_bit_on_random_instances(ode, a0, a1, t_end):
     # the first-written stepper has no stiffness test: on a stiff draw (a
     # lam near -1e-9 at theta = 1, say) it would step to t_end at RK45's
     # stability limit, so such a draw is left out
-    g, cap_a = scaling._ode(*ode), scaling.CAP_A_FRAC * a0
-    assume(scaling._dopri45(g, a0, a1, t_end, cap_a)[1] != scaling.STOP_STIFF)
-    _same_steps_as_first_written(g, a0, a1, t_end, cap_a)
+    F, cap_a = scaling._ode(*ode), scaling.CAP_A_FRAC * a0
+    switch = (scaling._tail_ode(*ode) or [None])[0]
+    assume(scaling._dopri45(F, 0.0, a0, a1, t_end, scaling.RTOL, scaling.ATOL,
+                            cap_a)[1] != scaling.STOP_STIFF)
+    _same_steps_as_first_written(F, a0, a1, t_end, cap_a, switch)
