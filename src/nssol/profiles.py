@@ -7,8 +7,8 @@ the power-law scaling family, the root of the implicit closed form of its
 separable profile ODE.  None has a bound on z; each refuses a value past
 the float range itself.
 
-The two explicit shapes evaluate a float z (np.float64 included) on
-Python floats, with numpy's exp or power, so they give a batch element's
+All three evaluate a float z (np.float64 included) on Python floats,
+with numpy's exp, power, expm1 or log, so they give a batch element's
 bits without numpy's per-call cost on a scalar.  That branch returns
 only finite values; every other z, a refusal or vacuum included, takes
 the array code.
@@ -177,10 +177,15 @@ class PowerRoot(Profile):
 def _primitive(e, x):
     """((y**e - 1)/e, y**e) at y = exp(x), or (x, 1) at e == 0 exactly;
     NaN past the float range.  expm1 keeps every digit as e nears 0
-    (theta - 1 is 2.2e-16 for N = 3, gamma = 5/3)."""
+    (theta - 1 is 2.2e-16 for N = 3, gamma = 5/3).  x is an array, or a
+    Python float, on which numpy's own expm1 gives an array element's bits."""
     if e == 0.0:
         return x, 1.0
-    em1 = np.where(e * x > _LOG_MAX, np.nan, np.expm1(e * x))
+    ex = e * x
+    if isinstance(ex, float):
+        em1 = float(np.expm1(ex)) if ex <= _LOG_MAX else math.nan
+    else:
+        em1 = np.where(ex > _LOG_MAX, np.nan, np.expm1(ex))
     return em1 / e, em1 + 1.0
 
 
@@ -196,7 +201,10 @@ class ImplicitProfile(Profile):
     (theta > 1), and is 0 beyond it.  Every z evaluates, as for the other
     shapes: a y past the float range is refused with DomainError.  A start
     with |c(alpha)| below EPS_COEFF of the size of its terms is singular:
-    only z = 0 evaluates.
+    only z = 0 evaluates.  A float z takes the array code's Newton sweeps
+    one for one on Python floats (_float_root), off every edge the array
+    code answers: h = 0, vacuum, a refusal and a root at the float
+    range's end.
     """
 
     def __init__(self, p, v, r, gamma, theta, alpha):
@@ -220,6 +228,10 @@ class ImplicitProfile(Profile):
             self.z_vacuum = _edge(2.0 * g_vac, r)
 
     def evaluate(self, z):
+        if isinstance(z, float):  # np.float64 too
+            found = self._float_root(abs(float(z)))
+            if found is not None:
+                return found
         z = np.abs(np.asarray(z, dtype=float))
         _refuse_nan(z)
         if self._singular:
@@ -271,6 +283,45 @@ class ImplicitProfile(Profile):
             dy = np.where(solve, d * self.r * z.ravel() * y / dD, 0.0)
         y, dy = (np.where(edge | vacuum, 0.0, x.reshape(z.shape)) for x in (y, dy))
         return unbox(y), unbox(dy)
+
+    def _float_root(self, x):
+        """(y, dy) at a float x >= 0 by the array code's sweeps, in its
+        order on Python floats; None where that code refuses x (NaN, an
+        overflowing h or a singular start), where h = 0 or x is vacuum,
+        where the root lies at the float range's end, or where y or dy is
+        not finite, all of which the array code answers."""
+        h = 0.5 * self.r * x * x
+        if (self._singular or not 0.0 < h < math.inf
+                or self.z_vacuum is not None and x >= self.z_vacuum):
+            return None
+        d, cp, cv, w_max = self._dir, self._cp, self._cv, self._w_max
+        s1, s2 = d * (cp - cv), cp * (self.gamma - 1.0) - cv * (self.theta - 1.0)
+        disc = s1 * s1 + 2.0 * s2 * h
+        w = 2.0 * h / (s1 + math.sqrt(abs(disc))) if disc > 0.0 else h / s1
+        lo, hi, log_h = 0.0, w_max, float(np.log(h))
+        for _ in range(100):
+            if not lo < w < hi:
+                w = 0.5 * (lo + hi)
+            # max(1.0, w) is np.maximum's: w, a bracket point, is never NaN
+            closed = hi - lo <= 1e-15 * max(1.0, w)
+            gp, yp = _primitive(self.gamma - 1.0, d * w)
+            gv, yv = _primitive(self.theta - 1.0, d * w)
+            D, dD = cp * gp - cv * gv, d * (cp * yp - cv * yv)
+            lo, hi = (w, hi) if D < h else (lo, w)
+            w_new = (w - (float(np.log(D)) - log_h) * D / dD if D > 0.0 and dD > 0.0
+                     else 0.5 * (lo + hi))
+            # a NaN w_new fails the step test, as with np.maximum
+            step = abs(w_new - w) <= 1e-15 * max(1.0, w_new)
+            if closed and not step:
+                break
+            w = w_new
+            if step:
+                break
+        if w >= w_max * (1.0 - 1e-12) or dD == 0.0:  # where numpy's dy is not finite
+            return None
+        y = float(np.exp(math.log(self.alpha) + d * w))
+        dy = d * self.r * x * y / dD
+        return (y, dy) if math.isfinite(y) and math.isfinite(dy) else None
 
     def __repr__(self):
         return (f"ImplicitProfile(p={self.p}, v={self.v}, r={self.r}, "

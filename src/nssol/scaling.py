@@ -558,14 +558,16 @@ def _dopri45(F, x, y, z, x_end, rtol, atol, cap=math.inf, switch=None):
 def _quartics(rows):
     """coef[c, k, i] of _dopri45's rows: the coefficient of s**k,
     s = x - x_olds[i], in y (c = 0) or z on step i.  RK45's dense output
-    y_old + h*sum q[k]*u**(k+1), u = s/h, has c_{k+1} = q[k]/h**k."""
+    y_old + h*sum q[k]*u**(k+1), u = s/h, has c_{k+1} = q[k]/h**k, which
+    is not finite, without a warning, on a step too short for it."""
     cols = rows.T
     n = len(rows)
     coef = np.empty((2, 5, n))
     coef[:, 0] = cols[2:4]
     slopes = np.ascontiguousarray(cols[4:]).reshape(2, 7, n)
-    coef[:, 1:] = (np.einsum("cjs,jk->cks", slopes, _P)
-                   / (cols[1] - cols[0]) ** np.arange(4.0)[:, None])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coef[:, 1:] = (np.einsum("cjs,jk->cks", slopes, _P)
+                       / (cols[1] - cols[0]) ** np.arange(4.0)[:, None])
     return coef
 
 
@@ -614,6 +616,13 @@ def _integrate(F, a0, a1, t_end, label, tail=None):
         raise _failure(label, stop, t_last, (a_last, v_last))
     coef = np.zeros((2, 5, len(rows) + 1))
     coef[:, :, :-1] = _quartics(rows)
+    # a steep collapse can take a step in t too short for its quartic
+    short = np.flatnonzero(~np.isfinite(coef).all(axis=(0, 1)))
+    if short.size:
+        t, _, a, v = rows[short[0], :4].tolist()
+        raise StepFailureError(f"scaling integration ({label}) failed: the step at "
+                               f"t={t!r} is too short for its dense output.",
+                               t=t, state=(a, v))
     t_olds = rows[:, 0]
     t_old = float(t_olds[-1])
     last = coef[:, :, -2].tolist()  # the last step's quartics

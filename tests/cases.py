@@ -13,6 +13,13 @@ from nssol.residuals import Window
 #: coarse-then-fine differencing, h halved, as the order estimates expect
 RESOLUTIONS = [(1e-3, 1e-3), (5e-4, 5e-4)]
 
+#: integrate_pressureless arguments of a collapse at e ~ 283 whose a'
+#: falls from -0.58 to -3.6e22 by t ~ 9e-71: its steps in t grow too
+#: short for their quartic dense output (q/h**3 overflows) before the
+#: tail's switch holds, and the build fails with StepFailureError
+STEEP_COLLAPSE = dict(theta=95.12361954781429, lam=-6.2563369652546985, N=3,
+                      a0=0.562885367455459, a1=-0.5818179439650379, t_end=1000.0)
+
 
 def isothermal_stated():
     """Exponential family exactly as pinned by acceptance criterion 1.

@@ -470,6 +470,27 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
     assert err["error"] == "OutOfRangeError"
 
 
+def test_steep_collapse_exits_3_without_a_warning(tmp_path):
+    # the scaling's steps in t grow too short for their quartics
+    # (cases.STEEP_COLLAPSE): a runtime failure, not a config error
+    c = cases.STEEP_COLLAPSE
+    cfg = {"model": {"N": c["N"], "gamma": 1.0, "theta": c["theta"], "K": 1.0,
+                     "kappa": 1.0, "delta": 0},
+           "family": {"kind": "pressureless_theta_not1", "lam": c["lam"], "alpha": 1.0,
+                      "a0": c["a0"], "a1": c["a1"]},
+           "grid": {"t_min": 0.0, "t_max": c["t_end"], "n_t": 2, "r_min": 0.1,
+                    "r_max": 1.0, "n_r": 2}}
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nssol.cli", "blowup",
+         "--config", _write(tmp_path, cfg)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+    assert result.returncode == 3, result.stderr
+    assert "Warning" not in result.stderr
+    assert json.loads(result.stderr.strip())["error"] == "StepFailureError"
+
+
 def test_overflowing_profile_exits_3_without_payload(tmp_path, capsys):
     # with A = 1e10, A*exp(B*z**2) leaves the float range before z = 26.6
     cfg = {

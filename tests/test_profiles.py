@@ -311,17 +311,21 @@ def test_implicit_shape_near_singular_start_matches_bisection(gamma, theta, risi
 def test_implicit_shape_stops_once_its_bracket_closes(monkeypatch):
     # near vacuum (y ~ 0.014, z_vacuum ~ 1.30) a Newton step from inside a
     # bracket closed to adjacent floats still points out of it, by more
-    # than the step test allows; the point used to sweep to the 100 cap
+    # than the step test allows; the point used to sweep to the 100 cap.
+    # A float z sweeps on Python floats and an array on numpy arrays, both
+    # through _primitive, whose x tells the two paths apart
     base = ModelParams(N=3, gamma=3.6404, theta=1.0)
     params = ModelParams(N=3, gamma=3.6404, theta=theta_required(base))
     prof = powerlaw_profile(params, 1.3321, 1.49, 1.3311, derived_s(params))
-    exponents = []
     primitive = profiles._primitive
-    monkeypatch.setattr(profiles, "_primitive",
-                        lambda e, x: exponents.append(e) or primitive(e, x))
-    y, _ = prof.evaluate(1.2911)
-    assert len(exponents) // 2 <= 20  # two primitives a sweep
-    assert y == pytest.approx(_bisection_shape(prof, 1.2911), rel=1e-13, abs=0.0)
+    for z, kind in ((1.2911, float), (np.array([1.2911]), np.ndarray)):
+        kinds = []
+        monkeypatch.setattr(profiles, "_primitive",
+                            lambda e, x: kinds.append(type(x)) or primitive(e, x))
+        y, _ = prof.evaluate(z)
+        assert set(kinds) == {kind}
+        assert 0 < len(kinds) // 2 <= 20  # two primitives a sweep
+        assert y == pytest.approx(_bisection_shape(prof, 1.2911), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("build", [
@@ -454,12 +458,16 @@ def _implicit(p, k, r, theta, gap, alpha):
     return _shape(ImplicitProfile, p, k * p * alpha ** gap, r, theta + gap, theta, alpha)
 
 
+_implicit_shapes = st.builds(
+    _implicit, st.floats(0.1, 4.0), st.floats(-2.0, 4.0), st.floats(0.0, 4.0),
+    st.floats(0.5, 3.0), st.floats(0.05, 2.0), st.floats(0.1, 4.0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(shape=st.one_of(
     st.builds(_shape, st.just(ExpQuadratic), st.floats(0.0, 1e3), _moderate, _moderate),
     st.builds(_shape, st.just(PowerRoot), _moderate, _moderate, st.floats(1e-3, 1e3)),
-    st.builds(_implicit, st.floats(0.1, 4.0), st.floats(-2.0, 4.0), st.floats(0.0, 4.0),
-              st.floats(0.5, 3.0), st.floats(0.05, 2.0), st.floats(0.1, 4.0))),
+    _implicit_shapes),
     past=st.floats(1.0, 4.0))
 # a subnormal r or xi: the quotient under the edge's square root
 # overflows, while the edges, near 3e155 and 4.5e161, are floats
@@ -502,7 +510,8 @@ def _assert_float_parity(shape, z):
 @given(shape=st.one_of(
            _closed_form_shapes,
            st.builds(_shape, st.sampled_from([ExpQuadratic, PowerRoot]),
-                     _moderate, _moderate, _moderate)),
+                     _moderate, _moderate, _moderate),
+           _implicit_shapes),
        z=st.one_of(_finite, st.floats(-10.0, 10.0)))
 def test_float_z_keeps_a_batch_bits(shape, z):
     _assert_float_parity(shape, z)
@@ -527,16 +536,50 @@ def test_float_z_keeps_a_batch_bits_at_the_edges():
     subnormal = [(ExpQuadratic(1.0, -1.0, 0.0), math.sqrt(740.0)),
                  (PowerRoot(-0.98, -1.0, 1.0), math.sqrt((1.0 - 5e-7) / 0.01))]
     assert all(0.0 < shape.evaluate(z)[0] < sys.float_info.min for shape, z in subnormal)
+    falling = ImplicitProfile(1.0, 2.0, 1.0, 2.0, 1.5, 1.0)  # vacuum from sqrt(6)
+    flat = ImplicitProfile(1.0, 2.0, 0.0, 2.0, 1.5, 1.0)     # r = 0: h = 0
+    singular = ImplicitProfile(1.0, 1.0, 1.0, 2.0, 1.5, 1.0)  # c(alpha) = 0
+    # y = alpha*e**w reaches the float range's end, w = _w_max, where
+    # h = D(_w_max), near z = 1.9e149
+    rising = ImplicitProfile(1e-10, 5e-11, 1.0, 2.0, 1.5, 1.0)
+    d_max = rising._cp * math.expm1(rising._w_max) - 2.0 * rising._cv * math.expm1(
+        0.5 * rising._w_max)
+    z_max = math.sqrt(2.0 * d_max / rising.r)
+    points += [(shape, z) for shape in (falling, flat, singular, rising)
+               for z in (0.0, -0.0, math.nan, math.inf, -math.inf, 1e155, 0.5)]
+    edge = falling.z_vacuum
+    points += [(falling, z) for z in (math.nextafter(edge, 0.0), edge,
+                                      math.nextafter(edge, math.inf), 2.0 * edge)]
+    points += [(rising, z_max * f) for f in (0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12,
+                                             1.0, 1.0 + 1e-9)]
+    # theta = 1: no vacuum edge, but y = alpha*e**-w underflows past
+    # w = _w_max, where h = D(_w_max) = 2*_w_max + expm1(-_w_max), near
+    # z = 54.58; the array code gives 0 there, and y = 5e-324 just inside
+    fading = ImplicitProfile(1.0, 2.0, 1.0, 2.0, 1.0, 1.0)
+    z_min = math.sqrt(2.0 * (2.0 * fading._w_max + math.expm1(-fading._w_max)))
+    points += [(fading, z_min * f) for f in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0)]
+    assert fading.evaluate(z_min * (1.0 - 1e-9))[0] > 0.0
+    assert fading.evaluate(z_min)[0] == 0.0
     for shape, z in points + subnormal:
         _assert_float_parity(shape, z)
+    # the float branch answers inside each edge; on the rising shape only
+    # up to z ~ 3e99, past which r*z*y, in dy, overflows
+    for shape, inside, outside in ((falling, 0.5 * edge, edge), (rising, 1e90, z_max)):
+        assert shape._float_root(inside) is not None and shape._float_root(outside) is None
 
 
 def test_float_z_keeps_a_batch_bits_on_a_sweep():
     # math.exp and ** differ from numpy's exp and power in the last bit at
-    # about one z in 25 of this sweep
+    # about one z in 25 of this sweep, and math.expm1 from numpy's expm1
+    # at about one in 20
+    from nssol import build_solution
+    from tests.cases import powerlaw_blowup
+
+    params, family, _ = powerlaw_blowup()
     z = np.linspace(0.0, 5.0, 2001)
     for shape in (ExpQuadratic(1.3, -0.7, 0.2), PowerRoot(0.5, -0.3, 1.2),
-                  PowerRoot(2.0, 0.8, 1.1)):
+                  PowerRoot(2.0, 0.8, 1.1), build_solution(params, family, t_end=0.5).profile,
+                  ImplicitProfile(1.0, 2.0, 1.0, 2.0, 1.5, 1.0)):
         batch = [[float(v).hex() for v in column] for column in shape.evaluate(z)]
         for k, zk in enumerate(z):
             for scalar in (float(zk), zk):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from functools import partial
 from unittest import mock
 
@@ -1003,6 +1004,18 @@ def test_step_size_underflow_off_a_collapse_raises_step_failure():
     assert 0.0 < a - 0.5 < 1e-8
     assert v == pytest.approx(-math.sqrt(2.0 / (a - 0.5) - 4.0), rel=1e-3)
     assert v == pytest.approx(-4.77e4, rel=1e-2)
+
+
+def test_steep_collapse_too_short_for_its_quartic_raises_step_failure():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepFailureError) as err:
+            integrate_pressureless(**cases.STEEP_COLLAPSE)
+    assert re.fullmatch(r"scaling integration \(pressureless\) failed: the step at "
+                        r"t=\S+ is too short for its dense output\.", str(err.value))
+    assert 0.0 < err.value.t < 1e-69 and f"t={err.value.t!r}" in str(err.value)
+    a, v = err.value.state
+    assert a == pytest.approx(cases.STEEP_COLLAPSE["a0"], rel=1e-12) and v < -1e22
 
 
 def _budgeted(calls):

@@ -1,15 +1,22 @@
 """Family-to-solution assembly."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nssol import (
     ModelParams,
+    NssolError,
     PressurelessTheta1,
     PressurelessThetaNot1,
     WithPressureIsothermal,
     WithPressurePolytropic,
     WithPressurePowerLaw,
     build_solution,
+    theta_required,
+    validate,
 )
 from nssol.profiles import ExpQuadratic, ImplicitProfile, PowerRoot
 from nssol.scaling import NumericScaling, PowerLawScaling
@@ -68,3 +75,59 @@ def test_pressureless_shape_sign_convention():
     sol = build_solution(params, family, t_end=0.2)
     assert sol.profile.xi == pytest.approx(-1.0 / 6.0)
     assert sol.profile.n_exp == pytest.approx(0.0)
+
+
+@st.composite
+def _valid_instances(draw):
+    """(params, family) of a random valid instance of one of the five
+    families, over moderate constants; either sign of a1 (or m), so
+    collapses as well as expansions."""
+    def u(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    N, K, kappa = draw(st.sampled_from([1, 2, 3])), u(0.5, 2.0), u(0.5, 2.0)
+    start = dict(a0=u(0.5, 2.0), a1=u(-1.5, 1.5))
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        gamma = theta = 1.0
+        family = WithPressureIsothermal(A=u(0.0, 2.0), B=u(-2.0, 2.0), C=u(-1.0, 1.0), **start)
+    elif kind == 1:
+        gamma = theta = u(1.05, 3.0)
+        family = WithPressurePolytropic(alpha=u(0.2, 3.0), **start)
+    elif kind == 2:
+        gamma = u(1.0, 3.0)
+        theta = theta_required(ModelParams(N=N, gamma=gamma, theta=1.0))
+        family = WithPressurePowerLaw(m=u(-2.0, 2.0), n=u(0.2, 2.0), sigma=u(0.5, 2.0),
+                                      alpha=u(0.2, 3.0))
+    elif kind == 3:
+        gamma, theta = 1.0, 1.0
+        family = PressurelessTheta1(lam=u(-2.0, 2.0), alpha=u(-1.0, 1.0), **start)
+    else:
+        gamma, theta = 1.0, draw(st.one_of(st.floats(0.3, 0.95), st.floats(1.05, 3.0)))
+        family = PressurelessThetaNot1(lam=u(-2.0, 2.0), alpha=u(0.2, 3.0), **start)
+    params = ModelParams(N=N, gamma=gamma, theta=theta, K=K, kappa=kappa,
+                         delta=family.delta)
+    assert validate(params, family).ok, (params, family)
+    return params, family
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=_valid_instances(),
+       points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 5.0)),
+                       min_size=1, max_size=8))
+def test_a_scalar_field_point_is_finite_and_non_negative_or_refused(instance, points):
+    # a float (t, r) in [0, t_end] of the built scaling, a power law's
+    # t_end short of its vanishing time included
+    params, family = instance
+    try:
+        field = build_solution(params, family, t_end=1.0).field()
+    except NssolError:
+        return
+    t_end = min(1.0, field.scaling.t_end)
+    for frac, r in points:
+        try:
+            rho, u = field(frac * t_end, r)
+        except NssolError:
+            continue
+        assert type(rho) is float and type(u) is float, (rho, u)
+        assert math.isfinite(rho) and rho >= 0.0 and math.isfinite(u), (rho, u)
