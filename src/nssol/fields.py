@@ -10,6 +10,9 @@ import numpy as np
 from ._interp import BLOCK, unbox
 from .errors import NonFiniteFieldError, NssolError
 
+#: bound once: each new time row of a scalar call pays for the lookup
+_power = np.power
+
 
 class SolutionField:
     """Field evaluator (t, r) -> (rho, u) for a shape/scaling pair.
@@ -26,16 +29,18 @@ class SolutionField:
     is.  An NssolError names the offending (t, r).
 
     The domain is r >= 0.  It is not checked on each call: an array-safe
-    refusal would more than double every black-box stencil point at a
-    repeated t (1.2 us against 0.7 us a scalar Gaussian field point, best
-    of 9 x 2000, one Xeon), and eval_grid and verify_window already
-    refuse r <= 0 on their inputs.
+    refusal would triple every black-box stencil point at a repeated t
+    (1.8 us against 0.6 us a scalar Gaussian field point, best of 9 x
+    2000, one Xeon), and eval_grid and verify_window already refuse
+    r <= 0 on their inputs.
     """
 
     def __init__(self, profile, scaling, N):
         self.profile = profile
         self.scaling = scaling
         self.N = N
+        # numpy's power casts an integer N to a float, so it is cast once
+        self._n = float(N)
         # (t, a, float a**N, a'/a) of the last nonzero float t the scaling
         # accepted; a NaN t never equals it, so the first call goes through
         # pair.  A zero is not kept: 0.0 == -0.0, and a' at t = -0.0 can
@@ -45,12 +50,14 @@ class SolutionField:
     def __call__(self, t, r):
         t_row, a, a_n, rate = self._row
         try:
-            if not (isinstance(t, float) and t == t_row):
+            # one type test and one compare for a Python float; a np.float64
+            # t reuses the row too
+            if not (t == t_row if type(t) is float else isinstance(t, float) and t == t_row):
                 a, adot = self.scaling.pair(t)
-                a_n, rate = np.power(a, self.N), adot / a
+                a_n, rate = _power(a, self._n), adot / a
                 if isinstance(t, float) and t:
                     a_n = float(a_n)
-                    self._row = (t, a, a_n, rate)
+                    self._row = (float(t), a, a_n, rate)
             shape, _ = self.profile.evaluate(r / a)
         except NssolError as exc:
             if exc.where is None:

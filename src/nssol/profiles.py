@@ -29,6 +29,10 @@ EPS_COEFF = 1e-10
 _LOG_MAX = 709.78
 _LOG_MIN = -745.13
 
+#: numpy's exp and power for the closed forms' float branches, bound once:
+#: each lookup is paid per point
+_exp, _power = np.exp, np.power
+
 
 def _require_finite(**values):
     for name, value in values.items():
@@ -76,10 +80,10 @@ class ExpQuadratic(Profile):
 
     def evaluate(self, z):
         if isinstance(z, float):  # np.float64 too
-            x = abs(float(z))
+            x = abs(z if type(z) is float else float(z))
             arg = self.B * x * x + self.C
             if arg <= _LOG_MAX:
-                y = self.A * float(np.exp(arg))
+                y = self.A * float(_exp(arg))
                 dy = 2.0 * self.B * x * y
                 if math.isfinite(dy):
                     return y, dy
@@ -137,14 +141,14 @@ class PowerRoot(Profile):
 
     def evaluate(self, z):
         if isinstance(z, float):  # np.float64 too
-            x = abs(float(z))
+            x = abs(z if type(z) is float else float(z))
             rad = self._c2 * x * x + self._c0
             if 0.0 < rad < math.inf:
                 # neither power passes e**_LOG_MAX, where np.power would warn
                 log_rad = math.log(rad)
                 if log_rad * (self._p if log_rad > 0.0 else self._p - 1.0) <= _LOG_MAX:
-                    y = float(np.power(rad, self._p))
-                    dy = self.xi * x * float(np.power(rad, self._p - 1.0))
+                    y = float(_power(rad, self._p))
+                    dy = self.xi * x * float(_power(rad, self._p - 1.0))
                     if math.isfinite(dy):
                         return y, dy
         z = np.abs(z)
@@ -199,12 +203,12 @@ class ImplicitProfile(Profile):
     sign at most once: y rises without bound where c(alpha) > 0 and
     falls where c(alpha) < 0, to vacuum at z_vacuum when G(0+) is finite
     (theta > 1), and is 0 beyond it.  Every z evaluates, as for the other
-    shapes: a y past the float range is refused with DomainError.  A start
-    with |c(alpha)| below EPS_COEFF of the size of its terms is singular:
-    only z = 0 evaluates.  A float z takes the array code's Newton sweeps
-    one for one on Python floats (_float_root), off every edge the array
-    code answers: h = 0, vacuum, a refusal and a root at the float
-    range's end.
+    shapes: a y or dy past the float range is refused with DomainError.
+    A start with |c(alpha)| below EPS_COEFF of the size of its terms is
+    singular: only z = 0 evaluates.  A float z takes the array code's
+    Newton sweeps one for one on Python floats (_float_root), off every
+    edge the array code answers: h = 0, vacuum, a refusal and a root at
+    the float range's end.
     """
 
     def __init__(self, p, v, r, gamma, theta, alpha):
@@ -280,7 +284,18 @@ class ImplicitProfile(Profile):
             if d > 0.0:
                 refuse(DomainError, edge, "density shape overflows at z={z!r}", z=z)
             y = np.where(solve, np.exp(math.log(self.alpha) + d * w), self.alpha)
-            dy = np.where(solve, d * self.r * z.ravel() * y / dD, 0.0)
+            rz = d * self.r * z.ravel()
+            rzy = rz * y
+            dy = rzy / dD
+            if not np.isfinite(rzy).all():
+                # r*z*y overflows where dy can still be a float (a rising
+                # shape near its overflow edge): there dy is r*z*(y/dD),
+                # refused only where that overflows too
+                over = solve & ~np.isfinite(rzy) & ~edge.ravel()
+                dy = np.where(over, rz * (y / dD), dy)
+                refuse(DomainError, (over & ~np.isfinite(dy)).reshape(z.shape),
+                       "density shape overflows at z={z!r}", z=z)
+            dy = np.where(solve, dy, 0.0)
         y, dy = (np.where(edge | vacuum, 0.0, x.reshape(z.shape)) for x in (y, dy))
         return unbox(y), unbox(dy)
 
@@ -320,7 +335,9 @@ class ImplicitProfile(Profile):
         if w >= w_max * (1.0 - 1e-12) or dD == 0.0:  # where numpy's dy is not finite
             return None
         y = float(np.exp(math.log(self.alpha) + d * w))
-        dy = d * self.r * x * y / dD
+        rz = d * self.r * x
+        dy = rz * y
+        dy = dy / dD if math.isfinite(dy) else rz * (y / dD)
         return (y, dy) if math.isfinite(y) and math.isfinite(dy) else None
 
     def __repr__(self):

@@ -120,13 +120,14 @@ def _array_field(field_fn):
 
     def field(t, r):
         t, r = np.broadcast_arrays(t, r)
+        ts, rs = t.ravel().tolist(), r.ravel().tolist()
         rhos, us = [], []
         put_rho, put_u, finite = rhos.append, us.append, math.isfinite
-        for p in zip(t.ravel().tolist(), r.ravel().tolist()):
-            rho, u = field_fn(*p)
+        for rho, u in map(field_fn, ts, rs):
             if not (finite(rho) and finite(u)):
+                k = len(rhos)
                 raise NonFiniteFieldError(
-                    f"field sample at (t={p[0]!r}, r={p[1]!r}) is not finite: "
+                    f"field sample at (t={ts[k]!r}, r={rs[k]!r}) is not finite: "
                     f"(rho, u) = ({rho!r}, {u!r})")
             put_rho(rho)
             put_u(u)

@@ -35,7 +35,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from ._interp import OUT_OF_RANGE, hermite, horner, unbox
+from ._interp import OUT_OF_RANGE, Table, hermite, horner, unbox
 from .errors import DomainError, OutOfRangeError, StepFailureError, refuse
 
 #: a(t) >= CAP_A_FRAC * a0 terminates integration with status "diverged"
@@ -134,14 +134,14 @@ class NumericScaling(ScalingFn):
     """An integrated trajectory, served by its integrator's dense output.
 
     ts are the accepted steps' start times and the end, and coef the one
-    table of a (row 0) and adot, in _interp.hermite's layout, shape
+    table of a (row 0) and adot, in _interp.Table's layout, shape
     (2, 5, len(ts)): per node the value and the coefficients of s**1..4,
     s = t - ts[i], of its step's quartic (zero at the end), all finite.
-    A copy between two NaN columns is read by one lookup and one
-    four-term Horner, so pair(t) is the integrator's own dense output to
-    rounding.  A collapse's tail (_Tail), when given, serves every t
-    past the last of ts, and its nodes follow them in the read-only
-    views ts, a_values and adot_values.  Evaluation outside
+    Its Table is read by one lookup and one four-term Horner, so pair(t)
+    is the integrator's own dense output to rounding.  A collapse's tail
+    (_Tail), when given, serves every t past the last of ts, and its
+    nodes follow them in the read-only views ts, a_values and
+    adot_values.  Evaluation outside
     [ts[0], t_end], up to an edge tolerance of 1e-12*max(1, t_end) that
     serves the end values, raises OutOfRangeError; t_end is shorter than
     the requested span when the trajectory vanished or diverged.
@@ -152,19 +152,20 @@ class NumericScaling(ScalingFn):
     """
 
     def __init__(self, ts, coef, status, label="", stats=None, tail=None):
-        # a NaN column at each end, where hermite puts t out of range;
+        nodes = np.asarray(ts, dtype=float)
+        ts = nodes if tail is None else np.concatenate((nodes, tail.ts))
+        pad = 1e-12 * max(1.0, abs(ts[-1]))
+        self._lo, self._hi = float(ts[0] - pad), math.nextafter(float(ts[-1] + pad), math.inf)
         # a and adot are one stack of curves: t is located once for both
-        self._nodes = np.full(len(ts) + 2, np.nan)
-        self._coef = np.full((2, 5, len(ts) + 2), np.nan)
-        self._nodes[1:-1] = ts
-        self._coef[:, :, 1:-1] = coef
-        values = self._coef[:, :, 1:-1]
-        ts, (a, adot) = self._nodes[1:-1], values[:, 0]
+        self._table = table = Table(nodes, coef, self._lo, self._hi)
+        values = table.coef[:, :, 1:-1]
+        a, adot = values[:, 0]
         self._tail = tail
-        if tail is not None:
-            ts, a, adot = (np.concatenate(pair) for pair in
-                           ((ts, tail.ts), (a, tail.a), (adot, tail.adot)))
-        for array in (self._nodes, self._coef, ts, a, adot):
+        if tail is None:
+            ts = table.nodes[1:-1]
+        else:
+            a, adot = (np.concatenate(pair) for pair in ((a, tail.a), (adot, tail.adot)))
+        for array in (ts, a, adot):
             array.flags.writeable = False
         if not (ts[1:] > ts[:-1]).all():
             raise ValueError("trajectory times must be strictly increasing")
@@ -174,10 +175,6 @@ class NumericScaling(ScalingFn):
         if not (np.isfinite(ts).all() and np.isfinite(values).all()
                 and np.isfinite(adot).all()):
             raise ValueError("trajectory nodes must be finite")
-        pad = 1e-12 * max(1.0, abs(ts[-1]))
-        self._edges = np.concatenate(
-            ([ts[0] - pad], self._nodes[2:-1], [np.nextafter(ts[-1] + pad, np.inf)]))
-        self._edges.flags.writeable = False
         self.ts, self.a_values, self.adot_values = ts, a, adot
         self.status = status
         self.label = label
@@ -208,18 +205,21 @@ class NumericScaling(ScalingFn):
 
     def pair(self, t):
         tail = self._tail
-        if tail is None or isinstance(t, float) and self._edges[0] <= t <= tail.t0:
-            a, adot = hermite(self._edges, self._nodes, self._coef, t)
+        if isinstance(t, float):  # np.float64 too: floats back, or a refusal
+            if tail is None or self._lo <= t <= tail.t0:
+                return hermite(self._table, t)
+            if tail.t0 < t < self._hi:
+                return tail.pair(float(t))
+        elif tail is None:
+            a, adot = hermite(self._table, t)
             return unbox(a), unbox(adot)
-        if isinstance(t, float) and tail.t0 < t < self._edges[-1]:
-            return tail.pair(float(t))
         # the tail serves each time past its switch node, one at a time
         t = np.asarray(t, dtype=float)
-        refuse(OutOfRangeError, ~((t >= self._edges[0]) & (t < self._edges[-1])),
+        refuse(OutOfRangeError, ~((t >= self._lo) & (t < self._hi)),
                OUT_OF_RANGE, x=t, lo=self.ts[0], hi=self.ts[-1])
         late = t > tail.t0
         a, adot = (np.array(y, dtype=float) for y in hermite(
-            self._edges, self._nodes, self._coef, np.where(late, tail.t0, t)))
+            self._table, np.where(late, tail.t0, t)))
         for i in np.flatnonzero(late):
             a.flat[i], adot.flat[i] = tail.pair(float(t.flat[i]))
         return unbox(a), unbox(adot)

@@ -1,4 +1,4 @@
-"""CLI drift check: the same runs of ``nssol`` on two source trees.
+"""Drift check: the same runs of ``nssol`` on two source trees.
 
     python -m tests.drift OLD_SRC NEW_SRC
 
@@ -15,18 +15,21 @@ one at e = 1.4, whose tails are integrated in a to a = 0 at t ~ 0.33,
 a**(-e) underflows to 0 with e = 299, a pressureless collapse at
 theta = 100 that a thin braking layer stops at a ~ 0.1, which long
 steps must not jump, and a damped relaxation toward a ~ 1e-9 that the
-stepper refuses as stiff.  Every run whose exit code, stdout, stderr or
-payload differs between the trees is printed with its first differing
-lines.  Every run of NEW_SRC whose JSON payload (each of describe,
-verify and blowup, and the json format of the others) or stdout
-summary line does not parse as strict JSON, NaN and Infinity refused,
-is printed with the reason.  Every instance of NEW_SRC whose blowup
-states a collapse law a ~ C*(T - t)**(1/e) is checked against its
-scaling: a(T - d) must meet C*d**(1/e) to LAW_RTOL at one of the gaps
-d = 1e-3 ... 1e-9 times max(1, T) that it serves, where the law's own
-error, which falls with d, is not yet swamped by the tail's tolerance
-on t, about 1e-12*T.  The exit status is 1 if any run differs, is not
-strict JSON or misses its law.
+stepper refuses as stiff.  Each instance also runs verify_window on a
+plain lambda over its solution's field, the black-box path that the
+CLI never takes, with its report's to_dict() as JSON on the run's
+stdout.  Every run whose exit code, stdout, stderr or payload differs
+between the trees is printed with its first differing lines.  Every
+run of NEW_SRC whose JSON payload (each of describe, verify and blowup,
+and the json format of the others) or stdout summary line does not
+parse as strict JSON, NaN and Infinity refused, is printed with the
+reason.  Every instance of NEW_SRC whose blowup states a collapse law
+a ~ C*(T - t)**(1/e) is checked against its scaling: a(T - d) must
+meet C*d**(1/e) to LAW_RTOL at one of the gaps d = 1e-3 ... 1e-9 times
+max(1, T) that it serves, where the law's own error, which falls with
+d, is not yet swamped by the tail's tolerance on t, about 1e-12*T.  The
+exit status is 1 if any run differs, is not strict JSON or misses its
+law.
 
 This is no golden test, and pytest does not collect it: numpy's exp and
 power can differ by an ulp between CPUs, so only two trees run on one
@@ -128,6 +131,22 @@ def _law_error(doc, law):
     return min(errors, default=(math.inf, math.nan))
 
 
+def _black_box(doc):
+    """The JSON report of verify_window on a plain lambda over the field
+    of the config doc's solution, built as far as verify_family builds
+    it."""
+    from nssol import build_solution, verify_window
+    from nssol.cli import RunConfig
+
+    config = RunConfig(doc)
+    window, resolutions = config.verify["window"], config.verify["resolutions"]
+    t_end = window.t_max + 2.0 * max(h_t for h_t, _ in resolutions)
+    field = build_solution(config.params, config.family, t_end=t_end).field()
+    report = verify_window(lambda t, r: field(t, r), config.params, window, resolutions,
+                           lattice=config.verify["lattice"])
+    return json.dumps(report.to_dict())
+
+
 def _child(src):
     """Every run on the nssol of src, and each collapse law's error, as
     JSON on stdout."""
@@ -160,6 +179,14 @@ def _child(src):
                     records[f"{name} {command} {fmt}"] = {
                         "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
                         "payload": payload.read_text() if payload.exists() else None}
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code, out = 0, _black_box(doc)
+                except Exception as exc:  # a refusal is compared as a crash is
+                    code, out = f"raised {type(exc).__name__}: {exc}", ""
+            records[f"{name} verify_window black-box"] = {
+                "exit": code, "stdout": out, "stderr": err.getvalue(), "payload": None}
         os.chdir(ROOT)
     laws = {}
     for name, doc in configs.items():

@@ -562,10 +562,34 @@ def test_float_z_keeps_a_batch_bits_at_the_edges():
     assert fading.evaluate(z_min)[0] == 0.0
     for shape, z in points + subnormal:
         _assert_float_parity(shape, z)
-    # the float branch answers inside each edge; on the rising shape only
-    # up to z ~ 3e99, past which r*z*y, in dy, overflows
-    for shape, inside, outside in ((falling, 0.5 * edge, edge), (rising, 1e90, z_max)):
+    # the float branch answers inside each edge, on the rising shape also
+    # past z ~ 3e99, where r*z*y, in dy, overflows
+    for shape, inside, outside in ((falling, 0.5 * edge, edge), (rising, 1e120, z_max)):
         assert shape._float_root(inside) is not None and shape._float_root(outside) is None
+
+
+def test_implicit_shape_slope_divides_first_where_r_z_y_overflows():
+    # y = alpha*e**w is finite up to z ~ 1.9e149 on this rising shape, and
+    # dy = r*z/c(y) ~ z/p, but r*z*y overflows from z ~ 3e99: there dy is
+    # r*z*(y/dD), finite, as a float and as a batch, with the same bits
+    rising = ImplicitProfile(1e-10, 5e-11, 1.0, 2.0, 1.5, 1.0)
+    zs = [3e99, 1e100, 1e120, 1e149, 1.8e149]
+    y, dy = rising.evaluate(np.array(zs))
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(dy))
+    assert dy == pytest.approx(np.array(zs) / 1e-10, rel=1e-9)
+    for z in zs:
+        _assert_float_parity(rising, z)
+    # with r = 1e200 and p = 1e-120, r*z*(y/dD) overflows too from z ~
+    # 1e-12, short of the edge near 1.9e-6: refused, as a float and as a
+    # batch, naming the first such z, while a smaller z still evaluates
+    steep = ImplicitProfile(1e-120, 5e-121, 1e200, 2.0, 1.5, 1.0)
+    assert all(math.isfinite(v) for v in steep.evaluate(1e-15))
+    for z in (1e-9, 1e-7, 1e-6):
+        _assert_float_parity(steep, z)
+        with pytest.raises(DomainError, match=f"^density shape overflows at z={z!r}$"):
+            steep.evaluate(z)
+    with pytest.raises(DomainError, match="at z=1e-09$"):
+        steep.evaluate(np.array([1e-15, 1e-9, 1e-7]))
 
 
 def test_float_z_keeps_a_batch_bits_on_a_sweep():

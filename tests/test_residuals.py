@@ -396,22 +396,24 @@ def test_black_box_samples_each_lattice_point_once():
 
 def test_black_box_over_a_solution_field_pays_the_scaling_once_per_time_row():
     # samples come in C order over (t, r): the lattice, and each offset of
-    # each resolution, is one run of 33 points per time
+    # each resolution, is one run of 33 points per time, whether the black
+    # box passes the field a float t or a np.float64
     params, family, window = isothermal_gaussian()
     solution = build_solution(params, family, t_end=window.t_max + 2.0 * RESOLUTIONS[0][0])
-    calls = []
+    expected = verify_window(solution.field(), params, window, RESOLUTIONS, lattice=33)
+    for time in (float, np.float64):
+        calls = []
 
-    class CountingScaling:
-        def pair(self, t):
-            calls.append(t)
-            return solution.scaling.pair(t)
+        class CountingScaling:
+            def pair(self, t):
+                calls.append(t)
+                return solution.scaling.pair(t)
 
-    field = SolutionField(solution.profile, CountingScaling(), params.N)
-    report = verify_window(lambda t, r: field(t, r), params, window, RESOLUTIONS,
-                           lattice=33)
-    assert len(calls) <= 33 * (1 + 2 * 4)
-    assert report == verify_window(solution.field(), params, window, RESOLUTIONS,
-                                   lattice=33)
+        field = SolutionField(solution.profile, CountingScaling(), params.N)
+        report = verify_window(lambda t, r: field(time(t), r), params, window, RESOLUTIONS,
+                               lattice=33)
+        assert len(calls) <= 33 * (1 + 2 * 4), time
+        assert report == expected, time
 
 
 def test_black_box_over_a_gaussian_field_takes_the_float_branch(monkeypatch):
@@ -458,6 +460,42 @@ def test_non_finite_sample_is_refused_at_once():
     assert len(calls) == 16 * 33 + 16 + 1
     assert f"(t={t_nan!r}, r={r_nan!r})" in str(info.value)
     assert "nan" in str(info.value)
+
+
+@pytest.mark.parametrize("convert", [np.float64, int, bool], ids=lambda c: c.__name__)
+def test_black_box_samples_of_any_real_type_give_the_float_arrays(convert):
+    # a black box may answer in numpy scalars, ints or bools: the sample
+    # arrays are those of the same values as Python floats
+    t, r = np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 3.0])
+    typed = residuals._array_field(lambda t, r: (convert(t * r), convert(r - t)))
+    plain = residuals._array_field(
+        lambda t, r: (float(convert(t * r)), float(convert(r - t))))
+    for got, want in zip(typed(t, r), plain(t, r), strict=True):
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape == (3, 3)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+@pytest.mark.parametrize("bad", [(math.nan, 0.5), (1.0, math.inf), (-math.inf, math.nan)])
+def test_black_box_stops_at_its_first_non_finite_sample(k, bad):
+    # the k-th sample is not finite: it is named, and no (k+1)-th is asked
+    # for, though the black box would raise there
+    t, r = np.array([[0.1], [0.2], [0.3]]), np.array([1.0, 2.0, 3.0])
+    calls = []
+
+    def black_box(t, r):
+        calls.append((t, r))
+        if len(calls) > k:
+            raise ValueError("sampled past a non-finite sample")
+        return bad if len(calls) == k else (1.0, 0.5)
+
+    with pytest.raises(NonFiniteFieldError) as info:
+        residuals._array_field(black_box)(t, r)
+    assert len(calls) == k
+    t_k, r_k = calls[-1]
+    assert (t_k, r_k) == (t.flat[(k - 1) // 3], r[(k - 1) % 3])
+    assert str(info.value) == (f"field sample at (t={t_k!r}, r={r_k!r}) is not finite: "
+                               f"(rho, u) = ({bad[0]!r}, {bad[1]!r})")
 
 
 #: inputs the verifier refuses: window bounds, (h_t, h_r) pairs and

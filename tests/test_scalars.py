@@ -158,25 +158,39 @@ TRAJECTORIES = [c for c in CASES if isinstance(c[1].scaling, NumericScaling)]
 @pytest.mark.parametrize("name, solution, window", TRAJECTORIES,
                          ids=[c[0] for c in TRAJECTORIES])
 def test_float_lookup_matches_one_element_batch_at_every_node(name, solution, window):
-    # a float t reads one column of the table on Python floats: at every
-    # node, every step's midpoint and both edges of the tolerance band it
-    # must give the batch's bits, and just past either edge (and at NaN)
-    # the batch's refusal
+    # a float t is located by bisect and read from its node's row on Python
+    # floats: at every node and one float to either side of it, every
+    # step's midpoint, both edges of the tolerance band, -0.0 at a range
+    # that starts at 0, and a collapse's switch node to its tail and its
+    # neighbours, it must give the batch's bits, and just past either
+    # edge, at +-inf and at NaN the batch's refusal and message
     scaling = solution.scaling
     ts = scaling.ts
     pad = 1e-12 * max(1.0, abs(ts[-1]))
     lo, hi = float(ts[0] - pad), float(ts[-1] + pad)
-    times = [*ts.tolist(), *(0.5 * (ts[:-1] + ts[1:])).tolist(), lo, scaling.t_end, hi]
-    for t in times:
-        batch = _bits(v[0] for v in scaling.pair(np.array([t])))
+    nodes = ts.tolist()
+    times = [*nodes, *(0.5 * (ts[:-1] + ts[1:])).tolist(), lo, scaling.t_end, hi]
+    times += [math.nextafter(t, side) for t in nodes for side in (-math.inf, math.inf)]
+    assert nodes[0] == 0.0
+    times.append(-0.0)
+    if scaling._tail is not None:
+        t0 = scaling._tail.t0
+        times += [math.nextafter(t0, -math.inf), t0, math.nextafter(t0, math.inf)]
+    refused = [math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+               math.inf, -math.inf, math.nan]
+    assert all(lo <= t <= hi for t in times)
+    for t in times + refused:
+        try:
+            batch = _bits(v[0] for v in scaling.pair(np.array([t])))
+        except NssolError as exc:
+            assert t in refused, (name, t)
+            for x in (t, np.float64(t)):
+                with pytest.raises(type(exc)) as single:
+                    scaling.pair(x)
+                assert str(single.value) == str(exc), (name, t)
+            continue
+        assert t in times, (name, t)
         for x in (t, np.float64(t)):
             values = scaling.pair(x)
             assert all(type(v) is float for v in values), (name, t)
             assert _bits(values) == batch, (name, t)
-    for t in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), math.nan):
-        with pytest.raises(NssolError) as batch:
-            scaling.pair(np.array([t]))
-        for x in (t, np.float64(t)):
-            with pytest.raises(type(batch.value)) as single:
-                scaling.pair(x)
-            assert str(single.value) == str(batch.value), (name, t)

@@ -753,7 +753,7 @@ def _accel(F):
 def _t_piece(fn):
     """The number of nodes of fn's table in t, which a collapse's tail
     follows."""
-    return len(fn._nodes) - 2
+    return len(fn._table.nodes) - 2
 
 
 def test_stepper_matches_scipy_rk45(monkeypatch):
@@ -818,7 +818,7 @@ def test_stats_count_the_steps_and_name_the_stop():
     # a moves by ~6.5e4 per ulp of t there: the crossing is the float
     # nearest to the cap on the last step's quartic, whose end node it is
     t_end, t_old, cap = diverged.t_end, diverged.ts[-2], scaling.CAP_A_FRAC
-    quartic = diverged._coef[0, :, -3].tolist()
+    quartic = diverged._table.coef[0, :, -3].tolist()
     a_end, adot_end = diverged.a_values[-1], diverged.adot_values[-1]
     assert horner(quartic, t_end - t_old) == a_end
     gaps = [abs(horner(quartic, t - t_old) - cap)
