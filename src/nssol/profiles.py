@@ -143,14 +143,12 @@ class PowerRoot(Profile):
         if isinstance(z, float):  # np.float64 too
             x = abs(z if type(z) is float else float(z))
             rad = self._c2 * x * x + self._c0
-            if 0.0 < rad < math.inf:
-                # neither power passes e**_LOG_MAX, where np.power would warn
-                log_rad = math.log(rad)
-                if log_rad * (self._p if log_rad > 0.0 else self._p - 1.0) <= _LOG_MAX:
-                    y = float(_power(rad, self._p))
-                    dy = self.xi * x * float(_power(rad, self._p - 1.0))
-                    if math.isfinite(dy):
-                        return y, dy
+            # y does not pass e**_LOG_MAX, where np.power would warn
+            if 0.0 < rad < math.inf and math.log(rad) * self._p <= _LOG_MAX:
+                y = float(_power(rad, self._p))
+                dy = self.xi * x * (y / rad)
+                if math.isfinite(dy):
+                    return y, dy
         z = np.abs(z)
         # a radicand past the float range is -inf, vacuum, or +inf (or
         # 0*inf at xi = 0), which leaves y or dy non-finite, refused below.
@@ -165,7 +163,7 @@ class PowerRoot(Profile):
             base = np.maximum(rad, 0.0) + vacuum
             xi = self.xi * solid + 0.0 if self._c2 < 0.0 else self.xi
             y = np.power(base, self._p) * solid
-            dy = xi * z * np.power(base, self._p - 1.0)
+            dy = xi * z * (y / base)
         try:
             refuse(DomainError, ~(np.isfinite(y) & np.isfinite(dy)) | (z == math.inf),
                    "density shape overflows at z={z!r} (radicand {rad:.4g})", z=z, rad=rad)
@@ -181,7 +179,9 @@ class PowerRoot(Profile):
 def _primitive(e, x):
     """((y**e - 1)/e, y**e) at y = exp(x), or (x, 1) at e == 0 exactly;
     NaN past the float range.  expm1 keeps every digit as e nears 0
-    (theta - 1 is 2.2e-16 for N = 3, gamma = 5/3).  x is an array, or a
+    (theta - 1 is 2.2e-16 for N = 3, gamma = 5/3).  y**e, expm1 + 1, keeps
+    no digit below about 1e-16: only the bracketed Newton step reads it,
+    dy reads ImplicitProfile._slope.  x is an array, or a
     Python float, on which numpy's own expm1 gives an array element's bits."""
     if e == 0.0:
         return x, 1.0
@@ -259,7 +259,7 @@ class ImplicitProfile(Profile):
         live = np.flatnonzero(solve)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             w = np.where(disc > 0.0, 2.0 * h / (s1 + np.sqrt(np.abs(disc))), h / s1)
-            lo, hi, dD = np.zeros(h.size), np.full(h.size, self._w_max), np.ones(h.size)
+            lo, hi = np.zeros(h.size), np.full(h.size, self._w_max)
             log_h = np.log(h)
             for _ in range(100):  # bisection alone reaches rounding level in 60
                 if not live.size:
@@ -269,33 +269,26 @@ class ImplicitProfile(Profile):
                 closed = hil - lol <= 1e-15 * np.maximum(1.0, wl)
                 gp, yp = _primitive(self.gamma - 1.0, d * wl)
                 gv, yv = _primitive(self.theta - 1.0, d * wl)
-                D, dDl = cp * gp - cv * gv, d * (cp * yp - cv * yv)
+                D, dD = cp * gp - cv * gv, d * (cp * yp - cv * yv)
                 below = D < hl
                 lol, hil = np.where(below, wl, lol), np.where(below, hil, wl)
-                w_new = np.where((D > 0.0) & (dDl > 0.0),
-                                 wl - (np.log(D) - log_h[live]) * D / dDl,
+                w_new = np.where((D > 0.0) & (dD > 0.0),
+                                 wl - (np.log(D) - log_h[live]) * D / dD,
                                  0.5 * (lol + hil))
                 step = np.abs(w_new - wl) <= 1e-15 * np.maximum(1.0, w_new)
                 w_new = np.where(closed & ~step, wl, w_new)
-                w[live], lo[live], hi[live], dD[live] = w_new, lol, hil, dDl
+                w[live], lo[live], hi[live] = w_new, lol, hil
                 live = live[~(closed | step)]
             # a root at the float range's end: overflow rising, vacuum falling
             edge = (solve & (w >= self._w_max * (1.0 - 1e-12))).reshape(z.shape)
             if d > 0.0:
                 refuse(DomainError, edge, "density shape overflows at z={z!r}", z=z)
             y = np.where(solve, np.exp(math.log(self.alpha) + d * w), self.alpha)
-            rz = d * self.r * z.ravel()
-            rzy = rz * y
-            dy = rzy / dD
-            if not np.isfinite(rzy).all():
-                # r*z*y overflows where dy can still be a float (a rising
-                # shape near its overflow edge): there dy is r*z*(y/dD),
-                # refused only where that overflows too
-                over = solve & ~np.isfinite(rzy) & ~edge.ravel()
-                dy = np.where(over, rz * (y / dD), dy)
-                refuse(DomainError, (over & ~np.isfinite(dy)).reshape(z.shape),
-                       "density shape overflows at z={z!r}", z=z)
-            dy = np.where(solve, dy, 0.0)
+            # where r*z > 0 but h underflows to 0, w = 0 and dy is r*z/c(alpha)
+            rz = self.r * z.ravel()
+            dy = np.where(~vacuum.ravel() & (rz > 0.0), d * rz * (y / self._slope(w)), 0.0)
+            refuse(DomainError, ~(np.isfinite(dy) | edge.ravel()).reshape(z.shape),
+                   "density shape overflows at z={z!r}", z=z)
         y, dy = (np.where(edge | vacuum, 0.0, x.reshape(z.shape)) for x in (y, dy))
         return unbox(y), unbox(dy)
 
@@ -332,13 +325,20 @@ class ImplicitProfile(Profile):
             w = w_new
             if step:
                 break
-        if w >= w_max * (1.0 - 1e-12) or dD == 0.0:  # where numpy's dy is not finite
+        # the array code answers the edge, and a zero slope, where dy is not finite
+        if w >= w_max * (1.0 - 1e-12) or (dD := float(self._slope(w))) == 0.0:
             return None
-        y = float(np.exp(math.log(self.alpha) + d * w))
-        rz = d * self.r * x
-        dy = rz * y
-        dy = dy / dD if math.isfinite(dy) else rz * (y / dD)
+        y = float(_exp(math.log(self.alpha) + d * w))
+        dy = d * (self.r * x) * (y / dD)
         return (y, dy) if math.isfinite(y) and math.isfinite(dy) else None
+
+    def _slope(self, w):
+        """dD/dw = d*y*c(y) at the root w, so dy/dz = d*r*z*(y/dD): each
+        power of u = y/alpha = exp(d*w) is exp of its exponent, with every
+        digit where u is small."""
+        x = self._dir * w
+        return self._dir * (self._cp * _exp((self.gamma - 1.0) * x)
+                            - self._cv * _exp((self.theta - 1.0) * x))
 
     def __repr__(self):
         return (f"ImplicitProfile(p={self.p}, v={self.v}, r={self.r}, "

@@ -140,8 +140,9 @@ class NumericScaling(ScalingFn):
     Its Table is read by one lookup and one four-term Horner, so pair(t)
     is the integrator's own dense output to rounding.  A collapse's tail
     (_Tail), when given, serves every t past the last of ts, and its
-    nodes follow them in the read-only views ts, a_values and
-    adot_values.  Evaluation outside
+    node times follow them in the read-only array ts.  The values at the
+    nodes are pair(ts): the table's own and the tail's states, which are
+    kept nowhere else.  Evaluation outside
     [ts[0], t_end], up to an edge tolerance of 1e-12*max(1, t_end) that
     serves the end values, raises OutOfRangeError; t_end is shorter than
     the requested span when the trajectory vanished or diverged.
@@ -158,24 +159,17 @@ class NumericScaling(ScalingFn):
         self._lo, self._hi = float(ts[0] - pad), math.nextafter(float(ts[-1] + pad), math.inf)
         # a and adot are one stack of curves: t is located once for both
         self._table = table = Table(nodes, coef, self._lo, self._hi)
-        values = table.coef[:, :, 1:-1]
-        a, adot = values[:, 0]
         self._tail = tail
-        if tail is None:
-            ts = table.nodes[1:-1]
-        else:
-            a, adot = (np.concatenate(pair) for pair in ((a, tail.a), (adot, tail.adot)))
-        for array in (ts, a, adot):
-            array.flags.writeable = False
+        ts = table.nodes[1:-1] if tail is None else ts
+        ts.flags.writeable = False
         if not (ts[1:] > ts[:-1]).all():
             raise ValueError("trajectory times must be strictly increasing")
-        if not (a > 0.0).all():
+        if not (table.coef[0, 0, 1:-1] > 0.0).all():
             raise ValueError("trajectory a values must stay positive")
         # NaN is what hermite serves out of range: none may sit in range
-        if not (np.isfinite(ts).all() and np.isfinite(values).all()
-                and np.isfinite(adot).all()):
+        if not (np.isfinite(ts).all() and np.isfinite(table.rows[1:-1]).all()):
             raise ValueError("trajectory nodes must be finite")
-        self.ts, self.a_values, self.adot_values = ts, a, adot
+        self.ts = ts
         self.status = status
         self.label = label
         self.stats = stats
@@ -240,8 +234,10 @@ class _Tail:
     t_end.  Otherwise t_end is the largest float short of t_star at which
     a > 0 and a' is finite, or t0 if there is none.  A step is kept when
     it starts before t_end and no later step starts at the same float,
-    so node times rise strictly; ts, a and adot are the kept nodes after
-    the switch node, and t_end.
+    so node times rise strictly; ts are the kept steps' starts after the
+    switch node, and t_end.  A node's a = -x and a' = w - c/a**(e - 1)
+    are its step's start, positive and finite by construction; end is
+    the state at t_end.
     """
 
     def __init__(self, rows, t_star, t_stop, c, e):
@@ -270,11 +266,10 @@ class _Tail:
         self._starts = [self._starts[k] for k in keep]
         self.t_end = t_end
         self.end = self._solve(t_end)
-        nodes = [(start, -x, w - c / (-x) ** self._em1)
-                 for x, _, start, _, _, (w, *_) in self._steps if start > t0]
+        ts = [start for start in self._starts if start > t0]
         if t_end > t0:
-            nodes.append((t_end, *self.end))
-        self.ts, self.a, self.adot = np.array(nodes, dtype=float).reshape(-1, 3).T
+            ts.append(t_end)
+        self.ts = np.array(ts, dtype=float)
 
     def _serves(self, t):
         try:
@@ -448,7 +443,8 @@ def _dopri45(F, x, y, z, x_end, rtol, atol, cap=math.inf, switch=None):
     span = x_end - x
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     f1, g1 = F(x + h0, y + h0 * f, z + h0 * g)
-    d2 = _rms((f1 - f) / sy, (g1 - g) / sz) / h0
+    # h0 is 0 where d1 overflows: h_abs is then 0 for any d2 (numpy's inf or NaN)
+    d2 = _rms((f1 - f) / sy, (g1 - g) / sz) / h0 if h0 > 0.0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

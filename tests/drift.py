@@ -19,7 +19,11 @@ stepper refuses as stiff.  Each instance also runs verify_window on a
 plain lambda over its solution's field, the black-box path that the
 CLI never takes, with its report's to_dict() as JSON on the run's
 stdout.  Every run whose exit code, stdout, stderr or payload differs
-between the trees is printed with its first differing lines.  Every
+between the trees is printed: a payload or stdout that differs only in
+its numbers, with the same text and structure around them, as the count
+of differing values and their largest distance in ulps per column (a
+CSV header's name, or a JSON document's key path, list indices left
+out), anything else as its first differing lines.  Every
 run of NEW_SRC whose JSON payload (each of describe, verify and blowup,
 and the json format of the others) or stdout summary line does not
 parse as strict JSON, NaN and Infinity refused, is printed with the
@@ -38,11 +42,13 @@ machine are compared.
 
 import argparse
 import contextlib
+import csv
 import difflib
 import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -205,6 +211,71 @@ def _runs(src):
     return json.loads(proc.stdout)
 
 
+def _json_cells(value, path=()):
+    """(column, leaf) of each leaf of a JSON value in document order,
+    column its key path, list indices left out."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_cells(item, (*path, key))
+    elif isinstance(value, list):
+        for item in value:
+            yield from _json_cells(item, path)
+    else:
+        yield ".".join(path), value
+
+
+def _cells(text, table):
+    """(column, value) of each cell of a run's text: a CSV table's cells
+    under their header's names, or the leaves of its JSON lines, or of
+    the one JSON document it is.  Raises ValueError where it is neither."""
+    if table:
+        header, *rows = csv.reader(io.StringIO(text))
+        return [(name, _read(cell)) for row in rows
+                for name, cell in zip(header, row, strict=True)]
+    try:
+        docs = [json.loads(text)]
+    except ValueError:
+        docs = [json.loads(line) for line in text.splitlines() if line.strip()]
+    return [cell for doc in docs for cell in _json_cells(doc)]
+
+
+def _read(cell):
+    """A CSV cell as the float it writes, or as its text."""
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _ordinal(x):
+    """x's place among the floats in order: adjacent floats differ by 1."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _number_drift(old, new, table):
+    """{column: (count, ulps)} of the numbers that differ between two
+    texts whose other values and structure agree, with the largest
+    distance among them in ulps; None where anything else differs, or
+    no number does."""
+    try:
+        pairs = list(zip(_cells(old, table), _cells(new, table), strict=True))
+    except ValueError:  # a text that is neither, or cells that do not pair up
+        return None
+    drift = {}
+    for (column, x), (other, y) in pairs:
+        if column != other:
+            return None
+        if type(x) is type(y) and (x == y or x != x and y != y):
+            continue
+        if not {type(x), type(y)} <= {int, float}:  # text, a bool or a null
+            return None
+        ulps = abs(_ordinal(float(x)) - _ordinal(float(y))) if x == x and y == y else math.inf
+        count, most = drift.get(column, (0, 0))
+        drift[column] = (count + 1, max(most, ulps))
+    return drift or None
+
+
 def _reject(literal):
     raise ValueError(f"holds the non-finite number {literal}")
 
@@ -243,8 +314,17 @@ def main(argv=None):
             continue
         differ += 1
         print(f"{key}: {', '.join(bad)} differ")
+        _, command, fmt = key.rsplit(" ", 2)
+        table = fmt == "csv" and command not in JSON_COMMANDS
         for f in bad:
-            lines = difflib.unified_diff(str(a.get(f)).splitlines(), str(b.get(f)).splitlines(),
+            old_text, new_text = str(a.get(f)), str(b.get(f))
+            drift = (_number_drift(old_text, new_text, table and f == "payload")
+                     if f in ("stdout", "payload") else None)
+            if drift is not None:
+                for column, (count, ulps) in drift.items():
+                    print(f"    {f} {column}: {count} values differ, by at most {ulps} ulps")
+                continue
+            lines = difflib.unified_diff(old_text.splitlines(), new_text.splitlines(),
                                          f"old {f}", f"new {f}", n=0, lineterm="")
             for line in list(lines)[2:8]:
                 print(f"    {line}")

@@ -64,7 +64,7 @@ def test_zero_initial_data_stays_constant():
     pl = integrate_pressureless(theta=2.0, lam=0.0, N=3, a0=1.5, a1=0.0,
                                 t_end=1.0)
     for fn in (iso, pl):
-        assert max(abs(a - 1.5) for a in fn.a_values) < 1e-12
+        assert max(abs(a - 1.5) for a in fn.pair(fn.ts)[0]) < 1e-12
 
 
 # --- initial acceleration signs ---------------------------------------------
@@ -159,8 +159,9 @@ def test_vanished_trajectory_stays_positive_and_small():
     fn = integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=1, a0=1.0,
                               a1=-1.0, t_end=2.0)
     assert fn.status == STATUS_VANISHED
-    assert fn.a_values.min() > 0.0
-    assert fn.a_values.min() < 1e-3
+    a, _ = fn.pair(fn.ts)
+    assert a.min() > 0.0
+    assert a.min() < 1e-3
     # a smooth, non-runaway approach to zero at V = 0 has no tail and
     # ends where the step falls below 10 ulp(t): lam = 0 makes
     # a(t) = 1 - t exactly, and the vanishing time is t* = 1 to the
@@ -170,8 +171,9 @@ def test_vanished_trajectory_stays_positive_and_small():
     assert lin.status == STATUS_VANISHED
     assert lin.vanishing_time == lin.t_end
     assert abs(lin.vanishing_time - 1.0) <= 1e-14
-    assert 0.0 < lin.a_values[-1] <= 1e-14
-    assert lin.a_values.min() == lin.a_values[-1]
+    a, _ = lin.pair(lin.ts)
+    assert 0.0 < a[-1] <= 1e-14
+    assert a.min() == a[-1]
     # theta = 0.4, N = 3: e = 0.2 and a'' = a'*a**-0.2 conserves
     # a' - a**0.8/0.8 = -1 - 1.25 from (1, -1), so a' = -2.25 + 1.25*a**0.8
     # and t* = integral of da/(2.25 - 1.25*a**0.8) over [0, 1], which is
@@ -181,7 +183,7 @@ def test_vanished_trajectory_stays_positive_and_small():
     assert gentle.status == STATUS_VANISHED
     assert gentle.vanishing_time == gentle.t_end
     assert abs(gentle.vanishing_time - 0.6760320404456746) <= 1e-10
-    assert gentle.a_values[-1] > 0.0
+    assert gentle.pair(gentle.t_end)[0] > 0.0
     # the damped collapse lam = 1 (V = -1) from (1, -2) conserves
     # a' + a**0.8/0.8 = -0.75, so a' = -0.75 - 1.25*a**0.8 stays below 0
     # (e < 1 bounds the damping at a = 0), and t* = integral of
@@ -192,7 +194,7 @@ def test_vanished_trajectory_stays_positive_and_small():
     assert damped.stats["stop"] == scaling.STOP_UNDERFLOW
     assert damped.vanishing_time == damped.t_end
     assert abs(damped.vanishing_time - 0.7390238058606226) <= 1e-10
-    assert damped.a_values[-1] > 0.0
+    assert damped.pair(damped.t_end)[0] > 0.0
 
 
 def test_steep_polytropic_collapse_matches_rk4_oracle():
@@ -216,7 +218,7 @@ def test_slow_polytropic_collapse_vanishes_at_a_large_time():
     fn = integrate_polytropic(gamma=2.0, K=1e-6, kappa=1e-6, N=3, a0=1.0, a1=0.0,
                               t_end=1e9)
     assert fn.status == STATUS_VANISHED and fn.stats["stop"] == scaling.STOP_ZERO
-    assert fn.t_end < fn.vanishing_time and fn.a_values[-1] > 0.0
+    assert fn.t_end < fn.vanishing_time and fn.pair(fn.t_end)[0] > 0.0
     # scipy's DOP853 at rtol 1e-13, on the same right-hand side, stops on
     # its own step floor, where a/|a'| is 1e-13 of t
     F = scaling._ode(1e-6 * 2.0, 3 * 1e-6 * 2.0, 3 * 2.0 - 3 + 2.0)
@@ -271,7 +273,7 @@ def test_every_collapse_ends_at_a_zero_or_on_the_step_floor(build, a0, a1, a1_sc
     # at B = 1e-15, where a'*a**(e - 1) nears -V/(e - 1) at a ~ 2e-15)
     fn, tailed = _tailed(build, a0=a0, a1=a1 * 10.0 ** a1_scale, t_end=1e9)
     if fn.status == STATUS_VANISHED:
-        assert fn.a_values[-1] > 0.0
+        assert fn.pair(fn.t_end)[0] > 0.0
         if fn.stats["stop"] == scaling.STOP_ZERO:
             assert tailed and fn.t_end < fn.vanishing_time
         else:
@@ -306,7 +308,7 @@ def test_every_damped_build_ends_or_is_refused_as_stiff(build, a0, a1):
         return
     if fn.status == STATUS_VANISHED:
         assert fn.stats["stop"] == scaling.STOP_UNDERFLOW
-        assert fn.a_values[-1] > 0.0
+        assert fn.pair(fn.t_end)[0] > 0.0
         assert fn.vanishing_time == fn.t_end
 
 
@@ -380,7 +382,7 @@ def test_tail_continues_the_t_piece_and_falls_to_its_end(build):
     ts = np.linspace(t_switch, fn.t_end, 4001)
     a, adot = fn.pair(ts)
     assert np.all(np.diff(a) < 0.0) and a[-1] > 0.0 and np.all(adot < 0.0)
-    assert a[-1] == fn.a_values[-1] and np.isfinite(adot[-1])
+    assert a[-1] == fn._tail.end[0] and np.isfinite(adot[-1])
 
 
 def test_collapse_cut_by_the_requested_end_completes_there():
@@ -423,7 +425,8 @@ def test_tail_nodes_that_round_to_one_time_are_dropped(monkeypatch):
     assert fn.t_end == math.nextafter(fn.vanishing_time, 0.0)
     assert np.count_nonzero(rows[:, 2] >= fn.t_end) >= 2
     assert np.all(np.diff(fn.ts) > 0.0)
-    assert 0.5 < fn.a_values[-1] < 1.0 and np.isfinite(fn.adot_values[-1])
+    a, adot = fn.pair(fn.t_end)
+    assert 0.5 < a < 1.0 and np.isfinite(adot)
 
 
 def test_tail_drops_a_step_that_starts_where_the_next_does(monkeypatch):
@@ -435,8 +438,8 @@ def test_tail_drops_a_step_that_starts_where_the_next_does(monkeypatch):
     k = len(rows) // 2
     tails = [scaling._Tail(r, fn.vanishing_time, 1.5, 6.0, 2.0)
              for r in (rows, np.insert(rows, k, rows[k], axis=0))]
-    for got in ("ts", "a", "adot"):
-        assert _bits(getattr(tails[0], got)) == _bits(getattr(tails[1], got))
+    assert _bits(tails[0].ts) == _bits(tails[1].ts)
+    assert _bits(_tail_states(tails[0])) == _bits(_tail_states(tails[1]))
     ts = np.linspace(rows[0, 2], fn.t_end, 1001)[1:]
     assert _bits([tails[0].pair(t) for t in ts]) == _bits([tails[1].pair(t) for t in ts])
     assert _bits(fn.pair(ts)) == _bits(np.transpose([tails[0].pair(t) for t in ts]))
@@ -519,7 +522,7 @@ def test_scalings_state_their_own_facts():
                                          ("collapse_exponent", 0.5),
                                          ("collapse_constant", 12.0 ** 0.5)]
     with pytest.raises(ValueError):
-        fn.a_values[0] = 2.0
+        fn.ts[0] = 2.0
 
 
 # --- dense output consistency ----------------------------------------------------
@@ -599,10 +602,30 @@ def _trajectories():
     ]
 
 
+def _tail_states(tail):
+    """(a, adot) at each node of a _Tail as it stores them: per kept
+    step after the switch node its start, a = -x and a' = w - c/a**(e - 1),
+    then the end state."""
+    states = [(-x, w - tail.c / (-x) ** (tail.e - 1.0))
+              for x, _, start, _, _, (w, *_) in tail._steps if start > tail.t0]
+    if tail.t_end > tail.t0:
+        states.append(tail.end)
+    return np.reshape(states, (-1, 2)).T
+
+
+def _stored_states(fn):
+    """(a, adot) at each of fn.ts as the stepper stored them: the node
+    values of its table, then its tail's."""
+    states = fn._table.rows[1:-1, [1, 6]].T
+    return states if fn._tail is None else np.concatenate((states, _tail_states(fn._tail)), 1)
+
+
 def test_pair_returns_stored_node_values_exactly():
     for fn in _trajectories():
+        a, adot = _stored_states(fn)
+        assert len(a) == len(fn.ts)
         for k in range(len(fn.ts)):
-            assert fn.pair(fn.ts[k]) == (fn.a_values[k], fn.adot_values[k])
+            assert fn.pair(fn.ts[k]) == (a[k], adot[k])
 
 
 def test_batched_pair_matches_scalar_calls_bit_for_bit():
@@ -643,7 +666,7 @@ def test_table_agrees_with_rk45_dense_output(monkeypatch):
         x = (ts - t_olds[i]) / h
         ref = np.array([a_olds, v_olds])[:, i] + h * (
             q[0][:, i] * x + q[1][:, i] * x ** 2 + q[2][:, i] * x ** 3 + q[3][:, i] * x ** 4)
-        values = np.array([fn.a_values, fn.adot_values])[:, :len(t_olds) + 1]
+        values = np.array(fn.pair(fn.ts))[:, :len(t_olds) + 1]
         err = np.max(np.abs(np.array(fn.pair(ts)) - ref), axis=-1)
         assert np.all(err <= 1e-15 * np.max(np.abs(values), axis=-1)), fn
 
@@ -654,10 +677,11 @@ def test_interval_lookup_edges():
     ts = fn.ts
     k = len(ts) // 2
     pad = 1e-12 * max(1.0, abs(ts[-1]))
+    a, adot = _stored_states(fn)
     assert fn.pair(ts[0]) == (1.0, 0.0)
-    assert fn.pair(ts[k]) == (fn.a_values[k], fn.adot_values[k])
-    assert fn.pair(ts[-1]) == (fn.a_values[-1], fn.adot_values[-1])
-    assert fn.pair(ts[-1] + 0.5 * pad)[0] == pytest.approx(fn.a_values[-1], rel=1e-14)
+    assert fn.pair(ts[k]) == (a[k], adot[k])
+    assert fn.pair(ts[-1]) == (a[-1], adot[-1])
+    assert fn.pair(ts[-1] + 0.5 * pad)[0] == pytest.approx(a[-1], rel=1e-14)
     past = float(ts[-1] + 2.0 * pad)
     with pytest.raises(OutOfRangeError, match=re.escape(f"t {past!r} outside")):
         fn.pair(past)
@@ -681,7 +705,7 @@ def test_pair_range_edges_and_batches(name, params, family, window):
         lo, hi = fn.ts[0], fn.ts[-1]
         pad = 1e-12 * max(1.0, abs(hi))
         assert np.isfinite(fn.pair(lo - pad)).all()
-        assert fn.pair(hi + pad) == (fn.a_values[-1], fn.adot_values[-1])
+        assert fn.pair(hi + pad) == tuple(_stored_states(fn)[:, -1])
         for t in (np.nextafter(lo - pad, -np.inf), np.nextafter(hi + pad, np.inf),
                   np.nan):
             with pytest.raises(OutOfRangeError, match="outside tabulated range"):
@@ -789,7 +813,7 @@ def test_pair_is_scipys_dense_output_between_the_steps(monkeypatch):
         n = _t_piece(fn)
         ts = rng.uniform(0.0, fn.ts[n - 2], 10_000)  # short of its last step in t
         err = np.max(np.abs(np.array(fn.pair(ts)) - sol.sol(ts)), axis=-1)
-        size = np.max(np.abs([fn.a_values[:n], fn.adot_values[:n]]), axis=-1)
+        size = np.max(np.abs(fn.pair(fn.ts[:n])), axis=-1)
         assert np.all(err <= 1e-9 * size), (fn, err / size)
 
 
@@ -819,7 +843,7 @@ def test_stats_count_the_steps_and_name_the_stop():
     # nearest to the cap on the last step's quartic, whose end node it is
     t_end, t_old, cap = diverged.t_end, diverged.ts[-2], scaling.CAP_A_FRAC
     quartic = diverged._table.coef[0, :, -3].tolist()
-    a_end, adot_end = diverged.a_values[-1], diverged.adot_values[-1]
+    a_end, adot_end = _stored_states(diverged)[:, -1]
     assert horner(quartic, t_end - t_old) == a_end
     gaps = [abs(horner(quartic, t - t_old) - cap)
             for t in (math.nextafter(t_end, 0.0), t_end, math.nextafter(t_end, 3.0))]
@@ -840,7 +864,8 @@ def test_negative_trial_stage_is_rejected_not_complex(monkeypatch):
     fn = build()
     assert fn.stats["rejected"] > 0 and fn.stats["stop"] == scaling.STOP_ZERO
     assert fn.status == STATUS_VANISHED and 0.99999 < fn.vanishing_time < 1.0
-    assert np.all(np.isfinite(fn.a_values)) and fn.a_values.min() > 0.0
+    a, _ = fn.pair(fn.ts)
+    assert np.all(np.isfinite(a)) and a.min() > 0.0
     negative = []
     ode = scaling._ode
 
@@ -859,13 +884,25 @@ def test_negative_trial_stage_is_rejected_not_complex(monkeypatch):
     assert negative and all(np.isnan(x) for x in negative)
 
 
+def test_a_tail_whose_first_slope_norm_overflows_steps_from_its_floor():
+    # a' = -1e-200 at V = 1e-200, e = 2.25 meets the tail's switch after
+    # one step in t; there dt/dx ~ 1e200 overflows the first step's slope
+    # norm, so Hairer's first step is 0 and the stepper starts from its
+    # floor, as RK45 would, where it raised ZeroDivisionError
+    fn = integrate_pressureless(theta=1.25, lam=-1e-200, N=1, a0=1.0, a1=-1e-200,
+                                t_end=1.0)
+    assert fn.status == "completed" and fn.stats["stop"] == scaling.STOP_COMPLETED
+    assert fn._tail is not None and fn.t_end == 1.0
+    assert fn.pair(0.5) == fn.pair(1.0) == (1.0, -1e-200)
+
+
 def _first_integral_drift(fn, lam, e, a0, a1):
     """Largest relative change of a' + lam*a**(1 - e)/(1 - e), which
     a'' = -lam*a'*a**-e conserves, over the nodes of fn."""
     def first_integral(a, adot):
         return adot + lam * a ** (1.0 - e) / (1.0 - e)
     start = first_integral(a0, a1)
-    return np.max(np.abs(first_integral(fn.a_values, fn.adot_values) / start - 1.0))
+    return np.max(np.abs(first_integral(*fn.pair(fn.ts)) / start - 1.0))
 
 
 def test_fast_expansion_at_a_large_exponent_builds():
@@ -876,7 +913,7 @@ def test_fast_expansion_at_a_large_exponent_builds():
     family = PressurelessThetaNot1(lam=1.0, alpha=1.0, a0=1.0, a1=20.0)
     fn = build_solution(params, family, t_end=1.0).scaling
     assert fn.status == "completed" and fn.t_end == 1.0
-    assert fn.a_values[-1] == pytest.approx(21.0, rel=1e-3)
+    assert fn.pair(fn.t_end)[0] == pytest.approx(21.0, rel=1e-3)
     assert _first_integral_drift(fn, 1.0, 299.0, 1.0, 20.0) <= 1e-9
 
 
@@ -903,8 +940,9 @@ def test_a_trial_stage_that_overflows_is_rejected(monkeypatch):
                                 t_end=0.5)
     assert raised and all(np.isnan(x) for x in raised)
     assert fn.status == "completed" and fn.stats["rejected"] > 0
-    assert np.all(np.isfinite(fn.a_values)) and np.all(np.isfinite(fn.adot_values))
-    assert fn.a_values.min() > 0.2
+    a, adot = fn.pair(fn.ts)
+    assert np.all(np.isfinite(a)) and np.all(np.isfinite(adot))
+    assert a.min() > 0.2
     assert _first_integral_drift(fn, 1e-200, 299.0, 1.0, -3.0) <= 1e-9
 
 
@@ -916,7 +954,7 @@ def test_a_long_step_does_not_jump_a_braking_layer():
     fn = integrate_pressureless(theta=100.0, lam=1e-295, N=3, a0=1.0, a1=-1.0,
                                 t_end=2.0)
     assert fn.status == "completed" and fn.t_end == 2.0
-    assert fn.a_values.min() > 0.1
+    assert fn.pair(fn.ts)[0].min() > 0.1
     assert _first_integral_drift(fn, 1e-295, 299.0, 1.0, -1.0) <= 1e-9
 
 
@@ -944,9 +982,10 @@ def test_last_interval_of_an_early_stop_stays_between_its_nodes(build):
     t0 = np.floor(fn.t_end / 1e-3) * 1e-3
     ts = np.random.default_rng(5).uniform(t0, fn.t_end, 100_000)
     a, adot = fn.pair(ts)
-    lo, hi = sorted((fn.pair(t0)[0], fn.a_values[-1]))
+    a_end, adot_end = fn.pair(fn.t_end)
+    lo, hi = sorted((fn.pair(t0)[0], a_end))
     assert np.all((a >= lo) & (a <= hi))
-    assert np.all(adot * fn.adot_values[-1] > 0.0)
+    assert np.all(adot * adot_end > 0.0)
     # step times, where a 1e-3 mesh would have none: a stepper in t
     # shrinks its steps toward the end, a collapse's tail in a does not
     steps = 2 if fn.stats["stop"] == scaling.STOP_ZERO else 100
@@ -958,7 +997,7 @@ def test_end_values_hold_within_the_edge_tolerance(build):
     # the end node's tangent line gave a = -8.8e-6 at t_end + 5e-13
     # on the isothermal collapse, and its Gaussian field rho = -1.45e15
     fn = build()
-    end = (fn.a_values[-1], fn.adot_values[-1])
+    end = tuple(_stored_states(fn)[:, -1])
     assert fn.pair(fn.t_end + 5e-13) == end
     a, adot = fn.pair(np.array([fn.t_end, fn.t_end + 5e-13]))
     assert np.all(a == end[0]) and np.all(adot == end[1])
@@ -1077,7 +1116,7 @@ def test_stiff_relaxation_is_refused_only_with_many_steps_left():
     fn = integrate_pressureless(theta=1.0, lam=-1e-4, N=1, a0=1.0, a1=-1.0,
                                 t_end=2.0)
     assert fn.status == "completed" and fn.stats["accepted"] > 3000
-    assert fn.a_values[-1] == pytest.approx(1e-4 / (1.0 + 1e-4), rel=1e-6)
+    assert fn.pair(fn.t_end)[0] == pytest.approx(1e-4 / (1.0 + 1e-4), rel=1e-6)
 
 
 # --- the stepper against the stepper as first written -------------------------

@@ -95,7 +95,9 @@ def _valid_instances(draw):
         gamma = theta = u(1.05, 3.0)
         family = WithPressurePolytropic(alpha=u(0.2, 3.0), **start)
     elif kind == 2:
-        gamma = u(1.0, 3.0)
+        # theta = gamma/2 + 1/2 - 1/N must be > 0, and at N = 1 it is
+        # (gamma - 1)/2, which rounds to 0 for gamma within an ulp of 1
+        gamma = u(1.05 if N == 1 else 1.0, 3.0)
         theta = theta_required(ModelParams(N=N, gamma=gamma, theta=1.0))
         family = WithPressurePowerLaw(m=u(-2.0, 2.0), n=u(0.2, 2.0), sigma=u(0.5, 2.0),
                                       alpha=u(0.2, 3.0))
