@@ -189,8 +189,20 @@ def _primitive(e, x):
     if isinstance(ex, float):
         em1 = float(np.expm1(ex)) if ex <= _LOG_MAX else math.nan
     else:
-        em1 = np.where(ex > _LOG_MAX, np.nan, np.expm1(ex))
+        em1 = _pick(ex > _LOG_MAX, np.nan, np.expm1(ex))
     return em1 / e, em1 + 1.0
+
+
+def _pick(mask, a, b):
+    """np.where(mask, a, b), or a or b itself where the mask is uniform
+    and that value has the mask's shape: np.where costs several ufuncs'
+    time, and more on a mask that mixes at random."""
+    if mask.all():
+        if np.shape(a) == mask.shape:
+            return a
+    elif not mask.any() and np.shape(b) == mask.shape:
+        return b
+    return np.where(mask, a, b)
 
 
 class ImplicitProfile(Profile):
@@ -203,12 +215,13 @@ class ImplicitProfile(Profile):
     sign at most once: y rises without bound where c(alpha) > 0 and
     falls where c(alpha) < 0, to vacuum at z_vacuum when G(0+) is finite
     (theta > 1), and is 0 beyond it.  Every z evaluates, as for the other
-    shapes: a y or dy past the float range is refused with DomainError.
-    A start with |c(alpha)| below EPS_COEFF of the size of its terms is
-    singular: only z = 0 evaluates.  A float z takes the array code's
-    Newton sweeps one for one on Python floats (_float_root), off every
-    edge the array code answers: h = 0, vacuum, a refusal and a root at
-    the float range's end.
+    shapes: a y or dy past the float range, or a y whose power
+    (y/alpha)**(gamma-1) or (y/alpha)**(theta-1) is, is refused with
+    DomainError.  A start with |c(alpha)| below EPS_COEFF of the size of
+    its terms is singular: only z = 0 evaluates.  A float z takes the
+    array code's Newton sweeps one for one on Python floats
+    (_float_root), off every edge the array code answers: h = 0, vacuum,
+    a refusal and a root at the end of the float range, y's or a power's.
     """
 
     def __init__(self, p, v, r, gamma, theta, alpha):
@@ -223,10 +236,16 @@ class ImplicitProfile(Profile):
         self._cp, self._cv = p * alpha ** (gamma - 1.0), v * alpha ** (theta - 1.0)
         slope = self._cp - self._cv
         self._singular = abs(slope) <= EPS_COEFF * (abs(self._cp) + abs(self._cv))
-        self._dir = 1.0 if slope > 0.0 else -1.0
-        # w = |log(y/alpha)| up to which y stays within the float range
-        self._w_max = self._dir * ((_LOG_MAX if slope > 0.0 else _LOG_MIN)
-                                   - math.log(alpha))
+        d = self._dir = 1.0 if slope > 0.0 else -1.0
+        # w = |log(y/alpha)| up to which y stays within the float range: the
+        # bracket's top.  A power (y/alpha)**e that the primitive takes may
+        # leave the range first, where the primitive is NaN, which the
+        # bracket treats as past the root: a root at _w_top, the lower of
+        # the two, is refused, or where a falling y underflows, vacuum
+        self._w_max = d * ((_LOG_MAX if d > 0.0 else _LOG_MIN) - math.log(alpha))
+        caps = [_LOG_MAX / (d * e) for e in (gamma - 1.0, theta - 1.0) if d * e > 0.0]
+        self._w_top = min([self._w_max, *caps])
+        self._edge_vacuum = d < 0.0 and self._w_top == self._w_max
         if slope < 0.0 and theta > 1.0 and r > 0.0:
             g_vac = self._cv / (theta - 1.0) - self._cp / (gamma - 1.0)
             self.z_vacuum = _edge(2.0 * g_vac, r)
@@ -255,49 +274,67 @@ class ImplicitProfile(Profile):
         # starts well where c(alpha) ~ 0.
         d, cp, cv = self._dir, self._cp, self._cv
         s1, s2 = d * (cp - cv), cp * (self.gamma - 1.0) - cv * (self.theta - 1.0)
-        disc = s1 * s1 + 2.0 * s2 * h
         live = np.flatnonzero(solve)
+        # a disc past the float range starts w at 0, from which the sweeps bisect
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w = np.where(disc > 0.0, 2.0 * h / (s1 + np.sqrt(np.abs(disc))), h / s1)
+            disc = s1 * s1 + 2.0 * s2 * h
+            w = _pick(disc > 0.0, 2.0 * h / (s1 + np.sqrt(np.abs(disc))), h / s1)
             lo, hi = np.zeros(h.size), np.full(h.size, self._w_max)
             log_h = np.log(h)
             for _ in range(100):  # bisection alone reaches rounding level in 60
                 if not live.size:
                     break
-                wl, lol, hil, hl = w[live], lo[live], hi[live], h[live]
-                wl = np.where((lol < wl) & (wl < hil), wl, 0.5 * (lol + hil))
-                closed = hil - lol <= 1e-15 * np.maximum(1.0, wl)
-                gp, yp = _primitive(self.gamma - 1.0, d * wl)
-                gv, yv = _primitive(self.theta - 1.0, d * wl)
-                D, dD = cp * gp - cv * gv, d * (cp * yp - cv * yv)
-                below = D < hl
-                lol, hil = np.where(below, wl, lol), np.where(below, hil, wl)
-                w_new = np.where((D > 0.0) & (dD > 0.0),
-                                 wl - (np.log(D) - log_h[live]) * D / dD,
-                                 0.5 * (lol + hil))
-                step = np.abs(w_new - wl) <= 1e-15 * np.maximum(1.0, w_new)
-                w_new = np.where(closed & ~step, wl, w_new)
-                w[live], lo[live], hi[live] = w_new, lol, hil
-                live = live[~(closed | step)]
-            # a root at the float range's end: overflow rising, vacuum falling
-            edge = (solve & (w >= self._w_max * (1.0 - 1e-12))).reshape(z.shape)
-            if d > 0.0:
+                # while every point is live, a sweep takes the whole arrays;
+                # from the first point that stops, the live ones, gathered
+                if live.size == h.size:
+                    w, lo, hi, done = self._sweep(w, lo, hi, h, log_h)
+                else:
+                    w[live], lo[live], hi[live], done = self._sweep(
+                        w[live], lo[live], hi[live], h[live], log_h[live])
+                live = live[~done]
+            # a root at _w_top: y, or a power of it, past the float range, or
+            # a falling y's underflow, which is vacuum
+            edge = (solve & (w >= self._w_top * (1.0 - 1e-12))).reshape(z.shape)
+            if not self._edge_vacuum:
                 refuse(DomainError, edge, "density shape overflows at z={z!r}", z=z)
-            y = np.where(solve, np.exp(math.log(self.alpha) + d * w), self.alpha)
+            y = _pick(solve, np.exp(math.log(self.alpha) + d * w), self.alpha)
             # where r*z > 0 but h underflows to 0, w = 0 and dy is r*z/c(alpha)
             rz = self.r * z.ravel()
-            dy = np.where(~vacuum.ravel() & (rz > 0.0), d * rz * (y / self._slope(w)), 0.0)
+            dy = _pick(~vacuum.ravel() & (rz > 0.0), d * rz * (y / self._slope(w)), 0.0)
             refuse(DomainError, ~(np.isfinite(dy) | edge.ravel()).reshape(z.shape),
                    "density shape overflows at z={z!r}", z=z)
-        y, dy = (np.where(edge | vacuum, 0.0, x.reshape(z.shape)) for x in (y, dy))
+        y, dy = (_pick(edge | vacuum, 0.0, x.reshape(z.shape)) for x in (y, dy))
         return unbox(y), unbox(dy)
+
+    def _sweep(self, w, lo, hi, h, log_h):
+        """One Newton sweep of evaluate over arrays: w, lo and hi after it,
+        and the mask of the points that stop."""
+        d, cp, cv = self._dir, self._cp, self._cv
+        inside = (lo < w) & (w < hi)
+        if not inside.all():
+            w = np.where(inside, w, 0.5 * (lo + hi))
+        closed = hi - lo <= 1e-15 * np.maximum(1.0, w)
+        gp, yp = _primitive(self.gamma - 1.0, d * w)
+        gv, yv = _primitive(self.theta - 1.0, d * w)
+        D, dD = cp * gp - cv * gv, d * (cp * yp - cv * yv)
+        below = D < h
+        lo, hi = _pick(below, w, lo), _pick(below, hi, w)
+        newton = (D > 0.0) & (dD > 0.0)
+        w_new = w - (np.log(D) - log_h) * D / dD
+        if not newton.all():
+            w_new = np.where(newton, w_new, 0.5 * (lo + hi))
+        step = np.abs(w_new - w) <= 1e-15 * np.maximum(1.0, w_new)
+        stuck = closed & ~step
+        if stuck.any():
+            w_new = np.where(stuck, w, w_new)
+        return w_new, lo, hi, closed | step
 
     def _float_root(self, x):
         """(y, dy) at a float x >= 0 by the array code's sweeps, in its
         order on Python floats; None where that code refuses x (NaN, an
         overflowing h or a singular start), where h = 0 or x is vacuum,
-        where the root lies at the float range's end, or where y or dy is
-        not finite, all of which the array code answers."""
+        where the root lies at _w_top, or where y or dy is not finite, all
+        of which the array code answers."""
         h = 0.5 * self.r * x * x
         if (self._singular or not 0.0 < h < math.inf
                 or self.z_vacuum is not None and x >= self.z_vacuum):
@@ -326,7 +363,7 @@ class ImplicitProfile(Profile):
             if step:
                 break
         # the array code answers the edge, and a zero slope, where dy is not finite
-        if w >= w_max * (1.0 - 1e-12) or (dD := float(self._slope(w))) == 0.0:
+        if w >= self._w_top * (1.0 - 1e-12) or (dD := float(self._slope(w))) == 0.0:
             return None
         y = float(_exp(math.log(self.alpha) + d * w))
         dy = d * (self.r * x) * (y / dD)

@@ -1,9 +1,9 @@
 """Finite-difference residual verification of candidate fields.
 
 The verifier treats (rho, u) as a black box: it samples field values on
-centered stencils, one broadcast call on the lattice and one more per
-stencil offset and resolution, and forms the mass and momentum
-residuals of the radial system
+centered stencils, one broadcast call on the lattice and one more on the
+stack of every resolution's four stencil offsets, and forms the mass and
+momentum residuals of every resolution at once, of the radial system
 
     rho_t + u*rho_r + rho*u_r + (N-1)/r*rho*u = 0
     rho*(u_t + u*u_r) + delta*K*(rho**gamma)_r
@@ -111,36 +111,42 @@ class ResidualReport:
 
 def _array_field(field_fn):
     """field_fn taking arrays: a SolutionField as is, any other callable
-    called once per point of the broadcast (t, r), in C order.  Each
-    sample is checked as it arrives: a rho or u that is not finite
-    raises NonFiniteFieldError at once, naming its (t, r), as it could
-    only reach a non-finite residual."""
+    called once per point of the broadcast (t, r), in C order, a slab of
+    its last two axes (one lattice) at a time.  Each sample is checked
+    as it arrives: a rho or u that is not finite raises
+    NonFiniteFieldError at once, naming its (t, r), as it could only
+    reach a non-finite residual."""
     if isinstance(field_fn, SolutionField):
         return field_fn
 
     def field(t, r):
         t, r = np.broadcast_arrays(t, r)
-        ts, rs = t.ravel().tolist(), r.ravel().tolist()
-        rhos, us = [], []
-        put_rho, put_u, finite = rhos.append, us.append, math.isfinite
-        for rho, u in map(field_fn, ts, rs):
-            if not (finite(rho) and finite(u)):
-                k = len(rhos)
-                raise NonFiniteFieldError(
-                    f"field sample at (t={ts[k]!r}, r={rs[k]!r}) is not finite: "
-                    f"(rho, u) = ({rho!r}, {u!r})")
-            put_rho(rho)
-            put_u(u)
-        return (np.array(rhos, dtype=float).reshape(t.shape),
-                np.array(us, dtype=float).reshape(t.shape))
+        t_all, r_all = t.ravel(), r.ravel()
+        rho, u = np.empty(t.size), np.empty(t.size)
+        slab, finite = max(1, math.prod(t.shape[-2:])), math.isfinite
+        for start in range(0, t.size, slab):
+            ts = t_all[start:start + slab].tolist()
+            rs = r_all[start:start + slab].tolist()
+            rhos, us = [], []
+            put_rho, put_u = rhos.append, us.append
+            for rho_k, u_k in map(field_fn, ts, rs):
+                if not (finite(rho_k) and finite(u_k)):
+                    k = len(rhos)
+                    raise NonFiniteFieldError(
+                        f"field sample at (t={ts[k]!r}, r={rs[k]!r}) is not finite: "
+                        f"(rho, u) = ({rho_k!r}, {u_k!r})")
+                put_rho(rho_k)
+                put_u(u_k)
+            rho[start:start + slab] = np.array(rhos, dtype=float)
+            u[start:start + slab] = np.array(us, dtype=float)
+        return rho.reshape(t.shape), u.reshape(t.shape)
     return field
 
 
-def _sample(field, points):
-    """field at each (t, r) of points; leaving its domain raises
-    StencilOutOfDomainError."""
+def _sample(field, t, r):
+    """field at (t, r); leaving its domain raises StencilOutOfDomainError."""
     try:
-        return [field(t, r) for t, r in points]
+        return field(t, r)
     except (DomainError, OutOfRangeError) as exc:
         raise StencilOutOfDomainError(
             f"stencil left the field domain: {exc}") from exc
@@ -150,14 +156,28 @@ def _residuals(field, params, t, r, centre, h_t, h_r):
     """Mass and momentum residuals on the centered 5-point cross around
     each (t, r), given centre, the field there, and the mask of stencils
     touching vacuum (some rho == 0), where momentum is classically
-    undefined and set to 0.  A negative rho on a stencil raises
-    DomainError.  NaN is never vacuum
-    (np.minimum propagates it, and a non-finite u_t keeps the stencil):
-    a non-finite residual raises NonFiniteFieldError.
+    undefined and set to 0.
+
+    h_t and h_r are floats, or arrays of shape (R, 1, ..., 1) that stack
+    R resolutions ahead of the lattice's axes, whose residuals then stack
+    the same way.  Every offset of every resolution is sampled in one
+    field call, on a stack of shape (R, 4, *lattice) whose C order is r +
+    h_r, r - h_r, t + h_t, t - h_t per resolution.  Only then is any
+    residual refused, resolution by resolution: a negative rho on a
+    stencil raises DomainError, and a non-finite residual raises
+    NonFiniteFieldError.  NaN is never vacuum (np.minimum propagates it,
+    and a non-finite u_t keeps the stencil).
     """
     rho, u = centre
-    (rho_rp, u_rp), (rho_rm, u_rm), (rho_tp, u_tp), (rho_tm, u_tm) = _sample(
-        field, ((t, r + h_r), (t, r - h_r), (t + h_t, r), (t - h_t, r)))
+    nd = np.broadcast(t, r).ndim
+    t, r = (np.reshape(x, (1,) * (nd - np.ndim(x)) + np.shape(x)) for x in (t, r))
+
+    def stack(*offsets):
+        return np.stack(np.broadcast_arrays(*offsets), axis=-1 - nd)
+
+    samples = _sample(field, stack(t, t, t + h_t, t - h_t), stack(r + h_r, r - h_r, r, r))
+    (rho_rp, rho_rm, rho_tp, rho_tm), (u_rp, u_rm, u_tp, u_tm) = (
+        np.moveaxis(x, -1 - nd, 0) for x in samples)
     gamma, theta = params.gamma, params.theta
     K, kappa, N = params.K, params.kappa, params.N
     rho_t = (rho_tp - rho_tm) / (2.0 * h_t)
@@ -166,9 +186,7 @@ def _residuals(field, params, t, r, centre, h_t, h_r):
     u_r = (u_rp - u_rm) / (2.0 * h_r)
     u_rr = (u_rp - 2.0 * u + u_rm) / (h_r * h_r)
     mass = rho_t + u * rho_r + rho * u_r + (N - 1) / r * rho * u
-    lo = np.minimum.reduce([rho, rho_rp, rho_rm, rho_tp, rho_tm])
-    refuse(DomainError, lo < 0.0, "negative density {value!r} on the stencil "
-           "at (t={t!r}, r={r!r})", t=t, r=r, value=lo)
+    lo = np.minimum(rho, samples[0].min(axis=-1 - nd))
     vacuum = (lo == 0.0) & np.isfinite(u_t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pressure_r = (np.power(rho_rp, gamma) - np.power(rho_rm, gamma)) / (2.0 * h_r)
@@ -180,10 +198,13 @@ def _residuals(field, params, t, r, centre, h_t, h_r):
                - kappa * np.power(rho, theta)
                * (u_rr + (N - 1) / r * u_r - (N - 1) / (r * r) * u))
     mom = np.where(vacuum, 0.0, mom)
-    for name, residual in (("mass", mass), ("momentum", mom)):
-        refuse(NonFiniteFieldError, ~np.isfinite(residual),
-               f"{name} residual at (t={{t!r}}, r={{r!r}}) is not finite: {{value!r}}",
-               t=t, r=r, value=residual)
+    for k in np.ndindex(lo.shape[:lo.ndim - nd]):
+        refuse(DomainError, lo[k] < 0.0, "negative density {value!r} on the stencil "
+               "at (t={t!r}, r={r!r})", t=t, r=r, value=lo[k])
+        for name, residual in (("mass", mass[k]), ("momentum", mom[k])):
+            refuse(NonFiniteFieldError, ~np.isfinite(residual),
+                   f"{name} residual at (t={{t!r}}, r={{r!r}}) is not finite: {{value!r}}",
+                   t=t, r=r, value=residual)
     return mass, mom, vacuum
 
 
@@ -246,11 +267,14 @@ def _order(norm_coarse, norm_fine, ratio):
 def verify_window(field_fn, params, window, resolutions,
                   lattice=DEFAULT_LATTICE):
     """Residual norms over a uniform lattice at each (h_t, h_r) of a
-    SolutionField, evaluated lattice-wide, or of any (t, r) -> (rho, u)
-    callable, called once per distinct stencil point: the lattice itself
-    is sampled once and its samples serve every resolution, which then
-    adds its four offset points.  A black-box sample that is not finite
-    raises NonFiniteFieldError at once.
+    SolutionField or of any (t, r) -> (rho, u) callable, from two field
+    calls whatever the number of resolutions: one on the lattice, whose
+    samples serve every resolution, and one on the stack of every
+    resolution's four stencil offsets, shape (R, 4, lattice, lattice).
+    A black box is called once per point of each, in C order: the
+    lattice, then per resolution the r + h_r, r - h_r, t + h_t and
+    t - h_t blocks.  A black-box sample that is not finite raises
+    NonFiniteFieldError at once.
 
     resolutions is a sequence of (h_t, h_r) pairs, coarse to fine; with
     two or more, the report carries convergence-order estimates from the
@@ -261,7 +285,11 @@ def verify_window(field_fn, params, window, resolutions,
     the field's domain, raises StencilOutOfDomainError.  A mass or
     momentum residual that is not finite raises NonFiniteFieldError, and
     a stencil with a negative rho raises DomainError: only stencils that
-    touch vacuum (rho == 0) are skipped, and counted.
+    touch vacuum (rho == 0) are skipped, and counted.  Every offset is
+    sampled before any residual is refused, resolution by resolution: so
+    where two resolutions hold different faults, a later one's sampling
+    fault (a sample that is not finite, or a stencil off the field's
+    domain) is raised ahead of an earlier one's residual fault.
     """
     lattice = _lattice(lattice)
     resolutions = _steps(resolutions)
@@ -274,9 +302,11 @@ def verify_window(field_fn, params, window, resolutions,
         if r[0] - h_r <= 0.0:
             raise StencilOutOfDomainError(
                 f"stencil needs r - h_r > 0, got r={float(r[0])!r}, h_r={h_r!r}")
-    (centre,) = _sample(field, [(t, r)])
-    entries = [_norms(*_residuals(field, params, t, r, centre, h_t, h_r), h_t, h_r)
-               for h_t, h_r in resolutions]
+    centre = _sample(field, t, r)
+    h_t, h_r = (np.reshape(h, (-1, 1, 1)) for h in zip(*resolutions))
+    mass, mom, vacuum = _residuals(field, params, t, r, centre, h_t, h_r)
+    entries = [_norms(mass[k], mom[k], vacuum[k], *resolutions[k])
+               for k in range(len(resolutions))]
 
     order_mass = order_mom = None
     if len(entries) >= 2:

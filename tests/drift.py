@@ -17,8 +17,12 @@ theta = 100 that a thin braking layer stops at a ~ 0.1, which long
 steps must not jump, and a damped relaxation toward a ~ 1e-9 that the
 stepper refuses as stiff.  Each instance also runs verify_window on a
 plain lambda over its solution's field, the black-box path that the
-CLI never takes, with its report's to_dict() as JSON on the run's
-stdout.  Every run whose exit code, stdout, stderr or payload differs
+CLI never takes, at its config's two resolutions and again with a third,
+each h halved once more.  Each run's stdout is one JSON document: the
+report's to_dict(), or null where it was refused, the count of (t, r)
+calls the lambda saw and a SHA-256 digest of them in order, so a change
+of the verifier's call order or count shows as a differing run.  Every
+run whose exit code, stdout, stderr or payload differs
 between the trees is printed: a payload or stdout that differs only in
 its numbers, with the same text and structure around them, as the count
 of differing values and their largest distance in ulps per column (a
@@ -44,6 +48,7 @@ import argparse
 import contextlib
 import csv
 import difflib
+import hashlib
 import io
 import json
 import math
@@ -137,20 +142,31 @@ def _law_error(doc, law):
     return min(errors, default=(math.inf, math.nan))
 
 
-def _black_box(doc):
-    """The JSON report of verify_window on a plain lambda over the field
-    of the config doc's solution, built as far as verify_family builds
-    it."""
+def _black_box(doc, resolutions):
+    """The exit and stdout of verify_window at resolutions on a plain
+    lambda over the field of the config doc's solution, built as far as
+    verify_family builds it: the report's JSON, or null where it was
+    refused, with the count and digest of the lambda's (t, r) calls."""
     from nssol import build_solution, verify_window
     from nssol.cli import RunConfig
 
     config = RunConfig(doc)
-    window, resolutions = config.verify["window"], config.verify["resolutions"]
+    window = config.verify["window"]
     t_end = window.t_max + 2.0 * max(h_t for h_t, _ in resolutions)
     field = build_solution(config.params, config.family, t_end=t_end).field()
-    report = verify_window(lambda t, r: field(t, r), config.params, window, resolutions,
-                           lattice=config.verify["lattice"])
-    return json.dumps(report.to_dict())
+    calls = []
+
+    def black_box(t, r):
+        calls.append(struct.pack("<2d", t, r))
+        return field(t, r)
+
+    try:
+        code, report = 0, verify_window(black_box, config.params, window, resolutions,
+                                        lattice=config.verify["lattice"]).to_dict()
+    except Exception as exc:  # a refusal is compared as a crash is
+        code, report = f"raised {type(exc).__name__}: {exc}", None
+    return code, json.dumps({"report": report, "calls": len(calls),
+                             "digest": hashlib.sha256(b"".join(calls)).hexdigest()})
 
 
 def _child(src):
@@ -185,14 +201,18 @@ def _child(src):
                     records[f"{name} {command} {fmt}"] = {
                         "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
                         "payload": payload.read_text() if payload.exists() else None}
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                try:
-                    code, out = 0, _black_box(doc)
-                except Exception as exc:  # a refusal is compared as a crash is
-                    code, out = f"raised {type(exc).__name__}: {exc}", ""
-            records[f"{name} verify_window black-box"] = {
-                "exit": code, "stdout": out, "stderr": err.getvalue(), "payload": None}
+            resolutions = doc["verify"]["resolutions"]
+            finer = [h / 2.0 for h in resolutions[-1]]
+            for kind, steps in (("black-box", resolutions),
+                                ("black-box-3", [*resolutions, finer])):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    try:
+                        code, out = _black_box(doc, steps)
+                    except Exception as exc:  # a failed build is compared as a crash is
+                        code, out = f"raised {type(exc).__name__}: {exc}", ""
+                records[f"{name} verify_window {kind}"] = {
+                    "exit": code, "stdout": out, "stderr": err.getvalue(), "payload": None}
         os.chdir(ROOT)
     laws = {}
     for name, doc in configs.items():

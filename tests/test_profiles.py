@@ -726,3 +726,59 @@ def test_every_shape_refuses_nan_z_alike():
         for z in (math.nan, np.array([0.5, math.nan]), np.array([math.inf, math.nan])):
             with pytest.raises(OutOfRangeError, match="^z nan is not a number$"):
                 shape.evaluate(z)
+
+
+def test_implicit_shape_refuses_a_root_whose_power_overflows():
+    # with gamma = 3, (y/alpha)**(gamma-1) leaves the float range near
+    # y = 1.3e154, long before y does: the primitive was NaN past that w,
+    # the bracket never passed it, and every z from about 1.34e149 got the
+    # stuck y = 1.3389633282488849e+154.  Such a root is refused now, as a
+    # float and in a batch, and a z short of it keeps its bits
+    rising = ImplicitProfile(1e-10, 5e-11, 1.0, 3.0, 1.5, 1.0)
+    assert rising._w_top == profiles._LOG_MAX / 2.0 < rising._w_max
+    for z in (1e150, np.array([1e140, 1e150])):
+        with pytest.raises(DomainError, match=r"^density shape overflows at z=1e\+150$"):
+            rising.evaluate(z)
+    assert [v.hex() for v in rising.evaluate(1e140)] == [
+        "0x1.9a06d06e2607bp+481", "0x1.86a0000000090p+16"]
+    # falling with theta - 1 = -2: (y/alpha)**(theta-1) overflows at
+    # y/alpha = exp(-354.89), short of y's underflow; the bracket stuck at
+    # y = 7.47e-145 from about z = 1e145, and that root is refused too,
+    # not called vacuum
+    falling = ImplicitProfile(1e-30, 1.0, 1.0, 0.5, -1.0, 1e10)
+    assert falling._dir == -1.0 and falling._w_top == profiles._LOG_MAX / 2.0 < falling._w_max
+    for z in (1e145, np.array([1e144, 1e145])):
+        with pytest.raises(DomainError, match=r"^density shape overflows at z=1e\+145$"):
+            falling.evaluate(z)
+    assert falling.evaluate(1e144)[0].hex() == "0x1.8f9574dcf8ac0p-479"
+    for shape, z in ((rising, 1e140), (rising, 1e150), (falling, 1e144), (falling, 1e145)):
+        _assert_float_parity(shape, z)
+    # where 2*s2*h, in the Newton's first guess, overflows, a batch starts
+    # from w = 0 without a warning, and gives a float's bits
+    _assert_float_parity(ImplicitProfile(1.0, 2.0, 1.0, 0.5, -1.0, 1.0), 1e154)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=_implicit_shapes,
+       zs=st.lists(st.floats(1e-3, 30.0), min_size=1, max_size=24))
+def test_implicit_sweeps_give_each_point_its_bits_in_any_batch(shape, zs):
+    # a batch whose points all solve sweeps its whole arrays until a point
+    # stops; one that holds h = 0 or vacuum points gathers its live points
+    # from the first sweep; a one-element batch is whole throughout.  Each
+    # point gets the same bits from all three
+    if shape.z_vacuum is not None:
+        zs = [z for z in zs if z < shape.z_vacuum]
+    if not zs:
+        reject()
+    try:
+        alone = [shape.evaluate(np.array([z])) for z in zs]
+        live = shape.evaluate(np.array(zs))
+    except NssolError:
+        reject()
+    outside = [0.0] + ([] if shape.z_vacuum is None else [2.0 * shape.z_vacuum])
+    mixed = shape.evaluate(np.array(outside + zs))
+    assert [v.shape for v in shape.evaluate(np.array([]))] == [(0,), (0,)]
+    for k, one in enumerate(alone):
+        want = [float(v[0]).hex() for v in one]
+        assert [float(v[k]).hex() for v in live] == want, (shape, zs[k])
+        assert [float(v[len(outside) + k]).hex() for v in mixed] == want, (shape, zs[k])

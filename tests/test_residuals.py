@@ -1,9 +1,13 @@
 """Finite-difference residual verifier: exactness, detection, convergence."""
 
+import functools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nssol import (
     DomainError,
@@ -562,3 +566,115 @@ def test_single_resolution_reports_no_orders():
                            [(1e-3, 1e-3)], lattice=3)
     assert report.order_mass is None
     assert report.order_mom is None
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_black_box_sees_the_lattice_then_each_resolutions_four_offsets(count):
+    # one call on the lattice, one on the stack of every resolution's four
+    # offsets: a black box sees the lattice in C order, then per resolution
+    # the r + h_r, r - h_r, t + h_t and t - h_t blocks, each in C order
+    window, lattice = Window(0.1, 0.2, 0.5, 1.0), 3
+    steps = [(1e-3 / 2 ** k, 3e-3 / 3 ** k) for k in range(count)]
+    calls = []
+
+    def field(t, r):
+        calls.append((t, r))
+        return 1.0, 0.0
+
+    verify_window(field, PARAMS_N3, window, steps, lattice=lattice)
+    k = np.arange(lattice)
+    t = (window.t_min + (window.t_max - window.t_min) * k / (lattice - 1))[:, None]
+    r = window.r_min + (window.r_max - window.r_min) * k / (lattice - 1)
+    blocks = [(t, r)] + [block for h_t, h_r in steps for block in (
+        (t, r + h_r), (t, r - h_r), (t + h_t, r), (t - h_t, r))]
+    expected = []
+    for block in blocks:
+        t_at, r_at = np.broadcast_arrays(*block)
+        expected += zip(t_at.ravel().tolist(), r_at.ravel().tolist())
+    assert calls == expected
+
+
+def test_a_solution_field_is_called_twice_per_window():
+    # the lattice, then every resolution's offsets at once, stacked (R, 4, L, L)
+    params, family, window = isothermal_gaussian()
+    solution = build_solution(params, family, t_end=window.t_max + 2e-3)
+    shapes = []
+
+    class CountingField(SolutionField):
+        def __call__(self, t, r):
+            shapes.append(np.broadcast(t, r).shape)
+            return super().__call__(t, r)
+
+    field = CountingField(solution.profile, solution.scaling, params.N)
+    steps = [(1e-3, 1e-3), (5e-4, 5e-4), (2.5e-4, 2.5e-4)]
+    for count in (1, 2, 3):
+        shapes.clear()
+        verify_window(field, params, window, steps[:count], lattice=9)
+        assert shapes == [(9, 9), (count, 4, 9, 9)]
+
+
+def _faulty_black_box(faults):
+    """A constant field with the (rho, u) of faults at their (t, r), and
+    the list of its calls."""
+    calls = []
+
+    def field(t, r):
+        calls.append((t, r))
+        return faults.get((t, r), (1.0, 0.0))
+    return field, calls
+
+
+def test_every_offset_is_sampled_before_any_residual_is_refused():
+    # a negative density on the first resolution's r + h_r stencil and a
+    # NaN sample on the second's: the NaN, the 9 + 4*9 + 1 = 46th sample,
+    # is refused first, as every offset is sampled before any residual
+    window, steps = Window(0.1, 0.2, 0.5, 1.0), [(1e-3, 1e-3), (5e-4, 5e-4)]
+    negative, nan = (0.1, 0.5 + 1e-3), (0.1, 0.5 + 5e-4)
+    nan_message = (r"^field sample at \(t=0\.1, r=0\.5005\) is not finite: "
+                   r"\(rho, u\) = \(nan, 0\.0\)$")
+    for faults, error, match, sampled in (
+            ({negative: (-1.0, 0.0), nan: (math.nan, 0.0)}, NonFiniteFieldError,
+             nan_message, 46),
+            ({nan: (math.nan, 0.0)}, NonFiniteFieldError, nan_message, 46),
+            # alone, the residual fault is refused as it was, once all
+            # 9 + 2*4*9 samples are in
+            ({negative: (-1.0, 0.0)}, DomainError,
+             r"^negative density -1\.0 on the stencil at \(t=0\.1, r=0\.5\)$", 81)):
+        field, calls = _faulty_black_box(faults)
+        with pytest.raises(error, match=match):
+            verify_window(field, PARAMS_N3, window, steps, lattice=3)
+        assert len(calls) == sampled
+
+
+@functools.cache
+def _parity_field(case):
+    """(params, field, window) of the parity case, its field built past the
+    window by the largest step drawn below."""
+    _, params, family, window = _parity_cases()[case]
+    return params, build_solution(params, family, t_end=window.t_max + 4e-3).field(), window
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(0, len(_parity_cases()) - 1),
+       box=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+       steps=st.lists(st.tuples(st.floats(1e-4, 2e-3), st.floats(1e-4, 2e-3)),
+                      min_size=1, max_size=3),
+       lattice=st.integers(2, 9))
+def test_stacked_resolutions_report_each_as_alone(case, box, steps, lattice):
+    # a random window inside a parity case's, 1 to 3 resolutions: the
+    # SolutionField's report and a plain lambda's agree bit for bit, and
+    # each resolution's norms are those it gets run alone
+    params, field, outer = _parity_field(case)
+    (t_a, t_b), (r_a, r_b) = sorted(box[:2]), sorted(box[2:])
+    span_t, span_r = outer.t_max - outer.t_min, outer.r_max - outer.r_min
+    t_min, t_max = outer.t_min + span_t * t_a, outer.t_min + span_t * t_b
+    r_min, r_max = outer.r_min + span_r * r_a, outer.r_min + span_r * r_b
+    assume(t_min < t_max and r_min < r_max)
+    window = Window(t_min, t_max, r_min, r_max)
+    report = verify_window(field, params, window, steps, lattice=lattice)
+    black_box = verify_window(lambda t, r: field(t, r), params, window, steps,
+                              lattice=lattice)
+    assert json.dumps(black_box.to_dict()) == json.dumps(report.to_dict())
+    for entry, step in zip(report.resolutions, steps, strict=True):
+        alone = verify_window(field, params, window, [step], lattice=lattice)
+        assert alone.resolutions == (entry,)
