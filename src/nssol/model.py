@@ -135,13 +135,11 @@ class WithPressurePowerLaw(Family):
         # its arithmetic overflows on an int past the float range
         if (isinstance(params.N, int) and params.N >= 1 and params.gamma >= 1.0
                 and all(map(finite, (params.N, params.gamma, params.theta)))):
+            # at gamma >= 1 this keeps theta >= 1 - 1/N as well
             theta_req = theta_required(params)
             if abs(params.theta - theta_req) > 1e-12 * max(1.0, abs(theta_req)):
                 yield (f"theta must equal gamma/2 + 1/2 - 1/N = {theta_req} for "
                        f"the power-law family, got theta={params.theta}")
-            floor = 1.0 - 1.0 / params.N
-            if params.theta < floor - 1e-12:
-                yield f"theta must be >= 1 - 1/N = {floor}, got {params.theta}"
             # gamma*N - N + 2 >= 2, but s = 2/inf = 0 when gamma*N overflows
             s = derived_s(params)
             if not (0.0 < s <= 1.0):

@@ -298,9 +298,15 @@ class ImplicitProfile(Profile):
             if not self._edge_vacuum:
                 refuse(DomainError, edge, "density shape overflows at z={z!r}", z=z)
             y = _pick(solve, np.exp(math.log(self.alpha) + d * w), self.alpha)
-            # where r*z > 0 but h underflows to 0, w = 0 and dy is r*z/c(alpha)
-            rz = self.r * z.ravel()
-            dy = _pick(~vacuum.ravel() & (rz > 0.0), d * rz * (y / self._slope(w)), 0.0)
+            # where r*z > 0 but h underflows to 0, w = 0 and dy is r*z/c(alpha);
+            # where y/dD underflows, r*z/dD scales y back, unless it overflows
+            rz, dD = self.r * z.ravel(), self._slope(w)
+            q = y / dD
+            dy = d * rz * q
+            under = np.abs(q) < sys.float_info.min
+            if under.any():
+                dy = np.where(under & np.isfinite(alt := d * rz / dD * y), alt, dy)
+            dy = _pick(~vacuum.ravel() & (rz > 0.0), dy, 0.0)
             refuse(DomainError, ~(np.isfinite(dy) | edge.ravel()).reshape(z.shape),
                    "density shape overflows at z={z!r}", z=z)
         y, dy = (_pick(edge | vacuum, 0.0, x.reshape(z.shape)) for x in (y, dy))
@@ -366,7 +372,10 @@ class ImplicitProfile(Profile):
         if w >= self._w_top * (1.0 - 1e-12) or (dD := float(self._slope(w))) == 0.0:
             return None
         y = float(_exp(math.log(self.alpha) + d * w))
-        dy = d * (self.r * x) * (y / dD)
+        drz, q = d * (self.r * x), y / dD
+        dy = drz * q
+        if abs(q) < sys.float_info.min and math.isfinite(alt := drz / dD * y):
+            dy = alt
         return (y, dy) if math.isfinite(y) and math.isfinite(dy) else None
 
     def _slope(self, w):

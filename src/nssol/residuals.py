@@ -143,41 +143,33 @@ def _array_field(field_fn):
     return field
 
 
-def _sample(field, t, r):
-    """field at (t, r); leaving its domain raises StencilOutOfDomainError."""
-    try:
-        return field(t, r)
-    except (DomainError, OutOfRangeError) as exc:
-        raise StencilOutOfDomainError(
-            f"stencil left the field domain: {exc}") from exc
+def _residuals(field, params, t, r, h_t, h_r):
+    """Mass and momentum residuals of field on the centered 5-point cross
+    around each (t, r) of a lattice, t of shape (L, 1) and r of shape
+    (L,), at R resolutions h_t and h_r of shape (R, 1, 1), with the mask
+    of stencils touching vacuum (some rho == 0), where momentum is
+    classically undefined and set to 0; each has shape (R, L, L).
 
-
-def _residuals(field, params, t, r, centre, h_t, h_r):
-    """Mass and momentum residuals on the centered 5-point cross around
-    each (t, r), given centre, the field there, and the mask of stencils
-    touching vacuum (some rho == 0), where momentum is classically
-    undefined and set to 0.
-
-    h_t and h_r are floats, or arrays of shape (R, 1, ..., 1) that stack
-    R resolutions ahead of the lattice's axes, whose residuals then stack
-    the same way.  Every offset of every resolution is sampled in one
-    field call, on a stack of shape (R, 4, *lattice) whose C order is r +
-    h_r, r - h_r, t + h_t, t - h_t per resolution.  Only then is any
+    field is called twice: on the lattice, then on the stack of every
+    resolution's four offsets, shape (R, 4, L, L), whose C order is r +
+    h_r, r - h_r, t + h_t, t - h_t per resolution.  A call that leaves
+    the field's domain raises StencilOutOfDomainError.  Only then is any
     residual refused, resolution by resolution: a negative rho on a
     stencil raises DomainError, and a non-finite residual raises
     NonFiniteFieldError.  NaN is never vacuum (np.minimum propagates it,
     and a non-finite u_t keeps the stencil).
     """
-    rho, u = centre
-    nd = np.broadcast(t, r).ndim
-    t, r = (np.reshape(x, (1,) * (nd - np.ndim(x)) + np.shape(x)) for x in (t, r))
-
     def stack(*offsets):
-        return np.stack(np.broadcast_arrays(*offsets), axis=-1 - nd)
+        return np.stack(np.broadcast_arrays(*offsets), axis=1)
 
-    samples = _sample(field, stack(t, t, t + h_t, t - h_t), stack(r + h_r, r - h_r, r, r))
+    try:
+        rho, u = field(t, r)
+        samples = field(stack(t, t, t + h_t, t - h_t), stack(r + h_r, r - h_r, r, r))
+    except (DomainError, OutOfRangeError) as exc:
+        raise StencilOutOfDomainError(
+            f"stencil left the field domain: {exc}") from exc
     (rho_rp, rho_rm, rho_tp, rho_tm), (u_rp, u_rm, u_tp, u_tm) = (
-        np.moveaxis(x, -1 - nd, 0) for x in samples)
+        np.moveaxis(x, 1, 0) for x in samples)
     gamma, theta = params.gamma, params.theta
     K, kappa, N = params.K, params.kappa, params.N
     rho_t = (rho_tp - rho_tm) / (2.0 * h_t)
@@ -186,7 +178,7 @@ def _residuals(field, params, t, r, centre, h_t, h_r):
     u_r = (u_rp - u_rm) / (2.0 * h_r)
     u_rr = (u_rp - 2.0 * u + u_rm) / (h_r * h_r)
     mass = rho_t + u * rho_r + rho * u_r + (N - 1) / r * rho * u
-    lo = np.minimum(rho, samples[0].min(axis=-1 - nd))
+    lo = np.minimum(rho, samples[0].min(axis=1))
     vacuum = (lo == 0.0) & np.isfinite(u_t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pressure_r = (np.power(rho_rp, gamma) - np.power(rho_rm, gamma)) / (2.0 * h_r)
@@ -198,7 +190,7 @@ def _residuals(field, params, t, r, centre, h_t, h_r):
                - kappa * np.power(rho, theta)
                * (u_rr + (N - 1) / r * u_r - (N - 1) / (r * r) * u))
     mom = np.where(vacuum, 0.0, mom)
-    for k in np.ndindex(lo.shape[:lo.ndim - nd]):
+    for k in range(len(lo)):
         refuse(DomainError, lo[k] < 0.0, "negative density {value!r} on the stencil "
                "at (t={t!r}, r={r!r})", t=t, r=r, value=lo[k])
         for name, residual in (("mass", mass[k]), ("momentum", mom[k])):
@@ -267,8 +259,8 @@ def _order(norm_coarse, norm_fine, ratio):
 def verify_window(field_fn, params, window, resolutions,
                   lattice=DEFAULT_LATTICE):
     """Residual norms over a uniform lattice at each (h_t, h_r) of a
-    SolutionField or of any (t, r) -> (rho, u) callable, from two field
-    calls whatever the number of resolutions: one on the lattice, whose
+    SolutionField or of any (t, r) -> (rho, u) callable, from _residuals'
+    two field calls whatever the number of resolutions: the lattice, whose
     samples serve every resolution, and one on the stack of every
     resolution's four stencil offsets, shape (R, 4, lattice, lattice).
     A black box is called once per point of each, in C order: the
@@ -302,9 +294,8 @@ def verify_window(field_fn, params, window, resolutions,
         if r[0] - h_r <= 0.0:
             raise StencilOutOfDomainError(
                 f"stencil needs r - h_r > 0, got r={float(r[0])!r}, h_r={h_r!r}")
-    centre = _sample(field, t, r)
     h_t, h_r = (np.reshape(h, (-1, 1, 1)) for h in zip(*resolutions))
-    mass, mom, vacuum = _residuals(field, params, t, r, centre, h_t, h_r)
+    mass, mom, vacuum = _residuals(field, params, t, r, h_t, h_r)
     entries = [_norms(mass[k], mom[k], vacuum[k], *resolutions[k])
                for k in range(len(resolutions))]
 

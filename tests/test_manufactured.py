@@ -49,7 +49,8 @@ def test_residuals_approach_the_manufactured_ones_at_order_two(N, gamma, theta, 
     mass, mom = _exact(params, t, r)
     gaps = []
     for h_t, h_r in cases.RESOLUTIONS:
-        fd_mass, fd_mom, vacuum = _residuals(_field, params, t, r, _field(t, r), h_t, h_r)
+        fd_mass, fd_mom, vacuum = (x[0] for x in _residuals(
+            _field, params, t[:, :1], r[0], np.full((1, 1, 1), h_t), np.full((1, 1, 1), h_r)))
         assert not vacuum.any()
         gaps.append((np.abs(fd_mass - mass).max(), np.abs(fd_mom - mom).max()))
     (coarse, fine), ratio = gaps, cases.RESOLUTIONS[0][0] / cases.RESOLUTIONS[1][0]

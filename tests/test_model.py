@@ -134,6 +134,16 @@ def test_powerlaw_wrong_theta_reported():
     assert any("gamma/2 + 1/2 - 1/N" in v for v in out.violations)
 
 
+def test_powerlaw_theta_below_its_floor_gets_one_message():
+    # gamma >= 1 keeps gamma/2 + 1/2 - 1/N >= 1 - 1/N, so the equality
+    # alone refuses a theta below that floor, here 1/2 < 2/3
+    params = ModelParams(N=3, gamma=1.0, theta=0.5, delta=1)
+    out = validate(params, WithPressurePowerLaw(m=1.0, n=1.0, sigma=1.0, alpha=1.0))
+    assert out.violations == (
+        f"theta must equal gamma/2 + 1/2 - 1/N = {theta_required(params)} for "
+        "the power-law family, got theta=0.5",)
+
+
 def test_polytropic_requires_gamma_above_one():
     params = ModelParams(N=2, gamma=1.0, theta=1.0, delta=1)
     out = validate(params, WithPressurePolytropic(alpha=1.0, a0=1.0, a1=0.0))

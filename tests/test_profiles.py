@@ -213,6 +213,9 @@ def test_powerlaw_profile_refuses_gamma_not_above_theta():
     with pytest.raises(ValueError):
         powerlaw_profile(ModelParams(N=3, gamma=1.0, theta=1.0), m=1.0,
                          sigma=1.0, alpha=1.0, s=1.0)
+    # and an s outside (0, 1]
+    with pytest.raises(ValueError, match=r"^s must be in \(0, 1\], got 0.0$"):
+        powerlaw_profile(_blowup_params(), m=1.0, sigma=1.0, alpha=1.0, s=0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -756,6 +759,22 @@ def test_implicit_shape_refuses_a_root_whose_power_overflows():
     # where 2*s2*h, in the Newton's first guess, overflows, a batch starts
     # from w = 0 without a warning, and gives a float's bits
     _assert_float_parity(ImplicitProfile(1.0, 2.0, 1.0, 0.5, -1.0, 1.0), 1e154)
+
+
+def test_implicit_slope_survives_an_underflowing_ratio():
+    # falling with theta - 1 = -2: far out y/dD = 1/(d*c(y)) ~ -y**3/2
+    # underflows, so d*r*z*(y/dD) would give -0.0 at z = 1e140 and 1e150,
+    # where dy is normal: -1.414213562e-280 and -1.414213562e-300 (mpmath),
+    # float and batch alike, without a RuntimeWarning
+    shape = ImplicitProfile(1.0, 2.0, 1.0, 0.5, -1.0, 1.0)
+    batch = shape.evaluate(np.array([1e140, 1e150]))
+    for k, (z, want) in enumerate(((1e140, -1.414213562e-280), (1e150, -1.414213562e-300))):
+        y, dy = shape.evaluate(z)
+        lead, ratio, L = _slope_ode(shape, z, y)
+        assert _ulps(dy, lead * ratio) <= SLOPE_ULPS * L, (z, dy, float(lead * ratio))
+        assert math.isclose(dy, want, rel_tol=1e-9)
+        assert (batch[0][k], batch[1][k]) == (y, dy)
+        _assert_float_parity(shape, z)
 
 
 @settings(max_examples=150, deadline=None)

@@ -101,12 +101,12 @@ def test_mass_residual_is_independent_of_non_geometric_params():
                                                  lambda t: 1.0 + 0.5 * t * t,
                                                  lambda t: t))
     t, r = np.array([[0.7], [0.71]]), np.array([1.3, 1.31])
-    centre = field(t, r)
+    h = np.full((1, 1, 1), 1e-3)
     variants = [
         ModelParams(N=3, gamma=1.0, theta=1.0, K=1.0, kappa=1.0, delta=1),
         ModelParams(N=3, gamma=2.7, theta=0.4, K=9.0, kappa=0.1, delta=0),
     ]
-    values = [residuals._residuals(field, p, t, r, centre, 1e-3, 1e-3)[0]
+    values = [residuals._residuals(field, p, t, r, h, h)[0]
               for p in variants]
     assert np.array_equal(values[0], values[1])  # bitwise identical
 

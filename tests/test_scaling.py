@@ -42,6 +42,8 @@ def test_isothermal_b_zero_is_linear():
     assert fn.pair(3.0)[0] == pytest.approx(7.0, abs=1e-10)
     assert fn.pair(1.7)[1] == pytest.approx(2.0, abs=1e-10)
     assert fn.status == "completed"
+    assert repr(fn) == (f"NumericScaling(isothermal, {len(fn.ts)} nodes, t_end=3.0, "
+                        "status=completed)")
 
 
 def test_pressureless_lambda_zero_is_linear():
@@ -445,6 +447,79 @@ def test_tail_drops_a_step_that_starts_where_the_next_does(monkeypatch):
     assert _bits(fn.pair(ts)) == _bits(np.transpose([tails[0].pair(t) for t in ts]))
 
 
+def test_tail_end_is_bisected_where_its_last_quartic_meets_a_zero():
+    # one of 7,901 tails over two seeded scans of 4,000 random builds
+    # each: its last quartic meets the float below T only at its step's
+    # end, where a = 0 and a**(e - 1) divides by zero.  t_end is bisected
+    # to the largest float it serves, 2 ulps short of T
+    fn = integrate_polytropic(4.540425086118913, 0.00023128994922382454,
+                              4.03254056868605e-06, 3, 0.011281726152419303,
+                              -0.00039713375935664064, 1e6)
+    tail, T = fn._tail, fn.vanishing_time
+    assert fn.stats["stop"] == scaling.STOP_ZERO and fn.stats["accepted"] == 1038
+    assert T == 1.988884419064694e-19
+    with pytest.raises(ZeroDivisionError):
+        tail._solve(math.nextafter(T, -math.inf))
+    assert fn.t_end == tail.t_end == 1.9888844190646935e-19
+    end = a, adot = fn.pair(fn.t_end)
+    assert a > 0.0 and math.isfinite(adot) and tail.end == end
+    assert not tail._serves(math.nextafter(tail.t_end, math.inf))
+    # every float past t_end, up to the edge tolerance, gives the end values
+    past = [math.nextafter(tail.t_end, math.inf), T, math.nextafter(T, math.inf),
+            1e-13, math.nextafter(fn._hi, 0.0)]
+    assert all(fn.pair(t) == end for t in past)
+    assert _bits(fn.pair(np.array(past))) == _bits(np.transpose([end] * len(past)))
+    with pytest.raises(OutOfRangeError):
+        fn.pair(fn._hi)
+    assert {"collapse_exponent", "collapse_constant"} <= fn.blowup().keys()
+
+
+def test_tail_whose_first_step_starts_at_its_zero_ends_at_its_switch(monkeypatch):
+    # no float short of t_star lies after t0: t_end is t0, the tail has no
+    # node, and every later t gets the switch state (synthetic rows)
+    fn, rows = _tail_rows(monkeypatch, lambda: integrate_isothermal(
+        B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0, t_end=1.5))
+    x, _, t0, w = rows[0, :4].tolist()
+    tail = scaling._Tail(rows[:1], t0, 1.5, 6.0, 2.0)
+    assert tail.t_end == tail.t0 == t0 and tail.ts.size == 0
+    assert tail.end == (-x, w - 6.0 / -x)
+    assert tail.pair(math.nextafter(t0, math.inf)) == tail.end
+
+
+def test_tail_switch_and_slopes_off_their_range():
+    switch, F, c, e = scaling._tail_ode(2.0, 6.0, 5.0)
+    assert (c, e) == (1.5, 5.0)
+    # a**(e - 1) overflows: no switch
+    assert switch(1e100, -1.0) is False
+    # a trial stage at D = w*a**(e - 1) - c >= 0 is NaN, which rejects it
+    for w in (c, 2.0 * c):
+        assert all(math.isnan(v) for v in F(-1.0, 0.0, w))
+    assert F(-1.0, 0.0, 0.0) == (1.0 / c, -2.0 / c)
+
+
+@pytest.mark.parametrize("stop", [scaling.STOP_STIFF, scaling.STOP_UNDERFLOW])
+def test_a_tail_that_stops_short_is_refused_with_its_state(monkeypatch, stop):
+    # no build is known to reach either stop on a tail, whose D stays in
+    # (-7c/2, -c/2); forced at a mid-tail step, the refusal states t, a and a'
+    dopri45 = scaling._dopri45
+
+    def spy(*args):
+        rows, out, rejected, last = dopri45(*args)
+        if args[5] != scaling.TAIL_RTOL:
+            return rows, out, rejected, last
+        k = len(rows) // 2
+        return rows[:k], stop, rejected, tuple(rows[k, [0, 2, 3]].tolist())
+
+    monkeypatch.setattr(scaling, "_dopri45", spy)
+    with pytest.raises(StepFailureError, match=r"^scaling integration \(isothermal\)") as info:
+        integrate_isothermal(B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0, t_end=1.5)
+    monkeypatch.undo()
+    _, rows = _tail_rows(monkeypatch, lambda: integrate_isothermal(
+        B=1.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0, t_end=1.5))
+    x, _, t, w = rows[len(rows) // 2, :4].tolist()
+    assert info.value.t == t and info.value.state == (-x, w - 6.0 / -x)
+
+
 def test_blowup_states_the_collapse_law_of_its_tail():
     fn = integrate_polytropic(gamma=2.0, K=1.0, kappa=1.0, N=3, a0=1.0, a1=0.0,
                               t_end=2.0)
@@ -469,6 +544,7 @@ def test_powerlaw_static():
     fn = PowerLawScaling(sigma=1.0, m=0.0, n=1.0, s=1.0)
     assert fn.pair(5.0)[0] == 1.0
     assert fn.pair(5.0)[1] == 0.0
+    assert repr(fn) == "PowerLawScaling(sigma=1.0, m=0.0, n=1.0, s=1.0)"
 
 
 def test_powerlaw_values():
