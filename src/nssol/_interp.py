@@ -32,33 +32,30 @@ def horner(c, s):
 
 class Table:
     """Two curves tabulated on n sorted nodes, one quartic each per
-    interval, in the one read-only array hermite reads: Table(nodes,
-    coef, lo, hi) of the nodes, shape (n,), and coef, shape (2, 5, n),
-    per curve and node the value and the coefficients of s**1..4,
-    s = x - node, of the interval that starts there, or for the last
-    node a constant, so every node evaluates to its value exactly.
+    interval, in the one read-only array hermite reads: Table(rows, lo,
+    hi) of the node-major rows, shape (n, 11), of a node x_i, then per
+    curve its value and the coefficients of s**1..4, s = x - x_i, of the
+    interval that starts there, or for the last node a constant, so
+    every node evaluates to its value exactly.
 
-    rows, shape (n + 2, 11), hold a node and its two columns of coef per
-    row, between a NaN row at each end; nodes, shape (n + 2,), and coef,
-    (2, 5, n + 2), are views of it.  edges, shape (n + 1,), bound the n
-    intervals: lo, the nodes past the first, and hi.  Nothing is kept
-    per node beyond these arrays: a float lookup bisects the edges
-    through one memoryview and reads its row in one struct read.
+    rows, shape (n + 2, 11), are those rows between a NaN row at each
+    end.  edges, shape (n + 1,), bound the n intervals: lo, the nodes
+    past the first, and hi.  Nothing is kept per node beyond these
+    arrays: a float lookup bisects the edges through one memoryview and
+    reads its row in one struct read.
     """
 
-    __slots__ = ("rows", "nodes", "coef", "edges", "_edges")
+    __slots__ = ("rows", "edges", "_edges")
 
-    def __init__(self, nodes, coef, lo, hi):
-        rows = np.empty((len(nodes) + 2, 11))
-        rows[0] = rows[-1] = np.nan
-        rows[1:-1, 0] = nodes
-        rows[1:-1, 1:] = np.reshape(coef, (10, -1)).T
-        edges = np.empty(len(nodes) + 1)
-        edges[0], edges[1:-1], edges[-1] = lo, nodes[1:], hi
-        for array in (rows, edges):
+    def __init__(self, rows, lo, hi):
+        padded = np.empty((len(rows) + 2, 11))
+        padded[0] = padded[-1] = np.nan
+        padded[1:-1] = rows
+        edges = np.empty(len(rows) + 1)
+        edges[0], edges[1:-1], edges[-1] = lo, padded[2:-1, 0], hi
+        for array in (padded, edges):
             array.flags.writeable = False
-        self.rows, self.nodes, self.coef = rows, rows[:, 0], rows[:, 1:].T.reshape(2, 5, -1)
-        self.edges, self._edges = edges, memoryview(edges)
+        self.rows, self.edges, self._edges = padded, edges, memoryview(edges)
 
 
 def hermite(table, x):
@@ -70,9 +67,9 @@ def hermite(table, x):
     x as the time t of a trajectory, the one table read here.  A float x
     (np.float64 included) in range is located by bisect and evaluated
     on its row's Python floats, with a batch element's bits; every other
-    x, and every refusal, takes the array code, searchsorted and the
-    coef view, where a scalar stays a numpy scalar, off numpy's 0-d
-    array path.  The name is kept from the cubic Hermite tables this
+    x, and every refusal, takes the array code, searchsorted and one
+    gather of the rows, where a scalar stays a numpy scalar, off numpy's
+    0-d array path.  The name is kept from the cubic Hermite tables this
     once evaluated: the benchmark's tracer and its test wrap it under
     that name.
     """
@@ -86,9 +83,9 @@ def hermite(table, x):
             # horner's, inline: two calls on slices cost as much again
             return (a0 + s * (a1 + s * (a2 + s * (a3 + s * a4))),
                     b0 + s * (b1 + s * (b2 + s * (b3 + s * b4))))
-    j = table.edges.searchsorted(x, side="right")
-    s = x - table.nodes[j]
-    y = [horner(c, s) for c in table.coef[..., j]]
-    refuse(OutOfRangeError, y[0] != y[0], OUT_OF_RANGE, x=x, lo=table.nodes[1],
-           hi=table.nodes[-2])
+    rows = table.rows
+    row = rows.T[:, table.edges.searchsorted(x, side="right")]  # shape (11, *x.shape)
+    s = x - row[0]
+    y = [horner(row[1:6], s), horner(row[6:], s)]
+    refuse(OutOfRangeError, y[0] != y[0], OUT_OF_RANGE, x=x, lo=rows[1, 0], hi=rows[-2, 0])
     return y

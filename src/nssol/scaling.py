@@ -133,14 +133,14 @@ class PowerLawScaling(ScalingFn):
 class NumericScaling(ScalingFn):
     """An integrated trajectory, served by its integrator's dense output.
 
-    ts are the accepted steps' start times and the end, and coef the one
-    table of a (row 0) and adot, in _interp.Table's layout, shape
-    (2, 5, len(ts)): per node the value and the coefficients of s**1..4,
-    s = t - ts[i], of its step's quartic (zero at the end), all finite.
+    rows, in _interp.Table's layout, shape (n, 11), are one per node:
+    the accepted step's start time t_i (the end's at the last), then per
+    curve, a and adot, the value and the coefficients of s**1..4,
+    s = t - t_i, of the step's quartic (zero at the end), all finite.
     Its Table is read by one lookup and one four-term Horner, so pair(t)
     is the integrator's own dense output to rounding.  A collapse's tail
-    (_Tail), when given, serves every t past the last of ts, and its
-    node times follow them in the read-only array ts.  The values at the
+    (_Tail), when given, serves every t past the last node, and its node
+    times follow them in the read-only array ts.  The values at the
     nodes are pair(ts): the table's own and the tail's states, which are
     kept nowhere else.  Evaluation outside
     [ts[0], t_end], up to an edge tolerance of 1e-12*max(1, t_end) that
@@ -152,22 +152,23 @@ class NumericScaling(ScalingFn):
     values), else None.
     """
 
-    def __init__(self, ts, coef, status, label="", stats=None, tail=None):
-        nodes = np.asarray(ts, dtype=float)
-        ts = nodes if tail is None else np.concatenate((nodes, tail.ts))
+    def __init__(self, rows, status, label="", stats=None, tail=None):
+        rows = np.asarray(rows, dtype=float)
+        ts = rows[:, 0] if tail is None else np.concatenate((rows[:, 0], tail.ts))
         pad = 1e-12 * max(1.0, abs(ts[-1]))
         self._lo, self._hi = float(ts[0] - pad), math.nextafter(float(ts[-1] + pad), math.inf)
         # a and adot are one stack of curves: t is located once for both
-        self._table = table = Table(nodes, coef, self._lo, self._hi)
+        self._table = table = Table(rows, self._lo, self._hi)
         self._tail = tail
-        ts = table.nodes[1:-1] if tail is None else ts
+        rows = table.rows[1:-1]
+        ts = rows[:, 0] if tail is None else ts
         ts.flags.writeable = False
         if not (ts[1:] > ts[:-1]).all():
             raise ValueError("trajectory times must be strictly increasing")
-        if not (table.coef[0, 0, 1:-1] > 0.0).all():
+        if not (rows[:, 1] > 0.0).all():
             raise ValueError("trajectory a values must stay positive")
         # NaN is what hermite serves out of range: none may sit in range
-        if not (np.isfinite(ts).all() and np.isfinite(table.rows[1:-1]).all()):
+        if not (np.isfinite(ts).all() and np.isfinite(rows).all()):
             raise ValueError("trajectory nodes must be finite")
         self.ts = ts
         self.status = status
@@ -242,12 +243,11 @@ class _Tail:
 
     def __init__(self, rows, t_star, t_stop, c, e):
         self.c, self.e, self.t_star, self._em1 = c, e, t_star, e - 1.0
-        cols = rows.T
-        x_olds, x_news, starts = cols[:3]
-        coef = _quartics(rows)
+        x_olds, x_news, starts = rows[:, :3].T
+        quartics = _quartics(rows)
         t_news = np.append(starts[1:], t_stop if t_star is None else t_star)
         steps = list(zip(x_olds.tolist(), (x_news - x_olds).tolist(), starts.tolist(),
-                         t_news.tolist(), coef[0].T.tolist(), coef[1].T.tolist()))
+                         t_news.tolist(), quartics[:, :5].tolist(), quartics[:, 5:].tolist()))
         self._steps, self._starts = steps, starts.tolist()
         self.t0 = t0 = self._starts[0]
         t_end = t_stop if t_star is None else math.nextafter(t_star, -math.inf)
@@ -552,10 +552,12 @@ def _dopri45(F, x, y, z, x_end, rtol, atol, cap=math.inf, switch=None):
 
 
 def _quartics(rows):
-    """coef[c, k, i] of _dopri45's rows: the coefficient of s**k,
-    s = x - x_olds[i], in y (c = 0) or z on step i.  RK45's dense output
-    y_old + h*sum q[k]*u**(k+1), u = s/h, has c_{k+1} = q[k]/h**k, which
-    is not finite, without a warning, on a step too short for it."""
+    """The (n, 10) quartics of _dopri45's n rows, a node-major view: per
+    step i, the coefficients of s**0..4, s = x - x_old, of y, then of z.
+    RK45's dense output y_old + h*sum q[k]*u**(k+1), u = s/h, has
+    c_{k+1} = q[k]/h**k, which is not finite, without a warning, on a
+    step too short for it.  They are formed curve-major, each a contiguous
+    run over the steps: a node-major einsum took two to three times as long."""
     cols = rows.T
     n = len(rows)
     coef = np.empty((2, 5, n))
@@ -564,7 +566,7 @@ def _quartics(rows):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         coef[:, 1:] = (np.einsum("cjs,jk->cks", slopes, _P)
                        / (cols[1] - cols[0]) ** np.arange(4.0)[:, None])
-    return coef
+    return coef.reshape(10, n).T
 
 
 def _failure(label, stop, t, state):
@@ -610,18 +612,18 @@ def _integrate(F, a0, a1, t_end, label, tail=None):
     if stop == STOP_STIFF or stop == STOP_UNDERFLOW and not (
             v_last < 0.0 and a_last / -v_last < VANISH_ULPS * math.ulp(t_last)):
         raise _failure(label, stop, t_last, (a_last, v_last))
-    coef = np.zeros((2, 5, len(rows) + 1))
-    coef[:, :, :-1] = _quartics(rows)
+    table = np.zeros((len(rows) + 1, 11))
+    table[:-1, 0] = rows[:, 0]
+    table[:-1, 1:] = _quartics(rows)
     # a steep collapse can take a step in t too short for its quartic
-    short = np.flatnonzero(~np.isfinite(coef).all(axis=(0, 1)))
+    short = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if short.size:
         t, _, a, v = rows[short[0], :4].tolist()
         raise StepFailureError(f"scaling integration ({label}) failed: the step at "
                                f"t={t!r} is too short for its dense output.",
                                t=t, state=(a, v))
-    t_olds = rows[:, 0]
-    t_old = float(t_olds[-1])
-    last = coef[:, :, -2].tolist()  # the last step's quartics
+    t_old, *quartics = table[-2].tolist()
+    last = quartics[:5], quartics[5:]  # the last step's quartics
 
     if stop == STOP_DIVERGE:
         def gap(t):  # > 0 until a crosses the cap
@@ -642,14 +644,13 @@ def _integrate(F, a0, a1, t_end, label, tail=None):
         nfev += 2 + 6 * (len(tail_rows) + tail_rejected)
         accepted, rejected = accepted + len(tail_rows), rejected + tail_rejected
         piece = _Tail(tail_rows, t if stop == STOP_ZERO else None, t_end, c, e)
-    # the end node's column is zero past its values, so t within
+    # the end node's row is zero past its values, so t within
     # NumericScaling's edge tolerance past it gets the end values; where
     # the last quartic rounds to a <= 0, the accepted state, a > 0, serves
     a_end, v_end = (horner(q, t_last - t_old) for q in last)
-    coef[:, 0, -1] = (a_end, v_end) if a_end > 0.0 else (a_last, v_last)
+    table[-1, [0, 1, 6]] = (t_last, a_end, v_end) if a_end > 0.0 else (t_last, a_last, v_last)
     stats = {"nfev": nfev, "accepted": accepted, "rejected": rejected, "stop": stop}
-    return NumericScaling(np.append(t_olds, t_last), coef, _STATUS[stop],
-                          label=label, stats=stats, tail=piece)
+    return NumericScaling(table, _STATUS[stop], label=label, stats=stats, tail=piece)
 
 
 def integrate_isothermal(B, K, kappa, N, a0, a1, t_end):

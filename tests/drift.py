@@ -2,10 +2,12 @@
 
     python -m tests.drift OLD_SRC NEW_SRC
 
-run from the repository root, with OLD_SRC and NEW_SRC two ``src``
-directories (say, of a ``git archive`` of the parent commit and of the
-working tree).  One child interpreter per tree imports ``nssol`` from
-its tree and runs all six subcommands, in csv and in json, on each
+run from the repository root, with OLD_SRC and NEW_SRC each a ``src``
+directory or a git revision (say, ``HEAD`` and ``src``, the working
+tree), whose ``src/`` is extracted with ``git archive`` into a
+temporary directory that is removed afterwards.  One child interpreter
+per tree imports ``nssol`` from its tree and runs all six subcommands,
+in csv and in json, on each
 instance of ``tests/cases.py``, as given and with theta + 0.5, and on
 seven more: four collapses near t = 0 and at a large t (a = 1 - t,
 which ends where the step in t falls below 10 ulp(t), the steep
@@ -56,6 +58,7 @@ import os
 import struct
 import subprocess
 import sys
+import tarfile
 import tempfile
 import warnings
 from dataclasses import asdict
@@ -223,9 +226,27 @@ def _child(src):
     json.dump({"runs": records, "laws": laws}, sys.stdout)
 
 
+@contextlib.contextmanager
+def _tree(src):
+    """src when it is a directory, else the src/ of the git revision src,
+    extracted into a temporary directory for as long as it is used."""
+    if Path(src).is_dir():
+        yield src
+        return
+    archive = subprocess.run(["git", "archive", src, "src"], cwd=ROOT, capture_output=True)
+    if archive.returncode != 0:
+        raise SystemExit(f"{src} is neither a directory nor a git revision:\n"
+                         f"{archive.stderr.decode()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield os.path.join(tmp, "src")
+
+
 def _runs(src):
-    proc = subprocess.run([sys.executable, "-m", "tests.drift", "--child", src],
-                          cwd=ROOT, capture_output=True, text=True)
+    with _tree(src) as tree:
+        proc = subprocess.run([sys.executable, "-m", "tests.drift", "--child", tree],
+                              cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"the child on {src} failed:\n{proc.stderr}")
     return json.loads(proc.stdout)

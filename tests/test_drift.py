@@ -1,8 +1,13 @@
 """The drift check's report of runs that differ only in their numbers."""
 
 import math
+import shutil
+import subprocess
+from pathlib import Path
 
-from tests.drift import _number_drift
+import pytest
+
+from tests.drift import ROOT, _number_drift, _tree
 
 
 def test_csv_table_drift_is_counted_per_column_in_ulps():
@@ -33,3 +38,14 @@ def test_any_other_difference_is_no_number_drift():
             ("z,y\n0,1\n", "z,y\n0,1.0\n", True),           # the same numbers
             ("not json", "not json either", False)):
         assert _number_drift(old, new, table) is None, (old, new)
+
+
+def test_a_git_revision_is_extracted_while_it_runs_and_removed():
+    if shutil.which("git") is None or subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    with _tree("HEAD") as tree:
+        assert (Path(tree) / "nssol" / "__init__.py").is_file()
+    assert not Path(tree).exists()
+    with _tree("src") as tree:  # a directory is used as it is
+        assert tree == "src"

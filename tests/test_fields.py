@@ -167,6 +167,33 @@ def test_grid_refuses_non_finite_field():
                       [0.5, 1.5])
 
 
+@pytest.mark.parametrize("where", ["pair", "evaluate"])
+def test_refusal_without_a_mask_reaches_the_caller_as_raised(where):
+    # an NssolError whose where is None marks no point of its call: the
+    # field passes it on as raised, not renamed after a (t, r)
+    exc = DomainError("refused as a whole")
+
+    class Scaling(PowerLawScaling):
+        def pair(self, t):
+            if where == "pair":
+                raise exc
+            return super().pair(t)
+
+    class Shape(ExpQuadratic):
+        def evaluate(self, z):
+            if where == "evaluate":
+                raise exc
+            return super().evaluate(z)
+
+    scaling, shape = Scaling(1.0, 0.0, 1.0, 1.0), Shape(1.0, -1.0, 0.0)
+    field = SolutionField(shape, scaling, 3)
+    for call in (lambda: field(0.5, 1.0), lambda: field(np.array([0.5]), np.array([1.0])),
+                 lambda: eval_grid(shape, scaling, 3, [0.1, 0.2], [0.5, 1.5])):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value is exc and str(err.value) == "refused as a whole"
+
+
 def test_center_density_grows_unbounded_before_blowup():
     # collapsing power-law scaling: rho(t, 0) = alpha/a(t)**N is strictly
     # increasing and exceeds 1e6 before t* = 1

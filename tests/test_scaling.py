@@ -3,22 +3,30 @@
 import math
 import re
 import warnings
+from bisect import bisect_left
 from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nssol import (
     DomainError,
     ModelParams,
+    NssolError,
     OutOfRangeError,
+    PressurelessTheta1,
     PressurelessThetaNot1,
     StepFailureError,
+    WithPressureIsothermal,
+    WithPressurePolytropic,
+    WithPressurePowerLaw,
     build_solution,
     scaling,
+    theta_required,
+    validate,
     vanishing_time,
 )
 from nssol._interp import horner
@@ -312,6 +320,71 @@ def test_every_damped_build_ends_or_is_refused_as_stiff(build, a0, a1):
         assert fn.stats["stop"] == scaling.STOP_UNDERFLOW
         assert fn.pair(fn.t_end)[0] > 0.0
         assert fn.vanishing_time == fn.t_end
+
+
+#: a magnitude over five decades, 1e-3 to 1e2
+_DECADES = st.floats(-3.0, 2.0).map(lambda x: 10.0 ** x)
+_SIGN = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def _validated_instances(draw):
+    """(params, family) of one of the five families that validate
+    accepts, with K, kappa, a0, |a1| and the scaling's other constants
+    over five decades, and either sign of a1, B, m and lam."""
+    N, K, kappa = draw(st.integers(1, 3)), draw(_DECADES), draw(_DECADES)
+    start = dict(a0=draw(_DECADES), a1=draw(_SIGN) * draw(_DECADES))
+    scale = draw(_SIGN) * draw(_DECADES)
+    kind = draw(st.integers(0, 4))
+    gamma = theta = 1.0
+    if kind == 0:
+        family = WithPressureIsothermal(A=1.0, B=scale, C=0.0, **start)
+    elif kind == 1:
+        gamma = theta = draw(st.floats(1.05, 4.0))
+        family = WithPressurePolytropic(alpha=1.0, **start)
+    elif kind == 2:
+        gamma = draw(st.floats(1.05, 4.0))
+        theta = theta_required(ModelParams(N=N, gamma=gamma, theta=1.0))
+        family = WithPressurePowerLaw(m=scale, n=draw(_DECADES), sigma=draw(_DECADES),
+                                      alpha=1.0)
+    elif kind == 3:
+        family = PressurelessTheta1(lam=scale, alpha=0.0, **start)
+    else:
+        theta = draw(st.floats(0.2, 4.0).filter(lambda x: x != 1.0))
+        family = PressurelessThetaNot1(lam=scale, alpha=1.0, **start)
+    params = ModelParams(N=N, gamma=gamma, theta=theta, K=K, kappa=kappa,
+                         delta=family.delta)
+    assume(validate(params, family).ok)
+    return params, family
+
+
+#: the right-hand-side calls a validated build may make: the most that
+#: 3,000 draws of the property below made was 705,812, a damped
+#: pressureless relaxation that the stiffness test lets through with
+#: fewer than STIFF_STEPS steps left
+NFEV_CAP = 10 ** 6
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instance=_validated_instances(), t_end=st.floats(-1.0, 3.0).map(lambda x: 10.0 ** x))
+# a runaway and a collapse on the step floor, which few draws reach
+@example(instance=(ModelParams(N=3, gamma=1.0, theta=0.1, delta=0),
+                   PressurelessThetaNot1(lam=-1.0, alpha=1.0, a0=1.0, a1=1.0)), t_end=5.0)
+@example(instance=(ModelParams(N=1, gamma=1.0, theta=1.0, delta=0),
+                   PressurelessTheta1(lam=0.0, alpha=0.0, a0=1.0, a1=-1.0)), t_end=2.0)
+def test_every_validated_build_is_bounded_or_refused(instance, t_end):
+    # the budget fails a run past the cap at once, where a property that
+    # read stats only would wait for it
+    params, family = instance
+    try:
+        with _budgeted(NFEV_CAP):
+            fn = build_solution(params, family, t_end=t_end).scaling
+    except NssolError:
+        return
+    if isinstance(fn, NumericScaling):
+        assert fn.stats["nfev"] < NFEV_CAP
+        a, adot = fn.pair(fn.ts)
+        assert (a > 0.0).all() and np.isfinite(adot).all()
 
 
 # --- a collapse's tail, integrated in a -----------------------------------------
@@ -630,20 +703,20 @@ def test_interpolated_values_between_nodes():
         assert fn.pair(t)[1] == pytest.approx(ad_oracle, rel=1e-6, abs=1e-9)
 
 
-def _table(a, adot):
-    """The (2, 5, n) coefficient table of constant steps with these node
-    values."""
-    coef = np.zeros((2, 5, len(a)))
-    coef[:, 0] = a, adot
-    return coef
+def _table(ts, a, adot):
+    """The (n, 11) node rows of constant steps at these times with these
+    node values."""
+    rows = np.zeros((len(ts), 11))
+    rows[:, 0], rows[:, 1], rows[:, 6] = ts, a, adot
+    return rows
 
 
 def test_numeric_scaling_rejects_bad_trajectories():
     with pytest.raises(ValueError):
-        NumericScaling([0.0, 0.1, 0.05], _table([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),
+        NumericScaling(_table([0.0, 0.1, 0.05], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),
                        "completed")
     with pytest.raises(ValueError):
-        NumericScaling([0.0, 0.1], _table([1.0, -1.0], [0.0, 0.0]), "completed")
+        NumericScaling(_table([0.0, 0.1], [1.0, -1.0], [0.0, 0.0]), "completed")
 
 
 def test_numeric_scaling_refuses_nan_time():
@@ -801,18 +874,18 @@ def test_pair_range_edges_and_batches(name, params, family, window):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_trajectory_refuses_non_finite_nodes(where, bad):
     # NaN stands for "out of range" in the lookup: none may be built in
-    coef = _table([1.0, 4.0], [2.0, 4.0])
-    coef[1, 0 if where == "values" else 4, -1] = bad
+    rows = _table([0.0, 1.0], [1.0, 4.0], [2.0, 4.0])
+    rows[-1, 6 if where == "values" else 10] = bad
     with pytest.raises(ValueError, match="must be finite"):
-        NumericScaling([0.0, 1.0], coef, "completed")
+        NumericScaling(rows, "completed")
 
 
 def test_two_node_trajectory():
     # a = 1 + 2t + t**2 on one step, its quartic table exact
-    coef = _table([1.0, 4.0], [2.0, 4.0])
-    coef[0, 1:3, 0] = 2.0, 1.0
-    coef[1, 1, 0] = 2.0
-    fn = NumericScaling([0.0, 1.0], coef, "completed")
+    rows = _table([0.0, 1.0], [1.0, 4.0], [2.0, 4.0])
+    rows[0, 2:4] = 2.0, 1.0
+    rows[0, 7] = 2.0
+    fn = NumericScaling(rows, "completed")
     assert fn.pair(0.0) == (1.0, 2.0)
     assert fn.pair(0.5) == pytest.approx((2.25, 3.0), rel=1e-15)
     a, adot = fn.pair(np.array([0.25, 1.0]))
@@ -853,7 +926,7 @@ def _accel(F):
 def _t_piece(fn):
     """The number of nodes of fn's table in t, which a collapse's tail
     follows."""
-    return len(fn._table.nodes) - 2
+    return len(fn._table.rows) - 2
 
 
 def test_stepper_matches_scipy_rk45(monkeypatch):
@@ -918,14 +991,14 @@ def test_stats_count_the_steps_and_name_the_stop():
     # a moves by ~6.5e4 per ulp of t there: the crossing is the float
     # nearest to the cap on the last step's quartic, whose end node it is
     t_end, t_old, cap = diverged.t_end, diverged.ts[-2], scaling.CAP_A_FRAC
-    quartic = diverged._table.coef[0, :, -3].tolist()
+    quartic = diverged._table.rows[-3, 1:6].tolist()
     a_end, adot_end = _stored_states(diverged)[:, -1]
     assert horner(quartic, t_end - t_old) == a_end
     gaps = [abs(horner(quartic, t - t_old) - cap)
             for t in (math.nextafter(t_end, 0.0), t_end, math.nextafter(t_end, 3.0))]
     assert gaps[1] <= min(gaps[0], gaps[2])
     assert abs(a_end - cap) <= adot_end * math.ulp(t_end) / 2
-    assert NumericScaling([0.0, 1.0], _table([1.0, 1.0], [0.0, 0.0]),
+    assert NumericScaling(_table([0.0, 1.0], [1.0, 1.0], [0.0, 0.0]),
                           "completed").stats is None
 
 
@@ -1193,6 +1266,42 @@ def test_stiff_relaxation_is_refused_only_with_many_steps_left():
                                 t_end=2.0)
     assert fn.status == "completed" and fn.stats["accepted"] > 3000
     assert fn.pair(fn.t_end)[0] == pytest.approx(1e-4 / (1.0 + 1e-4), rel=1e-6)
+
+
+def _spells(bounds):
+    """F of y' = -L*y, z' = -L*z, with L = 1e4 up to bounds[0], 1e3 up to
+    bounds[1], 1e4 up to bounds[2] and 1 past them."""
+    levels = (1e4, 1e3, 1e4, 1.0)
+
+    def F(x, y, z):
+        L = levels[bisect_left(bounds, x)]
+        return -L * y, -L * z
+    return F
+
+
+def test_stiffness_count_restarts_after_six_calm_checks():
+    # where L = 1e4 the steps sit at RK45's stability limit, h ~ 3.3e-4,
+    # and about half the checks find h*L over 3.25 with more than 1e5
+    # such steps left to x_end = 100; where L = 1e3 they sit at it too,
+    # but 1e5 steps of 3.3e-3 overrun x_end, so every check is calm
+    def run(bounds):
+        return scaling._dopri45(_spells(bounds), 0.0, 1.0, 1.0, 100.0, scaling.RTOL,
+                                scaling.ATOL)
+
+    rows, stop, _, _ = run([math.inf] * 3)
+    assert stop == scaling.STOP_STIFF
+    # so a first spell that ends 7 steps short of that refusal counts 8
+    # to 14 stiff checks.  Some 15 calm steps of 3.3e-3 follow, then a
+    # second spell of about 15 steps whose stiff checks, counted on from
+    # the first spell's, would reach 15: only the restart of the count
+    # after 6 calm checks lets the run complete
+    x1 = rows[-8, 1]
+    bounds = [x1, x1 + 0.05, x1 + 0.055]
+    rows, stop, _, _ = run(bounds)
+    assert stop == scaling.STOP_COMPLETED
+    h = rows[:, 1] - rows[:, 0]
+    second = (rows[:, 1] > bounds[1]) & (rows[:, 1] <= bounds[2])
+    assert np.count_nonzero(h[second] * 1e4 > 3.25) >= 7
 
 
 # --- the stepper against the stepper as first written -------------------------
