@@ -8,7 +8,7 @@ the momentum equation pins down the family-specific shape/scaling pair.
 import numpy as np
 
 from ._interp import BLOCK, unbox
-from .errors import NonFiniteFieldError, NssolError
+from .errors import DomainError, NonFiniteFieldError, NssolError, refuse
 
 #: bound once: each new time row of a scalar call pays for the lookup
 _power = np.power
@@ -41,6 +41,8 @@ class SolutionField:
         self.N = N
         # numpy's power casts an integer N to a float, so it is cast once
         self._n = float(N)
+        # a float a between these has a normal, finite a**N
+        self._a_lo, self._a_hi = 1e-300 ** (1.0 / N), 1e300 ** (1.0 / N)
         # (t, a, float a**N, a'/a) of the last nonzero float t the scaling
         # accepted; a NaN t never equals it, so the first call goes through
         # pair.  A zero is not kept: 0.0 == -0.0, and a' at t = -0.0 can
@@ -54,6 +56,11 @@ class SolutionField:
             # t reuses the row too
             if not (t == t_row if type(t) is float else isinstance(t, float) and t == t_row):
                 a, adot = self.scaling.pair(t)
+                if type(a) is not float or not self._a_lo < a < self._a_hi:
+                    with np.errstate(over="ignore"):  # refused, not warned of
+                        a_n = _power(a, self._n)
+                    refuse(DomainError, (a_n == 0.0) | (a_n == np.inf),
+                           "a(t)**N leaves the float range at t={t!r}", t=t)
                 a_n, rate = _power(a, self._n), adot / a
                 if isinstance(t, float) and t:
                     a_n = float(a_n)

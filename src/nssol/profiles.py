@@ -8,10 +8,10 @@ separable profile ODE.  None has a bound on z; each refuses a value past
 the float range itself.
 
 All three evaluate a float z (np.float64 included) on Python floats,
-with numpy's exp, power, expm1 or log, so they give a batch element's
-bits without numpy's per-call cost on a scalar.  That branch returns
-only finite values; every other z, a refusal or vacuum included, takes
-the array code.
+with numpy's exp, power, expm1 or log, the implicit shape in its batch's
+own Newton sweep, so each gives a batch element's bits without numpy's
+per-call cost on a scalar.  That branch returns only finite values;
+every other z, a refusal or vacuum included, takes the array code.
 """
 
 import math
@@ -196,7 +196,10 @@ def _primitive(e, x):
 def _pick(mask, a, b):
     """np.where(mask, a, b), or a or b itself where the mask is uniform
     and that value has the mask's shape: np.where costs several ufuncs'
-    time, and more on a mask that mixes at random."""
+    time, and more on a mask that mixes at random.  A bool mask, of one
+    point's Python floats, picks a or b."""
+    if type(mask) is bool:
+        return a if mask else b
     if mask.all():
         if np.shape(a) == mask.shape:
             return a
@@ -218,10 +221,10 @@ class ImplicitProfile(Profile):
     shapes: a y or dy past the float range, or a y whose power
     (y/alpha)**(gamma-1) or (y/alpha)**(theta-1) is, is refused with
     DomainError.  A start with |c(alpha)| below EPS_COEFF of the size of
-    its terms is singular: only z = 0 evaluates.  A float z takes the
-    array code's Newton sweeps one for one on Python floats
-    (_float_root), off every edge the array code answers: h = 0, vacuum,
-    a refusal and a root at the end of the float range, y's or a power's.
+    its terms is singular: only z = 0 evaluates.  A float z runs the
+    batch's own Newton sweep, _sweep, on Python floats (_float_root), off
+    every edge the array code answers: h = 0, vacuum, a refusal and a
+    root at the end of the float range, y's or a power's.
     """
 
     def __init__(self, p, v, r, gamma, theta, alpha):
@@ -233,10 +236,15 @@ class ImplicitProfile(Profile):
         self.alpha = alpha
         # G(y) - G(alpha) = cp*P(gamma-1, y/alpha) - cv*P(theta-1, y/alpha);
         # its slope in log y at alpha is cp - cv = alpha*c(alpha)
-        self._cp, self._cv = p * alpha ** (gamma - 1.0), v * alpha ** (theta - 1.0)
+        try:
+            self._cp, self._cv = p * alpha ** (gamma - 1.0), v * alpha ** (theta - 1.0)
+        except OverflowError:
+            raise ValueError(f"a power of alpha overflows at alpha={alpha}") from None
         slope = self._cp - self._cv
         self._singular = abs(slope) <= EPS_COEFF * (abs(self._cp) + abs(self._cv))
         d = self._dir = 1.0 if slope > 0.0 else -1.0
+        # D ~ s1*w + s2*w**2/2, the quadratic of the Newton's first guess
+        self._s1, self._s2 = d * slope, self._cp * (gamma - 1.0) - self._cv * (theta - 1.0)
         # w = |log(y/alpha)| up to which y stays within the float range: the
         # bracket's top.  A power (y/alpha)**e that the primitive takes may
         # leave the range first, where the primitive is NaN, which the
@@ -272,8 +280,7 @@ class ImplicitProfile(Profile):
         # taken inside a bracket closed to rounding, from which a Newton step
         # may still point out.  The root of the quadratic D ~ s1*w + s2*w**2/2
         # starts well where c(alpha) ~ 0.
-        d, cp, cv = self._dir, self._cp, self._cv
-        s1, s2 = d * (cp - cv), cp * (self.gamma - 1.0) - cv * (self.theta - 1.0)
+        d, s1, s2 = self._dir, self._s1, self._s2
         live = np.flatnonzero(solve)
         # a disc past the float range starts w at 0, from which the sweeps bisect
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -313,31 +320,31 @@ class ImplicitProfile(Profile):
         return unbox(y), unbox(dy)
 
     def _sweep(self, w, lo, hi, h, log_h):
-        """One Newton sweep of evaluate over arrays: w, lo and hi after it,
-        and the mask of the points that stop."""
+        """One Newton sweep of evaluate, on arrays or on one point's Python
+        floats alike: w, lo and hi after it, and the mask of the points that
+        stop.  (gap <= 1e-15) | (gap <= 1e-15*w) is gap <= 1e-15*max(1, w)."""
         d, cp, cv = self._dir, self._cp, self._cv
-        inside = (lo < w) & (w < hi)
-        if not inside.all():
-            w = np.where(inside, w, 0.5 * (lo + hi))
-        closed = hi - lo <= 1e-15 * np.maximum(1.0, w)
+        w = _pick((lo < w) & (w < hi), w, 0.5 * (lo + hi))
+        gap = hi - lo
+        closed = (gap <= 1e-15) | (gap <= 1e-15 * w)
         gp, yp = _primitive(self.gamma - 1.0, d * w)
         gv, yv = _primitive(self.theta - 1.0, d * w)
         D, dD = cp * gp - cv * gv, d * (cp * yp - cv * yv)
         below = D < h
         lo, hi = _pick(below, w, lo), _pick(below, hi, w)
         newton = (D > 0.0) & (dD > 0.0)
-        w_new = w - (np.log(D) - log_h) * D / dD
-        if not newton.all():
-            w_new = np.where(newton, w_new, 0.5 * (lo + hi))
-        step = np.abs(w_new - w) <= 1e-15 * np.maximum(1.0, w_new)
-        stuck = closed & ~step
-        if stuck.any():
-            w_new = np.where(stuck, w, w_new)
-        return w_new, lo, hi, closed | step
+        w_new = 0.5 * (lo + hi)
+        # a float steps only where log D and the quotient are defined
+        if isinstance(newton, np.ndarray) or newton:
+            w_new = _pick(newton, w - (unbox(np.log(D)) - log_h) * D / dD, w_new)
+        gap = abs(w_new - w)
+        step = (gap <= 1e-15) | (gap <= 1e-15 * w_new)
+        # closed > step: closed and not step, a stuck point, stays at w
+        return _pick(closed > step, w, w_new), lo, hi, closed | step
 
     def _float_root(self, x):
-        """(y, dy) at a float x >= 0 by the array code's sweeps, in its
-        order on Python floats; None where that code refuses x (NaN, an
+        """(y, dy) at a float x >= 0 by evaluate's own sweeps, run on
+        Python floats; None where the array code refuses x (NaN, an
         overflowing h or a singular start), where h = 0 or x is vacuum,
         where the root lies at _w_top, or where y or dy is not finite, all
         of which the array code answers."""
@@ -345,34 +352,19 @@ class ImplicitProfile(Profile):
         if (self._singular or not 0.0 < h < math.inf
                 or self.z_vacuum is not None and x >= self.z_vacuum):
             return None
-        d, cp, cv, w_max = self._dir, self._cp, self._cv, self._w_max
-        s1, s2 = d * (cp - cv), cp * (self.gamma - 1.0) - cv * (self.theta - 1.0)
+        s1, s2 = self._s1, self._s2
         disc = s1 * s1 + 2.0 * s2 * h
         w = 2.0 * h / (s1 + math.sqrt(abs(disc))) if disc > 0.0 else h / s1
-        lo, hi, log_h = 0.0, w_max, float(np.log(h))
+        lo, hi, log_h = 0.0, self._w_max, float(np.log(h))
         for _ in range(100):
-            if not lo < w < hi:
-                w = 0.5 * (lo + hi)
-            # max(1.0, w) is np.maximum's: w, a bracket point, is never NaN
-            closed = hi - lo <= 1e-15 * max(1.0, w)
-            gp, yp = _primitive(self.gamma - 1.0, d * w)
-            gv, yv = _primitive(self.theta - 1.0, d * w)
-            D, dD = cp * gp - cv * gv, d * (cp * yp - cv * yv)
-            lo, hi = (w, hi) if D < h else (lo, w)
-            w_new = (w - (float(np.log(D)) - log_h) * D / dD if D > 0.0 and dD > 0.0
-                     else 0.5 * (lo + hi))
-            # a NaN w_new fails the step test, as with np.maximum
-            step = abs(w_new - w) <= 1e-15 * max(1.0, w_new)
-            if closed and not step:
-                break
-            w = w_new
-            if step:
+            w, lo, hi, done = self._sweep(w, lo, hi, h, log_h)
+            if done:
                 break
         # the array code answers the edge, and a zero slope, where dy is not finite
         if w >= self._w_top * (1.0 - 1e-12) or (dD := float(self._slope(w))) == 0.0:
             return None
-        y = float(_exp(math.log(self.alpha) + d * w))
-        drz, q = d * (self.r * x), y / dD
+        y = float(_exp(math.log(self.alpha) + self._dir * w))
+        drz, q = self._dir * (self.r * x), y / dD
         dy = drz * q
         if abs(q) < sys.float_info.min and math.isfinite(alt := drz / dD * y):
             dy = alt
@@ -405,8 +397,10 @@ def powerlaw_profile(params, m, sigma, alpha, s):
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must be in (0, 1], got {s}")
     N, gamma, theta = params.N, params.gamma, params.theta
-    return ImplicitProfile(
-        p=params.K * gamma / (s * sigma ** (gamma * N + 1)),
-        v=m * N * params.kappa * theta / sigma ** (theta * N + 1),
-        r=(1.0 - s) * m * m / sigma ** (N - 1),
-        gamma=gamma, theta=theta, alpha=alpha)
+    try:  # a power that overflows, or underflows to 0 under a quotient
+        p = params.K * gamma / (s * sigma ** (gamma * N + 1))
+        v = m * N * params.kappa * theta / sigma ** (theta * N + 1)
+        r = (1.0 - s) * m * m / sigma ** (N - 1)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"a power of sigma leaves the float range at sigma={sigma}") from None
+    return ImplicitProfile(p=p, v=v, r=r, gamma=gamma, theta=theta, alpha=alpha)

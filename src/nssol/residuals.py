@@ -162,25 +162,25 @@ def _residuals(field, params, t, r, h_t, h_r):
     def stack(*offsets):
         return np.stack(np.broadcast_arrays(*offsets), axis=1)
 
-    try:
-        rho, u = field(t, r)
-        samples = field(stack(t, t, t + h_t, t - h_t), stack(r + h_r, r - h_r, r, r))
-    except (DomainError, OutOfRangeError) as exc:
-        raise StencilOutOfDomainError(
-            f"stencil left the field domain: {exc}") from exc
-    (rho_rp, rho_rm, rho_tp, rho_tm), (u_rp, u_rm, u_tp, u_tm) = (
-        np.moveaxis(x, 1, 0) for x in samples)
-    gamma, theta = params.gamma, params.theta
-    K, kappa, N = params.K, params.kappa, params.N
-    rho_t = (rho_tp - rho_tm) / (2.0 * h_t)
-    rho_r = (rho_rp - rho_rm) / (2.0 * h_r)
-    u_t = (u_tp - u_tm) / (2.0 * h_t)
-    u_r = (u_rp - u_rm) / (2.0 * h_r)
-    u_rr = (u_rp - 2.0 * u + u_rm) / (h_r * h_r)
-    mass = rho_t + u * rho_r + rho * u_r + (N - 1) / r * rho * u
-    lo = np.minimum(rho, samples[0].min(axis=1))
-    vacuum = (lo == 0.0) & np.isfinite(u_t)
+    # a sample or residual past the float range is refused below, by name
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            rho, u = field(t, r)
+            samples = field(stack(t, t, t + h_t, t - h_t), stack(r + h_r, r - h_r, r, r))
+        except (DomainError, OutOfRangeError) as exc:
+            raise StencilOutOfDomainError(
+                f"stencil left the field domain: {exc}") from exc
+        (rho_rp, rho_rm, rho_tp, rho_tm), (u_rp, u_rm, u_tp, u_tm) = (
+            np.moveaxis(x, 1, 0) for x in samples)
+        N, gamma, theta, K, kappa = params.N, params.gamma, params.theta, params.K, params.kappa
+        rho_t = (rho_tp - rho_tm) / (2.0 * h_t)
+        rho_r = (rho_rp - rho_rm) / (2.0 * h_r)
+        u_t = (u_tp - u_tm) / (2.0 * h_t)
+        u_r = (u_rp - u_rm) / (2.0 * h_r)
+        u_rr = (u_rp - 2.0 * u + u_rm) / (h_r * h_r)
+        mass = rho_t + u * rho_r + rho * u_r + (N - 1) / r * rho * u
+        lo = np.minimum(rho, samples[0].min(axis=1))
+        vacuum = (lo == 0.0) & np.isfinite(u_t)
         pressure_r = (np.power(rho_rp, gamma) - np.power(rho_rm, gamma)) / (2.0 * h_r)
         viscosity_r = (kappa * (np.power(rho_rp, theta) - np.power(rho_rm, theta))
                        / (2.0 * h_r))

@@ -224,6 +224,13 @@ class NumericScaling(ScalingFn):
                 f"t_end={self.t_end}, status={self.status})")
 
 
+def _bisect(lo, hi, below):
+    """[lo, hi] bisected to adjacent floats, mid replacing lo where below(mid)."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo, hi
+
+
 class _Tail:
     """A collapse's tail: t and w = a' + c*a**(1 - e), c = V/(e - 1), as
     quartics in a over the steps of its integration in x = -a, served at
@@ -256,10 +263,7 @@ class _Tail:
         elif not self._serves(t_end):
             # the quartic ends short of t_star, or a' overflows: the
             # largest float it serves, bisected from t0, which it does
-            lo, hi = t0, t_end
-            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-                lo, hi = (mid, hi) if self._serves(mid) else (lo, mid)
-            t_end = lo
+            t_end, _ = _bisect(t0, t_end, self._serves)
         n = max(1, bisect_left(self._starts, t_end))
         keep = [k for k in range(n) if k == n - 1 or self._starts[k] < self._starts[k + 1]]
         self._steps = [steps[k] for k in keep]
@@ -289,10 +293,7 @@ class _Tail:
             r = horner(ct, s) - t
             if r == 0.0:
                 break
-            if r < 0.0:
-                lo = s
-            else:
-                hi = s
+            lo, hi = (s, hi) if r < 0.0 else (lo, s)
             d = ct[1] + s * (2.0 * ct[2] + s * (3.0 * ct[3] + s * 4.0 * ct[4]))
             step = s - r / d if d > 0.0 else s
             if not lo < step < hi:
@@ -628,10 +629,7 @@ def _integrate(F, a0, a1, t_end, label, tail=None):
     if stop == STOP_DIVERGE:
         def gap(t):  # > 0 until a crosses the cap
             return cap_a - horner(last[0], t - t_old)
-
-        lo, hi = t_old, t_last  # bisected to adjacent floats
-        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-            lo, hi = (mid, hi) if gap(mid) > 0.0 else (lo, mid)
+        lo, hi = _bisect(t_old, t_last, lambda t: gap(t) > 0.0)
         t_last = lo if abs(gap(lo)) < abs(gap(hi)) else hi
     piece = None
     if stop == STOP_SWITCH:

@@ -1,6 +1,8 @@
 """Command-line interface: config schema, subcommands, exit codes, formats."""
 
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -8,8 +10,9 @@ import stat
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from nssol import (
     theta_required,
 )
 from nssol.cli import ConfigError, RunConfig, main
+from nssol.model import FAMILIES
 from tests import cases
 
 
@@ -1088,3 +1092,163 @@ def test_field_export_memory_stays_within_a_block_of_the_grid(tmp_path, fmt):
         tracemalloc.stop()
     assert out.stat().st_size > 15 * 2**20
     assert peak < 16 * 2**20
+
+
+# --- any config: an exit code and strict JSON, never a traceback ----------------
+
+#: power-law instances that validate accepts, each with a constant whose
+#: power leaves the float range when the shape is built: sigma**(gamma*N
+#: + 1) overflows, or underflows to 0 under a quotient, or alpha**(gamma
+#: - 1) overflows
+FLOAT_RANGE_POWERS = [
+    ("sigma", _blowup_config(family={"kind": "with_pressure_power_law", "m": -1.0,
+                                     "n": 1.0, "sigma": 1e300, "alpha": 1.0})),
+    ("sigma", _blowup_config(family={"kind": "with_pressure_power_law", "m": -1.0,
+                                     "n": 1.0, "sigma": 1e-100, "alpha": 1.0})),
+    ("alpha", _blowup_config(model={"N": 3, "gamma": 5.0, "theta": 8.0 / 3.0},
+                             family={"kind": "with_pressure_power_law", "m": -1.0,
+                                     "n": 1.0, "sigma": 1.0, "alpha": 1e300})),
+]
+
+
+def _window_config(model, family, t, r, h):
+    """A config whose grid and verify window are both t x r, at steps h."""
+    window = {"t_min": t[0], "t_max": t[1], "r_min": r[0], "r_max": r[1]}
+    return {"model": model, "family": family, "grid": {**window, "n_t": 2, "n_r": 2},
+            "verify": {"window": window, "resolutions": h, "lattice": 2}}
+
+
+#: configs whose field leaves the float range on the verifier's lattice:
+#: a**N overflows (n = 1e300), rho = y/a overflows (y = 1e300 over a =
+#: 1e-100), and a difference quotient of rho overflows
+FIELDS_PAST_THE_FLOAT_RANGE = [
+    _window_config({"N": 3, "gamma": 2.25, "theta": 1.2916666666666667},
+                   {"kind": "with_pressure_power_law", "m": 1.0, "n": 1e300, "sigma": 1.0,
+                    "alpha": 1.0}, (0.1, 0.3), (0.1, 1.0), [[1e-4, 1e-4]]),
+    _window_config({"N": 1, "gamma": 1.5, "theta": 2.0, "delta": 0},
+                   {"kind": "pressureless_theta_not1", "lam": 0.0, "alpha": 1e300,
+                    "a0": 1e-100, "a1": 0.0}, (0.1, 0.3), (0.1, 1.0), [[1e-4, 1e-4]]),
+    _window_config({"N": 1, "gamma": 3.8749357262331214, "theta": 1.9534987715516445,
+                    "K": 38.994880857394726, "delta": 0},
+                   {"kind": "pressureless_theta_not1", "lam": -1.0, "alpha": 1e-100,
+                    "a0": 1e-100, "a1": 0.0}, (0.9470045746646651, 1.4392115005054236),
+                   (0.24610346292037924, 0.24669837938861516),
+                   [[0.001, 7.801282873008001e-05], [0.0001, 0.0001]]),
+]
+
+
+@pytest.mark.parametrize("cfg", FIELDS_PAST_THE_FLOAT_RANGE)
+def test_verify_refuses_a_field_past_the_float_range(tmp_path, capsys, cfg):
+    # a named refusal, exit 3, where numpy used to warn of an overflow
+    # (and, for a**N, the grid was written as vacuum)
+    path = _write(tmp_path, cfg)
+    assert main(["verify", "--config", path]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] in ("NonFiniteFieldError", "StencilOutOfDomainError")
+
+
+@pytest.mark.parametrize("name, cfg", FLOAT_RANGE_POWERS)
+def test_power_law_constants_past_the_float_range_exit_2(tmp_path, capsys, name, cfg):
+    path = _write(tmp_path, cfg)
+    assert main(["describe", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    for command in ("profile", "scale", "field", "verify", "blowup"):
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValueError"
+        assert f"{name}=1e" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+
+def _strict_json(text):
+    """text read as JSON whose every number is finite, NaN, Infinity and
+    a literal past the float range refused."""
+    def refuse(token):
+        raise ValueError(f"{token} in {text!r} is not a finite number")
+
+    def number(token):
+        if not math.isfinite(value := float(token)):
+            refuse(token)
+        return value
+
+    return json.loads(text, parse_constant=refuse, parse_float=number)
+
+
+_DECADES = st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x)
+#: a positive constant, at times one whose powers leave the float range
+_POSITIVE = st.one_of(_DECADES, st.sampled_from([1e-100, 1e300]))
+
+
+@st.composite
+def _configs(draw):
+    """A config of any family, mostly one that validate accepts: the
+    family's own (gamma, theta) and delta, its positive constants (and
+    the isothermal A) > 0, its others of either sign, with a grid and a
+    verify window over a few points."""
+    family = draw(st.sampled_from(FAMILIES))
+    N, gamma, theta = draw(st.integers(1, 3)), draw(st.floats(1.0, 4.0)), None
+    if draw(st.integers(0, 9)) > 0:  # else most likely one validate refuses
+        theta = {"with_pressure_isothermal": 1.0, "with_pressure_polytropic": gamma,
+                 "with_pressure_power_law": gamma / 2.0 + 0.5 - 1.0 / N,
+                 "pressureless_theta1": 1.0}.get(family.tag)
+    if family.tag == "with_pressure_isothermal":
+        gamma = 1.0
+    if theta is None:
+        theta = draw(st.floats(0.2, 4.0))
+    constants = {f.name: draw(_POSITIVE if f.name in family.positive or f.name == "A"
+                              else st.one_of(_POSITIVE, _DECADES.map(lambda x: -x),
+                                             st.just(0.0)))
+                 for f in fields(family)}
+    t_min, r_min = draw(st.floats(0.0, 1.0)), draw(_DECADES) / 100.0
+    t_max, r_max = t_min + draw(_DECADES) / 50.0, r_min + draw(_DECADES) / 50.0
+    h = [[draw(_DECADES) / 1e4, draw(_DECADES) / 1e4] for _ in range(draw(st.integers(1, 2)))]
+    return {
+        "model": {"N": N, "gamma": gamma, "theta": theta, "K": draw(_DECADES),
+                  "kappa": draw(_DECADES), "delta": family.delta},
+        "family": {"kind": family.tag, **constants},
+        "grid": {"t_min": t_min, "t_max": t_max, "n_t": draw(st.integers(1, 3)),
+                 "r_min": r_min, "r_max": r_max, "n_r": draw(st.integers(1, 3))},
+        "verify": {"window": {"t_min": t_min, "t_max": t_max, "r_min": r_min,
+                              "r_max": r_max},
+                   "resolutions": h, "lattice": draw(st.integers(2, 3))},
+    }
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(cfg=_configs())
+@example(cfg=FLOAT_RANGE_POWERS[0][1])
+@example(cfg=FLOAT_RANGE_POWERS[1][1])
+@example(cfg=FLOAT_RANGE_POWERS[2][1])
+@example(cfg=FIELDS_PAST_THE_FLOAT_RANGE[0])
+@example(cfg=FIELDS_PAST_THE_FLOAT_RANGE[1])
+@example(cfg=FIELDS_PAST_THE_FLOAT_RANGE[2])
+def test_every_config_exits_0_2_or_3_with_strict_json(cfg):
+    # every subcommand in both formats: main raises nothing, a payload or
+    # summary in JSON and the error record on stderr are strict JSON with
+    # finite numbers, and a CSV payload holds no nan or inf
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        for command in ("describe", "profile", "scale", "field", "verify", "blowup"):
+            for fmt in ("csv", "json"):
+                out = os.path.join(tmp, f"{command}.{fmt}")
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main([command, "--config", path, "--out", out, "--format", fmt])
+                assert code in (0, 2, 3), (command, fmt, code)
+                for line in stdout.getvalue().splitlines():
+                    _strict_json(line)
+                if code:
+                    record = _strict_json(stderr.getvalue().splitlines()[-1])
+                    assert sorted(record) == ["error", "message"], record
+                if not os.path.exists(out):
+                    continue
+                with open(out, encoding="utf-8") as fh:
+                    payload = fh.read()
+                if fmt == "json" or command in ("describe", "verify", "blowup"):
+                    _strict_json(payload)
+                else:
+                    assert "nan" not in payload.lower() and "inf" not in payload.lower()

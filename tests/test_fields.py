@@ -263,3 +263,22 @@ def test_grid_blocks_name_the_first_failure_of_one_whole_grid_call(make, r_max):
         eval_grid(solution.profile, solution.scaling, params.N, ts, rs)
     assert type(blocks.value) is type(whole.value)
     assert str(blocks.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("a, N", [(1e200, 2), (1e-200, 2), (1e110, 3), (1e-110, 3)])
+def test_field_refuses_an_a_to_the_n_past_the_float_range(a, N):
+    # rho = shape/a**N: an a**N that overflows would give rho = 0, vacuum,
+    # and one that underflows to 0 a division by 0; each is refused by
+    # name, a float t and an array alike, with no warning
+    def field(a):
+        return SolutionField(ExpQuadratic(1.0, 0.0, 0.0), PowerLawScaling(a, 0.0, 1.0, 1.0), N)
+
+    message = r"^field evaluation failed at \(t=0.5, r=0.25\): a\(t\)\*\*N leaves"
+    for t in (0.5, np.array([0.5])):
+        with pytest.raises(DomainError, match=message):
+            field(a)(t, 0.25)
+    # an a nearer 1 that keeps a**N in range evaluates, to the same bits
+    a_in = (1e150 if a > 1.0 else 1e-150) ** (1.0 / N)
+    rho, _ = field(a_in)(0.5, 0.25)
+    assert [rho] == field(a_in)(np.array([0.5]), 0.25)[0].tolist()
+    assert rho == pytest.approx(1.0 / a_in ** N, rel=1e-13)

@@ -331,6 +331,38 @@ def test_implicit_shape_stops_once_its_bracket_closes(monkeypatch):
         assert y == pytest.approx(_bisection_shape(prof, 1.2911), rel=1e-13, abs=0.0)
 
 
+def _closing_bracket_shape():
+    base = ModelParams(N=3, gamma=3.6404, theta=1.0)
+    params = ModelParams(N=3, gamma=3.6404, theta=theta_required(base))
+    return powerlaw_profile(params, 1.3321, 1.49, 1.3311, derived_s(params))
+
+
+@pytest.mark.parametrize("shape, z", [
+    *((_closing_bracket_shape(), z) for z in (0.3, 1.0, 1.2911)),
+    *((ImplicitProfile(1.0, 2.0, 1.0, 2.0, 1.5, 1.0), z) for z in (0.05, 1.0, 2.4)),
+    *((ImplicitProfile(1e-10, 5e-11, 1.0, 2.0, 1.5, 1.0), z) for z in (0.5, 1e3, 1e120)),
+    (ImplicitProfile(1.0, 0.999, 1.0, 5.0 / 3.0, 1.0, 1.0), 0.7),  # c(alpha) ~ 0
+])
+def test_float_z_runs_the_batch_sweeps(monkeypatch, shape, z):
+    # a float z and a one-point batch take the same Newton sweeps, the one
+    # _sweep, through the same iterates w, lo, hi, bit for bit
+    sweep = ImplicitProfile._sweep
+    calls = []
+
+    def recording(self, *args):
+        out = sweep(self, *args)
+        calls.append([float(np.asarray(x).item()).hex() for x in (*args[:3], *out)])
+        return out
+
+    monkeypatch.setattr(ImplicitProfile, "_sweep", recording)
+    runs = []
+    for arg in (z, np.array([z])):
+        calls = []
+        shape.evaluate(arg)
+        runs.append(calls)
+    assert runs[0] and runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("build", [
     lambda: PowerLawScaling(math.nan, -1.0, 1.0, 0.5),
     lambda: PowerLawScaling(1.0, math.nan, 1.0, 0.5),
